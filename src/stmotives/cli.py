@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import motives, stats, stgroups
 from .cmforms import CoeffFileError, CurveSpec, FORMS
 from .ntkernel import FIELD_ALIASES
+from .padic_hypergeom import HP2_MAX_P
 from .records import ConsistencyError
 
 CACHE_ENV = "STMOTIVES_CACHE_DIR"
@@ -119,6 +120,11 @@ def cmd_motive(args) -> int:
     spec = _make_spec(args)
     bound = 2**args.bound_log2
     a1_only = args.construction == "dwork" and args.coeffs == "a1"
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.construction == "dwork" and not a1_only and bound > HP2_MAX_P:
+        raise CliError(f"dwork --coeffs both needs B <= {HP2_MAX_P} (the H_(p^2) kernel's "
+                       f"int64 range p^4 < 2^50), got B=2^{args.bound_log2}; use --coeffs a1")
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     rows = motives.cached_lpoly_stream(spec, bound, cache_dir, a1_only=a1_only, jobs=args.jobs)
     if not rows:

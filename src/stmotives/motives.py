@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -260,6 +261,8 @@ def _parallel_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
         # the Dwork construction), so fine-grained dispatch balances better
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             out = list(ex.map(_row_worker, tasks, chunksize=1))
-    except (OSError, PermissionError, ImportError):
+    except (OSError, ImportError) as exc:
+        warnings.warn(f"process pool unavailable ({exc!r}); computing {len(tasks)} primes serially",
+                      RuntimeWarning, stacklevel=2)
         out = [_row_worker(t) for t in tasks]
     return [row for row in out if row is not None]

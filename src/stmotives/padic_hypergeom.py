@@ -18,6 +18,10 @@ Gamma values come from one of two interchangeable backends:
   for small p, where the c2 window [-4p^3, 12p^3] forces precision
   beyond p^4 (k = 5 for p <= 13, k = 6 for p = 3).
 
+For p >= 17 the O(p^2) sum H_{p^2} mod p^4 runs in one numpy int64 kernel
+(_dwork_hp2), block by block over m, exact for p^4 < 2^50
+(p <= HP2_MAX_P = 5791).  H_p stays in pure Python.
+
 Every production path is cross-checked in the test suite against the
 generic Fraction-based trace sum and against direct product-formula
 gamma values.
@@ -25,6 +29,7 @@ gamma values.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,14 +145,15 @@ class GammaTables:
 
 class GammaProductTable:
     """Gamma_p tabulated at every residue mod p^k from the product formula
-    Gamma_p(n+1) = -n Gamma_p(n) (p not dividing n) / -Gamma_p(n) (p | n)."""
+    Gamma_p(n+1) = -n Gamma_p(n) (p not dividing n) / -Gamma_p(n) (p | n).
+    Stored as int64 (p^k < 2^63), 8 bytes a residue."""
 
     def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
         pk = p**k
         self.pk = pk
-        G = [1] * pk
+        G = array("q", [1]) * pk
         g = 1
         for n in range(1, pk):
             prev = n - 1
@@ -247,17 +253,19 @@ def pochhammer_star_sweep(x: Fraction | int, q: int, precision: int):
             nums[v] = (nums[v] - steps[v]) % d
 
 
-def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> HValue:
+def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int,
+             backend: GammaTables | GammaProductTable | None = None) -> HValue:
     """The full hypergeometric trace sum, computed from the definitions.
 
     Exact-rational bookkeeping for the fractional parts; gamma values at
-    precision p^precision.  O(q) gamma evaluations; production code uses
-    the specialized Dwork loop below for q = p^2, which must agree with
-    this path (asserted in the tests).
+    precision p^precision, from `backend` when given (it must be at that
+    precision) or from a fresh one.  O(q) gamma evaluations; production
+    code uses the specialized Dwork kernel below for q = p^2, which must
+    agree with this path (asserted in the tests).
     """
     p, f = _prime_power(q)
     k = precision
-    backend = _gamma_backend(p, k)
+    backend = backend or _gamma_backend(p, k)
     pk = backend.pk
     z = Fraction(z)
     if z.denominator % p == 0 or z.numerator % p == 0:
@@ -525,162 +533,112 @@ def batch_evaluate(poly: HPoly, p: int, force: str | None = None) -> dict[int, H
 
 
 # ---------------------------------------------------------------------------
-# the production H_{p^2} mod p^4 loop (p >= 17)
+# the production H_{p^2} mod p^4 kernel (p >= 17)
+
+HP2_MAX_P = 5791  # the largest prime with p^4 < 2^50, the range of _mulmod
+# m values per block: small enough for the temporaries to stay in cache
+# (about 3 MB of peak RSS); a block's kept terms are each at most
+# p^4 < 2^50, so their int64 sum stays below 2^61
+_HP2_BLOCK = 1 << 11
 
 
-def _dwork_hp2_fast(z: Fraction, p: int, tables: GammaTables) -> int:
-    """H_{p^2}(Dwork | z) mod p^4.
+def _mulmod(a, b, m: int):
+    """a * b mod m, exactly, for an int64 array a and an int64 array or int
+    b with 0 <= a, b < m < 2^50.
 
-    One pass over m = 0..p^2-2 with all fractional parts tracked as integer
-    numerators on the common denominator D = 5(p^2-1); terms whose net
-    p-power exceeds the precision are skipped before any gamma work.
-    Denominator units are inverted in Montgomery batches.
+    The float64 quotient a * (b * (1/m)) carries three roundings of
+    relative size 2^-53 on a value below 2^50, so it is within 3/8 of a*b/m
+    and its nearest integer within 7/8.  The remainder, formed with
+    wrapping int64 products, therefore lies in (-m, m); one correction
+    (adding m where the sign bit is set) lifts it to [0, m).
     """
+    import numpy as np
+
+    r = a * b - np.rint(a * (b * (1.0 / m))).astype(np.int64) * m
+    r += (r >> 63) & m
+    return r
+
+
+def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
+    """H_{p^2}(Dwork | z) mod p^4 from precision-4 tables, in numpy int64.
+
+    Walks m = 1..p^2-2 in blocks of _HP2_BLOCK.  In each block the ten
+    fractional-part numerators on the grid D = 5(p^2-1) (eight alpha, two
+    beta) and their wrap counts come in closed form; the wraps give the net
+    p-power e_m, and only the terms with e_m < 4 get gamma work.  Beta gamma
+    values are not inverted: Gamma_p(x) Gamma_p(1-x) = (-1)^x0, and the sign
+    drops out of their fourth power.  Gamma_p(x0 + p y) mod p^4 is one cubic
+    in p y: the factorial tables times the series on p Z_p, tabulated by x0.
+
+    Exact for p <= HP2_MAX_P: p^4 < 2^50 is the range of _mulmod, every
+    other int64 intermediate is below 2p^4 and a block's sum below 2^61.
+    Larger p raise ValueError.
+    """
+    if p > HP2_MAX_P:
+        raise ValueError(f"the int64 H_(p^2) kernel needs p^4 < 2^50, i.e. p <= {HP2_MAX_P}; "
+                         f"got p={p}")
+    import numpy as np
+
     q = p * p
-    k = tables.k
-    pk = tables.pk
+    p3, pk = p**3, tables.pk
     d = 5 * (q - 1)
     invd = pow(d, -1, pk)
-    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
-    F, T, U2, U3 = tables.F, tables.T, tables.U2, tables.U3
-    a1, a2, a3 = tables.a1, tables.a2, tables.a3
+    # Gamma_p(py) = 1 + b1 (py) + b2 (py)^2 + b3 (py)^3 with b_i = a_i / p^i
+    if tables.a1 % p or tables.a2 % q or tables.a3 % p3:
+        raise ConsistencyError(f"gamma series coefficients not p-adically small at p={p}")
+    b1, b2, b3 = tables.a1 // p, tables.a2 // q, tables.a3 // p3
+    # coefficients of prod_{0<j<x0} (py + j) at index x0, then times the series
+    F, T = [1] + tables.F[:-1], [0] + tables.T[:-1]
+    U2, U3 = [0] + tables.U2[:-1], [0] + tables.U3[:-1]
+    c0 = np.array(F, dtype=np.int64)
+    c1 = np.array([(t + f * b1) % p3 for f, t in zip(F, T)], dtype=np.int64)
+    c2 = np.array([(u + t * b1 + f * b2) % q for f, t, u in zip(F, T, U2)], dtype=np.int64)
+    c3 = np.array([(v + u * b1 + t * b2 + f * b3) % p for f, t, u, v in zip(F, T, U2, U3)],
+                  dtype=np.int64)
 
-    def gam(xhat: int) -> int:
-        x0 = xhat % p
-        y = xhat // p
-        s = (1 + y * (a1 + y * (a2 + y * a3))) % pk
-        if x0 == 0:
-            return s
-        i = x0 - 1
-        py = xhat - x0
-        g = (F[i] + py * (T[i] + py * (U2[i] + py * U3[i]))) % pk * s % pk
-        return pk - g if x0 & 1 else g
+    def gamma(n):
+        """(-1)^x0 Gamma_p(n/D) mod p^4, and x0."""
+        x = _mulmod(n, invd, pk)
+        x0, y = x % p, x // p
+        h = (c2[x0] + p * (y % p * c3[x0] % p)) % q * (y % q) % q
+        h = _mulmod(y, (c1[x0] + p * h) % p3, p3)
+        return (c0[x0] + p * h) % pk, x0
 
-    # alpha numerators at m = 0 for (j, v): {p^v j/5} = (p^v j (q-1) mod d)/d
-    na = [p**v * j * (q - 1) % d for j in (1, 2, 3, 4) for v in (0, 1)]
-    sa0 = sum(na)
-    steps = [p**v * 5 % d for _ in (1, 2, 3, 4) for v in (0, 1)]
-    # beta numerators at m = 0 are 0 for both v
-    nb0 = 0
-    nb1 = 0
-    bstep1 = 5 * p % d
+    # grid numerators at m: (A - m S) mod D, rows (j, v) for alpha = j/5 and
+    # the Frobenius twist p^v, then beta = 0 at v = 0, 1
+    A = np.array([p**v * j * (q - 1) % d for j in (1, 2, 3, 4) for v in (0, 1)] + [0, 0],
+                 dtype=np.int64)[:, None]
+    S = np.array([5, 5 * p] * 5, dtype=np.int64)[:, None]
     ca = 1
-    for n in na:
-        ca = ca * gam(n * invd % pk) % pk
-    p_pows = [p**e for e in range(k)]
-
-    n0, n1, n2, n3, n4, n5, n6, n7 = na
-    s0, s1_, s2_, s3, s4, s5, s6, s7 = steps
+    for n in A[:8, 0].tolist():
+        ca = ca * tables.gamma_int(n * invd % pk) % pk
+    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, 4)
+    tp = [1] * (p - 1)  # Teich(z)^(p-1) = 1
+    for j in range(1, p - 1):
+        tp[j] = tp[j - 1] * tz % pk
+    tpow = np.array(tp, dtype=np.int64)
+    ppow = np.array([p**e for e in range(4)], dtype=np.int64)
+    pmod = pk // ppow
     total = ca  # the m = 0 term times ca (divided out at the end)
-    tpow = 1
-    pending_num: list[int] = []
-    pending_den: list[int] = []
-    append_num = pending_num.append
-    append_den = pending_den.append
-
-    def flush():
-        nonlocal total
-        if not pending_num:
-            return
-        # Montgomery batch inversion of the denominators
-        prefix = [1] * len(pending_den)
-        acc = 1
-        for i, dv in enumerate(pending_den):
-            prefix[i] = acc
-            acc = acc * dv % pk
-        inv_all = pow(acc, -1, pk)
-        for i in range(len(pending_den) - 1, -1, -1):
-            inv_i = inv_all * prefix[i] % pk
-            inv_all = inv_all * pending_den[i] % pk
-            i2 = inv_i * inv_i % pk
-            total = (total + pending_num[i] * (i2 * i2 % pk)) % pk
-        pending_num.clear()
-        pending_den.clear()
-
-    # The net p-power e_m = eta_m(alpha) - eta_m(beta) + 2 xi_m moves by
-    # exactly (alpha wraps) - 4 (beta wraps) when the grid numerators step
-    # down by their increments mod d; start from the fictitious e_0 = 8
-    # (xi_m = 4 holds for every m >= 1 since beta = 0).
-    e = 8
-    for m in range(1, q - 1):
-        n0 -= s0
-        if n0 < 0:
-            n0 += d
-            e += 1
-        n1 -= s1_
-        if n1 < 0:
-            n1 += d
-            e += 1
-        n2 -= s2_
-        if n2 < 0:
-            n2 += d
-            e += 1
-        n3 -= s3
-        if n3 < 0:
-            n3 += d
-            e += 1
-        n4 -= s4
-        if n4 < 0:
-            n4 += d
-            e += 1
-        n5 -= s5
-        if n5 < 0:
-            n5 += d
-            e += 1
-        n6 -= s6
-        if n6 < 0:
-            n6 += d
-            e += 1
-        n7 -= s7
-        if n7 < 0:
-            n7 += d
-            e += 1
-        nb0 -= 5
-        if nb0 < 0:
-            nb0 += d
-            e -= 4
-        nb1 -= bstep1
-        if nb1 < 0:
-            nb1 += d
-            e -= 4
-        tpow = tpow * tz % pk
-        if e >= k:
-            continue
-        if e < 0:
-            raise ConsistencyError(f"negative net p-power at m={m}, p={p}")
-        g = 1
-        for n in (n0, n1, n2, n3, n4, n5, n6, n7):
-            x = n * invd % pk
-            x0 = x % p
-            y = x // p
-            s = 1 + y * (a1 + y * (a2 + y * a3))
-            if x0:
-                i = x0 - 1
-                py = x - x0
-                gv = (F[i] + py * (T[i] + py * (U2[i] + py * U3[i]))) % pk * s % pk
-                g = g * (pk - gv) % pk if x0 & 1 else g * gv % pk
-            else:
-                g = g * s % pk
-        den = 1
-        for n in (nb0, nb1):
-            x = n * invd % pk
-            x0 = x % p
-            y = x // p
-            s = 1 + y * (a1 + y * (a2 + y * a3))
-            if x0:
-                i = x0 - 1
-                py = x - x0
-                gv = (F[i] + py * (T[i] + py * (U2[i] + py * U3[i]))) % pk * s % pk
-                den = den * (pk - gv) % pk if x0 & 1 else den * gv % pk
-            else:
-                den = den * s % pk
-        term = p_pows[e] * g % pk * tpow % pk
-        # eta = e - 8 has the parity of e
-        append_num(term if e & 1 == 0 else pk - term)
-        append_den(den)
-        if len(pending_num) >= 512:
-            flush()
-    flush()
+    for m0 in range(1, q - 1, _HP2_BLOCK):
+        m = np.arange(m0, min(m0 + _HP2_BLOCK, q - 1), dtype=np.int64)
+        floors, n = np.divmod(A - S * m, d)
+        # the net p-power eta_m(alpha) - eta_m(beta) + 2 xi_m (xi_m = 4 for
+        # m >= 1) is 8 plus the alpha wraps minus 4 times the beta wraps
+        e = 8 - floors[:8].sum(axis=0) + 4 * floors[8:].sum(axis=0)
+        if (e < 0).any():
+            raise ConsistencyError(f"negative net p-power at m={m[e < 0][0]}, p={p}")
+        keep = e < 4
+        m, e, n = m[keep], e[keep], n[:, keep]
+        n[8:] = d - n[8:]  # 1 - beta
+        g, x0 = gamma(n)
+        g = _mulmod(g[0::2], g[1::2], pk)  # four alpha pairs and the beta pair
+        b = _mulmod(g[4], g[4], pk)
+        g = _mulmod(g[:2], g[2:4], pk)
+        t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk)
+        t = _mulmod(t, tpow[m % (p - 1)], pk) % pmod[e] * ppow[e]
+        # (-1)^eta_m with eta_m = e - 8, times the alpha signs (-1)^x0
+        total += int(np.where((e + x0[:8].sum(axis=0)) & 1, pk - t, t).sum())
     return total * pow(ca, -1, pk) % pk * pow(1 - q, -1, pk) % pk
 
 
@@ -737,12 +695,13 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     k = _c2_precision(p)
     pk = p**k
     if p <= 13:
-        hp = trace_Hq(DWORK, z, p, k).value.value
-        hp2 = trace_Hq(DWORK, z, p * p, k).value.value
+        gammas = GammaProductTable(p, k)  # p^k residues: built once for both sums
+        hp = trace_Hq(DWORK, z, p, k, gammas).value.value
+        hp2 = trace_Hq(DWORK, z, p * p, k, gammas).value.value
     else:
         tables = GammaTables(p, 4)
         hp = _trace_hp_p4(z, p, tables)
-        hp2 = _dwork_hp2_fast(z, p, tables)
+        hp2 = _dwork_hp2(z, p, tables)
     c1 = PadicInt(-hp % pk, p, k).balanced()
     if c1 * c1 > 16 * p**3:
         raise ConsistencyError(f"c1={c1} violates the Weil bound at p={p}")

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from stmotives import padic_hypergeom as ph
 from stmotives.records import DegenerateFiber
@@ -87,9 +89,46 @@ def test_batch_matches_per_z_hp_fast():
 def test_fast_hp2_loop_equals_generic_trace(p):
     t = ph.GammaTables(p, 4)
     for z in (-1, 2, Fraction(3, 7)):
-        fast = ph._dwork_hp2_fast(Fraction(z), p, t)
+        fast = ph._dwork_hp2(Fraction(z), p, t)
         full = ph.trace_Hq(ph.DWORK, z, p * p, 4).value.value
         assert fast == full
+
+
+_PRIMES_17_100 = [p for p in range(17, 100) if all(p % d for d in range(2, 10))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=hst.sampled_from(_PRIMES_17_100), num=hst.integers(-10**6, 10**6),
+       den=hst.integers(1, 10**6))
+def test_hp2_kernel_equals_generic_trace_random(p, num, den):
+    z = Fraction(num, den)
+    assume(z.numerator % p and z.denominator % p and (z.numerator - z.denominator) % p)
+    fast = ph._dwork_hp2(z, p, ph.GammaTables(p, 4))
+    assert fast == ph.trace_Hq(ph.DWORK, z, p * p, 4).value.value
+
+
+@pytest.mark.parametrize("p", [5779, 5783, ph.HP2_MAX_P])
+def test_mulmod_exact_near_top_of_range(p):
+    m = p**4
+    assert m < 2**50
+    edges = [0, 1, 2, m // 2, m - 2, m - 1]
+    rng = np.random.default_rng(p)
+    a = np.array(edges * len(edges) + rng.integers(0, m, 5000).tolist(), dtype=np.int64)
+    b = np.array([e for e in edges for _ in edges] + rng.integers(0, m, 5000).tolist(),
+                 dtype=np.int64)
+    got = ph._mulmod(a, b, m)
+    assert got.tolist() == [x * y % m for x, y in zip(a.tolist(), b.tolist())]
+    # the scalar-operand form the kernel uses for n * D^-1
+    assert ph._mulmod(a, m - 1, m).tolist() == [x * (m - 1) % m for x in a.tolist()]
+
+
+def test_hp2_kernel_rejects_p_past_int64_range():
+    p = 5801  # the next prime after HP2_MAX_P
+    assert p**4 >= 2**50
+    with pytest.raises(ValueError, match=str(ph.HP2_MAX_P)):
+        ph._dwork_hp2(Fraction(-1), p, ph.GammaTables(p, 4))
+    with pytest.raises(ValueError, match=str(ph.HP2_MAX_P)):
+        ph.dwork_lpoly(-1, p)
 
 
 @pytest.mark.parametrize("p", [17, 19, 101])

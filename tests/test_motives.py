@@ -134,6 +134,21 @@ def test_parallel_stream_matches_serial():
     assert serial == parallel
 
 
+def test_parallel_fallback_warns_and_matches_serial(monkeypatch):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no semaphores here")
+
+    spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
+    serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    with pytest.warns(RuntimeWarning, match="no semaphores here"):
+        fallback = mv.cached_lpoly_stream(spec, 2000, None, jobs=2)
+    assert fallback == serial
+
+
 def test_dwork_spec_streams(dwork_rows_1024):
     rows = dwork_rows_1024
     assert rows[0][0] == 3

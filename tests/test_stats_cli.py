@@ -164,6 +164,15 @@ def test_cli_error_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_bad_jobs_and_dwork_bound_past_kernel_range(capsys):
+    for jobs in ("0", "-2"):
+        assert cli.main(["motive", "dwork", "--bound-log2", "7", "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert cli.main(["motive", "dwork", "--z", "-1", "--bound-log2", "13"]) == 2
+    err = capsys.readouterr().err
+    assert "5791" in err and "2^50" in err
+
+
 def test_cli_dwork_a1_only(capsys):
     rc = cli.main(["motive", "dwork", "--z", "-1", "--bound-log2", "7",
                    "--coeffs", "a1"])
