@@ -11,7 +11,10 @@
   stmotives stats classify --in stats.tsv
 
 Motive commands print the moment-statistics row (and with --classify the
-nearest-group ranking).  Exit codes: 0 ok, 2 bad arguments, 3 data errors.
+nearest-group ranking).  Exit codes: 0 ok, 1 internal consistency failure,
+2 bad arguments (unknown or missing labels, wrong form weights, a singular
+curve, z = 0 or 1, a bound below 2^1), 3 data errors (including a stream
+with no good primes).
 """
 
 from __future__ import annotations
@@ -43,23 +46,31 @@ def _field(name: str):
         raise CliError(f"unknown field {name!r}; one of {sorted(FIELD_ALIASES)}")
 
 
-def _form(label: str):
+def _form(label: str | None, flag: str):
+    if label is None:
+        raise CliError(f"missing {flag}: a newform label")
     try:
         return FORMS[label]
     except KeyError:
         raise CliError(f"unknown newform {label!r}; one of {sorted(FORMS)}")
 
 
-def _curve(text: str) -> CurveSpec:
+def _curve(text: str | None, flag: str) -> CurveSpec:
+    if text is None:
+        raise CliError(f"missing {flag}: a curve A,B or a1,a2,a3,a4,a6")
     try:
         parts = [int(t) for t in text.split(",")]
     except ValueError:
         raise CliError(f"curve spec {text!r} must be comma-separated integers")
     if len(parts) == 2:
-        return CurveSpec.short(*parts)
-    if len(parts) == 5:
-        return CurveSpec(*parts)
-    raise CliError("curve spec needs 2 (A,B short form) or 5 (a1,..,a6) integers")
+        curve = CurveSpec.short(*parts)
+    elif len(parts) == 5:
+        curve = CurveSpec(*parts)
+    else:
+        raise CliError("curve spec needs 2 (A,B short form) or 5 (a1,..,a6) integers")
+    if curve.discriminant() == 0:
+        raise CliError(f"{flag} {text} is a singular curve (discriminant 0)")
+    return curve
 
 
 def _emit(text: str, out: str | None):
@@ -99,24 +110,31 @@ def cmd_groups(args) -> int:
 
 def _make_spec(args) -> motives.MotiveSpec:
     field = _field(args.field)
-    if args.construction == "sum":
-        cons = motives.DirectSum(_form(args.f1), _form(args.f2))
-    elif args.construction == "tensor-ec":
-        cons = motives.TensorEC(_curve(args.e1), _curve(args.e2))
-    elif args.construction == "symcube":
-        cons = motives.SymCube(_curve(args.e1))
-    elif args.construction == "tensor-mf":
-        cons = motives.TensorMF(_form(args.f1), _form(args.f2))
-    else:
-        try:
-            z = Fraction(args.z)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(f"bad rational z={args.z!r}")
-        cons = motives.Dwork(z)
+    try:
+        if args.construction == "sum":
+            cons = motives.DirectSum(_form(args.f1, "--f1"), _form(args.f2, "--f2"))
+        elif args.construction == "tensor-ec":
+            cons = motives.TensorEC(_curve(args.e1, "--e1"), _curve(args.e2, "--e2"))
+        elif args.construction == "symcube":
+            cons = motives.SymCube(_curve(args.e1, "--e1"))
+        elif args.construction == "tensor-mf":
+            cons = motives.TensorMF(_form(args.f1, "--f1"), _form(args.f2, "--f2"))
+        else:
+            try:
+                z = Fraction(args.z)
+            except (ValueError, ZeroDivisionError):
+                raise CliError(f"bad rational z={args.z!r}")
+            if z in (0, 1):
+                raise CliError(f"z={z} is a degenerate fibre of the Dwork pencil at every prime")
+            cons = motives.Dwork(z)
+    except ValueError as exc:  # the constructions' weight checks
+        raise CliError(f"motive {args.construction}: {exc}")
     return motives.MotiveSpec(cons, field)
 
 
 def cmd_motive(args) -> int:
+    if args.bound_log2 < 1:
+        raise CliError(f"--bound-log2 must be at least 1, got {args.bound_log2}")
     spec = _make_spec(args)
     bound = 2**args.bound_log2
     a1_only = args.construction == "dwork" and args.coeffs == "a1"

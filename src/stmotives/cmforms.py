@@ -53,17 +53,12 @@ class QuadraticCharacter:
         return 1 if r in self.plus else -1
 
 
-def dirichlet_value(char: QuadraticCharacter, n: int) -> int:
-    return char(n)
-
-
 CHI4 = QuadraticCharacter(4, frozenset({1}))
 # the two mod-24 characters used for the twisted-form identities
 CHI24_A = QuadraticCharacter(24, frozenset({1, 7, 17, 23}))
 CHI24_B = QuadraticCharacter(24, frozenset({1, 5, 7, 11}))
-# Kronecker symbols (6/.), (-4/.), (-3/.)
+# Kronecker symbols (6/.), (-3/.); (-4/.) is CHI4
 CHI6 = QuadraticCharacter(24, frozenset({1, 5, 19, 23}))
-KRONECKER_M4 = QuadraticCharacter(4, frozenset({1}))
 KRONECKER_M3 = QuadraticCharacter(3, frozenset({1}))
 
 
@@ -330,11 +325,11 @@ F_108_4C = _register(NewformHandle("108.4c", 4, 108, "hecke", hecke=("Q(w)", 3, 
 F_576_4_QUARTIC = _register(NewformHandle("576.4.quartic", 4, 576, "hecke", hecke=("Q(i)", 3, 3, None), cm_field="Q(i)"))
 F_288_4D = _register(NewformHandle("288.4d", 4, 288, "hecke", hecke=("Q(i)", 3, -3, None), cm_field="Q(i)"))
 # weight-3 forms (quadratic nebentypus = the CM field's Kronecker symbol)
-F_16_3_3A = _register(NewformHandle("16.3.3a", 3, 16, "hecke", hecke=("Q(i)", 2, None, None), cm_field="Q(i)", nebentypus=KRONECKER_M4))
+F_16_3_3A = _register(NewformHandle("16.3.3a", 3, 16, "hecke", hecke=("Q(i)", 2, None, None), cm_field="Q(i)", nebentypus=CHI4))
 F_27_3_5A = _register(NewformHandle("27.3.5a", 3, 27, "hecke", hecke=("Q(w)", 2, None, None), cm_field="Q(w)", nebentypus=KRONECKER_M3))
 # the level-576 weight-3 quartic twist: the printed coefficient table pins
 # an extra Kronecker-6 flip on top of the residue-symbol twist
-F_576_3_QUARTIC = _register(NewformHandle("576.3.quartic", 3, 576, "hecke", hecke=("Q(i)", 2, 27, CHI6), cm_field="Q(i)", nebentypus=KRONECKER_M4))
+F_576_3_QUARTIC = _register(NewformHandle("576.3.quartic", 3, 576, "hecke", hecke=("Q(i)", 2, 27, CHI6), cm_field="Q(i)", nebentypus=CHI4))
 # non-CM weight 2 and the quartic-twist curve
 F_11_2A = _register(NewformHandle("11.2a", 2, 11, "curve", curve=CurveSpec(0, -1, 1, -10, -20)))
 F_256_2B = _register(NewformHandle("256.2b", 2, 256, "curve", curve=CurveSpec.short(-2, 0), cm_field="Q(i)"))

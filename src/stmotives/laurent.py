@@ -158,15 +158,6 @@ def lp_constant_value(f: dict):
         return None
 
 
-def lp_eval_numeric(f: dict, angles: tuple) -> complex:
-    """Evaluate with var_i on the unit circle at angle angles[i]."""
-    total = 0j
-    for e, c in f.items():
-        phase = sum(k * t for k, t in zip(e, angles))
-        total += cyc_to_complex(c) * cexp(1j * phase)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Expectation functionals.  Each torus variable carries one of the measure
 # kinds below; "usp4" variables come in pairs sharing the joint Weyl measure

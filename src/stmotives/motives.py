@@ -27,6 +27,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import cmforms, padic_hypergeom
 from .cmforms import CurveSpec, NewformHandle, coeff, ec_trace
@@ -178,16 +179,24 @@ def lpoly_stream(spec: MotiveSpec, bound: int):
 def a1_stream(spec: MotiveSpec, bound: int):
     """Yield (p, c1) pairs only; for the Dwork construction this avoids
     the O(p^2) second trace entirely."""
-    cons = spec.construction
-    fast = getattr(cons, "c1_only", None)
     for p in stream_primes(spec, bound):
-        try:
-            if fast is not None:
-                yield p, fast(p)
-            else:
-                yield p, cons.lpoly(p).c1
-        except SkippedPrime:
-            continue
+        row = _row(spec, p, True)
+        if row is not None:
+            yield row
+
+
+def _row(spec: MotiveSpec, p: int, a1_only: bool):
+    """The stream row at p: (p, c1, c2), or (p, c1) when a1_only, through the
+    construction's c1_only where it has one.  None if p is skipped."""
+    cons = spec.construction
+    try:
+        if not a1_only:
+            lp = cons.lpoly(p)
+            return (p, lp.c1, lp.c2)
+        fast = getattr(cons, "c1_only", None)
+        return (p, fast(p) if fast is not None else cons.lpoly(p).c1)
+    except SkippedPrime:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,42 +236,24 @@ def cached_lpoly_stream(spec: MotiveSpec, bound: int, cache_dir: str | None,
         rows = read_stream_cache(path, spec, bound)
         if rows is not None:
             return rows
-    if jobs > 1:
-        rows = _parallel_rows(spec, bound, a1_only, jobs)
-    elif a1_only:
-        rows = [(p, c1) for p, c1 in a1_stream(spec, bound)]
-    else:
-        rows = [(p, lp.c1, lp.c2) for p, lp in lpoly_stream(spec, bound)]
+    rows = _stream_rows(spec, bound, a1_only, jobs)
     if path:
         write_stream_cache(path, spec, bound, rows)
     return rows
 
 
-def _row_worker(args):
-    spec, p, a1_only = args
-    try:
-        if a1_only:
-            fast = getattr(spec.construction, "c1_only", None)
-            if fast is not None:
-                return (p, fast(p))
-            return (p, spec.construction.lpoly(p).c1)
-        lp = spec.construction.lpoly(p)
-        return (p, lp.c1, lp.c2)
-    except SkippedPrime:
-        return None
+def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
+    primes = stream_primes(spec, bound)
+    row = partial(_row, spec, a1_only=a1_only)
+    if jobs > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
 
-
-def _parallel_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
-    tasks = [(spec, p, a1_only) for p in stream_primes(spec, bound)]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # chunksize 1: per-prime cost is wildly uneven (grows like p^2 for
-        # the Dwork construction), so fine-grained dispatch balances better
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            out = list(ex.map(_row_worker, tasks, chunksize=1))
-    except (OSError, ImportError) as exc:
-        warnings.warn(f"process pool unavailable ({exc!r}); computing {len(tasks)} primes serially",
-                      RuntimeWarning, stacklevel=2)
-        out = [_row_worker(t) for t in tasks]
-    return [row for row in out if row is not None]
+            # chunksize 1: per-prime cost is wildly uneven (grows like p^2 for
+            # the Dwork construction), so fine-grained dispatch balances better
+            with ProcessPoolExecutor(max_workers=jobs) as ex:
+                return [r for r in ex.map(row, primes, chunksize=1) if r is not None]
+        except (OSError, ImportError) as exc:
+            warnings.warn(f"process pool unavailable ({exc!r}); computing {len(primes)} primes "
+                          f"serially", RuntimeWarning, stacklevel=2)
+    return [r for r in map(row, primes) if r is not None]

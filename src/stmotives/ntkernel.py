@@ -353,11 +353,6 @@ class PadicInt:
     def modulus(self) -> int:
         return self.p**self.k
 
-    def reduce(self, k: int) -> "PadicInt":
-        if k > self.k:
-            raise ValueError("cannot raise precision")
-        return PadicInt(self.value % self.p**k, self.p, k)
-
     def balanced(self) -> int:
         """Lift to the representative in (-p^k/2, p^k/2]."""
         m = self.modulus

@@ -18,13 +18,18 @@ Gamma values come from one of two interchangeable backends:
   for small p, where the c2 window [-4p^3, 12p^3] forces precision
   beyond p^4 (k = 5 for p <= 13, k = 6 for p = 3).
 
-For p >= 17 the O(p^2) sum H_{p^2} mod p^4 runs in one numpy int64 kernel
-(_dwork_hp2), block by block over m, exact for p^4 < 2^50
-(p <= HP2_MAX_P = 5791).  H_p stays in pure Python.
+H_p has one kernel at every precision and on either backend: hp_poly sums
+the banded one-variable series, where the term at m carries p^e with e
+stepping up at the band cuts floor((i p + 5 - i)/5), so only the m below
+the k-th cut survive mod p^k; hp_fast evaluates that polynomial at
+Teich(z).  dwork_c1 runs it at k = 2 (p > 64) or k = 4, and dwork_lpoly at
+the precision of its H_{p^2} backend.  For p >= 17 the O(p^2) sum
+H_{p^2} mod p^4 runs in one numpy int64 kernel (_dwork_hp2), block by
+block over m, exact for p^4 < 2^50 (p <= HP2_MAX_P = 5791).
 
-Every production path is cross-checked in the test suite against the
-generic Fraction-based trace sum and against direct product-formula
-gamma values.
+The generic Fraction-based trace_Hq computes H_q from the definitions.
+Production calls it only for H_{p^2} at p <= 13; everywhere else it is the
+oracle the test suite checks both kernels against.
 """
 
 from __future__ import annotations
@@ -58,10 +63,11 @@ class HValue:
 
 @dataclass(frozen=True)
 class HPoly:
-    """H_p(z) as a polynomial in Teich(z), coefficients mod p^2."""
+    """H_p(z) as a polynomial in Teich(z), coefficients mod p^k."""
 
     p: int
     coeffs: tuple[int, ...]
+    k: int
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -168,40 +174,14 @@ class GammaProductTable:
         return self.G[rational_mod(x.numerator, x.denominator, self.pk)]
 
 
-def gamma_tables(p: int, k: int) -> GammaTables:
-    """The O(p) gamma tables at precision p^k."""
-    return GammaTables(p, k)
-
-
 def _gamma_backend(p: int, k: int):
     if p <= 13 or k > 4:
         return GammaProductTable(p, k)
     return GammaTables(p, k)
 
 
-def gamma_p_mod_p2(x: Fraction | int, tables: GammaTables) -> PadicInt:
-    """Gamma_p(x) mod p^2 (tables must be at precision >= 2)."""
-    if tables.k < 2:
-        raise ValueError("tables precision too low")
-    x = Fraction(x)
-    if x.denominator % tables.p == 0:
-        raise ValueError(f"denominator of {x} is divisible by {tables.p}")
-    v = tables.gamma_frac(x) % tables.p**2
-    return PadicInt(v, tables.p, 2)
-
-
-def gamma_p_mod_p4(x: Fraction | int, tables: GammaTables) -> PadicInt:
-    """Gamma_p(x) mod p^4 (tables must be at precision 4)."""
-    if tables.k < 4:
-        raise ValueError("tables precision too low")
-    x = Fraction(x)
-    if x.denominator % tables.p == 0:
-        raise ValueError(f"denominator of {x} is divisible by {tables.p}")
-    return PadicInt(tables.gamma_frac(x), tables.p, 4)
-
-
 # ---------------------------------------------------------------------------
-# Pochhammer and the generic trace sum
+# the generic trace sum (the oracle)
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -212,56 +192,15 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"q={q} is not p, p^2 or p^3 for a prime p")
 
 
-def _gamma_star(backend, x: Fraction, p: int, f: int) -> int:
-    g = 1
-    for v in range(f):
-        g = g * backend.gamma_frac(_frac(p**v * x)) % backend.pk
-    return g
-
-
-def pochhammer_star(x: Fraction | int, m: int, q: int, precision: int) -> PadicInt:
-    """(x)*_m = Gamma*_q(x + m/(1-q)) / Gamma*_q(x) mod p^precision."""
-    p, f = _prime_power(q)
-    if not 0 <= m < q - 1:
-        raise ValueError(f"m={m} out of range for q={q}")
-    x = Fraction(x)
-    backend = _gamma_backend(p, precision)
-    num = _gamma_star(backend, x + Fraction(m, 1 - q), p, f)
-    den = _gamma_star(backend, x, p, f)
-    return PadicInt(num * pow(den, -1, backend.pk) % backend.pk, p, precision)
-
-
-def pochhammer_star_sweep(x: Fraction | int, q: int, precision: int):
-    """Iterator over (x)*_m for m = 0..q-2, maintaining the fractional-part
-    numerators on the common denominator grid instead of recomputing them."""
-    p, f = _prime_power(q)
-    x = Fraction(x)
-    backend = _gamma_backend(p, precision)
-    pk = backend.pk
-    d = x.denominator * (q - 1)
-    invden = pow(_gamma_star(backend, x, p, f), -1, pk)
-    # numerators of {p^v (x - m/(q-1))} over denominator d
-    nums = [p**v * x.numerator * (q - 1) % d for v in range(f)]
-    steps = [p**v * x.denominator % d for v in range(f)]
-    invd = pow(d, -1, pk)
-    for m in range(q - 1):
-        g = 1
-        for v in range(f):
-            g = g * backend.gamma_int(nums[v] * invd % pk) % pk
-        yield PadicInt(g * invden % pk, p, precision)
-        for v in range(f):
-            nums[v] = (nums[v] - steps[v]) % d
-
-
 def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int,
              backend: GammaTables | GammaProductTable | None = None) -> HValue:
     """The full hypergeometric trace sum, computed from the definitions.
 
     Exact-rational bookkeeping for the fractional parts; gamma values at
     precision p^precision, from `backend` when given (it must be at that
-    precision) or from a fresh one.  O(q) gamma evaluations; production
-    code uses the specialized Dwork kernel below for q = p^2, which must
-    agree with this path (asserted in the tests).
+    precision) or from a fresh one.  O(q) gamma evaluations.  Production
+    calls it only for q = p^2 at p <= 13; hp_fast (q = p) and _dwork_hp2
+    (q = p^2, p >= 17) must agree with it (asserted in the tests).
     """
     p, f = _prime_power(q)
     k = precision
@@ -290,7 +229,6 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int,
             eta0_b += fr
             cb = cb * backend.gamma_frac(fr) % pk
     zero_betas = sum(1 for b in params.beta if b == 0)
-    inv_ca = pow(ca, -1, pk)
     total = 0
     for m in range(q - 1):
         delta = Fraction(m, 1 - q)
@@ -324,122 +262,78 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int,
     return HValue(PadicInt(h, p, k), q)
 
 
-def dwork_eta_exponent(p: int, m: int) -> int:
-    """eta_m(alpha) - eta_m(beta) for the Dwork parameters at q = p, from
-    the exact fractional-part definition (used to validate the band table)."""
-    delta = Fraction(m, 1 - p)
-    eta = sum(_frac(a + delta) - _frac(a) for a in DWORK_ALPHA) - 4 * _frac(delta)
-    assert eta.denominator == 1
-    return int(eta)
-
-
-def dwork_eta_band(p: int, m: int) -> int:
-    """The piecewise form of the same exponent: -4, -3, -2, -1, 0 on the
-    five bands cut at floor((p+4)/5), floor((2p+3)/5), floor((3p+2)/5),
-    floor((4p+1)/5)."""
-    if m == 0:
-        return 0
-    cuts = ((p + 4) // 5, (2 * p + 3) // 5, (3 * p + 2) // 5, (4 * p + 1) // 5)
-    for i, c in enumerate(cuts):
-        if m < c:
-            return -4 + i
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# O(p) evaluation of H_p mod p^2 (the two-band sum)
+# the banded H_p kernel, at any precision
 
 
-class OpCounter:
-    """Counts ring operations (multiplications, inversions) for the cost
-    assertion on hp_fast."""
+def _hp_coeffs(p: int, tables: GammaTables | GammaProductTable) -> list[int]:
+    """The Teich(z) coefficients of H_p(Dwork | z) mod p^k, up to the band cut.
 
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops = 0
-
-
-def _dwork_band_units(p: int, tables: GammaTables, oc: OpCounter | None = None):
-    """Yield (m, g_m) for 1 <= m < m2, where g_m is the unit
-    prod_j (j/5)*_m / (0)*_m^4 mod p^2."""
-    pk = tables.pk
+    The term at m carries p^e, e = eta_m + 4 from the grid numerators of
+    {j/5 + m/(1-p)} and {m/(1-p)} over D = 5(p-1); e steps from 0 to 4 at
+    the cuts floor((i p + 5 - i)/5), so the terms past the k-th cut vanish
+    mod p^k.  The beta gamma is not inverted: Gamma_p(x) Gamma_p(1-x) = +-1
+    and the sign drops out of its fourth power.  `tables` is any gamma
+    backend (gamma_int, pk and k) at the wanted precision.
+    """
+    if p == 5 or p == 2:
+        raise ValueError("p = 2, 5 are bad for the Dwork parameters")
+    k, pk = tables.k, tables.pk
+    gamma = tables.gamma_int
     d = 5 * (p - 1)
     invd = pow(d, -1, pk)
-    gamma = tables.gamma_int
-    # constant prod_j Gamma_p(j/5) to divide out
-    ca = 1
-    for j in range(1, 5):
-        ca = ca * gamma(j * (p - 1) * invd % pk) % pk
-    inv_ca = pow(ca, -1, pk)
-    if oc is not None:
-        oc.ops += 6
-    m2 = (2 * p + 3) // 5
-    na = [j * (p - 1) for j in range(1, 5)]
+    cut = min(p - 1, (k * p + 5 - k) // 5)
+    na = [j * (p - 1) for j in (1, 2, 3, 4)]
+    sa0 = sum(na)
     nb = 0
-    for m in range(1, m2):
+    ca = 1  # prod_j Gamma_p(j/5), the m = 0 value of the alpha product
+    for n in na:
+        ca = ca * gamma(n * invd % pk) % pk
+    inv1mp = pow(1 - p, -1, pk)
+    scale = pow(ca, -1, pk) * inv1mp % pk
+    p_pows = [p**e for e in range(k)]
+    coeffs = [inv1mp]
+    for m in range(1, cut):
         for j in range(4):
             na[j] = (na[j] - 5) % d
         nb = (nb - 5) % d
+        e, rem = divmod(sum(na) - sa0 - 4 * nb + 4 * d, d)
+        if rem:
+            raise ConsistencyError(f"eta_m not an integer at m={m}, p={p}")
+        if not 0 <= e < k:
+            raise ConsistencyError(f"net p-power {e} at m={m} is outside [0, {k}) before the "
+                                   f"band cut {cut}, p={p}")
         g = 1
-        for j in range(4):
-            g = g * gamma(na[j] * invd % pk) % pk
-        den = gamma(nb * invd % pk)
-        den4 = den * den % pk
-        den4 = den4 * den4 % pk
-        g = g * pow(den4, -1, pk) % pk * inv_ca % pk
-        if oc is not None:
-            oc.ops += 5 * 4 + 12  # five gamma evaluations plus the combines
-        yield m, g
+        for n in na:
+            g = g * gamma(n * invd % pk) % pk
+        b = gamma((d - nb) * invd % pk)  # Gamma_p(1 - nb/D)
+        b = b * b % pk
+        term = p_pows[e] * g % pk * (b * b % pk) % pk * scale % pk
+        coeffs.append(-term % pk if e & 1 else term)  # (-1)^eta_m = (-1)^e
+    return coeffs
 
 
-def hp_fast(z: Fraction | int, p: int, tables: GammaTables | None = None,
-            op_counter: OpCounter | None = None) -> HValue:
-    """H_p(Dwork | z) mod p^2 via the truncated sum
-    (1 + S1 - p S2)/(1 - p), with S1 over m < floor((p+4)/5) at full
-    precision and S2 over the next band mod p.  O(p) ring operations."""
-    if p == 5 or p == 2:
-        raise ValueError("p = 2, 5 are bad for the Dwork parameters")
+def hp_poly(p: int, tables: GammaTables | GammaProductTable | None = None) -> HPoly:
+    """H_p as a polynomial in Teich(z): p - 1 coefficients mod p^k, zero from
+    the band cut on.  Default tables: GammaTables(p, 2)."""
+    tables = tables or GammaTables(p, 2)
+    coeffs = _hp_coeffs(p, tables)
+    return HPoly(p, tuple(coeffs) + (0,) * (p - 1 - len(coeffs)), tables.k)
+
+
+def hp_fast(z: Fraction | int, p: int,
+            tables: GammaTables | GammaProductTable | None = None) -> HValue:
+    """H_p(Dwork | z) mod p^k, k the precision of `tables` (default
+    GammaTables(p, 2)): the hp_poly coefficients evaluated at Teich(z).
+    O(p) gamma values and ring operations."""
     z = Fraction(z)
     if z.denominator % p == 0 or z.numerator % p == 0:
         raise ValueError(f"z={z} is not a unit at {p}")
-    if tables is None:
-        tables = GammaTables(p, 2)
+    tables = tables or GammaTables(p, 2)
     pk = tables.pk
-    m1 = (p + 4) // 5
-    tz = pow(rational_mod(z.numerator, z.denominator, pk), p, pk)
-    s1 = 0
-    s2 = 0
-    tpow = 1
-    for m, g in _dwork_band_units(p, tables, op_counter):
-        tpow = tpow * tz % pk
-        if op_counter is not None:
-            op_counter.ops += 2
-        if m < m1:
-            s1 = (s1 + g * tpow) % pk
-        else:
-            s2 = (s2 + g * tpow) % pk
-    h = (1 + s1 - p * s2) * pow(1 - p, -1, pk) % pk
-    if op_counter is not None:
-        op_counter.ops += 3
-    return HValue(PadicInt(h, p, 2), p)
-
-
-def hp_poly(p: int, tables: GammaTables | None = None) -> HPoly:
-    """H_p as a polynomial in Teich(z): coefficients mod p^2, degree < m2.
-    Evaluating at Teich(z) reproduces hp_fast(z, p) exactly."""
-    if p == 5 or p == 2:
-        raise ValueError("p = 2, 5 are bad for the Dwork parameters")
-    if tables is None:
-        tables = GammaTables(p, 2)
-    pk = tables.pk
-    m1 = (p + 4) // 5
-    inv1mp = pow(1 - p, -1, pk)
-    coeffs = [0] * (p - 1)
-    coeffs[0] = inv1mp
-    for m, g in _dwork_band_units(p, tables):
-        coeffs[m] = g * inv1mp % pk if m < m1 else (pk - p) * g % pk * inv1mp % pk
-    return HPoly(p, tuple(coeffs))
+    coeffs = _hp_coeffs(p, tables)
+    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)
+    return HValue(PadicInt(_horner_eval(coeffs, tz, pk), p, tables.k), p)
 
 
 # --- multipoint evaluation -------------------------------------------------
@@ -516,20 +410,20 @@ def _horner_eval(coeffs: tuple[int, ...], t: int, mod: int) -> int:
 
 
 def batch_evaluate(poly: HPoly, p: int, force: str | None = None) -> dict[int, HValue]:
-    """H_p(z) for every z in (Z/p)^*, evaluating the Teich(z) polynomial.
+    """H_p(z) mod p^k for every z in (Z/p)^*, evaluating the Teich(z) polynomial.
 
     Subproduct-tree path for p > 64, plain Horner otherwise (or force one
     with force='tree'/'horner'); the two agree bit-exactly.
     """
-    pk = p * p
+    pk = p**poly.k
     zs = list(range(1, p))
-    points = [pow(z, p, pk) for z in zs]
+    points = [teichmuller(z, p, poly.k) for z in zs]
     method = force or ("tree" if p > 64 else "horner")
     if method == "tree":
         vals = _multipoint_tree(list(poly.coeffs), points, pk)
     else:
         vals = [_horner_eval(poly.coeffs, t, pk) for t in points]
-    return {z: HValue(PadicInt(v, p, 2), p) for z, v in zip(zs, vals)}
+    return {z: HValue(PadicInt(v, p, poly.k), p) for z, v in zip(zs, vals)}
 
 
 # ---------------------------------------------------------------------------
@@ -670,17 +564,13 @@ def _c2_precision(p: int) -> int:
 def dwork_c1(z: Fraction | int, p: int) -> int:
     """c1 = -H_p, lifted to the integer obeying |c1| <= 4 p^(3/2).
 
-    For p > 64 precision p^2 identifies c1; smaller p fall back to the
-    p^4 computation (4 p^(3/2) < p^4/2 always holds for odd p).
+    For p > 64 precision p^2 identifies c1; smaller p use precision p^4
+    (4 p^(3/2) < p^4/2 always holds for odd p).
     """
     z = Fraction(z)
     _check_dwork_prime(z, p)
-    if p > 64:
-        h = hp_fast(z, p).value
-        c1 = PadicInt(-h.value % h.modulus, p, 2).balanced()
-    else:
-        hv = trace_Hq(DWORK, z, p, 4)
-        c1 = PadicInt(-hv.value.value % hv.value.modulus, p, 4).balanced()
+    h = hp_fast(z, p, _gamma_backend(p, 2 if p > 64 else 4)).value
+    c1 = PadicInt(-h.value % h.modulus, p, h.k).balanced()
     if c1 * c1 > 16 * p**3:
         raise ConsistencyError(f"c1={c1} violates the Weil bound at p={p}")
     return c1
@@ -696,11 +586,11 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     pk = p**k
     if p <= 13:
         gammas = GammaProductTable(p, k)  # p^k residues: built once for both sums
-        hp = trace_Hq(DWORK, z, p, k, gammas).value.value
+        hp = hp_fast(z, p, gammas).value.value
         hp2 = trace_Hq(DWORK, z, p * p, k, gammas).value.value
     else:
         tables = GammaTables(p, 4)
-        hp = _trace_hp_p4(z, p, tables)
+        hp = hp_fast(z, p, tables).value.value
         hp2 = _dwork_hp2(z, p, tables)
     c1 = PadicInt(-hp % pk, p, k).balanced()
     if c1 * c1 > 16 * p**3:
@@ -719,40 +609,3 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
         raise ConsistencyError(f"H_p^2 - H_(p^2) not divisible by 2p at p={p}")
     return LPoly(p, c1, c2)
 
-
-def _trace_hp_p4(z: Fraction, p: int, tables: GammaTables) -> int:
-    """H_p mod p^4 through the banded one-variable sum (O(p))."""
-    pk = tables.pk
-    k = tables.k
-    d = 5 * (p - 1)
-    invd = pow(d, -1, pk)
-    gamma = tables.gamma_int
-    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
-    na = [j * (p - 1) for j in (1, 2, 3, 4)]
-    sa0 = sum(na)
-    nb = 0
-    ca = 1
-    for n in na:
-        ca = ca * gamma(n * invd % pk) % pk
-    total = ca
-    tpow = 1
-    p_pows = [p**e for e in range(k)]
-    for m in range(1, p - 1):
-        for j in range(4):
-            na[j] = (na[j] - 5) % d
-        nb = (nb - 5) % d
-        tpow = tpow * tz % pk
-        num = sum(na) - sa0 - 4 * nb + 4 * d
-        e, rem = divmod(num, d)
-        if rem:
-            raise ConsistencyError(f"eta_m not an integer at m={m}, p={p}")
-        if e >= k:
-            continue
-        g = 1
-        for n in na:
-            g = g * gamma(n * invd % pk) % pk
-        den = gamma(nb * invd % pk)
-        den2 = den * den % pk
-        term = p_pows[e] * g % pk * pow(den2 * den2 % pk, -1, pk) % pk * tpow % pk
-        total = (total + term if e & 1 == 0 else total - term) % pk
-    return total * pow(ca, -1, pk) % pk * pow(1 - p, -1, pk) % pk

@@ -23,8 +23,6 @@ all of them.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +31,6 @@ from .laurent import (
     lp_add,
     lp_const,
     lp_constant_value,
-    lp_eval_numeric,
     lp_mul,
     lp_neg,
     lp_pow,
@@ -225,10 +222,6 @@ def group(name: str) -> STGroup:
 # moments and invariants
 
 
-def charpoly_coeffs(comp: Component) -> tuple[dict, dict]:
-    return comp.charpoly_coeffs()
-
-
 def expectation(expr: dict, vars: tuple[TorusVar, ...]) -> Fraction:
     """Exact Haar expectation of a Laurent expression in the given vars."""
     return lp_expectation(expr, tuple(v.kind for v in vars))
@@ -285,48 +278,6 @@ def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo sampling oracle
-
-
-def _sample_angle(kind: str, rng: random.Random) -> float:
-    if kind == "circle":
-        return rng.uniform(0.0, 2.0 * math.pi)
-    if kind in ("su2", "su2sqrt"):
-        # rejection against sin^2 on [0, pi)
-        while True:
-            t = rng.uniform(0.0, math.pi)
-            if rng.random() <= math.sin(t) ** 2:
-                return t if kind == "su2" else t / 2.0
-    raise ValueError(kind)
-
-
-def _sample_usp4_pair(rng: random.Random) -> tuple[float, float]:
-    # density on [0,pi]^2 proportional to sin^2 t1 sin^2 t2 (2cos t1 - 2cos t2)^2
-    while True:
-        t1 = rng.uniform(0.0, math.pi)
-        t2 = rng.uniform(0.0, math.pi)
-        w = (math.sin(t1) * math.sin(t2)) ** 2 * (math.cos(t1) - math.cos(t2)) ** 2
-        if rng.random() <= w / 4.0:
-            return t1, t2
-
-
-def sample(g: STGroup | str, rng: random.Random | int | None = None) -> tuple[float, float]:
-    """Draw one Haar-random (a1, a2) pair from the group."""
-    if isinstance(g, str):
-        g = _BY_NAME[g]
-    if not isinstance(rng, random.Random):
-        rng = random.Random(rng)
-    comp = g.components[rng.randrange(g.num_components)]
-    kinds = comp.kinds()
-    if "usp4" in kinds:
-        angles: tuple = _sample_usp4_pair(rng)
-    else:
-        angles = tuple(_sample_angle(k, rng) for k in kinds)
-    a1, a2 = comp.charpoly_coeffs()
-    z1 = lp_eval_numeric(a1, angles)
-    z2 = lp_eval_numeric(a2, angles)
-    if max(abs(z1.imag), abs(z2.imag)) > 1e-9:
-        raise ArithmeticError(f"non-real sample from {g.name}/{comp.label}")
-    return z1.real, z2.real
 
 
 def sample_many(g: STGroup | str, count: int, seed: int = 0):

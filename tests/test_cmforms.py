@@ -71,12 +71,12 @@ def test_inert_passthrough_is_zero_upstream():
 
 
 def test_dirichlet_values():
-    assert cf.dirichlet_value(cf.CHI24_A, 7) == 1
-    assert cf.dirichlet_value(cf.CHI24_A, 5) == -1
-    assert cf.dirichlet_value(cf.CHI24_B, 5) == 1
-    assert cf.dirichlet_value(cf.CHI24_B, 13) == -1
-    assert cf.dirichlet_value(cf.CHI4, 3) == -1
-    assert cf.dirichlet_value(cf.CHI4, 6) == 0
+    assert cf.CHI24_A(7) == 1
+    assert cf.CHI24_A(5) == -1
+    assert cf.CHI24_B(5) == 1
+    assert cf.CHI24_B(13) == -1
+    assert cf.CHI4(3) == -1
+    assert cf.CHI4(6) == 0
 
 
 def test_ec_trace_examples():

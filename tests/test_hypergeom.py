@@ -14,8 +14,17 @@ from stmotives.records import DegenerateFiber
 
 @pytest.mark.parametrize("p", [3, 7, 11, 13, 17, 23, 31, 41])
 def test_eta_band_table_matches_definition(p):
-    for m in range(p - 1):
-        assert ph.dwork_eta_exponent(p, m) == ph.dwork_eta_band(p, m)
+    """The banded H_p kernel (exponent from the grid numerators, sum cut at
+    the k-th band) against the definition-based trace, at every precision
+    the backend supports.  The series tables need p >= 5 past k = 2, so
+    p = 3 runs on the product table."""
+    backends = ([ph.GammaProductTable(p, k) for k in range(1, 7)] if p == 3
+                else [ph.GammaTables(p, k) for k in range(1, 5)])
+    for tables in backends:
+        for z in (-1, 2, Fraction(1, 2)):
+            fast = ph.hp_fast(z, p, tables).value
+            assert fast.k == tables.k
+            assert fast.value == ph.trace_Hq(ph.DWORK, z, p, tables.k).value.value
 
 
 def test_band_cuts_at_11():
@@ -31,15 +40,25 @@ def test_hp_fast_equals_full_trace(p):
         assert fast == full
 
 
+class _CountingTables(ph.GammaTables):
+    """Gamma tables that count their gamma_int evaluations."""
+
+    calls = 0
+
+    def gamma_int(self, xhat):
+        self.calls += 1
+        return super().gamma_int(xhat)
+
+
 def test_hp_fast_o_of_p_cost():
-    counts = {}
+    ratios = []
     for p in (101, 211, 401, 809, 1601):
-        oc = ph.OpCounter()
-        ph.hp_fast(-1, p, op_counter=oc)
-        counts[p] = oc.ops
-        assert oc.ops <= 40 * p + 200
-    # rough linearity: ops per p stable
-    ratios = [counts[p] / p for p in counts]
+        tables = _CountingTables(p, 2)
+        ph.hp_fast(-1, p, tables)
+        cut = (2 * p + 3) // 5  # the second band cut: terms past it vanish mod p^2
+        assert tables.calls <= 5 * cut + 4
+        ratios.append(tables.calls / p)
+    # linear in p: calls per p stable
     assert max(ratios) / min(ratios) < 1.2
 
 
@@ -80,9 +99,11 @@ def test_batch_evaluate_tree_equals_horner():
 
 def test_batch_matches_per_z_hp_fast():
     p = 11
-    out = ph.batch_evaluate(ph.hp_poly(p), p)
-    for z in range(1, p):
-        assert out[z].value.value == ph.hp_fast(z, p).value.value
+    for k in (2, 4):
+        tables = ph.GammaTables(p, k)
+        out = ph.batch_evaluate(ph.hp_poly(p, tables), p)
+        for z in range(1, p):
+            assert out[z].value == ph.hp_fast(z, p, tables).value
 
 
 @pytest.mark.parametrize("p", [17, 19, 29, 43])
@@ -135,7 +156,20 @@ def test_hp2_kernel_rejects_p_past_int64_range():
 def test_banded_hp_p4_equals_generic(p):
     t = ph.GammaTables(p, 4)
     for z in (-1, 3):
-        assert ph._trace_hp_p4(Fraction(z), p, t) == ph.trace_Hq(ph.DWORK, z, p, 4).value.value
+        assert ph.hp_fast(z, p, t).value.value == ph.trace_Hq(ph.DWORK, z, p, 4).value.value
+
+
+_PRIMES_7_150 = [p for p in range(7, 150) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=hst.sampled_from(_PRIMES_7_150), k=hst.sampled_from([2, 4]),
+       num=hst.integers(-10**6, 10**6), den=hst.integers(1, 10**6))
+def test_hp_kernel_equals_generic_trace_random(p, k, num, den):
+    z = Fraction(num, den)
+    assume(z.numerator % p and z.denominator % p)
+    fast = ph.hp_fast(z, p, ph.GammaTables(p, k)).value.value
+    assert fast == ph.trace_Hq(ph.DWORK, z, p, k).value.value
 
 
 def test_trace_precision_coherence():

@@ -149,6 +149,13 @@ def test_parallel_fallback_warns_and_matches_serial(monkeypatch):
     assert fallback == serial
 
 
+def test_dwork_a1_parallel_stream_matches_serial():
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    serial = mv.cached_lpoly_stream(spec, 2**9, None, a1_only=True, jobs=1)
+    assert serial == list(mv.a1_stream(spec, 2**9))
+    assert mv.cached_lpoly_stream(spec, 2**9, None, a1_only=True, jobs=2) == serial
+
+
 def test_dwork_spec_streams(dwork_rows_1024):
     rows = dwork_rows_1024
     assert rows[0][0] == 3

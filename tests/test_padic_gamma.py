@@ -17,7 +17,7 @@ def gamma_product(n: int, p: int, pk: int) -> int:
 
 
 def test_gamma_tables_factorials_and_sums():
-    t = ph.gamma_tables(5, 2)
+    t = ph.GammaTables(5, 2)
     assert t.F == [1, 1, 2, 6, 24]
     # T_2 = 2!/1 + 2!/2 = 3
     assert t.T[2] == 3
@@ -26,7 +26,7 @@ def test_gamma_tables_factorials_and_sums():
 
 @pytest.mark.parametrize("p", [7, 11, 23, 97, 211])
 def test_recurrence_matches_exact_integers(p):
-    t = ph.gamma_tables(p, 2)
+    t = ph.GammaTables(p, 2)
     pk = p * p
     fact = 1
     for n in range(1, p):
@@ -37,19 +37,19 @@ def test_recurrence_matches_exact_integers(p):
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_gamma_negative_one_normalization(p):
-    t = ph.gamma_tables(p, 2)
-    assert ph.gamma_p_mod_p2(1, t).value == p * p - 1  # Gamma_p(1) = -1
+    t = ph.GammaTables(p, 2)
+    assert t.gamma_frac(Fraction(1)) == p * p - 1  # Gamma_p(1) = -1
     assert t.gamma_int(0) == 1  # Gamma_p(0) = 1
 
 
 def test_gamma_7_of_3():
-    t = ph.gamma_tables(7, 2)
-    assert ph.gamma_p_mod_p2(3, t).value == 47  # -2 mod 49
+    t = ph.GammaTables(7, 2)
+    assert t.gamma_frac(Fraction(3)) == 47  # -2 mod 49
 
 
 @pytest.mark.parametrize("p", [7, 11, 29, 101])
 def test_gamma_p2_integer_arguments_vs_product(p):
-    t = ph.gamma_tables(p, 2)
+    t = ph.GammaTables(p, 2)
     pk = p * p
     for n in range(0, min(pk, 4 * p)):
         assert t.gamma_int(n) == gamma_product(n, p, pk), n
@@ -57,7 +57,7 @@ def test_gamma_p2_integer_arguments_vs_product(p):
 
 @pytest.mark.parametrize("p", [5, 7, 17, 41])
 def test_gamma_p4_integer_arguments_vs_product(p):
-    t = ph.gamma_tables(p, 4)
+    t = ph.GammaTables(p, 4)
     pk = p**4
     # the interpolation points 0..3p pin the cubic series exactly
     for n in range(0, 4 * p + 2):
@@ -69,17 +69,17 @@ def test_gamma_p4_integer_arguments_vs_product(p):
 
 @pytest.mark.parametrize("p", [7, 17, 31])
 def test_precision_compatibility(p):
-    t2 = ph.gamma_tables(p, 2)
-    t4 = ph.gamma_tables(p, 4)
+    t2 = ph.GammaTables(p, 2)
+    t4 = ph.GammaTables(p, 4)
     for num in range(1, 40):
         x = Fraction(num, 97)
-        assert ph.gamma_p_mod_p4(x, t4).value % (p * p) == ph.gamma_p_mod_p2(x, t2).value
+        assert t4.gamma_frac(x) % (p * p) == t2.gamma_frac(x)
 
 
 def test_a2_defining_relation():
     # 2 a2 + ((p-1)! + 1/(p-1)! + 2) = 0 mod p^4
     for p in (5, 13, 37):
-        t = ph.gamma_tables(p, 4)
+        t = ph.GammaTables(p, 4)
         pk = p**4
         w = t.F[p - 1]
         assert (2 * t.a2 + w + pow(w, -1, pk) + 2) % pk == 0
@@ -88,7 +88,7 @@ def test_a2_defining_relation():
 @pytest.mark.parametrize("p", [7, 13, 29])
 def test_reflection_formula(p):
     # Gamma_p(x) Gamma_p(1-x) = +-1; check mod p^2 against the product path
-    t = ph.gamma_tables(p, 2)
+    t = ph.GammaTables(p, 2)
     pk = p * p
     for num in range(1, 25):
         x = Fraction(num, 53)
@@ -98,38 +98,17 @@ def test_reflection_formula(p):
 
 
 def test_gamma_rejects_p_in_denominator():
-    t = ph.gamma_tables(7, 2)
+    t = ph.GammaTables(7, 2)
     with pytest.raises(ValueError):
-        ph.gamma_p_mod_p2(Fraction(1, 7), t)
+        t.gamma_frac(Fraction(1, 7))
     with pytest.raises(ValueError):
-        ph.gamma_p_mod_p4(Fraction(3, 14), ph.gamma_tables(7, 4))
+        ph.GammaTables(7, 4).gamma_frac(Fraction(3, 14))
 
 
 def test_series_tables_match_product_table_smallish_p():
     # the two backends agree on every residue for a small modulus
     p = 17
-    t = ph.gamma_tables(p, 2)
+    t = ph.GammaTables(p, 2)
     big = ph.GammaProductTable(p, 2)
     assert all(t.gamma_int(n) == big.gamma_int(n) for n in range(p * p))
 
-
-def test_pochhammer_star_basics():
-    assert ph.pochhammer_star(Fraction(1, 5), 0, 11, 2).value == 1
-    # single-factor form at f = 1: (x)*_m = Gamma_p({x + m/(1-p)}) / Gamma_p(x)
-    p = 11
-    t = ph.gamma_tables(p, 2)
-    x = Fraction(2, 5)
-    for m in range(1, p - 1):
-        lhs = ph.pochhammer_star(x, m, p, 2).value
-        arg = x + Fraction(m, 1 - p)
-        arg -= arg.numerator // arg.denominator
-        rhs = t.gamma_frac(arg) * pow(t.gamma_frac(x), -1, p * p) % (p * p)
-        assert lhs == rhs
-
-
-def test_pochhammer_sweep_matches_direct():
-    for q in (11, 121):
-        for x in (Fraction(1, 5), Fraction(3, 5)):
-            sweep = [v.value for v in ph.pochhammer_star_sweep(x, q, 2)]
-            direct = [ph.pochhammer_star(x, m, q, 2).value for m in range(q - 1)]
-            assert sweep == direct

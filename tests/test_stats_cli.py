@@ -173,6 +173,30 @@ def test_cli_rejects_bad_jobs_and_dwork_bound_past_kernel_range(capsys):
     assert "5791" in err and "2^50" in err
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (["sum", "--f1", "9.4a", "--f2", "27.2a"], "weights (2, 4)"),
+    (["tensor-mf", "--f1", "27.2a", "--f2", "9.4a"], "weights (2, 3)"),
+    (["tensor-ec", "--e1", "0,4"], "missing --e2"),
+    (["sum", "--f2", "9.4a"], "missing --f1"),
+], ids=["sum-weights", "tensor-mf-weights", "tensor-ec-no-e2", "sum-no-f1"])
+def test_cli_construction_errors_exit_2(argv, msg, capsys):
+    assert cli.main(["motive", *argv, "--bound-log2", "8"]) == 2
+    assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["dwork", "--bound-log2", "-3"], "--bound-log2 must be at least 1"),
+    (["dwork", "--bound-log2", "0"], "--bound-log2 must be at least 1"),
+    (["dwork", "--z", "0", "--bound-log2", "7"], "z=0 is a degenerate fibre"),
+    (["dwork", "--z", "1", "--bound-log2", "7"], "z=1 is a degenerate fibre"),
+    (["symcube", "--e1", "0,0", "--bound-log2", "7"], "singular curve"),
+    (["tensor-ec", "--e1", "0,1", "--e2", "0,0,0,0,0", "--bound-log2", "7"], "singular curve"),
+], ids=["bound-negative", "bound-zero", "z0", "z1", "singular-short", "singular-long"])
+def test_cli_names_degenerate_input(argv, msg, capsys):
+    assert cli.main(["motive", *argv]) == 2
+    assert msg in capsys.readouterr().err
+
+
 def test_cli_dwork_a1_only(capsys):
     rc = cli.main(["motive", "dwork", "--z", "-1", "--bound-log2", "7",
                    "--coeffs", "a1"])

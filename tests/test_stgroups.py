@@ -139,25 +139,20 @@ def test_swap_component_moments_match_table_combination():
     assert a1 == {}
 
 
-def test_sample_scalar_smoke():
-    import random
-
-    rng = random.Random(7)
+def test_sample_many_range_smoke():
     for name in ("C1", "J(C2)", "U(2)", "F_{ac}", "N(G_{3,3})", "USp(4)"):
-        for _ in range(25):
-            a1, a2 = sg.sample(name, rng)
-            assert -4.0 - 1e-9 <= a1 <= 4.0 + 1e-9
-            assert -2.0 - 1e-9 <= a2 <= 6.0 + 1e-9
+        a1, a2 = sg.sample_many(name, 25, seed=7)
+        assert np.all((-4.0 - 1e-9 <= a1) & (a1 <= 4.0 + 1e-9))
+        assert np.all((-2.0 - 1e-9 <= a2) & (a2 <= 6.0 + 1e-9))
 
 
 def test_sample_j_component_constant():
     comp = sg.group("J(C1)").components[1]
     assert "J" in comp.label
-    from stmotives.laurent import lp_eval_numeric
-
     a1, a2 = comp.charpoly_coeffs()
-    assert lp_eval_numeric(a1, ()) == 0
-    assert abs(lp_eval_numeric(a2, ()) - 2) < 1e-12
+    no_angles = np.zeros((1, 0))
+    assert sg._lp_eval_np(a1, no_angles)[0] == 0
+    assert abs(sg._lp_eval_np(a2, no_angles)[0] - 2) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["C3", "D", "U(2)", "F_{a,b}", "G_{1,3}", "USp(4)"])
