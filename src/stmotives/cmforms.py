@@ -27,6 +27,7 @@ from .ntkernel import (
     split_prime_qi,
     split_prime_qomega,
 )
+from .records import ConsistencyError
 
 
 class BadPrimeError(ValueError):
@@ -281,7 +282,9 @@ def save_coeffs(path: str, table: dict[int, int], header: str = "") -> None:
 
 def coeff(form: NewformHandle, p: int) -> int:
     """The coefficient b_p; raises BadPrimeError at primes dividing the
-    level (or missing from a file table)."""
+    level (or missing from a file table).  A b_p past the Weil bound is a
+    data error (CoeffFileError) for a file form and an internal
+    consistency failure (ConsistencyError) for a computed one."""
     if not form.is_good(p):
         raise BadPrimeError(f"{form.label}: {p} divides the level")
     if form.kind == "hecke":
@@ -299,7 +302,10 @@ def coeff(form: NewformHandle, p: int) -> int:
     else:
         raise ValueError(form.kind)
     if 4 * p ** (form.weight - 1) < b * b:
-        raise ArithmeticError(f"{form.label}: b_{p}={b} breaks the Weil bound")
+        msg = f"{form.label}: b_{p}={b} breaks the Weil bound"
+        if form.kind == "file":
+            raise CoeffFileError(f"{form.path}: {msg}")
+        raise ConsistencyError(msg)
     return b
 
 

@@ -132,6 +132,9 @@ def lp_mul(f: dict, g: dict) -> dict:
 
 
 def lp_pow(f: dict, n: int, nvars: int) -> dict:
+    """f^n by binary powering (n >= 0): the moment engine's test oracle."""
+    if n < 0:
+        raise ValueError(f"negative power {n} of a Laurent polynomial")
     out = lp_const(nvars, CYC_ONE)
     base = f
     while n:

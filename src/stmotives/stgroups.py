@@ -19,21 +19,32 @@ circle variable for a product of two circle angles) captures the exact
 eigenvalue distribution.  Every printed group moment and every (d, c, z1,
 z2) invariant is reproduced by this encoding; the regression suite pins
 all of them.
+
+Moments are computed once.  The components of the catalog (86 of them)
+carry only 22 distinct spectra, and a component's moments depend on
+its spectrum alone, so each (measure kinds, spectrum, coefficient) key owns
+one power series of f = a1 or a2: the last power f^k and the expectations
+E[f^0], ..., E[f^k], extended lazily by one Laurent product per new order
+up to the largest order asked so far.  On top of it `moment` is memoized
+on the group object (its content, not its name), so repeated tables and
+`stats.classify` calls reuse every exact moment.  Nothing is computed at
+import time; `laurent.lp_pow` stays as the independent oracle of the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .laurent import (
+    CYC_ONE,
     expectation as lp_expectation,
     lp_add,
     lp_const,
     lp_constant_value,
     lp_mul,
     lp_neg,
-    lp_pow,
     lp_term,
     zeta24_power,
 )
@@ -55,17 +66,20 @@ class Component:
 
     def charpoly_coeffs(self) -> tuple[dict, dict]:
         """(a1, a2) as Laurent polynomials: a1 = -sum(lam), a2 = e2(lam)."""
-        n = len(self.vars)
+        return self.charpoly_coeff("a1"), self.charpoly_coeff("a2")
+
+    def charpoly_coeff(self, coeff: str) -> dict:
+        """One of a1, a2 as a Laurent polynomial (a1 needs no product)."""
         lams = [lp_term(exps, zeta24_power(zp)) for zp, exps in self.eigen]
-        a1 = lp_const(n, (0,) * 8)
-        for lam in lams:
-            a1 = lp_add(a1, lam)
-        a1 = lp_neg(a1)
-        a2 = lp_const(n, (0,) * 8)
+        out = lp_const(len(self.vars), (0,) * 8)
+        if coeff == "a1":
+            for lam in lams:
+                out = lp_add(out, lam)
+            return lp_neg(out)
         for i in range(4):
             for j in range(i + 1, 4):
-                a2 = lp_add(a2, lp_mul(lams[i], lams[j]))
-        return a1, a2
+                out = lp_add(out, lp_mul(lams[i], lams[j]))
+        return out
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(v.kind for v in self.vars)
@@ -227,18 +241,62 @@ def expectation(expr: dict, vars: tuple[TorusVar, ...]) -> Fraction:
     return lp_expectation(expr, tuple(v.kind for v in vars))
 
 
+def _check_moment_args(coeff: str, n: int) -> None:
+    if coeff not in ("a1", "a2"):
+        raise ValueError("coeff must be 'a1' or 'a2'")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"moment order must be a non-negative int, got {n!r}")
+
+
+class _PowerSeries:
+    """E[f^0], ..., E[f^k] for one Laurent polynomial f under one measure,
+    extended on demand by one product with f per new order."""
+
+    __slots__ = ("f", "kinds", "state")
+
+    def __init__(self, f: dict, kinds: tuple[str, ...]):
+        self.f = f
+        self.kinds = kinds
+        one = lp_const(len(kinds), CYC_ONE)
+        self.state = (one, (lp_expectation(one, kinds),))
+
+    def expectation(self, n: int) -> Fraction:
+        power, values = self.state
+        while len(values) <= n:
+            power = lp_mul(power, self.f)
+            values += (lp_expectation(power, self.kinds),)
+            # one assignment publishes a consistent (f^k, E[f^0..f^k]) pair:
+            # threads racing to extend a series can lose work, never mix orders
+            self.state = (power, values)
+        return values[n]
+
+
+# (measure kinds, spectrum, coeff) -> its power series, filled on first use
+_SERIES: dict[tuple, _PowerSeries] = {}
+
+
 def component_moment(comp: Component, coeff: str, n: int) -> Fraction:
-    a1, a2 = comp.charpoly_coeffs()
-    expr = a1 if coeff == "a1" else a2
-    return lp_expectation(lp_pow(expr, n, len(comp.vars)), comp.kinds())
+    """Exact E[coeff^n] over one component (shared by equal spectra)."""
+    _check_moment_args(coeff, n)
+    key = (comp.kinds(), comp.eigen, coeff)
+    series = _SERIES.get(key)
+    if series is None:
+        series = _SERIES[key] = _PowerSeries(comp.charpoly_coeff(coeff), key[0])
+    return series.expectation(n)
 
 
 def moment(g: STGroup | str, coeff: str, n: int) -> int:
     """Exact n-th moment of a1 or a2 over the group (always an integer)."""
     if isinstance(g, str):
         g = _BY_NAME[g]
-    if coeff not in ("a1", "a2"):
-        raise ValueError("coeff must be 'a1' or 'a2'")
+    _check_moment_args(coeff, n)
+    return _group_moment(g, coeff, n)
+
+
+@cache
+def _group_moment(g: STGroup, coeff: str, n: int) -> int:
+    # keyed on the group's content: a caller-built group that reuses a
+    # catalog name with other components gets its own moments
     total = sum(component_moment(c, coeff, n) for c in g.components)
     val = Fraction(total, g.num_components)
     if val.denominator != 1:

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# no per-example deadline anywhere: first examples build gamma tables and
+# moment series, so their time says nothing about the code under test
+settings.register_profile("stmotives", deadline=None)
+settings.load_profile("stmotives")
 
 
 def pytest_configure(config):

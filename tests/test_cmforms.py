@@ -162,6 +162,27 @@ def test_file_form_missing_prime(tmp_path):
         cf.coeff(handle, 3)
 
 
+def test_weil_bound_break_is_a_data_error_for_file_forms(tmp_path):
+    # 4 p^3 = 500 < 1000^2 at p = 5
+    path = tmp_path / "broken.txt"
+    path.write_text("3 1\n5 1000\n")
+    handle = cf.NewformHandle("broken", 4, 1, "file", path=str(path))
+    assert cf.coeff(handle, 3) == 1
+    with pytest.raises(cf.CoeffFileError, match="Weil bound"):
+        cf.coeff(handle, 5)
+
+
+def test_weil_bound_break_is_a_consistency_error_for_computed_forms(monkeypatch):
+    from stmotives.records import ConsistencyError
+
+    monkeypatch.setattr(cf, "_hecke_coeff", lambda *args: 10**6)
+    with pytest.raises(ConsistencyError, match="Weil bound"):
+        cf.coeff(cf.FORMS["27.2a"], 7)
+    monkeypatch.setattr(cf, "ec_trace", lambda curve, p: 2 * p)
+    with pytest.raises(ConsistencyError, match="Weil bound"):
+        cf.coeff(cf.FORMS["11.2a"], 7)
+
+
 def test_11_2a_file_vs_point_counts(tmp_path):
     # round-trip a generated coefficient file against the curve oracle
     curve = cf.FORMS["11.2a"].curve

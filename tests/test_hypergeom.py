@@ -118,7 +118,7 @@ def test_fast_hp2_loop_equals_generic_trace(p):
 _PRIMES_17_100 = [p for p in range(17, 100) if all(p % d for d in range(2, 10))]
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(p=hst.sampled_from(_PRIMES_17_100), num=hst.integers(-10**6, 10**6),
        den=hst.integers(1, 10**6))
 def test_hp2_kernel_equals_generic_trace_random(p, num, den):
@@ -162,7 +162,7 @@ def test_banded_hp_p4_equals_generic(p):
 _PRIMES_7_150 = [p for p in range(7, 150) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(p=hst.sampled_from(_PRIMES_7_150), k=hst.sampled_from([2, 4]),
        num=hst.integers(-10**6, 10**6), den=hst.integers(1, 10**6))
 def test_hp_kernel_equals_generic_trace_random(p, k, num, den):

@@ -139,7 +139,7 @@ def test_symbol_rejects_non_prime():
 
 
 @given(hst.integers(min_value=1, max_value=10**6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_teichmuller_properties(z):
     for p, k in ((7, 2), (13, 4), (101, 2)):
         if z % p == 0:

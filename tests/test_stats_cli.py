@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stmotives import cli, stats, stgroups
+from stmotives import cli, cmforms, stats, stgroups
 from stmotives.stats import MomentStats, classify, emit_table, moment_statistics, parse_stats_tsv, stats_row
 
 from table_data import A1_MOMENTS, A2_MOMENTS
@@ -195,6 +195,29 @@ def test_cli_construction_errors_exit_2(argv, msg, capsys):
 def test_cli_names_degenerate_input(argv, msg, capsys):
     assert cli.main(["motive", *argv]) == 2
     assert msg in capsys.readouterr().err
+
+
+def test_cli_weil_bound_break_in_coefficient_file_exits_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "broken.4a.txt"
+    path.write_text("3 1\n5 1000\n7 1\n")
+    handle = cmforms.NewformHandle("broken.4a", 4, 1, "file", path=str(path))
+    monkeypatch.setitem(cmforms.FORMS, "broken.4a", handle)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    rc = cli.main(["motive", "sum", "--f1", "27.2a", "--f2", "broken.4a",
+                   "--bound-log2", "3"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error:") and "b_5=1000 breaks the Weil bound" in err
+    assert "Traceback" not in err
+
+
+def test_cli_weil_bound_break_in_computed_form_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cmforms, "_hecke_coeff", lambda *args: 10**6)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    rc = cli.main(["motive", "sum", "--f1", "27.2a", "--f2", "9.4a", "--bound-log2", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("internal consistency failure:") and "Weil bound" in err
 
 
 def test_cli_dwork_a1_only(capsys):

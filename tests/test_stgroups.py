@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from stmotives import stgroups as sg
+from stmotives import laurent, stats, stgroups as sg
 from stmotives.laurent import expectation as lp_expectation, lp_pow, lp_term, CYC_ONE
 
 from table_data import A1_MOMENTS, A2_MOMENTS, INVARIANTS
@@ -124,6 +126,97 @@ def test_component_spectra_closed_under_inversion():
 def test_moment_rejects_bad_coeff():
     with pytest.raises(ValueError):
         sg.moment("C1", "a3", 2)
+    with pytest.raises(ValueError):
+        sg.component_moment(sg.group("C1").components[0], "a3", 2)
+
+
+@pytest.mark.parametrize("n", [-1, -4, 2.0, "2", None])
+def test_moment_rejects_negative_or_non_int_order(n):
+    with pytest.raises(ValueError, match="non-negative int"):
+        sg.moment("C1", "a1", n)
+    with pytest.raises(ValueError, match="non-negative int"):
+        sg.component_moment(sg.group("USp(4)").components[0], "a2", n)
+
+
+def test_lp_pow_rejects_negative_power():
+    with pytest.raises(ValueError):
+        lp_pow(lp_term((1,), CYC_ONE), -1, 1)
+
+
+def _direct_moment(components, coeff, n):
+    """The group moment from one lp_pow per component (no shared series)."""
+    total = Fraction(0)
+    for comp in components:
+        f = comp.charpoly_coeffs()[0 if coeff == "a1" else 1]
+        total += lp_expectation(lp_pow(f, n, len(comp.vars)), comp.kinds())
+    return Fraction(total, len(components))
+
+
+@settings(max_examples=30)
+@given(hst.data())
+def test_moment_engine_matches_direct_powers(data):
+    g = data.draw(hst.sampled_from(sg.catalog()), label="group")
+    coeff = data.draw(hst.sampled_from(("a1", "a2")), label="coeff")
+    top = 18 if coeff == "a1" else 12
+    ns = data.draw(hst.lists(hst.integers(0, top), min_size=1, max_size=5, unique=True),
+                   label="orders")
+    if data.draw(hst.booleans(), label="cold"):
+        sg._SERIES.clear()
+        sg._group_moment.cache_clear()
+    for n in ns:
+        assert sg.moment(g, coeff, n) == _direct_moment(g.components, coeff, n)
+    # a caller-built group reusing a catalog name is keyed on its own
+    # components, never served that catalog group's moments
+    alias = data.draw(hst.sampled_from(ALL_NAMES), label="alias")
+    impostor = sg.STGroup(alias, g.dim, g.component_group, g.components)
+    for n in ns:
+        assert sg.moment(impostor, coeff, n) == _direct_moment(g.components, coeff, n)
+
+
+def test_caller_built_group_with_catalog_name_gets_its_own_moments():
+    usp4 = sg.group("USp(4)")
+    assert sg.moment("C1", "a1", 2) == 4
+    impostor = sg.STGroup("C1", usp4.dim, "C1", usp4.components)
+    assert sg.moment(impostor, "a1", 2) == 1
+    a1 = {n: float(m) for n, m in zip(stats.A1_NS, A1_MOMENTS["USp(4)"])}
+    a2 = {n: float(m) for n, m in zip(stats.A2_NS, A2_MOMENTS["USp(4)"])}
+    result = stats.classify(stats.MomentStats(0, 1, a1, a2), groups=[sg.group("C2"), impostor])
+    assert result.ranked[0] == ("C1", 0.0)
+
+
+def _count_lp_mul(monkeypatch):
+    calls = [0]
+    orig = laurent.lp_mul
+
+    def counted(f, g):
+        calls[0] += 1
+        return orig(f, g)
+
+    monkeypatch.setattr(laurent, "lp_mul", counted)
+    monkeypatch.setattr(sg, "lp_mul", counted)
+    return calls
+
+
+def test_cold_a1_table_takes_at_most_16_products_per_spectrum(monkeypatch):
+    monkeypatch.setattr(sg, "_SERIES", {})
+    sg._group_moment.cache_clear()
+    calls = _count_lp_mul(monkeypatch)
+    text = sg.emit_group_table("a1")
+    spectra = {(c.kinds(), c.eigen) for g in sg.catalog() for c in g.components}
+    assert "C1\t4\t44\t580\t8092\t116304\t1703636\t25288120\t379061020" in text
+    assert 0 < calls[0] <= 16 * len(spectra)
+
+
+def test_repeat_classify_reuses_every_group_moment(monkeypatch):
+    def exact(name):
+        a1 = {n: float(m) for n, m in zip(stats.A1_NS, A1_MOMENTS[name])}
+        a2 = {n: float(m) for n, m in zip(stats.A2_NS, A2_MOMENTS[name])}
+        return stats.MomentStats(0, 1, a1, a2)
+
+    assert stats.classify(exact("D")).top == "D"
+    calls = _count_lp_mul(monkeypatch)
+    assert stats.classify(exact("U(2)")).top == "U(2)"
+    assert calls[0] == 0
 
 
 def test_swap_component_moments_match_table_combination():
