@@ -32,7 +32,7 @@ from functools import partial
 from . import cmforms, padic_hypergeom
 from .cmforms import CurveSpec, NewformHandle, coeff, ec_trace
 from .ntkernel import FieldSpec, Q, degree_one_primes
-from .records import LPoly, NormalizedCoeffs, SkippedPrime, normalize
+from .records import ConsistencyError, LPoly, NormalizedCoeffs, SkippedPrime, normalize
 
 __all__ = [
     "DirectSum", "TensorEC", "SymCube", "TensorMF", "Dwork", "MotiveSpec",
@@ -219,13 +219,26 @@ def write_stream_cache(path: str, spec: MotiveSpec, bound: int, rows) -> None:
 
 
 def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
+    """The cached rows, or None on a miss: no file, another spec or bound, or a corrupt
+    file (a row not all integers, of the wrong width or past a Weil bound), warned about."""
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != f"# spec={spec.describe()} bound={bound}":
-            return None
-        return [tuple(int(x) for x in line.split("\t")) for line in fh if line.strip()]
+    width = 2 if path.endswith("-c1.tsv") else 3  # the mode cache_path put in the name
+    try:
+        with open(path) as fh:
+            if fh.readline().strip() != f"# spec={spec.describe()} bound={bound}":
+                return None
+            rows = [tuple(int(x) for x in line.split("\t"))
+                    for line in fh.read().splitlines() if line.strip()]
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"row {row} has {len(row)} fields, not {width}")
+            LPoly(row[0], row[1], row[2] if width == 3 else 0)  # c2 = 0 is in every window
+    except (ValueError, ConsistencyError) as exc:
+        warnings.warn(f"corrupt stream cache {path} ({exc}); recomputing", RuntimeWarning,
+                      stacklevel=2)
+        return None
+    return rows
 
 
 def cached_lpoly_stream(spec: MotiveSpec, bound: int, cache_dir: str | None,

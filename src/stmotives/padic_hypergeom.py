@@ -9,27 +9,25 @@ for q = p or p^2, through the p-adic gamma function evaluated at fixed
 precision p^k.  The trace at q = p gives the L-polynomial coefficient
 c1 = -H_p; the pair (H_p, H_{p^2}) mod p^4 gives c2 = (H_p^2 - H_{p^2})/(2p).
 
-Gamma values come from one of two interchangeable backends:
+Gamma values come from one of two interchangeable backends, each with a
+scalar gamma_int and an int64-array gamma_array:
 
-* GammaTables: factorial-type tables of length p plus a cubic series for
-  Gamma_p on p*Z_p.  O(p) setup, O(1) per value.  Needs p >= 5 at
-  precision >= 3 (the series coefficients involve a division by 6).
+* GammaTables: one cubic in p y per residue x0 for Gamma_p(x0 + p y) mod
+  p^k, k <= 4, from factorial-type tables and the series on p*Z_p.  O(p)
+  setup, O(1) per value.  Needs p >= 5 at precision >= 3.
 * GammaProductTable: the raw product table Gamma_p(n) for n < p^k.  Used
   for small p, where the c2 window [-4p^3, 12p^3] forces precision
   beyond p^4 (k = 5 for p <= 13, k = 6 for p = 3).
 
-H_p has one kernel at every precision and on either backend: hp_poly sums
-the banded one-variable series, where the term at m carries p^e with e
-stepping up at the band cuts floor((i p + 5 - i)/5), so only the m below
-the k-th cut survive mod p^k; hp_fast evaluates that polynomial at
-Teich(z).  dwork_c1 runs it at k = 2 (p > 64) or k = 4, and dwork_lpoly at
-the precision of its H_{p^2} backend.  For p >= 17 the O(p^2) sum
-H_{p^2} mod p^4 runs in one numpy int64 kernel (_dwork_hp2), block by
-block over m, exact for p^4 < 2^50 (p <= HP2_MAX_P = 5791).
-
-The generic Fraction-based trace_Hq computes H_q from the definitions.
-Production calls it only for H_{p^2} at p <= 13; everywhere else it is the
-oracle the test suite checks both kernels against.
+Each sum has one kernel at every precision and on either backend.  hp_poly
+sums the banded H_p series (the term at m carries p^e, e stepping up at
+the band cuts floor((i p + 5 - i)/5), so only the m below the k-th cut
+survive mod p^k) and hp_fast evaluates it at Teich(z); dwork_c1 runs it at
+k = 2 (p > 64) or k = 4.  The O(p^2) sum H_{p^2} runs in one numpy int64
+kernel (_dwork_hp2), block by block over m, exact for p^4 < 2^50 (p <=
+HP2_MAX_P = 5791); dwork_lpoly runs both on one backend at the c2
+precision.  The generic Fraction-based trace_Hq computes H_q from the
+definitions; production never calls it, it is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ def _frac(x: Fraction) -> Fraction:
 
 
 class GammaTables:
-    """Gamma_p mod p^k via factorial tables and the series on p*Z_p.
+    """Gamma_p mod p^k (k <= 4) as one cubic in p y per residue x0 of x mod p.
 
     F[n] = n!,  T[n] = n! * e_1(1, 1/2, ..., 1/n),  U2/U3 the analogous
     second and third elementary symmetric sums (all mod p^k), so that
@@ -91,7 +89,9 @@ class GammaTables:
         a2 = -((p-1)! + 1/(p-1)! + 2)/2
         a1 = -(8 (p-1)! + (2p)!/(2p^2) + 4 a2 + 7)/6
         a3 = -((p-1)! + 1 + a1 + a2)
-    and reduces mod p^2 to Gamma_p(py) = 1 + (1 + 1/(p-1)!) y.
+    and reduces mod p^2 to Gamma_p(py) = 1 + (1 + 1/(p-1)!) y.  Their product
+    (-1)^x0 prod_{0<j<x0} (py + j) Gamma_p(py), cut at (py)^4, is Gamma_p(x0 + py)
+    = C0[x0] + C1[x0] (py) + C2[x0] (py)^2 + C3[x0] (py)^3, C_i kept mod p^(k-i).
     """
 
     def __init__(self, p: int, k: int):
@@ -99,14 +99,9 @@ class GammaTables:
             raise ValueError(f"unsupported precision {k}")
         if k >= 3 and p < 5:
             raise ValueError("series tables need p >= 5 at precision >= 3")
-        self.p = p
-        self.k = k
-        pk = p**k
-        self.pk = pk
-        F = [1] * p
-        T = [0] * p
-        U2 = [0] * p
-        U3 = [0] * p
+        self.p, self.k, self.pk = p, k, p**k
+        pk = self.pk
+        F, T, U2, U3 = [1] * p, [0] * p, [0] * p, [0] * p
         for n in range(1, p):
             F[n] = F[n - 1] * n % pk
             T[n] = (T[n - 1] * n + F[n - 1]) % pk
@@ -115,12 +110,10 @@ class GammaTables:
                 U3[n] = (U3[n - 1] * n + U2[n - 1]) % pk
         self.F, self.T, self.U2, self.U3 = F, T, U2, U3
         w1 = F[p - 1]
-        if k == 1:
-            self.a1 = self.a2 = self.a3 = 0
-        elif k == 2:
-            self.a1 = (1 + pow(w1, -1, pk)) % pk
-            self.a2 = self.a3 = 0
-        else:
+        a1 = a2 = a3 = 0
+        if k == 2:
+            a1 = (1 + pow(w1, -1, pk)) % pk
+        elif k > 2:
             # (2p)!/(2p^2) = prod of 1..2p with the factors p, 2p removed
             w2 = 1
             for j in range(1, 2 * p + 1):
@@ -129,21 +122,46 @@ class GammaTables:
             a2 = -(w1 + pow(w1, -1, pk) + 2) * pow(2, -1, pk) % pk
             a1 = -(8 * w1 + w2 + 4 * a2 + 7) * pow(6, -1, pk) % pk
             a3 = -(w1 + 1 + a1 + a2) % pk
-            self.a1, self.a2, self.a3 = a1, a2, a3
+        self.a1, self.a2, self.a3 = a1, a2, a3
+        # Gamma_p(py) = 1 + b1 (py) + b2 (py)^2 + b3 (py)^3 with b_i = a_i / p^i
+        if a1 % p or a2 % p**2 or a3 % p**3:
+            raise ConsistencyError(f"gamma series coefficients not p-adically small at p={p}")
+        b1, b2, b3 = a1 // p, a2 // p**2, a3 // p**3
+        m1, m2, m3 = (p ** max(k - i, 0) for i in (1, 2, 3))
+        # (-1)^x0 prod_{0<j<x0} (py + j): the tables shifted by one, signed
+        sgn = [1, -1] * ((p + 1) // 2)
+        Fs, Ts, Us, Vs = [1] + F[:-1], [0] + T[:-1], [0] + U2[:-1], [0] + U3[:-1]
+        C0 = [s * f % pk for s, f in zip(sgn, Fs)]
+        C1 = [s * (t + f * b1) % m1 for s, f, t in zip(sgn, Fs, Ts)]
+        C2 = C3 = [0] * p
+        if k > 2:
+            C2 = [s * (u + t * b1 + f * b2) % m2 for s, f, t, u in zip(sgn, Fs, Ts, Us)]
+        if k > 3:
+            C3 = [s * (v + u * b1 + t * b2 + f * b3) % m3
+                  for s, f, t, u, v in zip(sgn, Fs, Ts, Us, Vs)]
+        self.C = (C0, C1, C2, C3)
+        self._C_np = None
 
     def gamma_int(self, xhat: int) -> int:
         """Gamma_p(x) mod p^k for the residue xhat of x."""
-        p, pk = self.p, self.pk
-        x0 = xhat % p
-        y = xhat // p
-        s = (1 + y * (self.a1 + y * (self.a2 + y * self.a3))) % pk
-        if x0 == 0:
-            return s
-        i = x0 - 1
+        x0 = xhat % self.p
         py = xhat - x0
-        g = (self.F[i] + py * (self.T[i] + py * (self.U2[i] + py * self.U3[i]))) % pk
-        g = g * s % pk
-        return pk - g if x0 & 1 else g
+        C0, C1, C2, C3 = self.C
+        return (C0[x0] + py * (C1[x0] + py * (C2[x0] + py * C3[x0]))) % self.pk
+
+    def gamma_array(self, x):
+        """gamma_int over an int64 numpy array of residues mod p^k."""
+        import numpy as np
+
+        if self._C_np is None:
+            self._C_np = tuple(np.array(c, dtype=np.int64) for c in self.C)
+        C0, C1, C2, C3 = self._C_np
+        x0 = x % self.p
+        py = x - x0
+        g = C3[x0]
+        for c in (C2, C1, C0):
+            g = (c[x0] + _mulmod(py, g, self.pk)) % self.pk
+        return g
 
     def gamma_frac(self, x: Fraction) -> int:
         return self.gamma_int(rational_mod(x.numerator, x.denominator, self.pk))
@@ -170,6 +188,12 @@ class GammaProductTable:
     def gamma_int(self, xhat: int) -> int:
         return self.G[xhat]
 
+    def gamma_array(self, x):
+        """gamma_int over an int64 numpy array: a numpy view lookup."""
+        import numpy as np
+
+        return np.frombuffer(self.G, dtype=np.int64)[x]
+
     def gamma_frac(self, x: Fraction) -> int:
         return self.G[rational_mod(x.numerator, x.denominator, self.pk)]
 
@@ -192,19 +216,17 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"q={q} is not p, p^2 or p^3 for a prime p")
 
 
-def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int,
-             backend: GammaTables | GammaProductTable | None = None) -> HValue:
+def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> HValue:
     """The full hypergeometric trace sum, computed from the definitions.
 
     Exact-rational bookkeeping for the fractional parts; gamma values at
-    precision p^precision, from `backend` when given (it must be at that
-    precision) or from a fresh one.  O(q) gamma evaluations.  Production
-    calls it only for q = p^2 at p <= 13; hp_fast (q = p) and _dwork_hp2
-    (q = p^2, p >= 17) must agree with it (asserted in the tests).
+    precision p^precision.  O(q) gamma evaluations.  Production never
+    calls it: it is the oracle that hp_fast (q = p) and _dwork_hp2
+    (q = p^2) must agree with (asserted in the tests).
     """
     p, f = _prime_power(q)
     k = precision
-    backend = backend or _gamma_backend(p, k)
+    backend = _gamma_backend(p, k)
     pk = backend.pk
     z = Fraction(z)
     if z.denominator % p == 0 or z.numerator % p == 0:
@@ -427,12 +449,12 @@ def batch_evaluate(poly: HPoly, p: int, force: str | None = None) -> dict[int, H
 
 
 # ---------------------------------------------------------------------------
-# the production H_{p^2} mod p^4 kernel (p >= 17)
+# the H_{p^2} kernel, at any precision
 
 HP2_MAX_P = 5791  # the largest prime with p^4 < 2^50, the range of _mulmod
 # m values per block: small enough for the temporaries to stay in cache
-# (about 3 MB of peak RSS); a block's kept terms are each at most
-# p^4 < 2^50, so their int64 sum stays below 2^61
+# (about 3 MB of peak RSS); a block's kept terms are each below
+# p^k < 2^50, so their int64 sum stays below 2^61
 _HP2_BLOCK = 1 << 11
 
 
@@ -453,19 +475,19 @@ def _mulmod(a, b, m: int):
     return r
 
 
-def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
-    """H_{p^2}(Dwork | z) mod p^4 from precision-4 tables, in numpy int64.
+def _dwork_hp2(z: Fraction, p: int, tables: GammaTables | GammaProductTable) -> int:
+    """H_{p^2}(Dwork | z) mod p^k, k the precision of `tables`, in numpy int64.
 
     Walks m = 1..p^2-2 in blocks of _HP2_BLOCK.  In each block the ten
     fractional-part numerators on the grid D = 5(p^2-1) (eight alpha, two
     beta) and their wrap counts come in closed form; the wraps give the net
-    p-power e_m, and only the terms with e_m < 4 get gamma work.  Beta gamma
-    values are not inverted: Gamma_p(x) Gamma_p(1-x) = (-1)^x0, and the sign
-    drops out of their fourth power.  Gamma_p(x0 + p y) mod p^4 is one cubic
-    in p y: the factorial tables times the series on p Z_p, tabulated by x0.
+    p-power e_m, and only the terms with e_m < k get gamma work, through
+    the backend's gamma_array.  Beta gamma values are not inverted:
+    Gamma_p(x) Gamma_p(1-x) = +-1, and the sign drops out of their fourth
+    power.
 
-    Exact for p <= HP2_MAX_P: p^4 < 2^50 is the range of _mulmod, every
-    other int64 intermediate is below 2p^4 and a block's sum below 2^61.
+    Exact for p <= HP2_MAX_P: p^k < 2^50 is the range of _mulmod, every
+    other int64 intermediate is below 2p^k and a block's sum below 2^61.
     Larger p raise ValueError.
     """
     if p > HP2_MAX_P:
@@ -474,30 +496,9 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
     import numpy as np
 
     q = p * p
-    p3, pk = p**3, tables.pk
+    k, pk = tables.k, tables.pk
     d = 5 * (q - 1)
     invd = pow(d, -1, pk)
-    # Gamma_p(py) = 1 + b1 (py) + b2 (py)^2 + b3 (py)^3 with b_i = a_i / p^i
-    if tables.a1 % p or tables.a2 % q or tables.a3 % p3:
-        raise ConsistencyError(f"gamma series coefficients not p-adically small at p={p}")
-    b1, b2, b3 = tables.a1 // p, tables.a2 // q, tables.a3 // p3
-    # coefficients of prod_{0<j<x0} (py + j) at index x0, then times the series
-    F, T = [1] + tables.F[:-1], [0] + tables.T[:-1]
-    U2, U3 = [0] + tables.U2[:-1], [0] + tables.U3[:-1]
-    c0 = np.array(F, dtype=np.int64)
-    c1 = np.array([(t + f * b1) % p3 for f, t in zip(F, T)], dtype=np.int64)
-    c2 = np.array([(u + t * b1 + f * b2) % q for f, t, u in zip(F, T, U2)], dtype=np.int64)
-    c3 = np.array([(v + u * b1 + t * b2 + f * b3) % p for f, t, u, v in zip(F, T, U2, U3)],
-                  dtype=np.int64)
-
-    def gamma(n):
-        """(-1)^x0 Gamma_p(n/D) mod p^4, and x0."""
-        x = _mulmod(n, invd, pk)
-        x0, y = x % p, x // p
-        h = (c2[x0] + p * (y % p * c3[x0] % p)) % q * (y % q) % q
-        h = _mulmod(y, (c1[x0] + p * h) % p3, p3)
-        return (c0[x0] + p * h) % pk, x0
-
     # grid numerators at m: (A - m S) mod D, rows (j, v) for alpha = j/5 and
     # the Frobenius twist p^v, then beta = 0 at v = 0, 1
     A = np.array([p**v * j * (q - 1) % d for j in (1, 2, 3, 4) for v in (0, 1)] + [0, 0],
@@ -506,12 +507,9 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
     ca = 1
     for n in A[:8, 0].tolist():
         ca = ca * tables.gamma_int(n * invd % pk) % pk
-    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, 4)
-    tp = [1] * (p - 1)  # Teich(z)^(p-1) = 1
-    for j in range(1, p - 1):
-        tp[j] = tp[j - 1] * tz % pk
-    tpow = np.array(tp, dtype=np.int64)
-    ppow = np.array([p**e for e in range(4)], dtype=np.int64)
+    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
+    tpow = np.array([pow(tz, j, pk) for j in range(p - 1)], dtype=np.int64)  # tz^(p-1) = 1
+    ppow = np.array([p**e for e in range(k)], dtype=np.int64)
     pmod = pk // ppow
     total = ca  # the m = 0 term times ca (divided out at the end)
     for m0 in range(1, q - 1, _HP2_BLOCK):
@@ -522,17 +520,16 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
         e = 8 - floors[:8].sum(axis=0) + 4 * floors[8:].sum(axis=0)
         if (e < 0).any():
             raise ConsistencyError(f"negative net p-power at m={m[e < 0][0]}, p={p}")
-        keep = e < 4
+        keep = e < k
         m, e, n = m[keep], e[keep], n[:, keep]
         n[8:] = d - n[8:]  # 1 - beta
-        g, x0 = gamma(n)
+        g = tables.gamma_array(_mulmod(n, invd, pk))
         g = _mulmod(g[0::2], g[1::2], pk)  # four alpha pairs and the beta pair
         b = _mulmod(g[4], g[4], pk)
         g = _mulmod(g[:2], g[2:4], pk)
         t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk)
         t = _mulmod(t, tpow[m % (p - 1)], pk) % pmod[e] * ppow[e]
-        # (-1)^eta_m with eta_m = e - 8, times the alpha signs (-1)^x0
-        total += int(np.where((e + x0[:8].sum(axis=0)) & 1, pk - t, t).sum())
+        total += int(np.where(e & 1, pk - t, t).sum())  # (-1)^eta_m, eta_m = e - 8
     return total * pow(ca, -1, pk) % pk * pow(1 - q, -1, pk) % pk
 
 
@@ -561,6 +558,14 @@ def _c2_precision(p: int) -> int:
     return 4
 
 
+def _c1_lift(hp: PadicInt) -> int:
+    """c1 = -H_p lifted to (-p^k/2, p^k/2], checked against |c1| <= 4 p^(3/2)."""
+    c1 = PadicInt(-hp.value % hp.modulus, hp.p, hp.k).balanced()
+    if c1 * c1 > 16 * hp.p**3:
+        raise ConsistencyError(f"c1={c1} violates the Weil bound at p={hp.p}")
+    return c1
+
+
 def dwork_c1(z: Fraction | int, p: int) -> int:
     """c1 = -H_p, lifted to the integer obeying |c1| <= 4 p^(3/2).
 
@@ -569,11 +574,7 @@ def dwork_c1(z: Fraction | int, p: int) -> int:
     """
     z = Fraction(z)
     _check_dwork_prime(z, p)
-    h = hp_fast(z, p, _gamma_backend(p, 2 if p > 64 else 4)).value
-    c1 = PadicInt(-h.value % h.modulus, p, h.k).balanced()
-    if c1 * c1 > 16 * p**3:
-        raise ConsistencyError(f"c1={c1} violates the Weil bound at p={p}")
-    return c1
+    return _c1_lift(hp_fast(z, p, _gamma_backend(p, 2 if p > 64 else 4)).value)
 
 
 def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
@@ -582,21 +583,12 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     through their Weil windows.  O(p^2) work (the H_{p^2} sum)."""
     z = Fraction(z)
     _check_dwork_prime(z, p)
-    k = _c2_precision(p)
-    pk = p**k
-    if p <= 13:
-        gammas = GammaProductTable(p, k)  # p^k residues: built once for both sums
-        hp = hp_fast(z, p, gammas).value.value
-        hp2 = trace_Hq(DWORK, z, p * p, k, gammas).value.value
-    else:
-        tables = GammaTables(p, 4)
-        hp = hp_fast(z, p, tables).value.value
-        hp2 = _dwork_hp2(z, p, tables)
-    c1 = PadicInt(-hp % pk, p, k).balanced()
-    if c1 * c1 > 16 * p**3:
-        raise ConsistencyError(f"c1={c1} violates the Weil bound at p={p}")
+    tables = _gamma_backend(p, _c2_precision(p))
+    pk = tables.pk
+    hp = hp_fast(z, p, tables).value
+    c1 = _c1_lift(hp)
     # lift H_p^2 - H_{p^2} into (-4p^3, 12p^3]
-    w = (hp * hp - hp2) % pk
+    w = (hp.value * hp.value - _dwork_hp2(z, p, tables)) % pk
     hi = 12 * p**3
     if w > hi:
         w -= pk
@@ -608,4 +600,3 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     if rem:
         raise ConsistencyError(f"H_p^2 - H_(p^2) not divisible by 2p at p={p}")
     return LPoly(p, c1, c2)
-

@@ -46,7 +46,7 @@ class MomentStats:
         return d[n]
 
 
-def moment_statistics(rows, bound: int, n_max_a1: int = 12, n_max_a2: int = 9) -> MomentStats:
+def moment_statistics(rows, bound: int) -> MomentStats:
     """Compute the moment statistics of a stream of (p, c1[, c2]) rows.
 
     Sums are compensated (math.fsum) so results are deterministic and
@@ -54,23 +54,13 @@ def moment_statistics(rows, bound: int, n_max_a1: int = 12, n_max_a2: int = 9) -
     rows = list(rows)
     if not rows:
         raise ValueError("empty stream: no retained primes")
-    has_a2 = len(rows[0]) >= 3
-    a1_ns = [n for n in A1_NS if n <= n_max_a1]
-    a2_ns = [n for n in A2_NS if n <= n_max_a2]
-    a1_acc: dict[int, list[float]] = {n: [] for n in a1_ns}
-    a2_acc: dict[int, list[float]] = {n: [] for n in a2_ns} if has_a2 else {}
-    for row in rows:
-        p = row[0]
-        a1 = row[1] / p**1.5
-        for n in a1_ns:
-            a1_acc[n].append(a1**n)
-        if has_a2:
-            a2 = row[2] / p**2
-            for n in a2_ns:
-                a2_acc[n].append(a2**n)
     count = len(rows)
-    a1_m = {n: math.fsum(v) / count for n, v in a1_acc.items()}
-    a2_m = {n: math.fsum(v) / count for n, v in a2_acc.items()} if has_a2 else None
+    a1 = [row[1] / row[0] ** 1.5 for row in rows]
+    a1_m = {n: math.fsum(x**n for x in a1) / count for n in A1_NS}
+    a2_m = None
+    if len(rows[0]) >= 3:
+        a2 = [row[2] / row[0] ** 2 for row in rows]
+        a2_m = {n: math.fsum(x**n for x in a2) / count for n in A2_NS}
     return MomentStats(bound, count, a1_m, a2_m)
 
 
@@ -168,9 +158,9 @@ def _fmt(x: float, places: int) -> str:
     return str(Decimal(repr(x)).quantize(q, rounding=ROUND_HALF_EVEN))
 
 
-def stats_row(stats: MomentStats, label: str | None = None) -> list[str]:
+def stats_row(stats: MomentStats) -> list[str]:
     n = stats.bound.bit_length() - 1 if stats.bound & (stats.bound - 1) == 0 else stats.bound
-    cells = [label if label is not None else str(n)]
+    cells = [str(n)]
     for nn, places in zip(A1_NS, A1_DECIMALS):
         cells.append(_fmt(stats.a1[nn], places) if nn in stats.a1 else "")
     if stats.a2 is not None:
@@ -184,16 +174,15 @@ def stats_row(stats: MomentStats, label: str | None = None) -> list[str]:
 STATS_HEADER = ["n"] + [f"a1.M{n}" for n in A1_NS] + [f"a2.M{n}" for n in A2_NS[:7]]
 
 
-def emit_table(rows: list[list[str]], header: list[str] | None = None, fmt: str = "tsv") -> str:
+def emit_table(rows: list[list[str]], fmt: str = "tsv") -> str:
     """Render rows as TSV ('#'-prefixed header) or aligned text."""
-    header = header or STATS_HEADER
     if fmt == "tsv":
-        out = ["#" + "\t".join(header)]
+        out = ["#" + "\t".join(STATS_HEADER)]
         out += ["\t".join(r) for r in rows]
         return "\n".join(out) + "\n"
     if fmt == "aligned":
-        table = [header] + rows
-        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        table = [STATS_HEADER] + rows
+        widths = [max(len(r[i]) for r in table) for i in range(len(STATS_HEADER))]
         lines = [" ".join(c.rjust(w) for c, w in zip(r, widths)) for r in table]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt}")

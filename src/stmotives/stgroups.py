@@ -391,14 +391,21 @@ def _usp4_pairs_np(rng, m):
         k = 3 * (m - have) + 16
         t1 = rng.uniform(0.0, np.pi, size=k)
         t2 = rng.uniform(0.0, np.pi, size=k)
-        w = (np.sin(t1) * np.sin(t2)) ** 2 * (np.cos(t1) - np.cos(t2)) ** 2
-        sel = rng.uniform(size=k) <= w / 4.0
+        sel = rng.uniform(size=k) <= _usp4_accept(t1, t2)
         t1, t2 = t1[sel], t2[sel]
         take = min(t1.size, m - have)
         out[have : have + take, 0] = t1[:take]
         out[have : have + take, 1] = t2[:take]
         have += take
     return out
+
+
+def _usp4_accept(t1, t2):
+    """The USp(4) pair weight over its maximum: with a, b = cos t1, cos t2
+    the weight (1-a^2)(1-b^2)(a-b)^2 peaks at 16/27, at a = -b = 1/sqrt(3)."""
+    import numpy as np
+
+    return (np.sin(t1) * np.sin(t2)) ** 2 * (np.cos(t1) - np.cos(t2)) ** 2 * (27 / 16)
 
 
 def _lp_eval_np(f: dict, angles):

@@ -7,10 +7,6 @@ settings.register_profile("stmotives", deadline=None)
 settings.load_profile("stmotives")
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running desk-scale regression")
-
-
 _DWORK_ELAPSED = {}
 
 

@@ -1,5 +1,6 @@
 """Hypergeometric trace sums, dual-path identities, Dwork L-polynomials."""
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -126,6 +127,47 @@ def test_hp2_kernel_equals_generic_trace_random(p, num, den):
     assume(z.numerator % p and z.denominator % p and (z.numerator - z.denominator) % p)
     fast = ph._dwork_hp2(z, p, ph.GammaTables(p, 4))
     assert fast == ph.trace_Hq(ph.DWORK, z, p * p, 4).value.value
+
+
+@functools.cache
+def _product_table(p):
+    return ph.GammaProductTable(p, ph._c2_precision(p))
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 13])
+def test_hp2_kernel_on_product_table_equals_generic_trace(p):
+    """The small primes, where the c2 window needs p^5 or p^6: the same
+    kernel on the product table at the c2 precision."""
+    tables = _product_table(p)
+    assert tables.k == (6 if p == 3 else 5)
+    for z in (-1, 2, Fraction(1, 2), Fraction(-4, 9)):
+        if Fraction(z).numerator % p == 0 or Fraction(z).denominator % p == 0:
+            continue
+        full = ph.trace_Hq(ph.DWORK, z, p * p, tables.k).value.value
+        assert ph._dwork_hp2(Fraction(z), p, tables) == full
+
+
+@settings(max_examples=12)
+@given(p=hst.sampled_from([3, 7, 11, 13]), num=hst.integers(-10**6, 10**6),
+       den=hst.integers(1, 10**6))
+def test_hp2_kernel_on_product_table_equals_generic_trace_random(p, num, den):
+    z = Fraction(num, den)
+    assume(z.numerator % p and z.denominator % p and (z.numerator - z.denominator) % p)
+    tables = _product_table(p)
+    fast = ph._dwork_hp2(z, p, tables)
+    assert fast == ph.trace_Hq(ph.DWORK, z, p * p, tables.k).value.value
+
+
+def test_dwork_lpoly_never_calls_the_generic_trace(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("production called trace_Hq")
+
+    monkeypatch.setattr(ph, "trace_Hq", oracle)
+    primes = [p for p in range(3, 62) if all(p % d for d in range(2, p)) and p != 5]
+    for p in primes:
+        lp = ph.dwork_lpoly(-1, p)
+        assert lp.c1 == ph.dwork_c1(-1, p)
+    assert len(primes) == 16
 
 
 @pytest.mark.parametrize("p", [5779, 5783, ph.HP2_MAX_P])
@@ -269,6 +311,8 @@ def test_c2_window_and_integrality():
                 continue
             lp = ph.dwork_lpoly(z, p)
             assert -2 * p * p <= lp.c2 <= 6 * p * p
+
+
 def test_hvalue_and_hpoly_shapes():
     hv = ph.trace_Hq(ph.DWORK, -1, 49, 4)
     assert hv.q == 49 and hv.value.p == 7 and hv.value.k == 4

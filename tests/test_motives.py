@@ -1,5 +1,6 @@
 """Construction formulas, streams, caching, and cross-construction identities."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,28 @@ def test_cache_roundtrip(tmp_path):
         fh.write("# spec=other bound=300\n1\t2\t3\n")
     rows3 = mv.cached_lpoly_stream(spec, 300, str(tmp_path))
     assert rows3 == rows1
+
+
+@pytest.mark.parametrize("a1_only,bad_row", [
+    (False, "7\tjunk\t1"),  # not integers
+    (False, "7\t1"),  # a c1 row in a full file
+    (False, "7\t0\t1000"),  # c2 past 6 p^2
+    (False, "7\t75\t0"),  # c1 past 4 p^(3/2)
+    (True, "7\t1\t2"),  # a full row in a c1 file
+    (True, "7\t-75"),  # c1 past 4 p^(3/2)
+], ids=["junk", "c1-row-in-full", "c2-window", "c1-weil", "full-row-in-c1", "c1-weil-c1"])
+def test_corrupt_cache_is_a_miss(tmp_path, a1_only, bad_row):
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    fresh = mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=a1_only)
+    path = mv.cache_path(str(tmp_path), spec, 64, a1_only)
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "a") as fh:
+        fh.write(bad_row + "\n")
+    with pytest.warns(RuntimeWarning, match="corrupt stream cache .*" + os.path.basename(path)):
+        assert mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=a1_only) == fresh
+    with open(path) as fh:
+        assert fh.read() == good  # rewritten
 
 
 def test_parallel_stream_matches_serial():

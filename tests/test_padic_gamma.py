@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stmotives import padic_hypergeom as ph
@@ -111,4 +112,32 @@ def test_series_tables_match_product_table_smallish_p():
     t = ph.GammaTables(p, 2)
     big = ph.GammaProductTable(p, 2)
     assert all(t.gamma_int(n) == big.gamma_int(n) for n in range(p * p))
+
+
+
+def _residues(pk, rng):
+    """Every residue for a small modulus, else the low end, the top and a
+    random scatter."""
+    if pk <= 50_000:
+        return np.arange(pk, dtype=np.int64)
+    return np.concatenate([np.arange(500), np.arange(pk - 500, pk),
+                           rng.integers(0, pk, 20_000)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 17, 101, 1021, ph.HP2_MAX_P])
+def test_gamma_array_equals_gamma_int_on_series_tables(p):
+    """The array entry point is the same cubic: at every precision, up to
+    the top of the kernel's range (p^4 just below 2^50 at p = HP2_MAX_P)."""
+    rng = np.random.default_rng(p)
+    for k in (1, 2) if p < 5 else (1, 2, 3, 4):
+        t = ph.GammaTables(p, k)
+        x = _residues(t.pk, rng)
+        assert t.gamma_array(x).tolist() == [t.gamma_int(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (7, 5), (13, 5), (17, 2)])
+def test_gamma_array_equals_gamma_int_on_product_table(p, k):
+    t = ph.GammaProductTable(p, k)
+    x = _residues(t.pk, np.random.default_rng(p))
+    assert t.gamma_array(x).tolist() == [t.gamma_int(v) for v in x.tolist()]
 

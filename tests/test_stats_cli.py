@@ -231,6 +231,23 @@ def test_cli_dwork_a1_only(capsys):
     assert cells[1] != "" and all(c == "" for c in cells[7:])
 
 
+@pytest.mark.parametrize("bad_row", ["7\tjunk", "7"], ids=["junk", "short"])
+def test_cli_corrupt_stream_cache_recomputes(tmp_path, capsys, bad_row):
+    """A corrupt cache row used to end in a ValueError or an IndexError
+    traceback; now the file is a miss, recomputed and rewritten."""
+    argv = ["motive", "dwork", "--z", "-1", "--bound-log2", "6", "--coeffs", "a1",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    fresh = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.tsv")
+    good = path.read_text()
+    path.write_text(good + bad_row + "\n")
+    with pytest.warns(RuntimeWarning, match=path.name):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert path.read_text() == good
+
+
 def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     rc = cli.main(["motive", "symcube", "--e1", "0,1", "--field", "Q",

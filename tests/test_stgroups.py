@@ -262,6 +262,17 @@ def test_monte_carlo_agrees_with_symbolic(name):
             assert abs(emp - exact) <= 5 * sig + 1e-9, (coeff, n, emp, exact)
 
 
+def test_usp4_rejection_envelope_is_tight():
+    """The acceptance probability is the weight over its maximum 16/27:
+    never above 1 on a dense grid, and 1 at cos t1 = -cos t2 = 1/sqrt(3)."""
+    t = np.linspace(0.0, np.pi, 1201)
+    accept = sg._usp4_accept(t[:, None], t[None, :])
+    assert accept.max() <= 1.0 + 1e-12
+    assert accept.max() > 0.999
+    a = np.arccos(1 / np.sqrt(3))
+    assert abs(sg._usp4_accept(a, np.pi - a) - 1.0) < 1e-12
+
+
 def test_expectation_rejects_non_rational_result():
     from stmotives.laurent import zeta24_power
 
