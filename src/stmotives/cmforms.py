@@ -67,54 +67,39 @@ KRONECKER_M3 = QuadraticCharacter(3, frozenset({1}))
 # Hecke character values and coefficients
 
 
-def psi_value(field: str, p: int):
-    """psi(P) for the canonical weight-2 Hecke character of Q(i) or Q(w):
-    the normalized generator of a prime above p."""
+def _cm_prime(field: str, p: int, twist: int | None):
+    """(alpha, sym): the generator alpha of a prime over p in the CM field
+    Q(i) or Q(w), normalized to 1 mod (1+i)^3 resp. 3, and the quartic resp.
+    sextic symbol (twist/alpha), None without a twist.  None at an inert p."""
     if field == "Q(i)":
-        return split_prime_qi(p)
-    if field == "Q(w)":
-        return split_prime_qomega(p)
-    raise ValueError(f"no Hecke character field {field}")
+        ring, split, symbol = GaussInt, split_prime_qi, residue_symbol_quartic
+    elif field == "Q(w)":
+        ring, split, symbol = EisenInt, split_prime_qomega, residue_symbol_sextic
+    else:
+        raise ValueError(field)
+    d = 4 - ring.T * ring.T  # |discriminant|: p is inert iff p = -1 mod d
+    if p % d == d - 1:
+        return None
+    alpha = split(p)
+    if twist is None:
+        return alpha, None
+    sym = symbol(ring(twist, 0), alpha)
+    if sym.norm() == 0:
+        raise BadPrimeError(f"twist {twist} not coprime to {p}")
+    return alpha, sym
 
 
 def _hecke_coeff(field: str, power: int, p: int, twist=None, dirichlet=None) -> int:
     """Trace of psi(P)^power * twist(P), times dirichlet(p); 0 at inert p."""
-    if field == "Q(i)":
-        if p % 4 == 3:
-            return 0
-        alpha = split_prime_qi(p)
-        val = alpha**power
-        if twist is not None:
-            sym = residue_symbol_quartic(GaussInt(twist, 0), alpha)
-            if sym.norm() == 0:
-                raise BadPrimeError(f"twist {twist} not coprime to {p}")
-            val = val * sym
-    elif field == "Q(w)":
-        if p % 3 == 2:
-            return 0
-        alpha = split_prime_qomega(p)
-        val = alpha**power
-        if twist is not None:
-            sym = residue_symbol_sextic(EisenInt(twist, 0), alpha)
-            if sym.norm() == 0:
-                raise BadPrimeError(f"twist {twist} not coprime to {p}")
-            val = val * sym
-    else:
-        raise ValueError(field)
+    cm = _cm_prime(field, p, twist)
+    if cm is None:
+        return 0
+    alpha, sym = cm
+    val = alpha**power if sym is None else alpha**power * sym
     b = val.trace()
     if dirichlet is not None:
         b *= dirichlet(p)
     return b
-
-
-def coeff_from_weight2(b_p: int, p: int, target: str) -> int:
-    """Coefficients of the square/cube of a weight-2 CM character at a
-    split prime: weight 3 gives b^2 - 2p, weight 4 gives b^3 - 3pb."""
-    if target == "weight3":
-        return b_p * b_p - 2 * p
-    if target == "weight4":
-        return b_p**3 - 3 * p * b_p
-    raise ValueError(target)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +134,14 @@ class CurveSpec:
         return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
     def cm_family(self):
-        """('j0', B) for y^2 = x^3 + B, ('j1728', A) for y^2 = x^3 + Ax."""
+        """(CM field, twist) for y^2 = x^3 + B: ('Q(w)', 4B), and for
+        y^2 = x^3 + Ax: ('Q(i)', -A).  At a split p > 3 of good reduction,
+        a_p is the trace of conj((twist/alpha)) alpha; see ec_trace."""
         if (self.a1, self.a2, self.a3) == (0, 0, 0):
             if self.a4 == 0 and self.a6 != 0:
-                return ("j0", self.a6)
+                return ("Q(w)", 4 * self.a6)
             if self.a6 == 0 and self.a4 != 0:
-                return ("j1728", self.a4)
+                return ("Q(i)", -self.a4)
         return None
 
 
@@ -195,17 +182,11 @@ def ec_trace(curve: CurveSpec, p: int) -> int:
         raise BadPrimeError(f"bad reduction at {p}")
     fam = curve.cm_family()
     if fam is not None and p > 3:
-        kind, c = fam
-        if kind == "j0":
-            if p % 3 == 2:
-                return 0
-            alpha = split_prime_qomega(p)
-            sym = residue_symbol_sextic(EisenInt(4 * c, 0), alpha)
-            return (sym.conj() * alpha).trace()
-        if p % 4 == 3:
+        field, twist = fam
+        cm = _cm_prime(field, p, twist)
+        if cm is None:
             return 0
-        alpha = split_prime_qi(p)
-        sym = residue_symbol_quartic(GaussInt(-c, 0), alpha)
+        alpha, sym = cm
         return (sym.conj() * alpha).trace()
     return ec_trace_naive(curve, p)
 
@@ -230,7 +211,6 @@ class NewformHandle:
     hecke: tuple | None = None
     curve: CurveSpec | None = None
     path: str | None = None
-    cm_field: str | None = None
     nebentypus: QuadraticCharacter | None = None
 
     def __post_init__(self):
@@ -270,14 +250,6 @@ def load_coeffs(path: str) -> dict[int, int]:
     if not table:
         raise CoeffFileError(f"{path}: empty coefficient table")
     return table
-
-
-def save_coeffs(path: str, table: dict[int, int], header: str = "") -> None:
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for p in sorted(table):
-            fh.write(f"{p} {table[p]}\n")
 
 
 def coeff(form: NewformHandle, p: int) -> int:
@@ -320,25 +292,25 @@ def _register(handle: NewformHandle) -> NewformHandle:
 
 
 # weight-2 CM forms (elliptic curves with CM)
-F_27_2A = _register(NewformHandle("27.2a", 2, 27, "hecke", hecke=("Q(w)", 1, None, None), cm_field="Q(w)"))
-F_32_2A = _register(NewformHandle("32.2a", 2, 32, "hecke", hecke=("Q(i)", 1, None, None), cm_field="Q(i)"))
+F_27_2A = _register(NewformHandle("27.2a", 2, 27, "hecke", hecke=("Q(w)", 1, None, None)))
+F_32_2A = _register(NewformHandle("32.2a", 2, 32, "hecke", hecke=("Q(i)", 1, None, None)))
 # weight-4 powers and their twists
-F_9_4A = _register(NewformHandle("9.4a", 4, 9, "hecke", hecke=("Q(w)", 3, None, None), cm_field="Q(w)"))
-F_32_4B = _register(NewformHandle("32.4b", 4, 32, "hecke", hecke=("Q(i)", 3, None, None), cm_field="Q(i)"))
-F_144_4D = _register(NewformHandle("144.4d", 4, 144, "hecke", hecke=("Q(w)", 3, None, CHI4), cm_field="Q(w)"))
-F_576_4_SEXTIC = _register(NewformHandle("576.4.sextic", 4, 576, "hecke", hecke=("Q(w)", 3, 2, None), cm_field="Q(w)"))
-F_108_4C = _register(NewformHandle("108.4c", 4, 108, "hecke", hecke=("Q(w)", 3, 2, CHI24_B), cm_field="Q(w)"))
-F_576_4_QUARTIC = _register(NewformHandle("576.4.quartic", 4, 576, "hecke", hecke=("Q(i)", 3, 3, None), cm_field="Q(i)"))
-F_288_4D = _register(NewformHandle("288.4d", 4, 288, "hecke", hecke=("Q(i)", 3, -3, None), cm_field="Q(i)"))
+F_9_4A = _register(NewformHandle("9.4a", 4, 9, "hecke", hecke=("Q(w)", 3, None, None)))
+F_32_4B = _register(NewformHandle("32.4b", 4, 32, "hecke", hecke=("Q(i)", 3, None, None)))
+F_144_4D = _register(NewformHandle("144.4d", 4, 144, "hecke", hecke=("Q(w)", 3, None, CHI4)))
+F_576_4_SEXTIC = _register(NewformHandle("576.4.sextic", 4, 576, "hecke", hecke=("Q(w)", 3, 2, None)))
+F_108_4C = _register(NewformHandle("108.4c", 4, 108, "hecke", hecke=("Q(w)", 3, 2, CHI24_B)))
+F_576_4_QUARTIC = _register(NewformHandle("576.4.quartic", 4, 576, "hecke", hecke=("Q(i)", 3, 3, None)))
+F_288_4D = _register(NewformHandle("288.4d", 4, 288, "hecke", hecke=("Q(i)", 3, -3, None)))
 # weight-3 forms (quadratic nebentypus = the CM field's Kronecker symbol)
-F_16_3_3A = _register(NewformHandle("16.3.3a", 3, 16, "hecke", hecke=("Q(i)", 2, None, None), cm_field="Q(i)", nebentypus=CHI4))
-F_27_3_5A = _register(NewformHandle("27.3.5a", 3, 27, "hecke", hecke=("Q(w)", 2, None, None), cm_field="Q(w)", nebentypus=KRONECKER_M3))
+F_16_3_3A = _register(NewformHandle("16.3.3a", 3, 16, "hecke", hecke=("Q(i)", 2, None, None), nebentypus=CHI4))
+F_27_3_5A = _register(NewformHandle("27.3.5a", 3, 27, "hecke", hecke=("Q(w)", 2, None, None), nebentypus=KRONECKER_M3))
 # the level-576 weight-3 quartic twist: the printed coefficient table pins
 # an extra Kronecker-6 flip on top of the residue-symbol twist
-F_576_3_QUARTIC = _register(NewformHandle("576.3.quartic", 3, 576, "hecke", hecke=("Q(i)", 2, 27, CHI6), cm_field="Q(i)", nebentypus=CHI4))
+F_576_3_QUARTIC = _register(NewformHandle("576.3.quartic", 3, 576, "hecke", hecke=("Q(i)", 2, 27, CHI6), nebentypus=CHI4))
 # non-CM weight 2 and the quartic-twist curve
 F_11_2A = _register(NewformHandle("11.2a", 2, 11, "curve", curve=CurveSpec(0, -1, 1, -10, -20)))
-F_256_2B = _register(NewformHandle("256.2b", 2, 256, "curve", curve=CurveSpec.short(-2, 0), cm_field="Q(i)"))
-F_36_2A = _register(NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1), cm_field="Q(w)"))
+F_256_2B = _register(NewformHandle("256.2b", 2, 256, "curve", curve=CurveSpec.short(-2, 0)))
+F_36_2A = _register(NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)))
 # non-CM weight 4, ingested from a shipped coefficient table
 F_5_4A = _register(NewformHandle("5.4a", 4, 5, "file", path=os.path.join(_DATA_DIR, "5.4a.txt")))

@@ -79,13 +79,6 @@ def cyc_to_complex(x: tuple) -> complex:
     return sum(c * cexp(1j * pi * j / 12) for j, c in enumerate(x) if c)
 
 
-# common constants
-CYC_I = zeta24_power(6)
-CYC_MINUS_ONE = zeta24_power(12)
-CYC_MINUS_I = zeta24_power(18)
-CYC_OMEGA = zeta24_power(8)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials: dict[exponent tuple] -> Z[zeta_24] coefficient
 

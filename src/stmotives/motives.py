@@ -209,18 +209,27 @@ def cache_path(cache_dir: str, spec: MotiveSpec, bound: int, a1_only: bool) -> s
 
 
 def write_stream_cache(path: str, spec: MotiveSpec, bound: int, rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Write the rows through a temporary file; a cache that cannot be written
+    (OSError) is a RuntimeWarning naming the path, not an error."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"# spec={spec.describe()} bound={bound}\n")
-        for row in rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w") as fh:
+            fh.write(f"# spec={spec.describe()} bound={bound}\n")
+            for row in rows:
+                fh.write("\t".join(str(x) for x in row) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        warnings.warn(f"cannot write stream cache {path} ({exc}); not cached", RuntimeWarning,
+                      stacklevel=2)
+        if os.path.isfile(tmp):
+            os.remove(tmp)
 
 
 def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
-    """The cached rows, or None on a miss: no file, another spec or bound, or a corrupt
-    file (a row not all integers, of the wrong width or past a Weil bound), warned about."""
+    """The cached rows, or None on a miss: no file, another spec or bound, or, warned
+    about, a corrupt file (a row not all integers, of the wrong width or past a Weil
+    bound) or one that cannot be read (OSError, such as a directory at the path)."""
     if not os.path.exists(path):
         return None
     width = 2 if path.endswith("-c1.tsv") else 3  # the mode cache_path put in the name
@@ -236,6 +245,10 @@ def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
             LPoly(row[0], row[1], row[2] if width == 3 else 0)  # c2 = 0 is in every window
     except (ValueError, ConsistencyError) as exc:
         warnings.warn(f"corrupt stream cache {path} ({exc}); recomputing", RuntimeWarning,
+                      stacklevel=2)
+        return None
+    except OSError as exc:
+        warnings.warn(f"unreadable stream cache {path} ({exc}); recomputing", RuntimeWarning,
                       stacklevel=2)
         return None
     return rows

@@ -1,15 +1,21 @@
 """Shared number-theoretic primitives.
 
 Prime sieving, degree-1 prime filters for the five base fields in play,
-Gaussian/Eisenstein integer arithmetic with normalized prime splitting,
-quartic/sextic power residue symbols, and Teichmuller lifts.
+Teichmuller lifts, and one ring type for the two CM fields: Z[i] and Z[w]
+are Z[t] with t^2 + T t + 1 = 0 (T = 0 and T = 1).  GaussInt and EisenInt
+set only the constants T, the unit generator (i, resp. 1 + w) and the
+normalizing modulus M ((1+i)^3, resp. 3); one splitter gives the
+generator of a prime over p normalized to 1 mod M, and one residue-symbol
+body gives the quartic resp. sextic symbol.
 
-All functions are pure; nothing here mutates shared state.
+All functions are pure; the only shared state is the per-class memo of the
+normalization table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 
@@ -98,41 +104,63 @@ def degree_one_primes(field: FieldSpec, bound: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Z[i]
+# Z[t], t^2 + T t + 1 = 0: Z[i] (T = 0) and Z[w] (T = 1)
 
 
 @dataclass(frozen=True)
-class GaussInt:
-    """Element re + im*i of Z[i]."""
+class _QuadInt:
+    """Element a + b*t of Z[t], t^2 + T t + 1 = 0.
 
-    re: int
-    im: int
+    A subclass sets only constants: T, the unit generator UNIT and the
+    normalizing modulus M, both as (a, b).  Each subclass derives its unit
+    group UNITS, the powers of UNIT, when it is defined."""
 
-    def __add__(self, o: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re + o.re, self.im + o.im)
+    a: int
+    b: int
 
-    def __sub__(self, o: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re - o.re, self.im - o.im)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        one, gen = cls(1, 0), cls(*cls.UNIT)
+        units = [one]
+        while units[-1] * gen != one:
+            units.append(units[-1] * gen)
+        cls.UNITS = tuple(units)
 
-    def __mul__(self, o: "GaussInt") -> "GaussInt":
-        return GaussInt(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+    @classmethod
+    @cache
+    def _normalizers(cls) -> tuple[int, dict]:
+        """(n, table): n = N(M), and the table maps z mod n, coordinatewise, to
+        the unique unit u with u z = 1 mod M.  n = M conj(M) is a multiple of
+        M, so z mod n fixes z mod M.  Built on first use, once per class."""
+        one, m = cls(1, 0), cls(*cls.M)
+        n, table = m.norm(), {}
+        for a in range(n):
+            for b in range(n):
+                hits = [u for u in cls.UNITS if m.divides(u * cls(a, b) - one)]
+                if len(hits) == 1:
+                    table[a, b] = hits[0]
+        return n, table
 
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
+    def __sub__(self, o):
+        return type(self)(self.a - o.a, self.b - o.b)
 
-    def conj(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
+    def __mul__(self, o):
+        # (a + bt)(c + dt) = ac + (ad + bc) t + bd t^2,  t^2 = -T t - 1
+        bd = self.b * o.b
+        return type(self)(self.a * o.a - bd, self.a * o.b + self.b * o.a - self.T * bd)
+
+    def conj(self):
+        # conj(t) = -T - t
+        return type(self)(self.a - self.T * self.b, -self.b)
 
     def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
+        return self.a * self.a - self.T * self.a * self.b + self.b * self.b
 
     def trace(self) -> int:
-        return 2 * self.re
+        return 2 * self.a - self.T * self.b
 
-    def __pow__(self, k: int) -> "GaussInt":
-        r = GaussInt(1, 0)
+    def __pow__(self, k: int):
+        r = type(self)(1, 0)
         b = self
         while k:
             if k & 1:
@@ -141,199 +169,91 @@ class GaussInt:
             k >>= 1
         return r
 
-    def divides(self, other: "GaussInt") -> bool:
+    def divides(self, other) -> bool:
         n = self.norm()
         q = other * self.conj()
-        return q.re % n == 0 and q.im % n == 0
+        return q.a % n == 0 and q.b % n == 0
+
+    def normalized(self):
+        """The unit multiple of self that is 1 mod M (NotSplitError if none is unique)."""
+        n, table = self._normalizers()
+        u = table.get((self.a % n, self.b % n))
+        if u is None:
+            raise NotSplitError(f"normalization mod {self.M} not unique for {self}")
+        return u * self
+
+    @classmethod
+    def _split_prime(cls, p: int):
+        """Generator x + y t of a prime over p, normalized to 1 mod M.  x is the
+        first x > 0 with 4p - (4 - T^2) x^2 = r^2 for an integer r; then
+        y = (T x + r)/2 solves x^2 - T x y + y^2 = p, and r = T x mod 2.
+        Requires p = 1 mod |UNITS|."""
+        if (p - 1) % len(cls.UNITS):
+            raise NotSplitError(f"{p} is not 1 mod {len(cls.UNITS)}: not split for {cls.__name__}")
+        T = cls.T
+        d = 4 - T * T
+        for x in range(1, isqrt(4 * p // d) + 1):
+            r2 = 4 * p - d * x * x
+            r = isqrt(r2)
+            if r * r == r2:
+                return cls(x, (T * x + r) // 2).normalized()
+        raise NotSplitError(f"{p} is not a norm from {cls.__name__}")  # unreachable
+
+    def residue_symbol(self, alpha):
+        """(alpha/self)_n with n = |UNITS|: the unit congruent to
+        alpha^((p-1)/n) mod self, or 0 when self | alpha.  self must be a
+        degree-1 prime over p = 1 mod n.  It is computed in the residue field
+        Z[t]/(self) = F_p, where t maps to r = -a/b."""
+        p, n = self.norm(), len(self.UNITS)
+        if not is_prime(p) or (p - 1) % n or self.b % p == 0:
+            raise NotPrimeError(f"{self} is not a degree-1 prime over p = 1 mod {n}")
+        r = -self.a * pow(self.b, -1, p) % p
+        t = (alpha.a + alpha.b * r) % p
+        if t == 0:
+            return type(self)(0, 0)
+        t = pow(t, (p - 1) // n, p)
+        for u in self.UNITS:
+            if (u.a + u.b * r) % p == t:
+                return u
+        raise ArithmeticError(f"{t} is not a {n}th root of unity mod {p}")  # unreachable
 
 
-GAUSS_UNITS = (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))
-# (1+i)^3 = -2+2i, the conductor of the Q(i) Hecke character in play
-_ONE_PLUS_I_CUBED = GaussInt(-2, 2)
+class GaussInt(_QuadInt):
+    """Element a + b*i of Z[i]: units i^k; M = (1+i)^3 = -2+2i, the conductor
+    of the Q(i) Hecke characters in play."""
+
+    T, UNIT, M = 0, (0, 1), (-2, 2)
 
 
-def _gauss_normalized(a: int, b: int) -> GaussInt:
-    """The unit multiple of a+bi congruent to 1 mod (1+i)^3, or raise."""
-    z = GaussInt(a, b)
-    hits = [u * z for u in GAUSS_UNITS if _ONE_PLUS_I_CUBED.divides(u * z - GaussInt(1, 0))]
-    if len(hits) != 1:
-        raise NotSplitError(f"normalization mod (1+i)^3 not unique for {a}+{b}i")
-    return hits[0]
+class EisenInt(_QuadInt):
+    """Element a + b*w of Z[w], w^2 + w + 1 = 0 (w in the upper half plane):
+    units (1+w)^k; M = 3."""
+
+    T, UNIT, M = 1, (1, 1), (3, 0)
 
 
 def split_prime_qi(p: int) -> GaussInt:
     """Generator alpha of a prime over p in Z[i], normalized so that
     alpha = 1 mod (1+i)^3.  Requires p = 1 mod 4."""
-    if p % 4 != 1:
-        raise NotSplitError(f"{p} is not split in Q(i)")
-    for a in range(1, isqrt(p) + 1):
-        b2 = p - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return _gauss_normalized(a, b)
-    raise NotSplitError(f"no representation {p} = a^2 + b^2")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-# Z[w], w a primitive cube root of unity (upper half plane)
-
-
-@dataclass(frozen=True)
-class EisenInt:
-    """Element a + b*w of Z[w], w^2 + w + 1 = 0."""
-
-    a: int
-    b: int
-
-    def __add__(self, o: "EisenInt") -> "EisenInt":
-        return EisenInt(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "EisenInt") -> "EisenInt":
-        return EisenInt(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o: "EisenInt") -> "EisenInt":
-        # (a+bw)(c+dw) = ac + (ad+bc)w + bd w^2,  w^2 = -1-w
-        ac = self.a * o.a
-        bd = self.b * o.b
-        return EisenInt(ac - bd, self.a * o.b + self.b * o.a - bd)
-
-    def __neg__(self) -> "EisenInt":
-        return EisenInt(-self.a, -self.b)
-
-    def conj(self) -> "EisenInt":
-        # conj(w) = w^2 = -1-w
-        return EisenInt(self.a - self.b, -self.b)
-
-    def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def trace(self) -> int:
-        return 2 * self.a - self.b
-
-    def __pow__(self, k: int) -> "EisenInt":
-        r = EisenInt(1, 0)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
-
-    def divides(self, other: "EisenInt") -> bool:
-        n = self.norm()
-        q = other * self.conj()
-        return q.a % n == 0 and q.b % n == 0
-
-
-_W = EisenInt(0, 1)
-EISEN_UNITS = (
-    EisenInt(1, 0),
-    _W,
-    _W * _W,
-    EisenInt(-1, 0),
-    -_W,
-    -(_W * _W),
-)
-
-
-def _eisen_normalized(a: int, b: int) -> EisenInt:
-    """The unit multiple of a+bw congruent to 1 mod 3, or raise."""
-    z = EisenInt(a, b)
-    hits = [
-        u * z for u in EISEN_UNITS if ((u * z).a - 1) % 3 == 0 and (u * z).b % 3 == 0
-    ]
-    if len(hits) != 1:
-        raise NotSplitError(f"normalization mod 3 not unique for {a}+{b}w")
-    return hits[0]
+    return GaussInt._split_prime(p)
 
 
 def split_prime_qomega(p: int) -> EisenInt:
     """Generator alpha of a prime over p in Z[w], normalized so that
     alpha = 1 mod 3.  Requires p = 1 mod 3."""
-    if p % 3 != 1:
-        raise NotSplitError(f"{p} is not split in Q(w)")
-    # a^2 - ab + b^2 = p; solve for b given a via the quadratic formula
-    for a in range(1, isqrt(4 * p // 3) + 1):
-        d = 4 * p - 3 * a * a
-        if d < 0:
-            break
-        r = isqrt(d)
-        if r * r != d:
-            continue
-        for b2 in ((a + r), (a - r)):
-            if b2 % 2 == 0:
-                return _eisen_normalized(a, b2 // 2)
-    raise NotSplitError(f"no representation {p} = a^2 - ab + b^2")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-# Power residue symbols
-#
-# Both symbols are computed through the residue field at a degree-1 prime:
-# Z[i]/(a+bi) = F_p via i -> -a/b, and Z[w]/(a+bw) = F_p via w -> -a/b.
-
-
-def _root_of_pi_qi(pi: GaussInt, p: int) -> int:
-    if pi.im % p == 0:
-        raise NotPrimeError(f"{pi} is not a degree-1 prime over {p}")
-    return (-pi.re * pow(pi.im, -1, p)) % p
+    return EisenInt._split_prime(p)
 
 
 def residue_symbol_quartic(alpha: GaussInt, pi: GaussInt) -> GaussInt:
-    """Biquadratic residue symbol (alpha/pi)_4 in {1, i, -1, -i}, or 0
-    (as GaussInt) when alpha is not coprime to pi.
-
-    pi must be a degree-1 Gaussian prime; the symbol is the unique power
-    of i congruent to alpha^((N(pi)-1)/4) mod pi.
-    """
-    p = pi.norm()
-    if not is_prime(p) or p % 4 != 1:
-        raise NotPrimeError(f"{pi} is not a degree-1 prime of Z[i] over p=1 mod 4")
-    r = _root_of_pi_qi(pi, p)
-    a = (alpha.re + alpha.im * r) % p
-    if a == 0:
-        return GaussInt(0, 0)
-    t = pow(a, (p - 1) // 4, p)
-    for k, unit in enumerate(GAUSS_UNITS):
-        if t == pow(r, k, p):
-            return unit
-    raise ArithmeticError(f"{t} is not a 4th root of unity mod {p}")  # unreachable
-
-
-def _root_of_pi_qomega(pi: EisenInt, p: int) -> int:
-    if pi.b % p == 0:
-        raise NotPrimeError(f"{pi} is not a degree-1 prime over {p}")
-    return (-pi.a * pow(pi.b, -1, p)) % p
+    """Biquadratic residue symbol (alpha/pi)_4 in {1, i, -1, -i}, or 0 when
+    alpha is not coprime to the degree-1 Gaussian prime pi."""
+    return pi.residue_symbol(alpha)
 
 
 def residue_symbol_sextic(alpha: EisenInt, pi: EisenInt) -> EisenInt:
     """Sextic residue symbol (alpha/pi)_6 in {+-1, +-w, +-w^2}, or 0 when
-    alpha is not coprime to pi.
-
-    pi must be a degree-1 Eisenstein prime; the symbol is the unique unit
-    congruent to alpha^((N(pi)-1)/6) mod pi.
-    """
-    p = pi.norm()
-    if not is_prime(p) or p % 3 != 1:
-        raise NotPrimeError(f"{pi} is not a degree-1 prime of Z[w] over p=1 mod 3")
-    r = _root_of_pi_qomega(pi, p)
-    a = (alpha.a + alpha.b * r) % p
-    if a == 0:
-        return EisenInt(0, 0)
-    t = pow(a, (p - 1) // 6, p)
-    for s in (1, p - 1):
-        for k in range(3):
-            if t == s * pow(r, k, p) % p:
-                u = EISEN_UNITS[k] if s == 1 else EISEN_UNITS[k + 3]
-                return u
-    raise ArithmeticError(f"{t} is not a 6th root of unity mod {p}")  # unreachable
-
-
-def residue_symbol_cubic(alpha: EisenInt, pi: EisenInt) -> EisenInt:
-    """Cubic residue symbol = square of the sextic one."""
-    s = residue_symbol_sextic(alpha, pi)
-    return s * s
+    alpha is not coprime to the degree-1 Eisenstein prime pi."""
+    return pi.residue_symbol(alpha)
 
 
 # ---------------------------------------------------------------------------

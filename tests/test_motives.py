@@ -150,6 +150,32 @@ def test_corrupt_cache_is_a_miss(tmp_path, a1_only, bad_row):
         assert fh.read() == good  # rewritten
 
 
+def test_unreadable_cache_is_a_warned_miss(tmp_path):
+    # a directory at the cache path can be neither read nor replaced
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    fresh = mv.cached_lpoly_stream(spec, 64, None, a1_only=True)
+    path = mv.cache_path(str(tmp_path), spec, 64, True)
+    os.mkdir(path)
+    with pytest.warns(RuntimeWarning) as record:
+        assert mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=True) == fresh
+    messages = [str(w.message) for w in record]
+    assert any(m.startswith(f"unreadable stream cache {path}") for m in messages)
+    assert any(m.startswith(f"cannot write stream cache {path}") for m in messages)
+    assert os.listdir(tmp_path) == [os.path.basename(path)]  # no .tmp file left
+
+
+def test_unwritable_cache_dir_warns_and_returns_rows(tmp_path):
+    # --cache-dir naming a regular file
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    fresh = mv.cached_lpoly_stream(spec, 64, None, a1_only=True)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    path = mv.cache_path(str(not_a_dir), spec, 64, True)
+    with pytest.warns(RuntimeWarning, match=f"cannot write stream cache {path}"):
+        assert mv.cached_lpoly_stream(spec, 64, str(not_a_dir), a1_only=True) == fresh
+    assert not_a_dir.read_text() == ""
+
+
 def test_parallel_stream_matches_serial():
     spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
     serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)

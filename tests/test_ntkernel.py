@@ -47,9 +47,9 @@ def test_degree_one_subset_of_primes():
 def test_split_prime_qi_small():
     # either conjugate-class representative satisfies the congruence
     a5 = nt.split_prime_qi(5)
-    assert (a5.re, a5.im) in ((-1, 2), (-1, -2))
+    assert (a5.a, a5.b) in ((-1, 2), (-1, -2))
     a13 = nt.split_prime_qi(13)
-    assert (a13.re, a13.im) in ((3, 2), (3, -2))
+    assert (a13.a, a13.b) in ((3, 2), (3, -2))
     with pytest.raises(nt.NotSplitError):
         nt.split_prime_qi(7)
 
@@ -60,7 +60,7 @@ def test_split_prime_qi_normalization_unique():
     for p in nt.degree_one_primes(nt.QI, 1000):
         alpha = nt.split_prime_qi(p)
         assert alpha.norm() == p
-        hits = [u for u in nt.GAUSS_UNITS if conductor.divides(u * alpha - one)]
+        hits = [u for u in nt.GaussInt.UNITS if conductor.divides(u * alpha - one)]
         assert hits == [nt.GaussInt(1, 0)]
 
 
@@ -72,7 +72,7 @@ def test_split_prime_qomega_normalization_unique():
         # exactly one unit multiple lands in the class
         hits = [
             u
-            for u in nt.EISEN_UNITS
+            for u in nt.EisenInt.UNITS
             if ((u * alpha).a - 1) % 3 == 0 and (u * alpha).b % 3 == 0
         ]
         assert len(hits) == 1
@@ -108,14 +108,15 @@ def test_quartic_symbol_conjugate_pair_gives_norm_symbol():
 
 
 def test_cubic_symbol_is_sextic_squared():
+    # the cubic symbol (a/pi)_3 = (a/pi)_6^2 is a cube root of unity
     for p in (7, 13, 31):
         pi = nt.split_prime_qomega(p)
         for a in (2, 3, 4, 5):
             s6 = nt.residue_symbol_sextic(nt.EisenInt(a, 0), pi)
-            s3 = nt.residue_symbol_cubic(nt.EisenInt(a, 0), pi)
-            assert s3 == s6 * s6
+            s3 = s6 * s6
             if s3.norm():
                 assert s3**3 == nt.EisenInt(1, 0)
+                assert s3 in nt.EisenInt.UNITS[::2]
 
 
 def test_sextic_symbol_basics():
@@ -136,6 +137,38 @@ def test_symbol_rejects_non_prime():
         nt.residue_symbol_quartic(nt.GaussInt(3, 0), nt.GaussInt(3, 0))  # norm 9
     with pytest.raises(nt.NotPrimeError):
         nt.residue_symbol_sextic(nt.EisenInt(2, 0), nt.EisenInt(4, 0))  # norm 16
+
+
+_SPLIT_PRIMES = {
+    nt.GaussInt: nt.degree_one_primes(nt.QI, 2000),
+    nt.EisenInt: nt.degree_one_primes(nt.QW, 2000),
+}
+_SPLITTERS = {nt.GaussInt: nt.split_prime_qi, nt.EisenInt: nt.split_prime_qomega}
+_SYMBOLS = {nt.GaussInt: nt.residue_symbol_quartic, nt.EisenInt: nt.residue_symbol_sextic}
+
+
+@given(hst.sampled_from([nt.GaussInt, nt.EisenInt]), hst.data())
+@settings(max_examples=200)
+def test_split_generator_has_norm_p_and_is_one_mod_m(ring, data):
+    p = data.draw(hst.sampled_from(_SPLIT_PRIMES[ring]))
+    alpha = _SPLITTERS[ring](p)
+    assert type(alpha) is ring and alpha.norm() == p
+    assert ring(*ring.M).divides(alpha - ring(1, 0))
+
+
+@given(hst.sampled_from([nt.GaussInt, nt.EisenInt]), hst.data(),
+       hst.integers(-50, 50), hst.integers(-50, 50))
+@settings(max_examples=200)
+def test_residue_symbol_is_the_unit_congruent_to_the_power(ring, data, a, b):
+    # pi | alpha^((p-1)/n) - u, computed in Z[t] itself (no residue-field map)
+    p = data.draw(hst.sampled_from(_SPLIT_PRIMES[ring]))
+    pi, alpha = _SPLITTERS[ring](p), ring(a, b)
+    u = _SYMBOLS[ring](alpha, pi)
+    if u == ring(0, 0):
+        assert pi.divides(alpha)
+    else:
+        assert u in ring.UNITS
+        assert pi.divides(alpha ** ((p - 1) // len(ring.UNITS)) - u)
 
 
 @given(hst.integers(min_value=1, max_value=10**6))

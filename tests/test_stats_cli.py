@@ -248,6 +248,29 @@ def test_cli_corrupt_stream_cache_recomputes(tmp_path, capsys, bad_row):
     assert path.read_text() == good
 
 
+def test_cli_unusable_cache_warns_and_exits_0(tmp_path, capsys):
+    """A directory at the cache path, or a --cache-dir that is a regular file,
+    used to end in an IsADirectoryError or a FileExistsError traceback; now
+    the stream is computed, printed and not cached, with a warning."""
+    argv = ["motive", "dwork", "--z", "-1", "--bound-log2", "6", "--coeffs", "a1"]
+    assert cli.main(argv) == 0
+    fresh = capsys.readouterr().out
+    cache_dir = tmp_path / "D2"
+    assert cli.main(argv + ["--cache-dir", str(cache_dir)]) == 0
+    (path,) = cache_dir.glob("*.tsv")
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match=path.name):
+        assert cli.main(argv + ["--cache-dir", str(cache_dir)]) == 0
+    assert capsys.readouterr().out == fresh
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with pytest.warns(RuntimeWarning, match=f"cannot write stream cache {not_a_dir}"):
+        assert cli.main(argv + ["--cache-dir", str(not_a_dir)]) == 0
+    assert capsys.readouterr().out == fresh
+
+
 def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     rc = cli.main(["motive", "symcube", "--e1", "0,1", "--field", "Q",
