@@ -145,12 +145,18 @@ def _curve_tag(c: CurveSpec) -> str:
 class MotiveSpec:
     construction: DirectSum | TensorEC | SymCube | TensorMF | Dwork
     base_field: FieldSpec = Q
+    CACHE_FORMAT = 2  # stream-cache layout version, in the spec_hash key; bump on change
 
     def describe(self) -> str:
         return f"{self.construction.describe()}/{self.base_field.name}"
 
     def spec_hash(self) -> str:
-        return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
+        h = hashlib.sha256(f"{self.CACHE_FORMAT}:{self.describe()}".encode())
+        for form in vars(self.construction).values():  # a label stays when its file changes
+            if isinstance(form, NewformHandle) and form.kind == "file":
+                with open(form.path, "rb") as fh:
+                    h.update(hashlib.sha256(fh.read()).digest())
+        return h.hexdigest()[:16]
 
 
 def lpoly(spec: MotiveSpec, p: int) -> LPoly:

@@ -4,18 +4,18 @@ Prime sieving, degree-1 prime filters for the five base fields in play,
 Teichmuller lifts, and one ring type for the two CM fields: Z[i] and Z[w]
 are Z[t] with t^2 + T t + 1 = 0 (T = 0 and T = 1).  GaussInt and EisenInt
 set only the constants T, the unit generator (i, resp. 1 + w) and the
-normalizing modulus M ((1+i)^3, resp. 3); one splitter gives the
-generator of a prime over p normalized to 1 mod M, and one residue-symbol
-body gives the quartic resp. sextic symbol.
-
-All functions are pure; the only shared state is the per-class memo of the
-normalization table.
+normalizing modulus M ((1+i)^3, resp. 3); one splitter gives, in O(log p),
+the generator normalized to 1 mod M of the prime over p that a scan over its
+first coordinate finds first (the coefficient tables, traces with rational
+twists, cannot tell it from its conjugate; the scan's choice keeps generators
+and symbols), and one residue-symbol body gives the quartic resp. sextic
+symbol.  Shared state: the normalization tables and a bounded split cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import isqrt
 
 
@@ -44,18 +44,25 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    r = isqrt(n)
-    while f <= r:
-        if n % f == 0:
+    """Deterministic Miller-Rabin test, exact with the bases 2, 3, 5, 7 below 3215031751
+    (Pomerance-Selfridge-Wagstaff 1980, Jaeschke 1993) and the first 13 primes below
+    3317044064679887385961981 (Sorenson-Webster 2017); ValueError from there on."""
+    if n < 8:
+        return n in (2, 3, 5, 7)
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"{n} is past the deterministic Miller-Rabin range")
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # n - 1 = 2^s d, d odd
+    for a in (2, 3, 5, 7) if n < 3215031751 else (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, m >> s, n)
+        if x == 1 or x == m:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == m:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -183,21 +190,31 @@ class _QuadInt:
         return u * self
 
     @classmethod
+    @lru_cache(maxsize=256)
     def _split_prime(cls, p: int):
-        """Generator x + y t of a prime over p, normalized to 1 mod M.  x is the
-        first x > 0 with 4p - (4 - T^2) x^2 = r^2 for an integer r; then
-        y = (T x + r)/2 solves x^2 - T x y + y^2 = p, and r = T x mod 2.
-        Requires p = 1 mod |UNITS|."""
-        if (p - 1) % len(cls.UNITS):
-            raise NotSplitError(f"{p} is not 1 mod {len(cls.UNITS)}: not split for {cls.__name__}")
-        T = cls.T
-        d = 4 - T * T
-        for x in range(1, isqrt(4 * p // d) + 1):
-            r2 = 4 * p - d * x * x
-            r = isqrt(r2)
-            if r * r == r2:
-                return cls(x, (T * x + r) // 2).normalized()
-        raise NotSplitError(f"{p} is not a norm from {cls.__name__}")  # unreachable
+        """Generator x + y t, normalized to 1 mod M, of a prime over the prime
+        p = 1 mod |UNITS|, in O(log p): t has order k = 4 - T, so its image mod
+        p is s = c^((p-1)/k) for the first c >= 2 with s^2 + T s + 1 = 0, and
+        Cornacchia's descent from the root s of -1 resp. 2s + 1 of -3 gives
+        p = u^2 + D v^2, D = 1 resp. 3.  The conjugate returned is the scan's
+        (module doc): least x > 0 with 4p - (4 - T^2) x^2 = r^2 (x in u, v resp.
+        2v, |u - v|, u + v), y = (Tx + r)/2.  Cached for a row's second factor."""
+        if p < 5 or (p - 1) % len(cls.UNITS):
+            raise NotSplitError(f"{p} is not a prime 1 mod {len(cls.UNITS)} ({cls.__name__})")
+        T, k, D = cls.T, 4 - cls.T, 1 + 2 * cls.T
+        for c in range(2, p):
+            s = pow(c, (p - 1) // k, p)
+            if (s * s + T * s + 1) % p == 0:
+                break
+            if pow(s, k, p) != 1:  # c^(p-1) != 1 mod p
+                raise NotSplitError(f"{p} is not prime")
+        a, b, bound = p, (2 * s + 1) % p if T else s, isqrt(p)
+        while b > bound:
+            a, b = b, a % b
+        u, v = b, isqrt((p - b * b) // D)
+        x = min(2 * v, abs(u - v)) if T else min(u, v)
+        r = isqrt(4 * p - (4 - T * T) * x * x)
+        return cls(x, (T * x + r) // 2).normalized()
 
     def residue_symbol(self, alpha):
         """(alpha/self)_n with n = |UNITS|: the unit congruent to

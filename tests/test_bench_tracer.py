@@ -2,7 +2,8 @@
 patching their module bindings by name.  A rename on the CM coefficient path
 would crash that run or hide the calls from it; this test runs the tracer
 on two CM streams in a subprocess, so no patched function leaks into other
-tests, and reads bench/ without changing it."""
+tests, and reads bench/ without changing it.  The per-layer call counts are
+pinned, so the split cache must stay below the traced names."""
 
 import json
 import os
@@ -29,12 +30,16 @@ print(json.dumps(tracer.aggregate(tracer.load_spans(out_dir))))
 """
 
 
+COUNTS = {"ntkernel.split_prime.calls": 331, "ntkernel.residue_symbol.calls": 248,
+          "cmforms.coeff.hecke.calls": 342, "cmforms.ec_trace.cm.calls": 340}
+
+
 def test_tracer_sees_the_cm_coefficient_path(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(tmp_path), os.path.join(ROOT, "bench"),
          os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=300, check=True)
     metrics = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("ntkernel.split_prime.calls", "ntkernel.residue_symbol.calls",
-                 "cmforms.coeff.hecke.calls", "cmforms.ec_trace.cm.calls"):
-        assert metrics[name] > 0, name
+    # pinned: a cache above the traced names would lower the counts and hide
+    # split time from ntkernel.split_prime.s
+    assert {name: metrics[name] for name in COUNTS} == COUNTS

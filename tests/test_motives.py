@@ -1,13 +1,20 @@
 """Construction formulas, streams, caching, and cross-construction identities."""
 
 import os
+import shutil
+import tempfile
+import warnings
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from stmotives import cmforms
 from stmotives import motives as mv
-from stmotives.cmforms import CurveSpec, FORMS, coeff, ec_trace
-from stmotives.ntkernel import Q, QW
+from stmotives.cmforms import CurveSpec, FORMS, NewformHandle, coeff, ec_trace
+from stmotives.ntkernel import Q, QW, primes_up_to
 from stmotives.records import ConsistencyError, LPoly, SkippedPrime, normalize
 
 
@@ -126,6 +133,57 @@ def test_cache_roundtrip(tmp_path):
         fh.write("# spec=other bound=300\n1\t2\t3\n")
     rows3 = mv.cached_lpoly_stream(spec, 300, str(tmp_path))
     assert rows3 == rows1
+
+
+def test_edited_file_form_is_not_served_stale(tmp_path):
+    # the cache key hashes a file form's contents, not only its label
+    table = tmp_path / "5.4a.txt"
+    shutil.copy(FORMS["5.4a"].path, table)
+    form = NewformHandle("5.4a", 4, 5, "file", path=str(table))
+    spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], form), Q)
+    before = mv.cached_lpoly_stream(spec, 2**8, str(tmp_path))
+    lines = table.read_text().splitlines()
+    i = lines.index("7 6")
+    lines[i] = "7 -6"  # still inside |b_7| <= 2 * 7^(3/2)
+    table.write_text("\n".join(lines) + "\n")
+    cmforms._FILE_TABLES.clear()
+    after = mv.cached_lpoly_stream(spec, 2**8, str(tmp_path))
+    assert after == mv.cached_lpoly_stream(spec, 2**8, None)
+    assert after != before and [r for r in after if r[0] != 7] == [r for r in before if r[0] != 7]
+    cmforms._FILE_TABLES.clear()
+
+
+def _weil_rows(full):
+    """Rows (p, c1[, c2]) at primes up to 2^12 with c1, c2 inside their Weil windows."""
+    def row(p):
+        c1 = hst.integers(-isqrt(16 * p**3), isqrt(16 * p**3))
+        if not full:
+            return hst.tuples(hst.just(p), c1)
+        return hst.tuples(hst.just(p), c1, hst.integers(-2 * p * p, 6 * p * p))
+    return hst.lists(hst.sampled_from(primes_up_to(2**12)).flatmap(row), min_size=1, max_size=40)
+
+
+@given(hst.booleans(), hst.data())
+@settings(max_examples=60, deadline=None)
+def test_stream_cache_round_trip(full, data):
+    rows = data.draw(_weil_rows(full))
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        path = mv.cache_path(cache_dir, spec, 2**12, a1_only=not full)
+        mv.write_stream_cache(path, spec, 2**12, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mv.read_stream_cache(path, spec, 2**12) == rows
+        # move one row past its Weil bound: a warned miss
+        i = data.draw(hst.integers(0, len(rows) - 1))
+        p, c1 = rows[i][:2]
+        if full and data.draw(hst.booleans()):
+            bad = (p, c1, 6 * p * p + 1)  # c2 past 6 p^2
+        else:
+            bad = (p, isqrt(16 * p**3) + 1) + rows[i][2:]  # c1 past 4 p^(3/2)
+        mv.write_stream_cache(path, spec, 2**12, rows[:i] + [bad] + rows[i + 1:])
+        with pytest.warns(RuntimeWarning, match="corrupt stream cache"):
+            assert mv.read_stream_cache(path, spec, 2**12) is None
 
 
 @pytest.mark.parametrize("a1_only,bad_row", [

@@ -1,8 +1,29 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from stmotives import motives as mv
 from stmotives import ntkernel as nt
+from stmotives.cmforms import FORMS
+
+
+def _trial_division_is_prime(n):
+    """Oracle for is_prime and for the splitter's primes."""
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def _scan_split(ring, p):
+    """Oracle for the splitter: the first x > 0 with 4p - (4 - T^2) x^2 = r^2,
+    then y = (T x + r)/2 solves x^2 - T x y + y^2 = p; normalized to 1 mod M."""
+    d = 4 - ring.T * ring.T
+    for x in range(1, isqrt(4 * p // d) + 1):
+        r2 = 4 * p - d * x * x
+        r = isqrt(r2)
+        if r * r == r2:
+            return ring(x, (ring.T * x + r) // 2).normalized()
+    raise AssertionError(f"{p} is not a norm from {ring.__name__}")
 
 
 def test_primes_up_to_small():
@@ -14,7 +35,7 @@ def test_primes_up_to_small():
 def test_primes_up_to_count_independent_sieve():
     # second opinion: trial division
     def slow(bound):
-        return [n for n in range(2, bound + 1) if nt.is_prime(n)]
+        return [n for n in range(2, bound + 1) if _trial_division_is_prime(n)]
 
     assert nt.primes_up_to(2500) == slow(2500)
     assert len(nt.primes_up_to(2**13)) == 1028
@@ -52,6 +73,13 @@ def test_split_prime_qi_small():
     assert (a13.a, a13.b) in ((3, 2), (3, -2))
     with pytest.raises(nt.NotSplitError):
         nt.split_prime_qi(7)
+
+
+@pytest.mark.parametrize("ring,n", [(nt.GaussInt, n) for n in (-3, 1, 7, 21, 25, 65)]
+                         + [(nt.EisenInt, n) for n in (1, 5, 25, 49, 91)])
+def test_splitter_rejects_what_is_not_a_split_prime(ring, n):
+    with pytest.raises(nt.NotSplitError):
+        _SPLITTERS[ring](n)
 
 
 def test_split_prime_qi_normalization_unique():
@@ -137,6 +165,78 @@ def test_symbol_rejects_non_prime():
         nt.residue_symbol_quartic(nt.GaussInt(3, 0), nt.GaussInt(3, 0))  # norm 9
     with pytest.raises(nt.NotPrimeError):
         nt.residue_symbol_sextic(nt.EisenInt(2, 0), nt.EisenInt(4, 0))  # norm 16
+    # norms 1 mod n with b != 0 mod N: only the primality check rejects these
+    with pytest.raises(nt.NotPrimeError):
+        nt.residue_symbol_quartic(nt.GaussInt(2, 1), nt.GaussInt(3, 4))  # norm 25
+    with pytest.raises(nt.NotPrimeError):
+        nt.residue_symbol_sextic(nt.EisenInt(2, 1), nt.EisenInt(8, 3))  # norm 49
+
+
+def test_is_prime_matches_the_sieve():
+    primes = set(nt.primes_up_to(10**6))
+    assert [n for n in range(10**6) if nt.is_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize("n,factor", [
+    (2047, 23), (1373653, 829), (25326001, 2251), (3215031751, 151), (2152302898747, 6763),
+    (3474749660383, 1303), (341550071728321, 10670053), (3825123056546413051, 149491)])
+def test_is_prime_rejects_strong_pseudoprimes(n, factor):
+    # the least strong pseudoprimes to the first 1, 2, ..., 9 prime bases
+    assert n % factor == 0
+    assert not nt.is_prime(n)
+
+
+def test_is_prime_range():
+    assert nt.is_prime(2**61 - 1) and nt.is_prime(2**79 - 67)
+    with pytest.raises(ValueError):
+        nt.is_prime(2**89 - 1)
+
+
+@pytest.mark.parametrize("ring", [nt.GaussInt, nt.EisenInt])
+def test_split_matches_the_scan_below_2_14(ring):
+    k = len(ring.UNITS)
+    split = _SPLITTERS[ring]
+    for p in nt.primes_up_to(2**14):
+        if p % k == 1:
+            assert split(p) == _scan_split(ring, p), p
+
+
+@given(hst.sampled_from([nt.GaussInt, nt.EisenInt]), hst.integers(5, 2**24 - 2**10))
+@settings(max_examples=200, deadline=None)
+def test_split_matches_the_scan_below_2_24(ring, n):
+    k = len(ring.UNITS)
+    p = next(q for q in range(n, 2**25) if q % k == 1 and _trial_division_is_prime(q))
+    assert _SPLITTERS[ring](p) == _scan_split(ring, p)
+
+
+def test_split_and_symbols_near_2_61():
+    # out of reach of the scan and of trial division
+    ps = []
+    p = 2**61 - 2**61 % 12 + 1
+    while len(ps) < 3:
+        p -= 12
+        if nt.is_prime(p):
+            ps.append(p)
+    for p in ps:
+        for ring in (nt.GaussInt, nt.EisenInt):
+            alpha = _SPLITTERS[ring](p)
+            assert alpha.norm() == p
+            assert ring(*ring.M).divides(alpha - ring(1, 0))
+            n = len(ring.UNITS)
+            for a in (2, 3):
+                u = _SYMBOLS[ring](ring(a, 0), alpha)
+                assert u in ring.UNITS and u**n == ring(1, 0)
+
+
+def test_second_constituent_reuses_the_split():
+    # sum(27.2a, 9.4a)/Q: both forms split each p = 1 mod 3 over Q(w)
+    split = nt.EisenInt._split_prime
+    split.cache_clear()
+    mv.cached_lpoly_stream(mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), nt.Q),
+                           2**12, None)
+    n_split = len(nt.degree_one_primes(nt.QW, 2**12))
+    info = split.cache_info()
+    assert (info.misses, info.hits) == (n_split, n_split)
 
 
 _SPLIT_PRIMES = {
