@@ -15,8 +15,10 @@ tests for the table it reproduces.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .ntkernel import (
@@ -121,6 +123,10 @@ class CurveSpec:
         return CurveSpec(0, 0, 0, A, B)
 
     def discriminant(self) -> int:
+        return self._discriminant
+
+    @cached_property
+    def _discriminant(self) -> int:  # once per curve: each stream row asks four times
         b2 = self.a1**2 + 4 * self.a2
         b4 = 2 * self.a4 + self.a1 * self.a3
         b6 = self.a3**2 + 4 * self.a6
@@ -223,7 +229,17 @@ class NewformHandle:
         return self.level % p != 0
 
 
-_FILE_TABLES: dict[str, dict[int, int]] = {}
+_FILE_TABLES: dict[str, tuple[bytes, dict[int, int]]] = {}  # path: (SHA-256, table)
+
+
+def file_digest(path: str) -> bytes:
+    """The SHA-256 of a coefficient file's contents; re-reads the file's
+    memoized table if it was read from other contents.  Streams call it once."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    if _FILE_TABLES.get(path, (None,))[0] != digest:
+        _FILE_TABLES[path] = (digest, load_coeffs(path))
+    return digest
 
 
 def load_coeffs(path: str) -> dict[int, int]:
@@ -266,9 +282,9 @@ def coeff(form: NewformHandle, p: int) -> int:
         b = ec_trace(form.curve, p)
     elif form.kind == "file":
         if form.path not in _FILE_TABLES:
-            _FILE_TABLES[form.path] = load_coeffs(form.path)
+            file_digest(form.path)
         try:
-            b = _FILE_TABLES[form.path][p]
+            b = _FILE_TABLES[form.path][1][p]
         except KeyError:
             raise BadPrimeError(f"{form.label}: no coefficient for p={p} in file")
     else:

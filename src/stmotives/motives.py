@@ -150,12 +150,16 @@ class MotiveSpec:
     def describe(self) -> str:
         return f"{self.construction.describe()}/{self.base_field.name}"
 
+    def file_digests(self) -> list[bytes]:
+        """The SHA-256 of each file form's contents, through cmforms.file_digest,
+        so a file edited since its table was read is read again."""
+        return [cmforms.file_digest(form.path) for form in vars(self.construction).values()
+                if isinstance(form, NewformHandle) and form.kind == "file"]
+
     def spec_hash(self) -> str:
         h = hashlib.sha256(f"{self.CACHE_FORMAT}:{self.describe()}".encode())
-        for form in vars(self.construction).values():  # a label stays when its file changes
-            if isinstance(form, NewformHandle) and form.kind == "file":
-                with open(form.path, "rb") as fh:
-                    h.update(hashlib.sha256(fh.read()).digest())
+        for digest in self.file_digests():  # a label stays when its file changes
+            h.update(digest)
         return h.hexdigest()[:16]
 
 
@@ -175,6 +179,7 @@ def stream_primes(spec: MotiveSpec, bound: int) -> list[int]:
 
 def lpoly_stream(spec: MotiveSpec, bound: int):
     """Yield (p, LPoly) over good degree-1 primes p <= bound, ascending."""
+    spec.file_digests()  # re-reads an edited file form, once per stream
     for p in stream_primes(spec, bound):
         try:
             yield p, spec.construction.lpoly(p)
@@ -185,6 +190,7 @@ def lpoly_stream(spec: MotiveSpec, bound: int):
 def a1_stream(spec: MotiveSpec, bound: int):
     """Yield (p, c1) pairs only; for the Dwork construction this avoids
     the O(p^2) second trace entirely."""
+    spec.file_digests()  # re-reads an edited file form, once per stream
     for p in stream_primes(spec, bound):
         row = _row(spec, p, True)
         if row is not None:
@@ -275,6 +281,7 @@ def cached_lpoly_stream(spec: MotiveSpec, bound: int, cache_dir: str | None,
 
 
 def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
+    spec.file_digests()  # re-reads an edited file form, once per stream
     primes = stream_primes(spec, bound)
     row = partial(_row, spec, a1_only=a1_only)
     if jobs > 1:

@@ -91,16 +91,7 @@ QSQRT3 = FieldSpec("Q(sqrt3)", 12, frozenset({1, 11}), frozenset({2, 3}))
 
 FIELDS = {f.name: f for f in (Q, QI, QW, QIW, QSQRT3)}
 # accepted spellings on the CLI / in specs
-FIELD_ALIASES = {
-    "Q": Q,
-    "Q(i)": QI,
-    "Q(w)": QW,
-    "Q(omega)": QW,
-    "Q(i,w)": QIW,
-    "Q(i,omega)": QIW,
-    "Q(sqrt3)": QSQRT3,
-    "Q(sqrt(3))": QSQRT3,
-}
+FIELD_ALIASES = {**FIELDS, "Q(omega)": QW, "Q(i,omega)": QIW, "Q(sqrt(3))": QSQRT3}
 
 
 def degree_one_primes(field: FieldSpec, bound: int) -> list[int]:

@@ -10,7 +10,7 @@ precision p^k.  The trace at q = p gives the L-polynomial coefficient
 c1 = -H_p; the pair (H_p, H_{p^2}) mod p^4 gives c2 = (H_p^2 - H_{p^2})/(2p).
 
 Gamma values come from one of two interchangeable backends, each with a
-scalar gamma_int and an int64-array gamma_array:
+scalar gamma_int, a list gamma_list and an int64-array gamma_array:
 
 * GammaTables: one cubic in p y per residue x0 for Gamma_p(x0 + p y) mod
   p^k, k <= 4, from factorial-type tables and the series on p*Z_p.  O(p)
@@ -22,8 +22,10 @@ scalar gamma_int and an int64-array gamma_array:
 Each sum has one kernel at every precision and on either backend.  hp_poly
 sums the banded H_p series (the term at m carries p^e, e stepping up at
 the band cuts floor((i p + 5 - i)/5), so only the m below the k-th cut
-survive mod p^k) and hp_fast evaluates it at Teich(z); dwork_c1 runs it at
-k = 2 (p > 64) or k = 4.  The O(p^2) sum H_{p^2} runs in one numpy int64
+survive mod p^k) from two Gamma_p values a term (see _hp_coeffs); hp_fast
+evaluates it at Teich(z), and dwork_c1 runs it at k = 2 (p > 64) or k = 4 in
+pure Python (numpy would add half to a c1 process's peak RSS).  The O(p^2)
+sum H_{p^2} runs in one numpy int64
 kernel (_dwork_hp2), block by block over m, exact for p^4 < 2^50 (p <=
 HP2_MAX_P = 5791); dwork_lpoly runs both on one backend at the c2
 precision.  The generic Fraction-based trace_Hq computes H_q from the
@@ -163,6 +165,16 @@ class GammaTables:
             g = (c[x0] + _mulmod(py, g, self.pk)) % self.pk
         return g
 
+    def gamma_list(self, xs) -> list[int]:
+        """gamma_int over a list of residues, inlined: a map over gamma_int
+        costs twice as much."""
+        p, pk = self.p, self.pk
+        C0, C1, C2, C3 = self.C
+        if self.k <= 2:  # C2 = C3 = 0
+            return [(C0[x0] + (x - x0) * C1[x0]) % pk for x in xs for x0 in (x % p,)]
+        return [(C0[x0] + py * (C1[x0] + py * (C2[x0] + py * C3[x0]))) % pk
+                for x in xs for x0 in (x % p,) for py in (x - x0,)]
+
     def gamma_frac(self, x: Fraction) -> int:
         return self.gamma_int(rational_mod(x.numerator, x.denominator, self.pk))
 
@@ -173,10 +185,8 @@ class GammaProductTable:
     Stored as int64 (p^k < 2^63), 8 bytes a residue."""
 
     def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        pk = p**k
-        self.pk = pk
+        self.p, self.k, self.pk = p, k, p**k
+        pk = self.pk
         G = array("q", [1]) * pk
         g = 1
         for n in range(1, pk):
@@ -193,6 +203,9 @@ class GammaProductTable:
         import numpy as np
 
         return np.frombuffer(self.G, dtype=np.int64)[x]
+
+    def gamma_list(self, xs) -> list[int]:
+        return list(map(self.G.__getitem__, xs))
 
     def gamma_frac(self, x: Fraction) -> int:
         return self.G[rational_mod(x.numerator, x.denominator, self.pk)]
@@ -291,47 +304,56 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> HVa
 def _hp_coeffs(p: int, tables: GammaTables | GammaProductTable) -> list[int]:
     """The Teich(z) coefficients of H_p(Dwork | z) mod p^k, up to the band cut.
 
-    The term at m carries p^e, e = eta_m + 4 from the grid numerators of
-    {j/5 + m/(1-p)} and {m/(1-p)} over D = 5(p-1); e steps from 0 to 4 at
-    the cuts floor((i p + 5 - i)/5), so the terms past the k-th cut vanish
-    mod p^k.  The beta gamma is not inverted: Gamma_p(x) Gamma_p(1-x) = +-1
-    and the sign drops out of its fourth power.  `tables` is any gamma
-    backend (gamma_int, pk and k) at the wanted precision.
+    The term at m carries p^e: e = eta_m + 4, from the grid numerators of the
+    alphas {j/5 + u} and betas {u} (u = m/(1-p)) over D = 5(p-1), counts the
+    alphas that wrapped past 1, j <= e.  e steps from 0 to 4 at the band cuts
+    floor((i p + 5 - i)/5); terms past the k-th cut vanish mod p^k.  With y = 5u,
+    b = m/(p-1) = -u and f = floor(5m/p), a term costs two Gamma_p values:
+
+      coeff_m = (-1)^(e+m+1) p^e/(1-p) 5^(1+f) omega(5)^(-5m) Gamma_p(y) b Gamma_p(b)^5 prod_{j<=e} w_j
+
+    * Gauss multiplication (Robert, A Course in p-adic Analysis, ch. VII):
+      prod_{j<5} Gamma_p(u + j/5) = eps_5 5^(1-R) c^Q Gamma_p(y), y = R + pQ,
+      1 <= R <= p, c = 5^-(p-1), and eps_5 = prod_j Gamma_p(j/5) cancels as the
+      m = 0 alpha product.  R = 5m - fp, Q = f + y and c^-y = (5/omega(5))^(5m),
+      omega the Teichmuller lift, so 5^(1-R) c^Q = 5^(1+f) omega(5)^(-5m).
+    * Reflection, Gamma_p(x) Gamma_p(1-x) = (-1)^R(x), and Gamma_p(1+b) = -b Gamma_p(b):
+      1/Gamma_p(u) = (-1)^(m+1) b Gamma_p(b); the betas give Gamma_p(b)^4.
+    * A wrapped alpha adds w_j = -(u + j/5) = (5m - j(p-1))/D, or -1 in p Z_p.
+
+    `tables` is any gamma backend (gamma_list, pk, k) at the wanted precision.
     """
     if p == 5 or p == 2:
         raise ValueError("p = 2, 5 are bad for the Dwork parameters")
     k, pk = tables.k, tables.pk
-    gamma = tables.gamma_int
     d = 5 * (p - 1)
-    invd = pow(d, -1, pk)
+    invd, inv1mp = pow(d, -1, pk), pow(1 - p, -1, pk)
     cut = min(p - 1, (k * p + 5 - k) // 5)
-    na = [j * (p - 1) for j in (1, 2, 3, 4)]
+    bs = [5 * m * invd % pk for m in range(cut)]  # b = m/(p-1)
+    gys, gbs = tables.gamma_list([-5 * b % pk for b in bs]), tables.gamma_list(bs)
+    r = -pow(teichmuller(5, p, k), -5, pk)  # r^m = (-1)^m omega(5)^(-5m)
+    n1, n2, n3, n4 = na = [j * (p - 1) for j in (1, 2, 3, 4)]
     sa0 = sum(na)
-    nb = 0
-    ca = 1  # prod_j Gamma_p(j/5), the m = 0 value of the alpha product
-    for n in na:
-        ca = ca * gamma(n * invd % pk) % pk
-    inv1mp = pow(1 - p, -1, pk)
-    scale = pow(ca, -1, pk) * inv1mp % pk
-    p_pows = [p**e for e in range(k)]
-    coeffs = [inv1mp]
-    for m in range(1, cut):
-        for j in range(4):
-            na[j] = (na[j] - 5) % d
-        nb = (nb - 5) % d
-        e, rem = divmod(sum(na) - sa0 - 4 * nb + 4 * d, d)
-        if rem:
-            raise ConsistencyError(f"eta_m not an integer at m={m}, p={p}")
-        if not 0 <= e < k:
-            raise ConsistencyError(f"net p-power {e} at m={m} is outside [0, {k}) before the "
-                                   f"band cut {cut}, p={p}")
-        g = 1
-        for n in na:
-            g = g * gamma(n * invd % pk) % pk
-        b = gamma((d - nb) * invd % pk)  # Gamma_p(1 - nb/D)
-        b = b * b % pk
-        term = p_pows[e] * g % pk * (b * b % pk) % pk * scale % pk
-        coeffs.append(-term % pk if e & 1 else term)  # (-1)^eta_m = (-1)^e
+    coeffs, rm = [inv1mp], 1
+    for e in range(k):  # the band where the alphas j <= e have wrapped
+        s = [(-1) ** (e + 1) * p**e * pow(invd, e, pk) * 5 ** (f + 1) * inv1mp % pk
+             for f in range(k + 1)]
+        for m in range(len(coeffs), min(p - 1, ((e + 1) * p + 4 - e) // 5)):
+            m5 = 5 * m
+            ns = (n1 - m5) % d, (n2 - m5) % d, (n3 - m5) % d, (n4 - m5) % d
+            eg, rem = divmod(sum(ns) - sa0 + 4 * m5, d)  # the betas: D - 5m each
+            if rem:
+                raise ConsistencyError(f"eta_m not an integer at m={m}, p={p}")
+            if eg != e:
+                raise ConsistencyError(f"net p-power {eg} at m={m} is not its band's wrap "
+                                       f"count {e} in [0, {k}) before the band cut {cut}, p={p}")
+            rm = rm * r % pk
+            g = gbs[m]
+            g2 = g * g % pk
+            t = s[m5 // p] * rm % pk * gys[m] % pk * bs[m] % pk * g % pk * (g2 * g2) % pk
+            for n in ns[:e]:  # D w_j = D - n_j
+                t = t * (d - n if (d - n) % p else -d) % pk
+            coeffs.append(t)
     return coeffs
 
 
@@ -377,51 +399,26 @@ def _poly_rem(a: list[int], b: list[int], mod: int) -> list[int]:
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % mod
         if c:
-            a[i] = 0
             for j in range(db):
                 a[i - db + j] = (a[i - db + j] - c * b[j]) % mod
-        else:
-            a[i] = 0
-    return [c % mod for c in a[:db]] if db > 0 else []
+    return [c % mod for c in a[:db]]
 
 
 def _multipoint_tree(coeffs: list[int], points: list[int], mod: int) -> list[int]:
     """Subproduct-tree multipoint evaluation over Z/mod."""
-    n = len(points)
-    if n == 0:
+    if not points:
         return []
-    # leaves are the monic linear factors (x - t)
-    layer = [[(-t) % mod, 1] for t in points]
-    tree = [layer]
-    while len(layer) > 1:
-        nxt = []
-        for i in range(0, len(layer) - 1, 2):
-            nxt.append(_poly_mul(layer[i], layer[i + 1], mod))
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        tree.append(nxt)
-        layer = nxt
-    # push remainders down the tree
+    # leaves are the monic linear factors (x - t); a level's odd node out moves up as it is
+    tree = [[[-t % mod, 1] for t in points]]
+    while len(tree[-1]) > 1:
+        low = tree[-1]
+        tree.append([_poly_mul(low[i], low[i + 1], mod) for i in range(0, len(low) - 1, 2)]
+                    + low[len(low) - len(low) % 2:])
+    # push remainders down the tree: node i's parent is node i // 2 one level up
     rems = [list(coeffs)]
     for level in reversed(tree[:-1]):
-        new_rems = []
-        idx = 0
-        parent = 0
-        while idx < len(level):
-            if idx + 1 < len(level):
-                r = rems[parent]
-                new_rems.append(_poly_rem(r, level[idx], mod))
-                new_rems.append(_poly_rem(r, level[idx + 1], mod))
-                idx += 2
-            else:
-                new_rems.append(rems[parent])
-                idx += 1
-            parent += 1
-        rems = new_rems
-    out = []
-    for r in rems:
-        out.append(r[0] % mod if r else 0)
-    return out
+        rems = [_poly_rem(rems[i // 2], node, mod) for i, node in enumerate(level)]
+    return [r[0] % mod if r else 0 for r in rems]
 
 
 def _horner_eval(coeffs: tuple[int, ...], t: int, mod: int) -> int:
@@ -550,12 +547,7 @@ def _check_dwork_prime(z: Fraction, p: int) -> None:
 
 
 def _c2_precision(p: int) -> int:
-    # need p^k > width 16 p^3 of the c2 window
-    if p == 3:
-        return 6
-    if p <= 13:
-        return 5
-    return 4
+    return 6 if p == 3 else 5 if p <= 13 else 4  # p^k > 16 p^3, the c2 window's width
 
 
 def _c1_lift(hp: PadicInt) -> int:

@@ -81,19 +81,12 @@ TIE_RELATIVE = 0.01
 def _metric_vector(stats: MomentStats, g) -> tuple[list[float], list[int]]:
     """Per-moment scaled deviations and the group's raw moment vector on
     the same moment set (the latter feeds the inter-group separation)."""
-    devs = []
-    raw = []
-    for n in A1_NS:
-        if n in stats.a1:
-            m = stgroups.moment(g, "a1", n)
-            devs.append((stats.a1[n] - m) / max(1.0, abs(m)))
+    devs, raw = [], []
+    for coeff, ns, got in (("a1", A1_NS, stats.a1), ("a2", A2_NS, stats.a2 or {})):
+        for n in (n for n in ns if n in got):
+            m = stgroups.moment(g, coeff, n)
+            devs.append((got[n] - m) / max(1.0, abs(m)))
             raw.append(m)
-    if stats.a2 is not None:
-        for n in A2_NS:
-            if n in stats.a2:
-                m = stgroups.moment(g, "a2", n)
-                devs.append((stats.a2[n] - m) / max(1.0, abs(m)))
-                raw.append(m)
     return devs, raw
 
 
@@ -159,8 +152,8 @@ def _fmt(x: float, places: int) -> str:
 
 
 def stats_row(stats: MomentStats) -> list[str]:
-    n = stats.bound.bit_length() - 1 if stats.bound & (stats.bound - 1) == 0 else stats.bound
-    cells = [str(n)]
+    b = stats.bound  # the first cell: log2 of a power of two below 2^64, else "B=<bound>"
+    cells = [str(b.bit_length() - 1) if 0 < b < 2**64 and b & (b - 1) == 0 else f"B={b}"]
     for nn, places in zip(A1_NS, A1_DECIMALS):
         cells.append(_fmt(stats.a1[nn], places) if nn in stats.a1 else "")
     if stats.a2 is not None:
@@ -207,5 +200,6 @@ def parse_stats_tsv(text: str) -> MomentStats:
             continue
         coeff, mn = name.split(".M")
         (a1 if coeff == "a1" else a2)[int(mn)] = float(cell)
-    n = int(data[0])
-    return MomentStats(2**n if n < 64 else n, 0, a1, a2 or None)
+    n = data[0]  # a plain cell: log2 of the bound below 64, else the bound (older files)
+    bound = int(n[2:]) if n.startswith("B=") else 2 ** int(n) if int(n) < 64 else int(n)
+    return MomentStats(bound, 0, a1, a2 or None)

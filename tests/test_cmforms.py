@@ -228,3 +228,10 @@ def test_nebentypus_parity_enforced():
                          nebentypus=cf.CHI4)
     with pytest.raises(ValueError):
         cf.NewformHandle("y", 3, 1, "hecke", hecke=("Q(i)", 2, None, None))
+
+
+def test_discriminant_is_computed_once_per_curve():
+    e = cf.CurveSpec(0, -1, 1, -10, -20)  # 11a1: discriminant -11^5
+    assert e.discriminant() == -(11**5) == e.discriminant()
+    assert vars(e)["_discriminant"] == -(11**5)  # kept on the object for every later row
+    assert cf.CurveSpec.short(-2, 0).discriminant() == 512 and e == cf.CurveSpec(0, -1, 1, -10, -20)

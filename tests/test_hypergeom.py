@@ -1,6 +1,9 @@
 """Hypergeometric trace sums, dual-path identities, Dwork L-polynomials."""
 
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -14,13 +17,17 @@ from stmotives.records import DegenerateFiber
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 13, 17, 23, 31, 41])
-def test_eta_band_table_matches_definition(p):
+def test_eta_band_table_matches_definition(p, monkeypatch):
     """The banded H_p kernel (exponent from the grid numerators, sum cut at
     the k-th band) against the definition-based trace, at every precision
     the backend supports.  The series tables need p >= 5 past k = 2, so
-    p = 3 runs on the product table."""
-    backends = ([ph.GammaProductTable(p, k) for k in range(1, 7)] if p == 3
-                else [ph.GammaTables(p, k) for k in range(1, 5)])
+    p = 3 runs on the product table only; every p <= 13 also runs on the
+    product table at k = 4..6, built once for the kernel and the trace."""
+    backend = functools.cache(ph._gamma_backend)  # p <= 13: the product table
+    monkeypatch.setattr(ph, "_gamma_backend", backend)
+    backends = [ph.GammaTables(p, k) for k in range(1, 5)] if p > 3 else []
+    if p <= 13:
+        backends += [backend(p, k) for k in range(1 if p == 3 else 4, 7)]
     for tables in backends:
         for z in (-1, 2, Fraction(1, 2)):
             fast = ph.hp_fast(z, p, tables).value
@@ -42,13 +49,17 @@ def test_hp_fast_equals_full_trace(p):
 
 
 class _CountingTables(ph.GammaTables):
-    """Gamma tables that count their gamma_int evaluations."""
+    """Gamma tables that count the values they evaluate, one by one or by list."""
 
     calls = 0
 
     def gamma_int(self, xhat):
         self.calls += 1
         return super().gamma_int(xhat)
+
+    def gamma_list(self, xs):
+        self.calls += len(xs)
+        return super().gamma_list(xs)
 
 
 def test_hp_fast_o_of_p_cost():
@@ -57,10 +68,27 @@ def test_hp_fast_o_of_p_cost():
         tables = _CountingTables(p, 2)
         ph.hp_fast(-1, p, tables)
         cut = (2 * p + 3) // 5  # the second band cut: terms past it vanish mod p^2
-        assert tables.calls <= 5 * cut + 4
+        assert tables.calls <= 2 * cut + 4  # two Gamma_p values a term
         ratios.append(tables.calls / p)
     # linear in p: calls per p stable
     assert max(ratios) / min(ratios) < 1.2
+
+
+def test_c1_path_never_imports_numpy(tmp_path):
+    """numpy would raise the c1 CLI process's peak RSS by half: dwork_c1 on
+    either backend and `motive dwork --coeffs a1` run without it."""
+    code = ("import sys\n"
+            "from stmotives import cli, padic_hypergeom as ph\n"
+            "ph.dwork_c1(-1, 13), ph.dwork_c1(2, 8191)\n"
+            "assert 'numpy' not in sys.modules, 'dwork_c1'\n"
+            "assert cli.main(['motive', 'dwork', '--z', '-1', '--bound-log2', '9', '--coeffs', 'a1',\n"
+            "                 '--classify', '--cache-dir', sys.argv[1]]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'motive dwork --coeffs a1'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_hp_fast_rejects_bad_inputs():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from stmotives import cmforms
 from stmotives import motives as mv
 from stmotives.cmforms import CurveSpec, FORMS, NewformHandle, coeff, ec_trace
 from stmotives.ntkernel import Q, QW, primes_up_to
@@ -146,11 +145,10 @@ def test_edited_file_form_is_not_served_stale(tmp_path):
     i = lines.index("7 6")
     lines[i] = "7 -6"  # still inside |b_7| <= 2 * 7^(3/2)
     table.write_text("\n".join(lines) + "\n")
-    cmforms._FILE_TABLES.clear()
     after = mv.cached_lpoly_stream(spec, 2**8, str(tmp_path))
     assert after == mv.cached_lpoly_stream(spec, 2**8, None)
+    assert after == [(p, lp.c1, lp.c2) for p, lp in mv.lpoly_stream(spec, 2**8)]
     assert after != before and [r for r in after if r[0] != 7] == [r for r in before if r[0] != 7]
-    cmforms._FILE_TABLES.clear()
 
 
 def _weil_rows(full):

@@ -1,5 +1,6 @@
 """Gamma tables against the raw product definition, at both precisions."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -141,3 +142,54 @@ def test_gamma_array_equals_gamma_int_on_product_table(p, k):
     x = _residues(t.pk, np.random.default_rng(p))
     assert t.gamma_array(x).tolist() == [t.gamma_int(v) for v in x.tolist()]
 
+
+
+def _check_gauss_multiplication_and_reflection(t, rng):
+    """At random residues x mod p^k, through gamma_list:
+    prod_{j<5} Gamma_p(x + j/5) = eps_5 5^(1-R) c^Q Gamma_p(5x) (5x = R + pQ,
+    1 <= R <= p, c = 5^-(p-1), eps_5 = prod_j Gamma_p(j/5); Robert, A Course in
+    p-adic Analysis, ch. VII) and Gamma_p(x) Gamma_p(1-x) = (-1)^R(x).  c^Q is
+    the binomial series sum_{i<k} C(Q, i) (c-1)^i, which needs Q mod p^(k-1) only."""
+    p, k, pk = t.p, t.k, t.pk
+    inv5 = pow(5, -1, pk)
+    eps5 = math.prod(t.gamma_list([j * inv5 % pk for j in range(5)])) % pk
+    c = pow(5, 1 - p, pk)
+    xs = [0, 1, pk - 1] + rng.integers(0, pk, 60).tolist()
+    gs = t.gamma_list(xs)
+    assert gs == [t.gamma_int(x) for x in xs]
+    for x, g in zip(xs, gs):
+        y = 5 * x % pk
+        r = y % p or p
+        q = (y - r) // p % p ** (k - 1)
+        cq = sum(math.comb(q, i) * (c - 1) ** i for i in range(k))
+        lhs = math.prod(t.gamma_list([(x + j * inv5) % pk for j in range(5)]))
+        assert lhs % pk == eps5 * pow(5, 1 - r, pk) * cq * t.gamma_int(y) % pk, x
+        assert g * t.gamma_int((1 - x) % pk) % pk == (-1) ** (x % p or p) % pk, x
+
+
+@pytest.mark.parametrize("p", [7, 13, 101, 8191])
+def test_gauss_multiplication_and_reflection_on_series_tables(p):
+    for k in (1, 2, 3, 4):
+        _check_gauss_multiplication_and_reflection(ph.GammaTables(p, k), np.random.default_rng(p + k))
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_gauss_multiplication_and_reflection_on_product_table(p):
+    for k in range(1, 7):
+        _check_gauss_multiplication_and_reflection(ph.GammaProductTable(p, k),
+                                                   np.random.default_rng(p + k))
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (7, 5), (13, 4), (101, 2), (8191, 4)])
+def test_band_kernel_gauss_factor(p, k):
+    """The banded H_p kernel's 5^(1+f) omega(5)^(-5m), f = floor(5m/p), is the
+    Gauss factor 5^(1-R(y)) (5^-(p-1))^Q(y) at y = 5m/(1-p), for every m < p-1."""
+    pk = p**k
+    c = pow(5, 1 - p, pk)
+    w5 = pow(5, p ** (k - 1), pk)  # the Teichmuller lift of 5
+    for m in range(1, p - 1):
+        y = 5 * m * pow(1 - p, -1, pk) % pk
+        r = y % p or p
+        q = (y - r) // p % p ** (k - 1)
+        cq = sum(math.comb(q, i) * (c - 1) ** i for i in range(k))
+        assert pow(5, 1 - r, pk) * cq % pk == pow(5, 1 + 5 * m // p, pk) * pow(w5, -5 * m, pk) % pk, m

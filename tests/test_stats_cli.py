@@ -105,6 +105,20 @@ def test_stats_tsv_roundtrip():
     assert back.a2[7] == 7.0
 
 
+@pytest.mark.parametrize("bound", [0, 1, 48, 1000, 2**12, 2**13 + 1, 2**70, 3 * 2**70])
+def test_stats_tsv_bound_roundtrip(bound):
+    s = MomentStats(bound, 5, {2: 1.0}, None)
+    assert parse_stats_tsv(emit_table([stats_row(s)])).bound == bound
+
+
+def test_stats_tsv_reads_old_bound_cells():
+    # power-of-two bounds are still written as their log2, byte for byte
+    assert stats_row(MomentStats(2**13, 5, {2: 1.0}, None))[0] == "13"
+    for cell, bound in (("13", 2**13), ("48", 2**48), ("100", 100)):
+        text = emit_table([[cell] + [""] * (len(stats.STATS_HEADER) - 1)])
+        assert parse_stats_tsv(text).bound == bound
+
+
 def test_cli_groups_table(capsys):
     rc = cli.main(["groups", "table", "--coeff", "a1", "--group", "USp(4)"])
     out = capsys.readouterr().out
