@@ -10,13 +10,11 @@ Subpackages:
   cli               command-line entry point
 """
 
-from .records import ConsistencyError, DegenerateFiber, LPoly, NormalizedCoeffs, SkippedPrime, normalize
+from .records import ConsistencyError, DegenerateFiber, LPoly, SkippedPrime
 
 __all__ = [
     "ConsistencyError",
     "DegenerateFiber",
     "LPoly",
-    "NormalizedCoeffs",
     "SkippedPrime",
-    "normalize",
 ]

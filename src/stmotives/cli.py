@@ -13,8 +13,8 @@
 Motive commands print the moment-statistics row (and with --classify the
 nearest-group ranking).  Exit codes: 0 ok, 1 internal consistency failure,
 2 bad arguments (unknown or missing labels, wrong form weights, a singular
-curve, z = 0 or 1, a bound below 2^1), 3 data errors (including a stream
-with no good primes).
+curve, z = 0 or 1, a bound below 2^1, an --out path that cannot be written),
+3 data errors (including a stream with no good primes).
 """
 
 from __future__ import annotations
@@ -75,8 +75,11 @@ def _curve(text: str | None, flag: str) -> CurveSpec:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --out {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

@@ -18,6 +18,11 @@ Frobenius traces at p):
 Base change to a field K enters only through the degree-1 prime filter;
 bad primes (dividing a level or discriminant, or degenerate pencil
 fibers) raise SkippedPrime and are excluded from streams.
+
+cached_lpoly_stream is the one stream: rows (p, c1, c2), or (p, c1) with
+a1_only (for the Dwork pencil c1 alone skips the O(p^2) H_{p^2} sum), over
+stream_primes, from one row function _row on the serial, process-pool and
+cached paths, with an optional TSV cache keyed by MotiveSpec.spec_hash.
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ from functools import partial
 from . import cmforms, padic_hypergeom
 from .cmforms import CurveSpec, NewformHandle, coeff, ec_trace
 from .ntkernel import FieldSpec, Q, degree_one_primes
-from .records import ConsistencyError, LPoly, NormalizedCoeffs, SkippedPrime, normalize
+from .records import ConsistencyError, LPoly, SkippedPrime
 
 __all__ = [
     "DirectSum", "TensorEC", "SymCube", "TensorMF", "Dwork", "MotiveSpec",
-    "LPoly", "NormalizedCoeffs", "normalize", "lpoly", "lpoly_stream",
-    "a1_stream", "cached_lpoly_stream", "stream_primes",
+    "LPoly", "cached_lpoly_stream", "stream_primes",
 ]
 
 
@@ -163,38 +167,11 @@ class MotiveSpec:
         return h.hexdigest()[:16]
 
 
-def lpoly(spec: MotiveSpec, p: int) -> LPoly:
-    """The L-polynomial at one degree-1 prime (SkippedPrime if bad)."""
-    if not spec.base_field.is_degree_one(p):
-        raise SkippedPrime(f"{p} is not degree 1 in {spec.base_field.name}")
-    return spec.construction.lpoly(p)
-
-
 def stream_primes(spec: MotiveSpec, bound: int) -> list[int]:
     """Degree-1 primes entering the statistics.  p = 2 is always skipped:
     the reference moment tables this library reproduces exclude it even
     where the constituents have good reduction there."""
     return [p for p in degree_one_primes(spec.base_field, bound) if p != 2]
-
-
-def lpoly_stream(spec: MotiveSpec, bound: int):
-    """Yield (p, LPoly) over good degree-1 primes p <= bound, ascending."""
-    spec.file_digests()  # re-reads an edited file form, once per stream
-    for p in stream_primes(spec, bound):
-        try:
-            yield p, spec.construction.lpoly(p)
-        except SkippedPrime:
-            continue
-
-
-def a1_stream(spec: MotiveSpec, bound: int):
-    """Yield (p, c1) pairs only; for the Dwork construction this avoids
-    the O(p^2) second trace entirely."""
-    spec.file_digests()  # re-reads an edited file form, once per stream
-    for p in stream_primes(spec, bound):
-        row = _row(spec, p, True)
-        if row is not None:
-            yield row
 
 
 def _row(spec: MotiveSpec, p: int, a1_only: bool):
@@ -268,7 +245,9 @@ def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
 
 def cached_lpoly_stream(spec: MotiveSpec, bound: int, cache_dir: str | None,
                         a1_only: bool = False, jobs: int = 1):
-    """Stream rows (p, c1[, c2]) with optional disk cache and parallelism."""
+    """The rows (p, c1, c2), or (p, c1) when a1_only, at the good primes of
+    stream_primes(spec, bound), ascending; read from and written to a cache
+    file under cache_dir when one is given, computed by `jobs` processes."""
     path = cache_path(cache_dir, spec, bound, a1_only) if cache_dir else None
     if path:
         rows = read_stream_cache(path, spec, bound)

@@ -265,27 +265,7 @@ def residue_symbol_sextic(alpha: EisenInt, pi: EisenInt) -> EisenInt:
 
 
 # ---------------------------------------------------------------------------
-# Teichmuller lifts / fixed-precision p-adic residues
-
-
-@dataclass(frozen=True)
-class PadicInt:
-    """A residue 0 <= value < p^k standing in for a p-adic integer known
-    to precision k."""
-
-    value: int
-    p: int
-    k: int
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.k
-
-    def balanced(self) -> int:
-        """Lift to the representative in (-p^k/2, p^k/2]."""
-        m = self.modulus
-        v = self.value % m
-        return v - m if v > m // 2 else v
+# Teichmuller lifts and rational residues
 
 
 def teichmuller(z: int, p: int, k: int) -> int:

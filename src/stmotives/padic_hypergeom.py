@@ -10,7 +10,8 @@ precision p^k.  The trace at q = p gives the L-polynomial coefficient
 c1 = -H_p; the pair (H_p, H_{p^2}) mod p^4 gives c2 = (H_p^2 - H_{p^2})/(2p).
 
 Gamma values come from one of two interchangeable backends, each with a
-scalar gamma_int, a list gamma_list and an int64-array gamma_array:
+pure-Python gamma_list (the H_p kernel, the oracle) and an int64-array
+gamma_array (the H_{p^2} kernel):
 
 * GammaTables: one cubic in p y per residue x0 for Gamma_p(x0 + p y) mod
   p^k, k <= 4, from factorial-type tables and the series on p*Z_p.  O(p)
@@ -25,20 +26,21 @@ the band cuts floor((i p + 5 - i)/5), so only the m below the k-th cut
 survive mod p^k) from two Gamma_p values a term (see _hp_coeffs); hp_fast
 evaluates it at Teich(z), and dwork_c1 runs it at k = 2 (p > 64) or k = 4 in
 pure Python (numpy would add half to a c1 process's peak RSS).  The O(p^2)
-sum H_{p^2} runs in one numpy int64
-kernel (_dwork_hp2), block by block over m, exact for p^4 < 2^50 (p <=
-HP2_MAX_P = 5791); dwork_lpoly runs both on one backend at the c2
-precision.  The generic Fraction-based trace_Hq computes H_q from the
-definitions; production never calls it, it is the tests' oracle.
+sum H_{p^2} runs in one numpy int64 kernel (_dwork_hp2), block by block over
+m, exact for p^4 < 2^50 (p <= HP2_MAX_P = 5791); dwork_lpoly runs both on one
+backend at the c2 precision.  Every trace is a plain int mod p^k, k the
+backend's precision.  The generic Fraction-based trace_Hq computes H_q from
+the definitions; production never calls it, it is the tests' oracle.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ntkernel import PadicInt, rational_mod, teichmuller
+from .ntkernel import rational_mod, teichmuller
 from .records import ConsistencyError, DegenerateFiber, LPoly
 
 ONE_FIFTH = Fraction(1, 5)
@@ -53,21 +55,6 @@ class HGParams:
 
 
 DWORK = HGParams(DWORK_ALPHA, DWORK_BETA)
-
-
-@dataclass(frozen=True)
-class HValue:
-    value: PadicInt
-    q: int
-
-
-@dataclass(frozen=True)
-class HPoly:
-    """H_p(z) as a polynomial in Teich(z), coefficients mod p^k."""
-
-    p: int
-    coeffs: tuple[int, ...]
-    k: int
 
 
 def _frac(x: Fraction) -> Fraction:
@@ -144,15 +131,8 @@ class GammaTables:
         self.C = (C0, C1, C2, C3)
         self._C_np = None
 
-    def gamma_int(self, xhat: int) -> int:
-        """Gamma_p(x) mod p^k for the residue xhat of x."""
-        x0 = xhat % self.p
-        py = xhat - x0
-        C0, C1, C2, C3 = self.C
-        return (C0[x0] + py * (C1[x0] + py * (C2[x0] + py * C3[x0]))) % self.pk
-
     def gamma_array(self, x):
-        """gamma_int over an int64 numpy array of residues mod p^k."""
+        """gamma_list over an int64 numpy array of residues mod p^k."""
         import numpy as np
 
         if self._C_np is None:
@@ -166,17 +146,14 @@ class GammaTables:
         return g
 
     def gamma_list(self, xs) -> list[int]:
-        """gamma_int over a list of residues, inlined: a map over gamma_int
-        costs twice as much."""
+        """Gamma_p(x) mod p^k for each residue x mod p^k in xs: the cubic of
+        x0 = x mod p at py = x - x0."""
         p, pk = self.p, self.pk
         C0, C1, C2, C3 = self.C
         if self.k <= 2:  # C2 = C3 = 0
             return [(C0[x0] + (x - x0) * C1[x0]) % pk for x in xs for x0 in (x % p,)]
         return [(C0[x0] + py * (C1[x0] + py * (C2[x0] + py * C3[x0]))) % pk
                 for x in xs for x0 in (x % p,) for py in (x - x0,)]
-
-    def gamma_frac(self, x: Fraction) -> int:
-        return self.gamma_int(rational_mod(x.numerator, x.denominator, self.pk))
 
 
 class GammaProductTable:
@@ -195,20 +172,14 @@ class GammaProductTable:
             G[n] = g
         self.G = G
 
-    def gamma_int(self, xhat: int) -> int:
-        return self.G[xhat]
-
     def gamma_array(self, x):
-        """gamma_int over an int64 numpy array: a numpy view lookup."""
+        """gamma_list over an int64 numpy array: a numpy view lookup."""
         import numpy as np
 
         return np.frombuffer(self.G, dtype=np.int64)[x]
 
     def gamma_list(self, xs) -> list[int]:
         return list(map(self.G.__getitem__, xs))
-
-    def gamma_frac(self, x: Fraction) -> int:
-        return self.G[rational_mod(x.numerator, x.denominator, self.pk)]
 
 
 def _gamma_backend(p: int, k: int):
@@ -229,8 +200,9 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"q={q} is not p, p^2 or p^3 for a prime p")
 
 
-def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> HValue:
-    """The full hypergeometric trace sum, computed from the definitions.
+def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> int:
+    """The full hypergeometric trace sum mod p^precision, computed from the
+    definitions.
 
     Exact-rational bookkeeping for the fractional parts; gamma values at
     precision p^precision.  O(q) gamma evaluations.  Production never
@@ -248,40 +220,24 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> HVa
         if x.denominator % p == 0:
             raise ValueError(f"parameter {x} not p-integral at p={p}")
     tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
+
+    def parts(xs, delta):  # the fractional parts {p^v (x + delta)}, v < f
+        return [_frac(p**v * (x + delta)) for x in xs for v in range(f)]
+
+    def gamma_prod(fracs):
+        xs = [rational_mod(x.numerator, x.denominator, pk) for x in fracs]
+        return math.prod(backend.gamma_list(xs)) % pk
+
     # constant parts of eta_m and of the Pochhammer ratios (their m=0 values)
-    ca = 1
-    eta0_a = Fraction(0)
-    for a in params.alpha:
-        for v in range(f):
-            fr = _frac(p**v * a)
-            eta0_a += fr
-            ca = ca * backend.gamma_frac(fr) % pk
-    cb = 1
-    eta0_b = Fraction(0)
-    for b in params.beta:
-        for v in range(f):
-            fr = _frac(p**v * b)
-            eta0_b += fr
-            cb = cb * backend.gamma_frac(fr) % pk
+    a0, b0 = parts(params.alpha, 0), parts(params.beta, 0)
+    ca, cb = gamma_prod(a0), gamma_prod(b0)
+    eta0 = sum(a0) - sum(b0)
     zero_betas = sum(1 for b in params.beta if b == 0)
     total = 0
     for m in range(q - 1):
         delta = Fraction(m, 1 - q)
-        eta_a = -eta0_a
-        num = 1
-        for a in params.alpha:
-            for v in range(f):
-                fr = _frac(p**v * (a + delta))
-                eta_a += fr
-                num = num * backend.gamma_frac(fr) % pk
-        eta_b = -eta0_b
-        den = 1
-        for b in params.beta:
-            for v in range(f):
-                fr = _frac(p**v * (b + delta))
-                eta_b += fr
-                den = den * backend.gamma_frac(fr) % pk
-        eta = eta_a - eta_b
+        am, bm = parts(params.alpha, delta), parts(params.beta, delta)
+        eta = sum(am) - sum(bm) - eta0
         if eta.denominator != 1:
             raise ConsistencyError(f"eta_m not an integer at m={m}")
         xi = zero_betas - sum(1 for b in params.beta if b + delta == 0)
@@ -290,11 +246,10 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> HVa
             raise ConsistencyError(f"negative net p-power at m={m}")
         if e >= k:
             continue
-        term = p**e * num * cb % pk * pow(den * ca % pk, -1, pk) % pk
+        term = p**e * gamma_prod(am) * cb % pk * pow(gamma_prod(bm) * ca % pk, -1, pk) % pk
         term = term * pow(tz, m, pk) % pk
         total = (total - term if int(eta) & 1 else total + term) % pk
-    h = total * pow(1 - q, -1, pk) % pk
-    return HValue(PadicInt(h, p, k), q)
+    return total * pow(1 - q, -1, pk) % pk
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +312,15 @@ def _hp_coeffs(p: int, tables: GammaTables | GammaProductTable) -> list[int]:
     return coeffs
 
 
-def hp_poly(p: int, tables: GammaTables | GammaProductTable | None = None) -> HPoly:
-    """H_p as a polynomial in Teich(z): p - 1 coefficients mod p^k, zero from
-    the band cut on.  Default tables: GammaTables(p, 2)."""
-    tables = tables or GammaTables(p, 2)
-    coeffs = _hp_coeffs(p, tables)
-    return HPoly(p, tuple(coeffs) + (0,) * (p - 1 - len(coeffs)), tables.k)
+def hp_poly(p: int, tables: GammaTables | GammaProductTable | None = None) -> tuple[int, ...]:
+    """H_p as a polynomial in Teich(z): its p - 1 coefficients mod p^k, k the
+    precision of `tables` (default GammaTables(p, 2)), zero from the band cut on."""
+    coeffs = _hp_coeffs(p, tables or GammaTables(p, 2))
+    return tuple(coeffs) + (0,) * (p - 1 - len(coeffs))
 
 
 def hp_fast(z: Fraction | int, p: int,
-            tables: GammaTables | GammaProductTable | None = None) -> HValue:
+            tables: GammaTables | GammaProductTable | None = None) -> int:
     """H_p(Dwork | z) mod p^k, k the precision of `tables` (default
     GammaTables(p, 2)): the hp_poly coefficients evaluated at Teich(z).
     O(p) gamma values and ring operations."""
@@ -377,7 +331,7 @@ def hp_fast(z: Fraction | int, p: int,
     pk = tables.pk
     coeffs = _hp_coeffs(p, tables)
     tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)
-    return HValue(PadicInt(_horner_eval(coeffs, tz, pk), p, tables.k), p)
+    return _horner_eval(coeffs, tz, pk)
 
 
 # --- multipoint evaluation -------------------------------------------------
@@ -428,21 +382,23 @@ def _horner_eval(coeffs: tuple[int, ...], t: int, mod: int) -> int:
     return acc
 
 
-def batch_evaluate(poly: HPoly, p: int, force: str | None = None) -> dict[int, HValue]:
-    """H_p(z) mod p^k for every z in (Z/p)^*, evaluating the Teich(z) polynomial.
+def batch_evaluate(coeffs: tuple[int, ...], p: int, k: int,
+                   force: str | None = None) -> dict[int, int]:
+    """H_p(z) mod p^k for every z in (Z/p)^*, evaluating the Teich(z)
+    polynomial `coeffs` (hp_poly's, at precision k).
 
     Subproduct-tree path for p > 64, plain Horner otherwise (or force one
     with force='tree'/'horner'); the two agree bit-exactly.
     """
-    pk = p**poly.k
+    pk = p**k
     zs = list(range(1, p))
-    points = [teichmuller(z, p, poly.k) for z in zs]
+    points = [teichmuller(z, p, k) for z in zs]
     method = force or ("tree" if p > 64 else "horner")
     if method == "tree":
-        vals = _multipoint_tree(list(poly.coeffs), points, pk)
+        vals = _multipoint_tree(list(coeffs), points, pk)
     else:
-        vals = [_horner_eval(poly.coeffs, t, pk) for t in points]
-    return {z: HValue(PadicInt(v, p, poly.k), p) for z, v in zip(zs, vals)}
+        vals = [_horner_eval(coeffs, t, pk) for t in points]
+    return dict(zip(zs, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +457,7 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables | GammaProductTable) -> 
     A = np.array([p**v * j * (q - 1) % d for j in (1, 2, 3, 4) for v in (0, 1)] + [0, 0],
                  dtype=np.int64)[:, None]
     S = np.array([5, 5 * p] * 5, dtype=np.int64)[:, None]
-    ca = 1
-    for n in A[:8, 0].tolist():
-        ca = ca * tables.gamma_int(n * invd % pk) % pk
+    ca = math.prod(tables.gamma_list([n * invd % pk for n in A[:8, 0].tolist()])) % pk
     tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
     tpow = np.array([pow(tz, j, pk) for j in range(p - 1)], dtype=np.int64)  # tz^(p-1) = 1
     ppow = np.array([p**e for e in range(k)], dtype=np.int64)
@@ -550,11 +504,14 @@ def _c2_precision(p: int) -> int:
     return 6 if p == 3 else 5 if p <= 13 else 4  # p^k > 16 p^3, the c2 window's width
 
 
-def _c1_lift(hp: PadicInt) -> int:
-    """c1 = -H_p lifted to (-p^k/2, p^k/2], checked against |c1| <= 4 p^(3/2)."""
-    c1 = PadicInt(-hp.value % hp.modulus, hp.p, hp.k).balanced()
-    if c1 * c1 > 16 * hp.p**3:
-        raise ConsistencyError(f"c1={c1} violates the Weil bound at p={hp.p}")
+def _c1_lift(h: int, p: int, pk: int) -> int:
+    """c1 = -H_p, from h = H_p mod pk, lifted to (-pk/2, pk/2] and checked
+    against |c1| <= 4 p^(3/2)."""
+    c1 = -h % pk
+    if c1 > pk // 2:
+        c1 -= pk
+    if c1 * c1 > 16 * p**3:
+        raise ConsistencyError(f"c1={c1} violates the Weil bound at p={p}")
     return c1
 
 
@@ -566,7 +523,8 @@ def dwork_c1(z: Fraction | int, p: int) -> int:
     """
     z = Fraction(z)
     _check_dwork_prime(z, p)
-    return _c1_lift(hp_fast(z, p, _gamma_backend(p, 2 if p > 64 else 4)).value)
+    tables = _gamma_backend(p, 2 if p > 64 else 4)
+    return _c1_lift(hp_fast(z, p, tables), p, tables.pk)
 
 
 def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
@@ -577,10 +535,10 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     _check_dwork_prime(z, p)
     tables = _gamma_backend(p, _c2_precision(p))
     pk = tables.pk
-    hp = hp_fast(z, p, tables).value
-    c1 = _c1_lift(hp)
+    hp = hp_fast(z, p, tables)
+    c1 = _c1_lift(hp, p, pk)
     # lift H_p^2 - H_{p^2} into (-4p^3, 12p^3]
-    w = (hp.value * hp.value - _dwork_hp2(z, p, tables)) % pk
+    w = (hp * hp - _dwork_hp2(z, p, tables)) % pk
     hi = 12 * p**3
     if w > hi:
         w -= pk

@@ -31,18 +31,3 @@ class LPoly:
             raise ConsistencyError(f"|c1|={abs(self.c1)} breaks the Weil bound at p={self.p}")
         if not (-2 * self.p**2 <= self.c2 <= 6 * self.p**2):
             raise ConsistencyError(f"c2={self.c2} out of range at p={self.p}")
-
-    def coefficients(self) -> tuple[int, int, int, int, int]:
-        p = self.p
-        return (1, self.c1, self.c2 * p, self.c1 * p**3, p**6)
-
-
-@dataclass(frozen=True)
-class NormalizedCoeffs:
-    a1: float
-    a2: float
-
-
-def normalize(lp: LPoly) -> NormalizedCoeffs:
-    """a1 = c1/p^(3/2) in [-4,4], a2 = c2/p^2 in [-2,6]."""
-    return NormalizedCoeffs(lp.c1 / lp.p**1.5, lp.c2 / lp.p**2)

@@ -193,6 +193,9 @@ def parse_stats_tsv(text: str) -> MomentStats:
             data = ln.split("\t")
     if header is None or data is None:
         raise ValueError("no stats rows found")
+    unknown = [name for name in header if name not in STATS_HEADER]
+    if unknown:
+        raise ValueError(f"unknown column(s) {unknown}; expected some of {STATS_HEADER}")
     a1: dict[int, float] = {}
     a2: dict[int, float] = {}
     for name, cell in zip(header[1:], data[1:]):
@@ -200,6 +203,8 @@ def parse_stats_tsv(text: str) -> MomentStats:
             continue
         coeff, mn = name.split(".M")
         (a1 if coeff == "a1" else a2)[int(mn)] = float(cell)
+    if not a1 and not a2:
+        raise ValueError("the stats row has no moment values")
     n = data[0]  # a plain cell: log2 of the bound below 64, else the bound (older files)
     bound = int(n[2:]) if n.startswith("B=") else 2 ** int(n) if int(n) < 64 else int(n)
     return MomentStats(bound, 0, a1, a2 or None)

@@ -64,12 +64,9 @@ class Component:
     vars: tuple[TorusVar, ...]
     eigen: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def charpoly_coeffs(self) -> tuple[dict, dict]:
-        """(a1, a2) as Laurent polynomials: a1 = -sum(lam), a2 = e2(lam)."""
-        return self.charpoly_coeff("a1"), self.charpoly_coeff("a2")
-
     def charpoly_coeff(self, coeff: str) -> dict:
-        """One of a1, a2 as a Laurent polynomial (a1 needs no product)."""
+        """a1 = -sum(lam) or a2 = e2(lam) as a Laurent polynomial (a1 needs
+        no product)."""
         lams = [lp_term(exps, zeta24_power(zp)) for zp, exps in self.eigen]
         out = lp_const(len(self.vars), (0,) * 8)
         if coeff == "a1":
@@ -236,11 +233,6 @@ def group(name: str) -> STGroup:
 # moments and invariants
 
 
-def expectation(expr: dict, vars: tuple[TorusVar, ...]) -> Fraction:
-    """Exact Haar expectation of a Laurent expression in the given vars."""
-    return lp_expectation(expr, tuple(v.kind for v in vars))
-
-
 def _check_moment_args(coeff: str, n: int) -> None:
     if coeff not in ("a1", "a2"):
         raise ValueError("coeff must be 'a1' or 'a2'")
@@ -260,7 +252,8 @@ class _PowerSeries:
         one = lp_const(len(kinds), CYC_ONE)
         self.state = (one, (lp_expectation(one, kinds),))
 
-    def expectation(self, n: int) -> Fraction:
+    def moment(self, n: int) -> Fraction:
+        """E[f^n]."""
         power, values = self.state
         while len(values) <= n:
             power = lp_mul(power, self.f)
@@ -282,7 +275,7 @@ def component_moment(comp: Component, coeff: str, n: int) -> Fraction:
     series = _SERIES.get(key)
     if series is None:
         series = _SERIES[key] = _PowerSeries(comp.charpoly_coeff(coeff), key[0])
-    return series.expectation(n)
+    return series.moment(n)
 
 
 def moment(g: STGroup | str, coeff: str, n: int) -> int:
@@ -325,10 +318,9 @@ def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:
     z1 = 0
     z2 = [0, 0, 0, 0, 0]
     for comp in g.components:
-        a1, a2 = comp.charpoly_coeffs()
-        if lp_constant_value(a1) == 0:
+        if lp_constant_value(comp.charpoly_coeff("a1")) == 0:
             z1 += 1
-        v = lp_constant_value(a2)
+        v = lp_constant_value(comp.charpoly_coeff("a2"))
         if v is not None and -2 <= v <= 2:
             z2[v + 2] += 1
     return g.dim, g.num_components, z1, z2, g.component_group
@@ -356,12 +348,11 @@ def sample_many(g: STGroup | str, count: int, seed: int = 0):
             continue
         kinds = comp.kinds()
         if "usp4" in kinds:
-            angs = _usp4_pairs_np(rng, m)
+            angs = _rejection_np(rng, m, 2, 3, _usp4_accept)
         else:
             angs = np.column_stack([_angles_np(k, rng, m) for k in kinds]) if kinds else np.zeros((m, 0))
-        a1, a2 = comp.charpoly_coeffs()
-        out1[pos : pos + m] = _lp_eval_np(a1, angs)
-        out2[pos : pos + m] = _lp_eval_np(a2, angs)
+        out1[pos : pos + m] = _lp_eval_np(comp.charpoly_coeff("a1"), angs)
+        out2[pos : pos + m] = _lp_eval_np(comp.charpoly_coeff("a2"), angs)
         pos += m
     return out1, out2
 
@@ -371,31 +362,26 @@ def _angles_np(kind, rng, m):
 
     if kind == "circle":
         return rng.uniform(0.0, 2.0 * np.pi, size=m)
-    out = np.empty(m)
-    have = 0
-    while have < m:
-        t = rng.uniform(0.0, np.pi, size=2 * (m - have) + 16)
-        keep = t[rng.uniform(size=t.size) <= np.sin(t) ** 2]
-        take = min(keep.size, m - have)
-        out[have : have + take] = keep[:take]
-        have += take
+    out = _rejection_np(rng, m, 1, 2, lambda t: np.sin(t) ** 2)[:, 0]
     return out if kind == "su2" else out / 2.0
 
 
-def _usp4_pairs_np(rng, m):
+def _rejection_np(rng, m, dims, oversample, weight):
+    """m draws of `dims` angles in [0, pi), accepted with probability
+    weight(t_1, ..., t_dims) <= 1.  Each round draws oversample * (m - have)
+    + 16 candidates, one uniform array per angle and then one for the test."""
     import numpy as np
 
-    out = np.empty((m, 2))
+    out = np.empty((m, dims))
     have = 0
     while have < m:
-        k = 3 * (m - have) + 16
-        t1 = rng.uniform(0.0, np.pi, size=k)
-        t2 = rng.uniform(0.0, np.pi, size=k)
-        sel = rng.uniform(size=k) <= _usp4_accept(t1, t2)
-        t1, t2 = t1[sel], t2[sel]
-        take = min(t1.size, m - have)
-        out[have : have + take, 0] = t1[:take]
-        out[have : have + take, 1] = t2[:take]
+        k = oversample * (m - have) + 16
+        ts = [rng.uniform(0.0, np.pi, size=k) for _ in range(dims)]
+        sel = rng.uniform(size=k) <= weight(*ts)
+        kept = [t[sel] for t in ts]  # per angle: no (k, dims) copy of the candidates
+        take = min(kept[0].size, m - have)
+        for j, t in enumerate(kept):
+            out[have : have + take, j] = t[:take]
         have += take
     return out
 

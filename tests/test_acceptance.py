@@ -22,7 +22,6 @@ repository's review notes):
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from stmotives import cmforms, motives, stats, stgroups
@@ -30,6 +29,7 @@ from stmotives.cmforms import CurveSpec, FORMS
 from stmotives.ntkernel import Q, QW
 from stmotives.records import LPoly
 
+from sample_moments import sample_moments
 from table_data import (
     A1_MOMENTS,
     A2_MOMENTS,
@@ -97,11 +97,11 @@ def test_03_printed_bp_tables():
 def test_04_direct_sum_regression_2pow16():
     t0 = time.time()
     spec_w = motives.MotiveSpec(motives.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
-    rows_w = [(p, lp.c1, lp.c2) for p, lp in motives.lpoly_stream(spec_w, 2**16)]
+    rows_w = motives.cached_lpoly_stream(spec_w, 2**16, None)
     got_w = stats.stats_row(stats.moment_statistics(rows_w, 2**16))[1:]
     assert got_w == ROW_MFSUM_C1_16
     spec_q = motives.MotiveSpec(motives.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), Q)
-    rows_q = [(p, lp.c1, lp.c2) for p, lp in motives.lpoly_stream(spec_q, 2**16)]
+    rows_q = motives.cached_lpoly_stream(spec_q, 2**16, None)
     got_q = stats.stats_row(stats.moment_statistics(rows_q, 2**16))[1:]
     assert got_q == ROW_MFSUM_JC1_16
     dt = time.time() - t0
@@ -113,7 +113,7 @@ def test_05_tensor_ec_regression_and_classification():
     spec = motives.MotiveSpec(
         motives.TensorEC(CurveSpec.short(0, 4), CurveSpec.short(0, 1)), QW
     )
-    rows = [(p, lp.c1, lp.c2) for p, lp in motives.lpoly_stream(spec, 2**16)]
+    rows = motives.cached_lpoly_stream(spec, 2**16, None)
     st = stats.moment_statistics(rows, 2**16)
     assert stats.stats_row(st)[1:] == ROW_ECPROD_C3_16
     result = stats.classify(st)
@@ -147,7 +147,7 @@ def test_06a_dwork_row10(dwork_rows_1024, dwork_elapsed):
 def test_06b_dwork_row13_a1(dwork_rows_1024):
     t0 = time.time()
     spec = motives.MotiveSpec(motives.Dwork(Fraction(-1)), Q)
-    rows = list(motives.a1_stream(spec, 2**13))
+    rows = motives.cached_lpoly_stream(spec, 2**13, None, a1_only=True)
     dt = time.time() - t0
     st = stats.moment_statistics(reference_rows(rows), 2**13)
     assert stats.stats_row(st)[1:7] == ROW_USP4_13_A1
@@ -160,8 +160,8 @@ def test_06b_dwork_row13_a1(dwork_rows_1024):
 def test_07_cross_construction_identity():
     s1 = motives.MotiveSpec(motives.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), Q)
     s2 = motives.MotiveSpec(motives.TensorMF(FORMS["27.2a"], FORMS["27.3.5a"]), Q)
-    r1 = [(p, lp.c1, lp.c2) for p, lp in motives.lpoly_stream(s1, 2**12)]
-    r2 = [(p, lp.c1, lp.c2) for p, lp in motives.lpoly_stream(s2, 2**12)]
+    r1 = motives.cached_lpoly_stream(s1, 2**12, None)
+    r2 = motives.cached_lpoly_stream(s2, 2**12, None)
     assert r1 == r2 and len(r1) == 562
     _report("[7] sum(27.2a, 9.4a) == tensor(27.2a, 27.3.5a) pair-by-pair, p <= 2^12",
             f"({len(r1)} primes)")
@@ -178,17 +178,17 @@ def test_08a_property_weil_bounds_all_constructions(dwork_rows_1024):
     ]
     n = 0
     for spec in specs:
-        for p, lp in motives.lpoly_stream(spec, bound):
+        for p, c1, c2 in motives.cached_lpoly_stream(spec, bound, None):
             # LPoly validates on construction; assert the bounds explicitly
-            assert lp.c1 * lp.c1 <= 16 * p**3
-            assert -2 * p * p <= lp.c2 <= 6 * p * p
+            assert c1 * c1 <= 16 * p**3
+            assert -2 * p * p <= c2 <= 6 * p * p
             n += 1
     # Dwork: full pairs at 2^10 (session fixture), c1-only up to 2^14
     for p, c1, c2 in dwork_rows_1024:
         LPoly(p, c1, c2)
         n += 1
     spec = motives.MotiveSpec(motives.Dwork(Fraction(-1)), Q)
-    for p, c1 in motives.a1_stream(spec, bound):
+    for p, c1 in motives.cached_lpoly_stream(spec, bound, None, a1_only=True, jobs=2):
         assert c1 * c1 <= 16 * p**3
         n += 1
     _report("[8a] Weil bounds + c2 range/integrality on every emitted L-polynomial",
@@ -200,11 +200,11 @@ def test_08b_dual_path_identities():
 
     for p in (7, 13, 43, 101):
         for z in (-1, 2):
-            assert ph.hp_fast(z, p).value.value == ph.trace_Hq(ph.DWORK, z, p, 2).value.value
-    poly = ph.hp_poly(101)
-    tree = ph.batch_evaluate(poly, 101, force="tree")
-    horner = ph.batch_evaluate(poly, 101, force="horner")
-    assert all(tree[z].value.value == horner[z].value.value for z in range(1, 101))
+            assert ph.hp_fast(z, p) == ph.trace_Hq(ph.DWORK, z, p, 2)
+    coeffs = ph.hp_poly(101)
+    tree = ph.batch_evaluate(coeffs, 101, 2, force="tree")
+    horner = ph.batch_evaluate(coeffs, 101, 2, force="horner")
+    assert all(tree[z] == horner[z] for z in range(1, 101))
     for curve in (CurveSpec.short(0, 1), CurveSpec.short(-1, 0)):
         for p in range(5, 500):
             if not all(p % d for d in range(2, int(p**0.5) + 1)):
@@ -235,18 +235,20 @@ def test_08c_monte_carlo_all_groups():
     top1 = 0
     for g in stgroups.catalog():
         s1, s2 = stgroups.sample_many(g, n_samples, seed=g.catalog_index + 1)
-        for coeff, vals in (("a1", s1), ("a2", s2)):
+        a1_means, a1_stds = sample_moments(s1, max(stats.A1_NS))
+        a2_means, a2_stds = sample_moments(s2, max(stats.A2_NS))
+        for coeff, means, stds in (("a1", a1_means, a1_stds), ("a2", a2_means, a2_stds)):
             for n in range(1, 9):
-                emp = float(np.mean(vals**n))
-                sig = float(np.std(vals**n)) / n_samples**0.5
+                emp = means[n]
+                sig = stds[n] / n_samples**0.5
                 exact = stgroups.moment(g, coeff, n)
                 if abs(emp - exact) > 5 * sig + 1e-9:
                     failures.append((g.name, coeff, n, emp, exact, sig))
         # classification from sampled statistics
         st = stats.MomentStats(
             0, n_samples,
-            {n: float(np.mean(s1**n)) for n in stats.A1_NS},
-            {n: float(np.mean(s2**n)) for n in stats.A2_NS},
+            {n: a1_means[n] for n in stats.A1_NS},
+            {n: a2_means[n] for n in stats.A2_NS},
         )
         result = stats.classify(st)
         family = next((fam for fam in degenerate if g.name in fam), None)

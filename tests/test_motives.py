@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 from stmotives import motives as mv
 from stmotives.cmforms import CurveSpec, FORMS, NewformHandle, coeff, ec_trace
 from stmotives.ntkernel import Q, QW, primes_up_to
-from stmotives.records import ConsistencyError, LPoly, SkippedPrime, normalize
+from stmotives.records import ConsistencyError, LPoly, SkippedPrime
 
 
 def test_direct_sum_formula_at_split_prime():
@@ -22,7 +22,7 @@ def test_direct_sum_formula_at_split_prime():
     p = 13
     b = coeff(FORMS["32.2a"], p)
     d = coeff(FORMS["9.4a"], p)
-    lp = mv.lpoly(spec, p)
+    lp = spec.construction.lpoly(p)
     assert lp.c1 == -(p * b + d)
     assert lp.c2 == b * d + 2 * p * p
 
@@ -44,25 +44,22 @@ def test_tensor_mf_inert_case_gives_j_signature():
     # at p inert in the CM field: b_p = d_p = 0, chi(p) = -1 -> (0, 2p^2)
     spec = mv.MotiveSpec(mv.TensorMF(FORMS["27.2a"], FORMS["27.3.5a"]), Q)
     p = 5
-    lp = mv.lpoly(spec, p)
+    lp = spec.construction.lpoly(p)
     assert (lp.c1, lp.c2) == (0, 2 * p * p)
-    assert normalize(lp).a1 == 0.0
-    assert normalize(lp).a2 == 2.0
 
 
 def test_degree_one_filter_and_skips():
     spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
+    assert 5 not in mv.stream_primes(spec, 50)  # inert in Q(w)
     with pytest.raises(SkippedPrime):
-        mv.lpoly(spec, 5)  # inert in Q(w)
-    with pytest.raises(SkippedPrime):
-        mv.lpoly(spec, 3)  # divides the level
-    ps = [p for p, _ in mv.lpoly_stream(spec, 50)]
+        spec.construction.lpoly(3)  # divides the level
+    ps = [p for p, *_ in mv.cached_lpoly_stream(spec, 50, None)]
     assert ps == [7, 13, 19, 31, 37, 43]
 
 
 def test_stream_excludes_two_even_over_q():
     spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), Q)
-    ps = [p for p, _ in mv.lpoly_stream(spec, 20)]
+    ps = [p for p, *_ in mv.cached_lpoly_stream(spec, 20, None)]
     assert ps == [5, 7, 11, 13, 17, 19]
 
 
@@ -71,8 +68,8 @@ def test_cross_construction_identity_sum_vs_tensor():
     same L-polynomial at every good prime."""
     s1 = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), Q)
     s2 = mv.MotiveSpec(mv.TensorMF(FORMS["27.2a"], FORMS["27.3.5a"]), Q)
-    r1 = [(p, lp.c1, lp.c2) for p, lp in mv.lpoly_stream(s1, 2**12)]
-    r2 = [(p, lp.c1, lp.c2) for p, lp in mv.lpoly_stream(s2, 2**12)]
+    r1 = mv.cached_lpoly_stream(s1, 2**12, None)
+    r2 = mv.cached_lpoly_stream(s2, 2**12, None)
     assert r1 == r2
     assert len(r1) == len([p for p in range(3, 4097) if all(p % d for d in range(2, p)) and p != 3])
 
@@ -83,9 +80,7 @@ def test_quadratic_twist_in_sym_square_slot_is_invisible():
     e_tw = CurveSpec.short(0, 8)  # quadratic twist by 2
     sc = mv.MotiveSpec(mv.SymCube(e), QW)
     te = mv.MotiveSpec(mv.TensorEC(e, e_tw), QW)
-    a = [(p, lp.c1, lp.c2) for p, lp in mv.lpoly_stream(sc, 800)]
-    b = [(p, lp.c1, lp.c2) for p, lp in mv.lpoly_stream(te, 800)]
-    assert a == b
+    assert mv.cached_lpoly_stream(sc, 800, None) == mv.cached_lpoly_stream(te, 800, None)
 
 
 def test_normalized_ranges_random_sweep():
@@ -96,12 +91,11 @@ def test_normalized_ranges_random_sweep():
         mv.MotiveSpec(mv.TensorMF(FORMS["11.2a"], FORMS["27.3.5a"]), Q),
     ]
     for spec in specs:
-        for p, lp in mv.lpoly_stream(spec, 600):
-            nc = normalize(lp)
-            assert -4.0 <= nc.a1 <= 4.0
-            assert -2.0 <= nc.a2 <= 6.0
-            # palindromic coefficient layout
-            assert lp.coefficients() == (1, lp.c1, lp.c2 * p, lp.c1 * p**3, p**6)
+        rows = mv.cached_lpoly_stream(spec, 600, None)
+        assert rows
+        for p, c1, c2 in rows:
+            assert -4.0 <= c1 / p**1.5 <= 4.0
+            assert -2.0 <= c2 / p**2 <= 6.0
 
 
 def test_lpoly_validates_weil_bounds():
@@ -147,7 +141,6 @@ def test_edited_file_form_is_not_served_stale(tmp_path):
     table.write_text("\n".join(lines) + "\n")
     after = mv.cached_lpoly_stream(spec, 2**8, str(tmp_path))
     assert after == mv.cached_lpoly_stream(spec, 2**8, None)
-    assert after == [(p, lp.c1, lp.c2) for p, lp in mv.lpoly_stream(spec, 2**8)]
     assert after != before and [r for r in after if r[0] != 7] == [r for r in before if r[0] != 7]
 
 
@@ -257,7 +250,8 @@ def test_parallel_fallback_warns_and_matches_serial(monkeypatch):
 def test_dwork_a1_parallel_stream_matches_serial():
     spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
     serial = mv.cached_lpoly_stream(spec, 2**9, None, a1_only=True, jobs=1)
-    assert serial == list(mv.a1_stream(spec, 2**9))
+    assert serial == [(p, spec.construction.c1_only(p)) for p in mv.stream_primes(spec, 2**9)
+                      if p != 5]
     assert mv.cached_lpoly_stream(spec, 2**9, None, a1_only=True, jobs=2) == serial
 
 
@@ -269,6 +263,6 @@ def test_dwork_spec_streams(dwork_rows_1024):
     assert 5 not in ps and 2 not in ps
     # a1-only stream agrees with the full one on c1
     spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
-    small = dict(mv.a1_stream(spec, 128))
+    small = dict(mv.cached_lpoly_stream(spec, 128, None, a1_only=True))
     full = {r[0]: r[1] for r in rows if r[0] <= 128}
     assert small == full

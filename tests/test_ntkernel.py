@@ -290,12 +290,6 @@ def test_teichmuller_examples():
         nt.teichmuller(14, 7, 2)
 
 
-def test_padicint_balanced():
-    assert nt.PadicInt(48, 7, 2).balanced() == -1
-    assert nt.PadicInt(24, 7, 2).balanced() == 24
-    assert nt.PadicInt(25, 7, 2).balanced() == -24
-
-
 def test_gauss_eisen_arithmetic():
     i = nt.GaussInt(0, 1)
     assert i * i == nt.GaussInt(-1, 0)

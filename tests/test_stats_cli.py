@@ -1,9 +1,15 @@
 """Statistics, classification behavior, table emission, CLI surface."""
 
 import io
+import os
+import string
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from stmotives import cli, cmforms, stats, stgroups
 from stmotives.stats import MomentStats, classify, emit_table, moment_statistics, parse_stats_tsv, stats_row
@@ -115,8 +121,22 @@ def test_stats_tsv_reads_old_bound_cells():
     # power-of-two bounds are still written as their log2, byte for byte
     assert stats_row(MomentStats(2**13, 5, {2: 1.0}, None))[0] == "13"
     for cell, bound in (("13", 2**13), ("48", 2**48), ("100", 100)):
-        text = emit_table([[cell] + [""] * (len(stats.STATS_HEADER) - 1)])
+        text = emit_table([[cell, "1.000"] + [""] * (len(stats.STATS_HEADER) - 2)])
         assert parse_stats_tsv(text).bound == bound
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("#n\ta1.M2\n10\t\n", "no moment values"),  # ranked all 26 groups at 0, C1 on top
+    ("#n\ta1.M2\ta3.M2\n10\t1.0\t2.0\n", "a3.M2"),  # was read as the a2 moment M2
+], ids=["no-moments", "unknown-column"])
+def test_bad_stats_file_is_rejected_and_classify_exits_3(tmp_path, capsys, text, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_stats_tsv(text)
+    f = tmp_path / "in.tsv"
+    f.write_text(text)
+    assert cli.main(["stats", "classify", "--in", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: bad stats file:")
 
 
 def test_cli_groups_table(capsys):
@@ -176,6 +196,9 @@ def test_cli_error_codes(tmp_path, capsys):
                      "--bound-log2", "8"]) == 2
     assert cli.main(["stats", "classify", "--in", str(tmp_path / "missing.tsv")]) == 3
     capsys.readouterr()
+    out = tmp_path / "nonexistent" / "x.tsv"  # was a FileNotFoundError traceback, exit 1
+    assert cli.main(["groups", "invariants", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
 
 
 def test_cli_rejects_bad_jobs_and_dwork_bound_past_kernel_range(capsys):
@@ -292,3 +315,88 @@ def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert rc == 0
     assert list(tmp_path.glob("*.tsv"))
+
+
+# ---------------------------------------------------------------------------
+# the documented exit-code table, on drawn bad input
+
+_WORD = hst.text(string.ascii_letters + string.digits + ".()", min_size=1, max_size=10)
+_GOOD_STATS = emit_table([stats_row(_exact_stats("USp(4)"))])
+
+
+def _parses(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_curve():
+    wrong_count = hst.lists(hst.integers(-50, 50), min_size=1, max_size=6).filter(
+        lambda xs: len(xs) not in (2, 5)).map(lambda xs: ",".join(map(str, xs)))
+    not_int = _WORD.filter(lambda w: not _parses(int, w)).map(lambda w: f"0,{w}")
+    singular = hst.integers(-20, 20).map(lambda t: f"{-3 * t * t},{2 * t**3}")  # 4A^3 + 27B^2 = 0
+    return hst.one_of(wrong_count, not_int, singular)
+
+
+def _bad_stats_file():
+    no_moments = hst.just("#n\ta1.M2\ta2.M1\n10\t\t\n")
+    unknown_col = hst.sampled_from(["a3.M2", "a1.M3", "a2.M9", "b1.M2", "a1.m2", "x"]).map(
+        lambda col: f"#n\t{col}\n10\t1.5\n")
+    bad_cell = _WORD.filter(lambda w: not _parses(float, w)).map(lambda w: f"#n\ta1.M2\n10\t{w}\n")
+    no_rows = hst.sampled_from(["", "#n\ta1.M2\n", "10\t1.0\n"])
+    return hst.one_of(no_moments, unknown_col, bad_cell, no_rows)
+
+
+def _cases():
+    """(argv, documented exit code, stats file text or None): one bad input a
+    case, and a good stats file.  TMP in argv is a fresh directory holding the
+    stats file as stats.tsv."""
+    motive = ["motive", "symcube", "--e1", "0,1", "--bound-log2", "4"]
+    bad_label = _WORD.filter(lambda w: w not in cmforms.FORMS)
+    bad_group = _WORD.filter(lambda w: w not in {g.name for g in stgroups.catalog()})
+    bad_z = hst.one_of(hst.integers(1, 99).flatmap(lambda d: hst.sampled_from([f"0/{d}", f"{d}/{d}"])),
+                       hst.sampled_from(["0", "1", "1.0", "-0", "1/0", "z", "1/2/3", ""]))
+    bad_out = hst.sampled_from(["TMP/missing/x.tsv", "TMP"])
+    classify = ["stats", "classify", "--in", "TMP/stats.tsv"]
+    return hst.one_of(
+        bad_label.map(lambda w: (["motive", "sum", "--f1", w, "--f2", "9.4a", "--bound-log2", "4"],
+                                 2, None)),
+        bad_label.map(lambda w: (["motive", "tensor-mf", "--f1", "27.2a", "--f2", w,
+                                  "--bound-log2", "4"], 2, None)),
+        bad_group.map(lambda w: (["groups", "table", "--group", w], 2, None)),
+        _bad_curve().map(lambda c: (["motive", "tensor-ec", "--e1", "0,4", "--e2", c,
+                                     "--bound-log2", "4"], 2, None)),
+        bad_z.map(lambda z: (["motive", "dwork", f"--z={z}", "--bound-log2", "4"], 2, None)),
+        hst.integers(-10**6, 0).map(lambda n: (["motive", "dwork", "--bound-log2", str(n)], 2, None)),
+        hst.integers(13, 64).map(lambda n: (["motive", "dwork", "--bound-log2", str(n)], 2, None)),
+        hst.sampled_from(["x", "1.5", ""]).map(lambda n: (motive[:-1] + [n], 2, None)),
+        hst.integers(-10**6, 0).map(lambda j: (motive + ["--jobs", str(j)], 2, None)),
+        bad_out.map(lambda out: (motive + ["--out", out], 2, None)),
+        bad_out.map(lambda out: (["groups", "invariants", "--out", out], 2, None)),
+        _bad_stats_file().map(lambda text: (classify, 3, text)),
+        hst.just((classify, 0, _GOOD_STATS)),
+        hst.just((classify, 3, None)),  # no such file
+    )
+
+
+@settings(max_examples=80)
+@given(case=_cases())
+def test_cli_exit_code_table(case):
+    argv, code, stats_text = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if stats_text is not None:
+            with open(os.path.join(tmp, "stats.tsv"), "w") as fh:
+                fh.write(stats_text)
+        argv = [arg.replace("TMP", tmp) for arg in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                rc = exc.code
+    assert rc == code, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip(), argv

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from stmotives import laurent, stats, stgroups as sg
 from stmotives.laurent import expectation as lp_expectation, lp_pow, lp_term, CYC_ONE
 
+from sample_moments import sample_moments
 from table_data import A1_MOMENTS, A2_MOMENTS, INVARIANTS
 
 ALL_NAMES = [g.name for g in sg.catalog()]
@@ -80,7 +81,7 @@ def test_j_component_signature():
         jcomps = [c for c in g.components if "J" in c.label]
         assert len(jcomps) == n
         for comp in jcomps:
-            a1, a2 = comp.charpoly_coeffs()
+            a1, a2 = comp.charpoly_coeff("a1"), comp.charpoly_coeff("a2")
             assert a1 == {}
             assert list(a2.values()) == [(2, 0, 0, 0, 0, 0, 0, 0)]
 
@@ -88,7 +89,7 @@ def test_j_component_signature():
 def test_c1_identity_component_a2_expansion():
     # a2 = 2 + (u^4 + u^-4) + (u^2 + u^-2) on the Hodge circle
     comp = sg.group("C1").components[0]
-    _, a2 = comp.charpoly_coeffs()
+    a2 = comp.charpoly_coeff("a2")
     assert a2 == {
         (0,): (2, 0, 0, 0, 0, 0, 0, 0),
         (4,): CYC_ONE,
@@ -101,7 +102,7 @@ def test_c1_identity_component_a2_expansion():
 def test_d_group_a1_is_sym3_trace():
     # a1 = -(s^3 - 2s) in s = v + 1/v: check moments against direct powers
     comp = sg.group("D").components[0]
-    a1, _ = comp.charpoly_coeffs()
+    a1 = comp.charpoly_coeff("a1")
     s = {(1,): CYC_ONE, (-1,): CYC_ONE}
     s3 = lp_pow(s, 3, 1)
     expect = {e: tuple(-c for c in v) for e, v in s3.items()}
@@ -147,7 +148,7 @@ def _direct_moment(components, coeff, n):
     """The group moment from one lp_pow per component (no shared series)."""
     total = Fraction(0)
     for comp in components:
-        f = comp.charpoly_coeffs()[0 if coeff == "a1" else 1]
+        f = comp.charpoly_coeff(coeff)
         total += lp_expectation(lp_pow(f, n, len(comp.vars)), comp.kinds())
     return Fraction(total, len(components))
 
@@ -228,7 +229,7 @@ def test_swap_component_moments_match_table_combination():
         want = 2 * A2_MOMENTS["N(G_{3,3})"][n - 1] - A2_MOMENTS["G_{3,3}"][n - 1]
         assert got == want
     # and its a1 vanishes identically
-    a1, _ = swap.charpoly_coeffs()
+    a1 = swap.charpoly_coeff("a1")
     assert a1 == {}
 
 
@@ -242,7 +243,7 @@ def test_sample_many_range_smoke():
 def test_sample_j_component_constant():
     comp = sg.group("J(C1)").components[1]
     assert "J" in comp.label
-    a1, a2 = comp.charpoly_coeffs()
+    a1, a2 = comp.charpoly_coeff("a1"), comp.charpoly_coeff("a2")
     no_angles = np.zeros((1, 0))
     assert sg._lp_eval_np(a1, no_angles)[0] == 0
     assert abs(sg._lp_eval_np(a2, no_angles)[0] - 2) < 1e-12
@@ -255,9 +256,10 @@ def test_monte_carlo_agrees_with_symbolic(name):
     n_samples = 200_000
     s1, s2 = sg.sample_many(name, n_samples, seed=11)
     for coeff, vals in (("a1", s1), ("a2", s2)):
+        means, stds = sample_moments(vals, 6)
         for n in (1, 2, 4, 6):
-            emp = np.mean(vals**n)
-            sig = np.std(vals**n) / np.sqrt(n_samples)
+            emp = means[n]
+            sig = stds[n] / np.sqrt(n_samples)
             exact = sg.moment(name, coeff, n)
             assert abs(emp - exact) <= 5 * sig + 1e-9, (coeff, n, emp, exact)
 
@@ -280,12 +282,6 @@ def test_expectation_rejects_non_rational_result():
     expr = lp_term((0,), zeta24_power(2))
     with pytest.raises(ValueError):
         lp_expectation(expr, ("circle",))
-
-
-def test_expectation_public_wrapper():
-    comp = sg.group("U(2)").components[0]
-    a1, _ = comp.charpoly_coeffs()
-    assert sg.expectation(lp_pow(a1, 2, 2), comp.vars) == 2
 
 
 def test_emit_group_table_golden_row():
