@@ -20,6 +20,7 @@ curve, z = 0 or 1, a bound below 2^1, an --out path that cannot be written),
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from fractions import Fraction
@@ -71,6 +72,18 @@ def _curve(text: str | None, flag: str) -> CurveSpec:
     if curve.discriminant() == 0:
         raise CliError(f"{flag} {text} is a singular curve (discriminant 0)")
     return curve
+
+
+def _check_out(out: str | None):
+    """Refuse an --out that is a directory or lies in a missing directory,
+    before any work; the file is only opened once its text is ready."""
+    if out and os.path.isdir(out):
+        err = errno.EISDIR
+    elif out and not os.path.isdir(os.path.dirname(out) or "."):
+        err = errno.ENOENT
+    else:
+        return
+    raise CliError(f"cannot write --out {out}: {os.strerror(err)}")
 
 
 def _emit(text: str, out: str | None):
@@ -146,6 +159,7 @@ def cmd_motive(args) -> int:
     if args.construction == "dwork" and not a1_only and bound > HP2_MAX_P:
         raise CliError(f"dwork --coeffs both needs B <= {HP2_MAX_P} (the H_(p^2) kernel's "
                        f"int64 range p^4 < 2^50), got B=2^{args.bound_log2}; use --coeffs a1")
+    _check_out(args.out)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     rows = motives.cached_lpoly_stream(spec, bound, cache_dir, a1_only=a1_only, jobs=args.jobs)
     if not rows:

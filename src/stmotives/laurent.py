@@ -7,128 +7,80 @@ in torus variables.  Every root of unity that occurs has order dividing 24
 constant-spectrum components of the U(1)xU(1) normalizer family), so a
 single fixed ring Z[zeta_24] covers everything.
 
-Elements of Z[zeta_24] are length-8 integer tuples on the power basis
-1, z, ..., z^7 with z^8 = z^4 - 1.  Laurent polynomials are dicts mapping
-exponent tuples to such coefficients.
+A Laurent polynomial is a dict mapping (k, exponent tuple) to a nonzero
+int: the key (k, e) stands for z^k u^e, with k in 0..7 indexing the power
+basis 1, z, ..., z^7 of Z[zeta_24] (z = zeta_24, z^8 = z^4 - 1).  The
+power basis is a Z-basis, so a polynomial is zero exactly when its dict is
+empty, and it is a rational constant exactly when its only key is
+(0, zeros).  Keys by the zeta exponent mod 24 (or mod 12 with a sign) would
+not be canonical: 1 + z^8 + z^16 = 0 in Z[zeta_24], but not in those rings.
+Products reduce z^(k1 + k2) through the rows of one table of zeta_24^j.
 """
 
 from __future__ import annotations
 
-from cmath import exp as cexp
 from fractions import Fraction
-from math import pi
-
-CYC_ZERO = (0, 0, 0, 0, 0, 0, 0, 0)
-CYC_ONE = (1, 0, 0, 0, 0, 0, 0, 0)
+from operator import add
 
 
-def cyc_add(x: tuple, y: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
+def _zeta24_rows() -> tuple:
+    """Row j holds zeta_24^j on the power basis as (k, coefficient) pairs,
+    built by repeated multiplication by z (z * z^7 = z^4 - 1).  Rows 0..14
+    double as the reduction of z^(k1 + k2) in lp_mul."""
+    rows, v = [], [1, 0, 0, 0, 0, 0, 0, 0]
+    for _ in range(24):
+        rows.append(tuple((k, c) for k, c in enumerate(v) if c))
+        top = v[7]
+        v = [-top] + v[:7]
+        v[4] += top
+    return tuple(rows)
 
 
-def cyc_neg(x: tuple) -> tuple:
-    return tuple(-a for a in x)
+_ZETA24 = _zeta24_rows()
 
 
-def cyc_mul(x: tuple, y: tuple) -> tuple:
-    # fast paths: most coefficients stay rational
-    if x == CYC_ZERO or y == CYC_ZERO:
-        return CYC_ZERO
-    if x[1:] == (0,) * 7:
-        c = x[0]
-        return tuple(c * b for b in y)
-    if y[1:] == (0,) * 7:
-        c = y[0]
-        return tuple(c * a for a in x)
-    conv = [0] * 15
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    conv[i + j] += a * b
-    # reduce z^k for k >= 8 with z^8 = z^4 - 1
-    for k in range(14, 7, -1):
-        c = conv[k]
-        if c:
-            conv[k] = 0
-            conv[k - 4] += c
-            conv[k - 8] -= c
-    return tuple(conv[:8])
+def lp_const(nvars: int, c: int) -> dict:
+    return {(0, (0,) * nvars): c} if c else {}
 
 
-def zeta24_power(j: int) -> tuple:
-    """zeta_24^j on the power basis."""
-    j %= 24
-    vec = list(CYC_ZERO)
-    if j < 8:
-        vec[j] = 1
-        return tuple(vec)
-    z = zeta24_power(j - 8)
-    # multiply by z^8 = z^4 - 1
-    return cyc_add(cyc_mul(z, zeta24_power(4)), cyc_neg(z))
-
-
-def cyc_rational(x: tuple) -> int:
-    """The rational part of x, raising if x is not rational."""
-    if any(x[1:]):
-        raise ValueError(f"cyclotomic element {x} is not rational")
-    return x[0]
-
-
-def cyc_to_complex(x: tuple) -> complex:
-    return sum(c * cexp(1j * pi * j / 12) for j, c in enumerate(x) if c)
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials: dict[exponent tuple] -> Z[zeta_24] coefficient
-
-
-def lp_const(nvars: int, c: tuple) -> dict:
-    if c == CYC_ZERO:
-        return {}
-    return {(0,) * nvars: c}
-
-
-def lp_term(exps: tuple, c: tuple) -> dict:
-    if c == CYC_ZERO:
-        return {}
-    return {exps: c}
+def lp_term(exps: tuple, j: int) -> dict:
+    """zeta_24^j times the monomial with exponents exps."""
+    return {(k, exps): c for k, c in _ZETA24[j % 24]}
 
 
 def lp_add(f: dict, g: dict) -> dict:
     out = dict(f)
-    for e, c in g.items():
-        s = cyc_add(out.get(e, CYC_ZERO), c)
-        if s == CYC_ZERO:
-            out.pop(e, None)
+    for key, c in g.items():
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
         else:
-            out[e] = s
+            out.pop(key, None)
     return out
 
 
 def lp_neg(f: dict) -> dict:
-    return {e: cyc_neg(c) for e, c in f.items()}
+    return {key: -c for key, c in f.items()}
 
 
 def lp_mul(f: dict, g: dict) -> dict:
     out: dict = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = cyc_mul(c1, c2)
-            s = cyc_add(out.get(e, CYC_ZERO), c)
-            if s == CYC_ZERO:
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+    get = out.get
+    for (k1, e1), c1 in f.items():
+        for (k2, e2), c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            for k, s in _ZETA24[k1 + k2]:
+                key = (k, e)
+                out[key] = get(key, 0) + s * c
+    return {key: c for key, c in out.items() if c}
 
 
 def lp_pow(f: dict, n: int, nvars: int) -> dict:
     """f^n by binary powering (n >= 0): the moment engine's test oracle."""
     if n < 0:
         raise ValueError(f"negative power {n} of a Laurent polynomial")
-    out = lp_const(nvars, CYC_ONE)
+    out = lp_const(nvars, 1)
     base = f
     while n:
         if n & 1:
@@ -138,20 +90,11 @@ def lp_pow(f: dict, n: int, nvars: int) -> dict:
     return out
 
 
-def lp_is_constant(f: dict) -> bool:
-    return all(not any(e) for e in f)
-
-
 def lp_constant_value(f: dict):
     """Rational constant value of f, or None if not a rational constant."""
-    if not f:
-        return 0
-    if not lp_is_constant(f):
-        return None
-    try:
-        return cyc_rational(next(iter(f.values())))
-    except ValueError:
-        return None
+    if all(k == 0 and not any(e) for k, e in f):
+        return sum(f.values())
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +129,11 @@ def _single_moment(kind: str, j: int) -> Fraction:
 def _usp4_weight_table() -> dict:
     """Laurent expansion of the USp(4) torus weight
     (v1-1/v1)^2 (v2-1/v2)^2 (v1+1/v1-v2-1/v2)^2."""
-    one = CYC_ONE
-    m1 = cyc_neg(one)
-    v1 = {(1, 0): one, (-1, 0): m1}
-    v2 = {(0, 1): one, (0, -1): m1}
-    d = {(1, 0): one, (-1, 0): one, (0, 1): m1, (0, -1): m1}
+    v1 = {(0, (1, 0)): 1, (0, (-1, 0)): -1}
+    v2 = {(0, (0, 1)): 1, (0, (0, -1)): -1}
+    d = {(0, (1, 0)): 1, (0, (-1, 0)): 1, (0, (0, 1)): -1, (0, (0, -1)): -1}
     w = lp_mul(lp_mul(lp_mul(v1, v1), lp_mul(v2, v2)), lp_mul(d, d))
-    return {e: cyc_rational(c) for e, c in w.items()}
+    return {e: c for (_, e), c in w.items()}
 
 
 _USP4_W = _usp4_weight_table()
@@ -211,7 +152,7 @@ def expectation(f: dict, kinds: tuple) -> Fraction:
     if len(usp_idx) not in (0, 2):
         raise ValueError("usp4 variables must come as a pair")
     acc = [Fraction(0)] * 8
-    for exps, coeff in f.items():
+    for (k, exps), c in f.items():
         w = Fraction(1)
         for i, kd in enumerate(kinds):
             if kd == "usp4":
@@ -222,9 +163,7 @@ def expectation(f: dict, kinds: tuple) -> Fraction:
         if w and usp_idx:
             w *= usp4_joint_moment(exps[usp_idx[0]], exps[usp_idx[1]])
         if w:
-            for i in range(8):
-                if coeff[i]:
-                    acc[i] += w * coeff[i]
+            acc[k] += w * c
     if any(acc[1:]):
         raise ValueError("expectation has a non-rational cyclotomic part")
     return acc[0]

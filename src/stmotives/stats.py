@@ -39,12 +39,6 @@ class MomentStats:
     a1: dict[int, float]  # n -> M_n[a1]
     a2: dict[int, float] | None  # None for c1-only streams
 
-    def moment(self, coeff: str, n: int) -> float:
-        d = self.a1 if coeff == "a1" else self.a2
-        if d is None or n not in d:
-            raise KeyError(f"{coeff} M_{n} not computed")
-        return d[n]
-
 
 def moment_statistics(rows, bound: int) -> MomentStats:
     """Compute the moment statistics of a stream of (p, c1[, c2]) rows.
@@ -196,6 +190,8 @@ def parse_stats_tsv(text: str) -> MomentStats:
     unknown = [name for name in header if name not in STATS_HEADER]
     if unknown:
         raise ValueError(f"unknown column(s) {unknown}; expected some of {STATS_HEADER}")
+    if len(data) > len(header):
+        raise ValueError(f"the stats row has {len(data)} cells for {len(header)} columns")
     a1: dict[int, float] = {}
     a2: dict[int, float] = {}
     for name, cell in zip(header[1:], data[1:]):
@@ -206,5 +202,8 @@ def parse_stats_tsv(text: str) -> MomentStats:
     if not a1 and not a2:
         raise ValueError("the stats row has no moment values")
     n = data[0]  # a plain cell: log2 of the bound below 64, else the bound (older files)
-    bound = int(n[2:]) if n.startswith("B=") else 2 ** int(n) if int(n) < 64 else int(n)
-    return MomentStats(bound, 0, a1, a2 or None)
+    plain = not n.startswith("B=")
+    bound = int(n if plain else n[2:])
+    if bound < 0:
+        raise ValueError(f"negative bound cell {n!r}")
+    return MomentStats(2**bound if plain and bound < 64 else bound, 0, a1, a2 or None)

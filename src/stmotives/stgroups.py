@@ -33,12 +33,13 @@ import time; `laurent.lp_pow` stays as the independent oracle of the tests.
 
 from __future__ import annotations
 
+from cmath import exp as cexp
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import pi
 
 from .laurent import (
-    CYC_ONE,
     expectation as lp_expectation,
     lp_add,
     lp_const,
@@ -46,7 +47,6 @@ from .laurent import (
     lp_mul,
     lp_neg,
     lp_term,
-    zeta24_power,
 )
 
 
@@ -67,8 +67,8 @@ class Component:
     def charpoly_coeff(self, coeff: str) -> dict:
         """a1 = -sum(lam) or a2 = e2(lam) as a Laurent polynomial (a1 needs
         no product)."""
-        lams = [lp_term(exps, zeta24_power(zp)) for zp, exps in self.eigen]
-        out = lp_const(len(self.vars), (0,) * 8)
+        lams = [lp_term(exps, zp) for zp, exps in self.eigen]
+        out: dict = {}
         if coeff == "a1":
             for lam in lams:
                 out = lp_add(out, lam)
@@ -249,7 +249,7 @@ class _PowerSeries:
     def __init__(self, f: dict, kinds: tuple[str, ...]):
         self.f = f
         self.kinds = kinds
-        one = lp_const(len(kinds), CYC_ONE)
+        one = lp_const(len(kinds), 1)
         self.state = (one, (lp_expectation(one, kinds),))
 
     def moment(self, n: int) -> Fraction:
@@ -397,16 +397,17 @@ def _usp4_accept(t1, t2):
 def _lp_eval_np(f: dict, angles):
     import numpy as np
 
-    from .laurent import cyc_to_complex
-
+    coeffs: dict = {}  # exps -> sum over k of c zeta_24^k: one exp per torus monomial
+    for (k, e), c in f.items():
+        coeffs[e] = coeffs.get(e, 0) + c * cexp(1j * pi * k / 12)
     n = angles.shape[0]
     total = np.zeros(n, dtype=complex)
-    for e, c in f.items():
+    for e, coeff in coeffs.items():
         phase = np.zeros(n)
         for k, col in zip(e, angles.T):
             if k:
                 phase += k * col
-        total += cyc_to_complex(c) * np.exp(1j * phase)
+        total += coeff * np.exp(1j * phase)
     if total.size and np.max(np.abs(total.imag)) > 1e-8:
         raise ArithmeticError("non-real samples")
     return total.real

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from stmotives import cli, cmforms, stats, stgroups
+from stmotives import cli, cmforms, motives, stats, stgroups
 from stmotives.stats import MomentStats, classify, emit_table, moment_statistics, parse_stats_tsv, stats_row
 
 from table_data import A1_MOMENTS, A2_MOMENTS
@@ -22,9 +22,9 @@ def test_constant_stream_statistics():
     rows = [(p, 0, 2 * p * p) for p in (7, 13, 19, 31)]
     s = moment_statistics(rows, 32)
     for n in (2, 4, 6):
-        assert s.moment("a1", n) == 0.0
+        assert s.a1[n] == 0.0
     for n in range(1, 10):
-        assert s.moment("a2", n) == pytest.approx(2.0**n, rel=1e-12)
+        assert s.a2[n] == pytest.approx(2.0**n, rel=1e-12)
 
 
 def test_statistics_deterministic_and_order_independent():
@@ -128,7 +128,9 @@ def test_stats_tsv_reads_old_bound_cells():
 @pytest.mark.parametrize("text,msg", [
     ("#n\ta1.M2\n10\t\n", "no moment values"),  # ranked all 26 groups at 0, C1 on top
     ("#n\ta1.M2\ta3.M2\n10\t1.0\t2.0\n", "a3.M2"),  # was read as the a2 moment M2
-], ids=["no-moments", "unknown-column"])
+    ("#n\ta1.M2\n-3\t1.0\n", "negative bound"),  # was read as the bound 1/8
+    ("#n\ta1.M2\n10\t1.0\t5.0\t7\n", "4 cells for 2 columns"),  # extra cells were dropped
+], ids=["no-moments", "unknown-column", "negative-bound", "over-wide-row"])
 def test_bad_stats_file_is_rejected_and_classify_exits_3(tmp_path, capsys, text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_stats_tsv(text)
@@ -199,6 +201,23 @@ def test_cli_error_codes(tmp_path, capsys):
     out = tmp_path / "nonexistent" / "x.tsv"  # was a FileNotFoundError traceback, exit 1
     assert cli.main(["groups", "invariants", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+
+
+def test_cli_motive_checks_out_before_the_stream(tmp_path, monkeypatch, capsys):
+    def stream(*args, **kwargs):
+        raise AssertionError("the stream was computed")
+
+    monkeypatch.setattr(motives, "cached_lpoly_stream", stream)
+    argv = ["motive", "dwork", "--coeffs", "a1", "--bound-log2", "12", "--out"]
+    for out, reason in ((tmp_path / "missing" / "x.tsv", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert cli.main(argv + [str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write --out {out}: {reason}\n"
+    # a writable path passes the check and is not created before the stream
+    out = tmp_path / "x.tsv"
+    with pytest.raises(AssertionError, match="stream was computed"):
+        cli.main(argv + [str(out)])
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_jobs_and_dwork_bound_past_kernel_range(capsys):
@@ -346,7 +365,11 @@ def _bad_stats_file():
         lambda col: f"#n\t{col}\n10\t1.5\n")
     bad_cell = _WORD.filter(lambda w: not _parses(float, w)).map(lambda w: f"#n\ta1.M2\n10\t{w}\n")
     no_rows = hst.sampled_from(["", "#n\ta1.M2\n", "10\t1.0\n"])
-    return hst.one_of(no_moments, unknown_col, bad_cell, no_rows)
+    negative_bound = hst.integers(-10**6, -1).flatmap(
+        lambda n: hst.sampled_from([f"{n}", f"B={n}"])).map(lambda n: f"#n\ta1.M2\n{n}\t1.0\n")
+    over_wide = hst.lists(hst.sampled_from(["", "5.0", "7"]), min_size=1, max_size=3).map(
+        lambda extra: "#n\ta1.M2\n10\t1.0\t" + "\t".join(extra) + "\n")
+    return hst.one_of(no_moments, unknown_col, bad_cell, no_rows, negative_bound, over_wide)
 
 
 def _cases():

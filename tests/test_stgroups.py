@@ -1,5 +1,7 @@
 """The 26-group catalog: exact tables, invariants, sampling oracle."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from stmotives import laurent, stats, stgroups as sg
-from stmotives.laurent import expectation as lp_expectation, lp_pow, lp_term, CYC_ONE
+from stmotives.laurent import expectation as lp_expectation, lp_add, lp_mul, lp_pow, lp_term
 
 from sample_moments import sample_moments
 from table_data import A1_MOMENTS, A2_MOMENTS, INVARIANTS
@@ -52,8 +54,8 @@ def test_circle_and_su2_trace_moments():
     # E[(u + 1/u)^(2n)] = binom(2n, n); E[(v + 1/v)^(2n)] = binom(2n,n)/(n+1)
     from math import comb
 
-    u = lp_term((1,), CYC_ONE)
-    ui = lp_term((-1,), CYC_ONE)
+    u = lp_term((1,), 0)
+    ui = lp_term((-1,), 0)
     t = {**u, **ui}
     for n in range(0, 7):
         e_circle = lp_expectation(lp_pow(t, 2 * n, 1), ("circle",))
@@ -83,32 +85,24 @@ def test_j_component_signature():
         for comp in jcomps:
             a1, a2 = comp.charpoly_coeff("a1"), comp.charpoly_coeff("a2")
             assert a1 == {}
-            assert list(a2.values()) == [(2, 0, 0, 0, 0, 0, 0, 0)]
+            assert a2 == {(0, ()): 2}
 
 
 def test_c1_identity_component_a2_expansion():
     # a2 = 2 + (u^4 + u^-4) + (u^2 + u^-2) on the Hodge circle
     comp = sg.group("C1").components[0]
     a2 = comp.charpoly_coeff("a2")
-    assert a2 == {
-        (0,): (2, 0, 0, 0, 0, 0, 0, 0),
-        (4,): CYC_ONE,
-        (-4,): CYC_ONE,
-        (2,): CYC_ONE,
-        (-2,): CYC_ONE,
-    }
+    assert a2 == {(0, (0,)): 2, (0, (4,)): 1, (0, (-4,)): 1, (0, (2,)): 1, (0, (-2,)): 1}
 
 
 def test_d_group_a1_is_sym3_trace():
     # a1 = -(s^3 - 2s) in s = v + 1/v: check moments against direct powers
     comp = sg.group("D").components[0]
     a1 = comp.charpoly_coeff("a1")
-    s = {(1,): CYC_ONE, (-1,): CYC_ONE}
+    s = {(0, (1,)): 1, (0, (-1,)): 1}
     s3 = lp_pow(s, 3, 1)
-    expect = {e: tuple(-c for c in v) for e, v in s3.items()}
-    twos = {e: (2 * v[0], 0, 0, 0, 0, 0, 0, 0) for e, v in s.items()}
-    from stmotives.laurent import lp_add
-
+    expect = {key: -c for key, c in s3.items()}
+    twos = {key: 2 * c for key, c in s.items()}
     assert a1 == lp_add(expect, twos)
 
 
@@ -141,7 +135,50 @@ def test_moment_rejects_negative_or_non_int_order(n):
 
 def test_lp_pow_rejects_negative_power():
     with pytest.raises(ValueError):
-        lp_pow(lp_term((1,), CYC_ONE), -1, 1)
+        lp_pow(lp_term((1,), 0), -1, 1)
+
+
+def test_zero_is_the_empty_dict():
+    # 1 + zeta^8 + zeta^16 = 0 (zeta^8 is a primitive cube root of unity);
+    # keyed by the zeta exponent mod 24 or mod 12 it would be three terms
+    total = {}
+    for j in (0, 8, 16):
+        total = lp_add(total, lp_term((0,), j))
+    assert total == {}
+
+
+def _lp_value(f, point):
+    """f at a torus point (unit complex numbers), with zeta_24 = e^(i pi/12)."""
+    zeta = cmath.exp(1j * math.pi / 12)
+    return sum(c * zeta**k * math.prod(t**e for t, e in zip(point, exps))
+               for (k, exps), c in f.items())
+
+
+def test_zeta_table_rows_are_the_24th_roots_of_unity():
+    for j in range(24):
+        row = laurent._ZETA24[j]
+        assert all(0 <= k < 8 and c for k, c in row)
+        assert abs(_lp_value(lp_term((), j), ()) - cmath.exp(1j * math.pi * j / 12)) < 1e-12
+
+
+def _laurent_polys(nvars):
+    key = hst.tuples(hst.integers(0, 7), hst.tuples(*[hst.integers(-3, 3)] * nvars))
+    return hst.dictionaries(key, hst.integers(-5, 5).filter(bool), max_size=6)
+
+
+@settings(max_examples=60)
+@given(hst.data())
+def test_lp_mul_and_lp_add_agree_with_complex_evaluation(data):
+    nvars = data.draw(hst.integers(0, 2), label="nvars")
+    f = data.draw(_laurent_polys(nvars), label="f")
+    g = data.draw(_laurent_polys(nvars), label="g")
+    angles = data.draw(hst.lists(hst.floats(0.0, 2 * math.pi), min_size=nvars, max_size=nvars),
+                       label="angles")
+    point = [cmath.exp(1j * a) for a in angles]
+    fv, gv = _lp_value(f, point), _lp_value(g, point)
+    for got, want in ((lp_mul(f, g), fv * gv), (lp_add(f, g), fv + gv)):
+        assert all(0 <= k < 8 and c for (k, _), c in got.items())  # canonical: no zero terms
+        assert abs(_lp_value(got, point) - want) < 1e-8
 
 
 def _direct_moment(components, coeff, n):
@@ -247,6 +284,12 @@ def test_sample_j_component_constant():
     no_angles = np.zeros((1, 0))
     assert sg._lp_eval_np(a1, no_angles)[0] == 0
     assert abs(sg._lp_eval_np(a2, no_angles)[0] - 2) < 1e-12
+    # zeta^2 + zeta^22 = 2 cos(pi/6) spans several power-basis keys on one
+    # monomial; a lone zeta^2 is not real
+    root3 = lp_add(lp_term((), 2), lp_term((), 22))
+    assert abs(sg._lp_eval_np(root3, no_angles)[0] - math.sqrt(3)) < 1e-12
+    with pytest.raises(ArithmeticError):
+        sg._lp_eval_np(lp_term((), 2), no_angles)
 
 
 @pytest.mark.parametrize("name", ["C3", "D", "U(2)", "F_{a,b}", "G_{1,3}", "USp(4)"])
@@ -276,10 +319,8 @@ def test_usp4_rejection_envelope_is_tight():
 
 
 def test_expectation_rejects_non_rational_result():
-    from stmotives.laurent import zeta24_power
-
     # a lone zeta_24 coefficient cannot cancel to a rational
-    expr = lp_term((0,), zeta24_power(2))
+    expr = lp_term((0,), 2)
     with pytest.raises(ValueError):
         lp_expectation(expr, ("circle",))
 
