@@ -9,67 +9,46 @@ for q = p or p^2, through the p-adic gamma function evaluated at fixed
 precision p^k.  The trace at q = p gives the L-polynomial coefficient
 c1 = -H_p; the pair (H_p, H_{p^2}) mod p^4 gives c2 = (H_p^2 - H_{p^2})/(2p).
 
-Gamma values come from one of two interchangeable backends, each with a
-pure-Python gamma_list (the H_p kernel, the oracle) and an int64-array
-gamma_array (the H_{p^2} kernel):
+One gamma backend, GammaTables: one cubic in p y per residue x0 for
+Gamma_p(x0 + p y) mod p^k, k <= 4, from factorial-type tables and the series
+on p*Z_p.  O(p) setup, O(1) per value, through a pure-Python gamma_list (the
+H_p kernel) and an int64-array gamma_array (the H_{p^2} kernel).
 
-* GammaTables: one cubic in p y per residue x0 for Gamma_p(x0 + p y) mod
-  p^k, k <= 4, from factorial-type tables and the series on p*Z_p.  O(p)
-  setup, O(1) per value.  Needs p >= 5 at precision >= 3.
-* GammaProductTable: the raw product table Gamma_p(n) for n < p^k.  Used
-  for small p, where the c2 window [-4p^3, 12p^3] forces precision
-  beyond p^4 (k = 5 for p <= 13, k = 6 for p = 3).
-
-Each sum has one kernel at every precision and on either backend.  hp_poly
-sums the banded H_p series (the term at m carries p^e, e stepping up at
-the band cuts floor((i p + 5 - i)/5), so only the m below the k-th cut
+hp_poly sums the banded H_p series (the term at m carries p^e, e stepping up
+at the band cuts floor((i p + 5 - i)/5), so only the m below the k-th cut
 survive mod p^k) from two Gamma_p values a term (see _hp_coeffs); hp_fast
-evaluates it at Teich(z), and dwork_c1 runs it at k = 2 (p > 64) or k = 4 in
-pure Python (numpy would add half to a c1 process's peak RSS).  The O(p^2)
-sum H_{p^2} runs in one numpy int64 kernel (_dwork_hp2), block by block over
-m, exact for p^4 < 2^50 (p <= HP2_MAX_P = 5791); dwork_lpoly runs both on one
-backend at the c2 precision.  Every trace is a plain int mod p^k, k the
-backend's precision.  The generic Fraction-based trace_Hq computes H_q from
-the definitions; production never calls it, it is the tests' oracle.
+evaluates it at Teich(z) by Horner, and dwork_c1 runs it at k = 2 (p > 64) or
+k = 4 in pure Python (numpy would add half to a c1 process's peak RSS).  The
+O(p^2) sum H_{p^2} runs in one numpy int64 kernel (_dwork_hp2), block by block
+over m, exact for p^4 < 2^50 (p <= HP2_MAX_P = 5791); dwork_lpoly runs both at
+k = 4.  Every trace is a plain int mod p^k.
+
+At p <= 13 the c2 window [-4p^3, 12p^3] would need p^5 or p^6, which the
+series tables do not reach.  A row depends on z only through z mod p, so
+those primes have 26 non-degenerate rows, and both Dwork entry points read
+them from the literal SMALL_PRIME_ROWS.  The definition-based trace that
+certifies these rows and checks both kernels lives in the tests, with the
+product-table gamma backend it runs on.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ntkernel import rational_mod, teichmuller
 from .records import ConsistencyError, DegenerateFiber, LPoly
 
-ONE_FIFTH = Fraction(1, 5)
-DWORK_ALPHA = (ONE_FIFTH, 2 * ONE_FIFTH, 3 * ONE_FIFTH, 4 * ONE_FIFTH)
-DWORK_BETA = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-
-
-@dataclass(frozen=True)
-class HGParams:
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
-
-
-DWORK = HGParams(DWORK_ALPHA, DWORK_BETA)
-
-
-def _frac(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 # ---------------------------------------------------------------------------
-# gamma backends
+# the gamma backend
 
 
 class GammaTables:
     """Gamma_p mod p^k (k <= 4) as one cubic in p y per residue x0 of x mod p.
 
     F[n] = n!,  T[n] = n! * e_1(1, 1/2, ..., 1/n),  U2/U3 the analogous
-    second and third elementary symmetric sums (all mod p^k), so that
+    second and third elementary symmetric sums (all mod p^k, U2/U3 built at
+    k >= 3 only), so that
 
         prod_{j=1}^{n} (py + j) = F[n] + (py) T[n] + (py)^2 U2[n] + (py)^3 U3[n]
 
@@ -90,14 +69,11 @@ class GammaTables:
             raise ValueError("series tables need p >= 5 at precision >= 3")
         self.p, self.k, self.pk = p, k, p**k
         pk = self.pk
-        F, T, U2, U3 = [1] * p, [0] * p, [0] * p, [0] * p
+        F, T = [1] * p, [0] * p
         for n in range(1, p):
             F[n] = F[n - 1] * n % pk
             T[n] = (T[n - 1] * n + F[n - 1]) % pk
-            if k >= 3:
-                U2[n] = (U2[n - 1] * n + T[n - 1]) % pk
-                U3[n] = (U3[n - 1] * n + U2[n - 1]) % pk
-        self.F, self.T, self.U2, self.U3 = F, T, U2, U3
+        self.F, self.T = F, T
         w1 = F[p - 1]
         a1 = a2 = a3 = 0
         if k == 2:
@@ -119,15 +95,20 @@ class GammaTables:
         m1, m2, m3 = (p ** max(k - i, 0) for i in (1, 2, 3))
         # (-1)^x0 prod_{0<j<x0} (py + j): the tables shifted by one, signed
         sgn = [1, -1] * ((p + 1) // 2)
-        Fs, Ts, Us, Vs = [1] + F[:-1], [0] + T[:-1], [0] + U2[:-1], [0] + U3[:-1]
+        Fs, Ts = [1] + F[:-1], [0] + T[:-1]
         C0 = [s * f % pk for s, f in zip(sgn, Fs)]
         C1 = [s * (t + f * b1) % m1 for s, f, t in zip(sgn, Fs, Ts)]
         C2 = C3 = [0] * p
-        if k > 2:
+        if k > 2:  # U2, U3 only reach the cubic's (py)^2, (py)^3 terms
+            U2, U3 = [0] * p, [0] * p
+            for n in range(1, p):
+                U2[n] = (U2[n - 1] * n + T[n - 1]) % pk
+                U3[n] = (U3[n - 1] * n + U2[n - 1]) % pk
+            Us, Vs = [0] + U2[:-1], [0] + U3[:-1]
             C2 = [s * (u + t * b1 + f * b2) % m2 for s, f, t, u in zip(sgn, Fs, Ts, Us)]
-        if k > 3:
-            C3 = [s * (v + u * b1 + t * b2 + f * b3) % m3
-                  for s, f, t, u, v in zip(sgn, Fs, Ts, Us, Vs)]
+            if k > 3:
+                C3 = [s * (v + u * b1 + t * b2 + f * b3) % m3
+                      for s, f, t, u, v in zip(sgn, Fs, Ts, Us, Vs)]
         self.C = (C0, C1, C2, C3)
         self._C_np = None
 
@@ -156,107 +137,11 @@ class GammaTables:
                 for x in xs for x0 in (x % p,) for py in (x - x0,)]
 
 
-class GammaProductTable:
-    """Gamma_p tabulated at every residue mod p^k from the product formula
-    Gamma_p(n+1) = -n Gamma_p(n) (p not dividing n) / -Gamma_p(n) (p | n).
-    Stored as int64 (p^k < 2^63), 8 bytes a residue."""
-
-    def __init__(self, p: int, k: int):
-        self.p, self.k, self.pk = p, k, p**k
-        pk = self.pk
-        G = array("q", [1]) * pk
-        g = 1
-        for n in range(1, pk):
-            prev = n - 1
-            g = g * (pk - prev) % pk if prev % p else pk - g
-            G[n] = g
-        self.G = G
-
-    def gamma_array(self, x):
-        """gamma_list over an int64 numpy array: a numpy view lookup."""
-        import numpy as np
-
-        return np.frombuffer(self.G, dtype=np.int64)[x]
-
-    def gamma_list(self, xs) -> list[int]:
-        return list(map(self.G.__getitem__, xs))
-
-
-def _gamma_backend(p: int, k: int):
-    if p <= 13 or k > 4:
-        return GammaProductTable(p, k)
-    return GammaTables(p, k)
-
-
-# ---------------------------------------------------------------------------
-# the generic trace sum (the oracle)
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for f in (1, 2, 3):
-        p = round(q ** (1.0 / f))
-        if p**f == q and p > 1 and all(p % d for d in range(2, int(p**0.5) + 1)):
-            return p, f
-    raise ValueError(f"q={q} is not p, p^2 or p^3 for a prime p")
-
-
-def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> int:
-    """The full hypergeometric trace sum mod p^precision, computed from the
-    definitions.
-
-    Exact-rational bookkeeping for the fractional parts; gamma values at
-    precision p^precision.  O(q) gamma evaluations.  Production never
-    calls it: it is the oracle that hp_fast (q = p) and _dwork_hp2
-    (q = p^2) must agree with (asserted in the tests).
-    """
-    p, f = _prime_power(q)
-    k = precision
-    backend = _gamma_backend(p, k)
-    pk = backend.pk
-    z = Fraction(z)
-    if z.denominator % p == 0 or z.numerator % p == 0:
-        raise ValueError(f"z={z} is not a p-adic unit at p={p}")
-    for x in params.alpha + params.beta:
-        if x.denominator % p == 0:
-            raise ValueError(f"parameter {x} not p-integral at p={p}")
-    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
-
-    def parts(xs, delta):  # the fractional parts {p^v (x + delta)}, v < f
-        return [_frac(p**v * (x + delta)) for x in xs for v in range(f)]
-
-    def gamma_prod(fracs):
-        xs = [rational_mod(x.numerator, x.denominator, pk) for x in fracs]
-        return math.prod(backend.gamma_list(xs)) % pk
-
-    # constant parts of eta_m and of the Pochhammer ratios (their m=0 values)
-    a0, b0 = parts(params.alpha, 0), parts(params.beta, 0)
-    ca, cb = gamma_prod(a0), gamma_prod(b0)
-    eta0 = sum(a0) - sum(b0)
-    zero_betas = sum(1 for b in params.beta if b == 0)
-    total = 0
-    for m in range(q - 1):
-        delta = Fraction(m, 1 - q)
-        am, bm = parts(params.alpha, delta), parts(params.beta, delta)
-        eta = sum(am) - sum(bm) - eta0
-        if eta.denominator != 1:
-            raise ConsistencyError(f"eta_m not an integer at m={m}")
-        xi = zero_betas - sum(1 for b in params.beta if b + delta == 0)
-        e = int(eta) + f * xi
-        if e < 0:
-            raise ConsistencyError(f"negative net p-power at m={m}")
-        if e >= k:
-            continue
-        term = p**e * gamma_prod(am) * cb % pk * pow(gamma_prod(bm) * ca % pk, -1, pk) % pk
-        term = term * pow(tz, m, pk) % pk
-        total = (total - term if int(eta) & 1 else total + term) % pk
-    return total * pow(1 - q, -1, pk) % pk
-
-
 # ---------------------------------------------------------------------------
 # the banded H_p kernel, at any precision
 
 
-def _hp_coeffs(p: int, tables: GammaTables | GammaProductTable) -> list[int]:
+def _hp_coeffs(p: int, tables: GammaTables) -> list[int]:
     """The Teich(z) coefficients of H_p(Dwork | z) mod p^k, up to the band cut.
 
     The term at m carries p^e: e = eta_m + 4, from the grid numerators of the
@@ -312,7 +197,7 @@ def _hp_coeffs(p: int, tables: GammaTables | GammaProductTable) -> list[int]:
     return coeffs
 
 
-def hp_poly(p: int, tables: GammaTables | GammaProductTable | None = None) -> tuple[int, ...]:
+def hp_poly(p: int, tables: GammaTables | None = None) -> tuple[int, ...]:
     """H_p as a polynomial in Teich(z): its p - 1 coefficients mod p^k, k the
     precision of `tables` (default GammaTables(p, 2)), zero from the band cut on."""
     coeffs = _hp_coeffs(p, tables or GammaTables(p, 2))
@@ -320,7 +205,7 @@ def hp_poly(p: int, tables: GammaTables | GammaProductTable | None = None) -> tu
 
 
 def hp_fast(z: Fraction | int, p: int,
-            tables: GammaTables | GammaProductTable | None = None) -> int:
+            tables: GammaTables | None = None) -> int:
     """H_p(Dwork | z) mod p^k, k the precision of `tables` (default
     GammaTables(p, 2)): the hp_poly coefficients evaluated at Teich(z).
     O(p) gamma values and ring operations."""
@@ -334,71 +219,11 @@ def hp_fast(z: Fraction | int, p: int,
     return _horner_eval(coeffs, tz, pk)
 
 
-# --- multipoint evaluation -------------------------------------------------
-
-
-def _poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % mod for c in out]
-
-
-def _poly_rem(a: list[int], b: list[int], mod: int) -> list[int]:
-    """a mod b for monic b."""
-    a = list(a)
-    db = len(b) - 1
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % mod
-        if c:
-            for j in range(db):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % mod
-    return [c % mod for c in a[:db]]
-
-
-def _multipoint_tree(coeffs: list[int], points: list[int], mod: int) -> list[int]:
-    """Subproduct-tree multipoint evaluation over Z/mod."""
-    if not points:
-        return []
-    # leaves are the monic linear factors (x - t); a level's odd node out moves up as it is
-    tree = [[[-t % mod, 1] for t in points]]
-    while len(tree[-1]) > 1:
-        low = tree[-1]
-        tree.append([_poly_mul(low[i], low[i + 1], mod) for i in range(0, len(low) - 1, 2)]
-                    + low[len(low) - len(low) % 2:])
-    # push remainders down the tree: node i's parent is node i // 2 one level up
-    rems = [list(coeffs)]
-    for level in reversed(tree[:-1]):
-        rems = [_poly_rem(rems[i // 2], node, mod) for i, node in enumerate(level)]
-    return [r[0] % mod if r else 0 for r in rems]
-
-
 def _horner_eval(coeffs: tuple[int, ...], t: int, mod: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * t + c) % mod
     return acc
-
-
-def batch_evaluate(coeffs: tuple[int, ...], p: int, k: int,
-                   force: str | None = None) -> dict[int, int]:
-    """H_p(z) mod p^k for every z in (Z/p)^*, evaluating the Teich(z)
-    polynomial `coeffs` (hp_poly's, at precision k).
-
-    Subproduct-tree path for p > 64, plain Horner otherwise (or force one
-    with force='tree'/'horner'); the two agree bit-exactly.
-    """
-    pk = p**k
-    zs = list(range(1, p))
-    points = [teichmuller(z, p, k) for z in zs]
-    method = force or ("tree" if p > 64 else "horner")
-    if method == "tree":
-        vals = _multipoint_tree(list(coeffs), points, pk)
-    else:
-        vals = [_horner_eval(coeffs, t, pk) for t in points]
-    return dict(zip(zs, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +253,14 @@ def _mulmod(a, b, m: int):
     return r
 
 
-def _dwork_hp2(z: Fraction, p: int, tables: GammaTables | GammaProductTable) -> int:
+def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
     """H_{p^2}(Dwork | z) mod p^k, k the precision of `tables`, in numpy int64.
 
     Walks m = 1..p^2-2 in blocks of _HP2_BLOCK.  In each block the ten
     fractional-part numerators on the grid D = 5(p^2-1) (eight alpha, two
     beta) and their wrap counts come in closed form; the wraps give the net
     p-power e_m, and only the terms with e_m < k get gamma work, through
-    the backend's gamma_array.  Beta gamma values are not inverted:
+    GammaTables.gamma_array.  Beta gamma values are not inverted:
     Gamma_p(x) Gamma_p(1-x) = +-1, and the sign drops out of their fourth
     power.
 
@@ -448,6 +273,11 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables | GammaProductTable) -> 
                          f"got p={p}")
     import numpy as np
 
+    # A block's temporaries (up to 10 * _HP2_BLOCK int64, 160 KB) sit above glibc's
+    # initial 128 KB mmap threshold, so each would be a fresh mapping whose pages
+    # fault in again.  Freeing one 1 MB buffer lifts glibc's dynamic threshold past
+    # them: a B = 2^10 c2 stream takes 14k minor page faults with it, 4.3M without.
+    np.empty(1 << 17, dtype=np.int64)
     q = p * p
     k, pk = tables.k, tables.pk
     d = 5 * (q - 1)
@@ -487,6 +317,21 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables | GammaProductTable) -> 
 # ---------------------------------------------------------------------------
 # Dwork L-polynomials
 
+# (p, z mod p) -> (c1, c2) at the primes p <= 13, where the c2 window
+# [-4p^3, 12p^3] needs precision p^5 or p^6, past the series tables.  A row
+# depends on z only through z mod p; z = 0, 1 mod p are degenerate fibers.
+# The tests regenerate all 26 rows from the definition-based trace.
+SMALL_PRIME_ROWS = {
+    (3, 2): (5, 15),
+    (7, 2): (10, 60), (7, 3): (5, 55), (7, 4): (-35, 115), (7, 5): (-5, -30), (7, 6): (25, 50),
+    (11, 2): (-14, -74), (11, 3): (-29, 66), (11, 4): (31, 131), (11, 5): (1, -14),
+    (11, 6): (-9, -4), (11, 7): (-54, 266), (11, 8): (31, 206), (11, 9): (26, 236),
+    (11, 10): (-14, 76),
+    (13, 2): (85, 405), (13, 3): (-25, 275), (13, 4): (-120, 590), (13, 5): (-5, 160),
+    (13, 6): (-5, 260), (13, 7): (10, -70), (13, 8): (-25, 100), (13, 9): (20, -90),
+    (13, 10): (15, 120), (13, 11): (25, 100), (13, 12): (-15, -20),
+}
+
 
 def _check_dwork_prime(z: Fraction, p: int) -> None:
     if p in (2, 5):
@@ -500,10 +345,6 @@ def _check_dwork_prime(z: Fraction, p: int) -> None:
         raise DegenerateFiber(f"z = 1 mod {p} (psi^5 = 1, singular fiber)")
 
 
-def _c2_precision(p: int) -> int:
-    return 6 if p == 3 else 5 if p <= 13 else 4  # p^k > 16 p^3, the c2 window's width
-
-
 def _c1_lift(h: int, p: int, pk: int) -> int:
     """c1 = -H_p, from h = H_p mod pk, lifted to (-pk/2, pk/2] and checked
     against |c1| <= 4 p^(3/2)."""
@@ -515,25 +356,35 @@ def _c1_lift(h: int, p: int, pk: int) -> int:
     return c1
 
 
+def _small_row(z: Fraction, p: int) -> tuple[int, int]:
+    return SMALL_PRIME_ROWS[p, rational_mod(z.numerator, z.denominator, p)]
+
+
 def dwork_c1(z: Fraction | int, p: int) -> int:
     """c1 = -H_p, lifted to the integer obeying |c1| <= 4 p^(3/2).
 
     For p > 64 precision p^2 identifies c1; smaller p use precision p^4
-    (4 p^(3/2) < p^4/2 always holds for odd p).
+    (4 p^(3/2) < p^4/2 always holds for odd p), and p <= 13 read
+    SMALL_PRIME_ROWS.
     """
     z = Fraction(z)
     _check_dwork_prime(z, p)
-    tables = _gamma_backend(p, 2 if p > 64 else 4)
+    if p <= 13:
+        return _small_row(z, p)[0]
+    tables = GammaTables(p, 2 if p > 64 else 4)
     return _c1_lift(hp_fast(z, p, tables), p, tables.pk)
 
 
 def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     """Full L-polynomial coefficient pair (c1, c2) of the Dwork-pencil
     motive at z: c1 = -H_p and c2 = (H_p^2 - H_{p^2})/(2p), both lifted
-    through their Weil windows.  O(p^2) work (the H_{p^2} sum)."""
+    through their Weil windows.  O(p^2) work (the H_{p^2} sum); p <= 13
+    read SMALL_PRIME_ROWS."""
     z = Fraction(z)
     _check_dwork_prime(z, p)
-    tables = _gamma_backend(p, _c2_precision(p))
+    if p <= 13:
+        return LPoly(p, *_small_row(z, p))
+    tables = GammaTables(p, 4)  # p^4 > 16 p^3, the c2 window's width, for p >= 17
     pk = tables.pk
     hp = hp_fast(z, p, tables)
     c1 = _c1_lift(hp, p, pk)

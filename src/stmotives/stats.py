@@ -176,20 +176,21 @@ def emit_table(rows: list[list[str]], fmt: str = "tsv") -> str:
 
 
 def parse_stats_tsv(text: str) -> MomentStats:
-    """Read back a stats TSV produced by emit_table (last data row)."""
+    """Read back a stats TSV produced by emit_table: every data row is
+    checked against the (last) header, and the last row is returned."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = None
-    data = None
-    for ln in lines:
-        if ln.startswith("#"):
-            header = ln[1:].split("\t")
-        else:
-            data = ln.split("\t")
-    if header is None or data is None:
+    headers = [ln[1:].split("\t") for ln in lines if ln.startswith("#")]
+    rows = [ln.split("\t") for ln in lines if not ln.startswith("#")]
+    if not headers or not rows:
         raise ValueError("no stats rows found")
+    header = headers[-1]
     unknown = [name for name in header if name not in STATS_HEADER]
     if unknown:
         raise ValueError(f"unknown column(s) {unknown}; expected some of {STATS_HEADER}")
+    return [_parse_stats_row(header, data) for data in rows][-1]
+
+
+def _parse_stats_row(header: list[str], data: list[str]) -> MomentStats:
     if len(data) > len(header):
         raise ValueError(f"the stats row has {len(data)} cells for {len(header)} columns")
     a1: dict[int, float] = {}

@@ -1,7 +1,8 @@
 """Hypergeometric trace sums, dual-path identities, Dwork L-polynomials."""
 
-import functools
+import math
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,30 +10,29 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
+from hg_oracle import DWORK, batch_evaluate, gamma_backend, trace_Hq
 from stmotives import padic_hypergeom as ph
-from stmotives.records import ConsistencyError, DegenerateFiber
+from stmotives.records import ConsistencyError, DegenerateFiber, LPoly
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 13, 17, 23, 31, 41])
-def test_eta_band_table_matches_definition(p, monkeypatch):
+def test_eta_band_table_matches_definition(p):
     """The banded H_p kernel (exponent from the grid numerators, sum cut at
     the k-th band) against the definition-based trace, at every precision
     the backend supports.  The series tables need p >= 5 past k = 2, so
     p = 3 runs on the product table only; every p <= 13 also runs on the
-    product table at k = 4..6, built once for the kernel and the trace."""
-    backend = functools.cache(ph._gamma_backend)  # p <= 13: the product table
-    monkeypatch.setattr(ph, "_gamma_backend", backend)
+    product table at k = 4..6, the oracle's own, built once per test run."""
     backends = [ph.GammaTables(p, k) for k in range(1, 5)] if p > 3 else []
     if p <= 13:
-        backends += [backend(p, k) for k in range(1 if p == 3 else 4, 7)]
+        backends += [gamma_backend(p, k) for k in range(1 if p == 3 else 4, 7)]
     for tables in backends:
         for z in (-1, 2, Fraction(1, 2)):
             fast = ph.hp_fast(z, p, tables)
             assert 0 <= fast < tables.pk == p**tables.k
-            assert fast == ph.trace_Hq(ph.DWORK, z, p, tables.k)
+            assert fast == trace_Hq(DWORK, z, p, tables.k)
 
 
 def test_band_cuts_at_11():
@@ -44,7 +44,7 @@ def test_band_cuts_at_11():
 def test_hp_fast_equals_full_trace(p):
     for z in (-1, 2, Fraction(1, 2)):
         fast = ph.hp_fast(z, p)
-        full = ph.trace_Hq(ph.DWORK, z, p, 2)
+        full = trace_Hq(DWORK, z, p, 2)
         assert fast == full
 
 
@@ -71,11 +71,12 @@ def test_hp_fast_o_of_p_cost():
 
 
 def test_c1_path_never_imports_numpy(tmp_path):
-    """numpy would raise the c1 CLI process's peak RSS by half: dwork_c1 on
-    either backend and `motive dwork --coeffs a1` run without it."""
+    """numpy would raise the c1 CLI process's peak RSS by half: dwork_c1 from
+    the small-prime rows and at both precisions of the series tables, and
+    `motive dwork --coeffs a1`, run without it."""
     code = ("import sys\n"
             "from stmotives import cli, padic_hypergeom as ph\n"
-            "ph.dwork_c1(-1, 13), ph.dwork_c1(2, 8191)\n"
+            "ph.dwork_c1(-1, 13), ph.dwork_c1(-1, 17), ph.dwork_c1(2, 8191)\n"
             "assert 'numpy' not in sys.modules, 'dwork_c1'\n"
             "assert cli.main(['motive', 'dwork', '--z', '-1', '--bound-log2', '9', '--coeffs', 'a1',\n"
             "                 '--classify', '--cache-dir', sys.argv[1]]) == 0\n"
@@ -117,8 +118,8 @@ def test_hp_poly_evaluates_to_hp_fast(p):
 def test_batch_evaluate_tree_equals_horner():
     for p in (11, 101, 131):
         coeffs = ph.hp_poly(p)
-        tree = ph.batch_evaluate(coeffs, p, 2, force="tree")
-        horner = ph.batch_evaluate(coeffs, p, 2, force="horner")
+        tree = batch_evaluate(coeffs, p, 2, force="tree")
+        horner = batch_evaluate(coeffs, p, 2, force="horner")
         assert len(tree) == p - 1
         assert tree == horner
 
@@ -127,7 +128,7 @@ def test_batch_matches_per_z_hp_fast():
     p = 11
     for k in (2, 4):
         tables = ph.GammaTables(p, k)
-        out = ph.batch_evaluate(ph.hp_poly(p, tables), p, k)
+        out = batch_evaluate(ph.hp_poly(p, tables), p, k)
         for z in range(1, p):
             assert out[z] == ph.hp_fast(z, p, tables)
 
@@ -137,7 +138,7 @@ def test_fast_hp2_loop_equals_generic_trace(p):
     t = ph.GammaTables(p, 4)
     for z in (-1, 2, Fraction(3, 7)):
         fast = ph._dwork_hp2(Fraction(z), p, t)
-        full = ph.trace_Hq(ph.DWORK, z, p * p, 4)
+        full = trace_Hq(DWORK, z, p * p, 4)
         assert fast == full
 
 
@@ -151,43 +152,68 @@ def test_hp2_kernel_equals_generic_trace_random(p, num, den):
     z = Fraction(num, den)
     assume(z.numerator % p and z.denominator % p and (z.numerator - z.denominator) % p)
     fast = ph._dwork_hp2(z, p, ph.GammaTables(p, 4))
-    assert fast == ph.trace_Hq(ph.DWORK, z, p * p, 4)
+    assert fast == trace_Hq(DWORK, z, p * p, 4)
 
 
-@functools.cache
-def _product_table(p):
-    return ph.GammaProductTable(p, ph._c2_precision(p))
+def _lift_rows(p: int, k: int) -> dict:
+    """Every non-degenerate (p, z mod p) row from the trace at q = p and
+    q = p^2 mod p^k, lifted by brute force: the one integer c1 with
+    c1^2 <= 16 p^3 and c1 = -H_p, and the one c2 in [-2p^2, 6p^2] with
+    2p c2 = H_p^2 - H_{p^2} mod p^k."""
+    pk, rows = p**k, {}
+    w = math.isqrt(16 * p**3)
+    for r in range(2, p):
+        hp, hp2 = trace_Hq(DWORK, r, p, k), trace_Hq(DWORK, r, p * p, k)
+        c1s = [c for c in range(-w, w + 1) if (c + hp) % pk == 0]
+        c2s = [c for c in range(-2 * p * p, 6 * p * p + 1) if (2 * p * c - hp * hp + hp2) % pk == 0]
+        assert len(c1s) == len(c2s) == 1, (p, r, c1s, c2s)
+        rows[p, r] = (c1s[0], c2s[0])
+    return rows
 
 
-@pytest.mark.parametrize("p", [3, 7, 11, 13])
-def test_hp2_kernel_on_product_table_equals_generic_trace(p):
-    """The small primes, where the c2 window needs p^5 or p^6: the same
-    kernel on the product table at the c2 precision."""
-    tables = _product_table(p)
-    assert tables.k == (6 if p == 3 else 5)
-    for z in (-1, 2, Fraction(1, 2), Fraction(-4, 9)):
-        if Fraction(z).numerator % p == 0 or Fraction(z).denominator % p == 0:
-            continue
-        full = ph.trace_Hq(ph.DWORK, z, p * p, tables.k)
-        assert ph._dwork_hp2(Fraction(z), p, tables) == full
+def test_small_prime_rows_certified_by_the_trace():
+    """The 26 literal rows at p <= 13 are the definition-based trace, on the
+    product table at k = 6 (p = 3) or k = 5, lifted independently of the
+    package's window arithmetic."""
+    rows = {}
+    for p in (3, 7, 11, 13):
+        rows.update(_lift_rows(p, 6 if p == 3 else 5))
+    assert len(rows) == 1 + 5 + 9 + 11
+    assert rows == ph.SMALL_PRIME_ROWS
 
 
-@settings(max_examples=12)
+@settings(max_examples=60)
 @given(p=hst.sampled_from([3, 7, 11, 13]), num=hst.integers(-10**6, 10**6),
        den=hst.integers(1, 10**6))
-def test_hp2_kernel_on_product_table_equals_generic_trace_random(p, num, den):
+@example(p=7, num=14, den=3)  # z = 0 mod p
+@example(p=11, num=25, den=14)  # z = 1 mod p
+@example(p=13, num=5, den=26)  # a pole at p
+@example(p=3, num=2, den=1)
+def test_small_prime_lookup_equals_table_row(p, num, den):
     z = Fraction(num, den)
-    assume(z.numerator % p and z.denominator % p and (z.numerator - z.denominator) % p)
-    tables = _product_table(p)
-    fast = ph._dwork_hp2(z, p, tables)
-    assert fast == ph.trace_Hq(ph.DWORK, z, p * p, tables.k)
+    if z.denominator % p == 0 or z.numerator % p == 0 or (z.numerator - z.denominator) % p == 0:
+        for entry in (ph.dwork_lpoly, ph.dwork_c1):
+            with pytest.raises(DegenerateFiber):
+                entry(z, p)
+        return
+    c1, c2 = ph.SMALL_PRIME_ROWS[p, num * pow(den, -1, p) % p]
+    assert ph.dwork_lpoly(z, p) == LPoly(p, c1, c2)
+    assert ph.dwork_c1(z, p) == c1
 
 
-def test_dwork_lpoly_never_calls_the_generic_trace(monkeypatch):
-    def oracle(*args, **kwargs):
-        raise AssertionError("production called trace_Hq")
+_NOT_IN_PACKAGE = ("GammaProductTable", "_gamma_backend", "_c2_precision", "trace_Hq",
+                    "_prime_power", "_frac", "HGParams", "DWORK", "DWORK_ALPHA", "DWORK_BETA",
+                    "ONE_FIFTH", "batch_evaluate", "_multipoint_tree", "_poly_mul", "_poly_rem")
 
-    monkeypatch.setattr(ph, "trace_Hq", oracle)
+
+def test_dwork_lpoly_never_calls_the_generic_trace():
+    """The oracle lives in the tests only: the package has none of its
+    names, and no file under src/ or bench/ imports it."""
+    assert [name for name in _NOT_IN_PACKAGE if hasattr(ph, name)] == []
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sources = [f for d in ("src", "bench") for f in (root / d).rglob("*.py")]
+    assert sources
+    assert [str(f) for f in sources if "hg_oracle" in f.read_text()] == []
     primes = [p for p in range(3, 62) if all(p % d for d in range(2, p)) and p != 5]
     for p in primes:
         lp = ph.dwork_lpoly(-1, p)
@@ -223,7 +249,7 @@ def test_hp2_kernel_rejects_p_past_int64_range():
 def test_banded_hp_p4_equals_generic(p):
     t = ph.GammaTables(p, 4)
     for z in (-1, 3):
-        assert ph.hp_fast(z, p, t) == ph.trace_Hq(ph.DWORK, z, p, 4)
+        assert ph.hp_fast(z, p, t) == trace_Hq(DWORK, z, p, 4)
 
 
 _PRIMES_7_150 = [p for p in range(7, 150) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -236,15 +262,15 @@ def test_hp_kernel_equals_generic_trace_random(p, k, num, den):
     z = Fraction(num, den)
     assume(z.numerator % p and z.denominator % p)
     fast = ph.hp_fast(z, p, ph.GammaTables(p, k))
-    assert fast == ph.trace_Hq(ph.DWORK, z, p, k)
+    assert fast == trace_Hq(DWORK, z, p, k)
 
 
 def test_trace_precision_coherence():
     # values at precision p^4 reduce to the p^2 values
     for p in (17, 29):
         for z in (-1, 2):
-            h4 = ph.trace_Hq(ph.DWORK, z, p, 4)
-            h2 = ph.trace_Hq(ph.DWORK, z, p, 2)
+            h4 = trace_Hq(DWORK, z, p, 4)
+            h2 = trace_Hq(DWORK, z, p, 2)
             assert h4 % (p * p) == h2
 
 
@@ -262,7 +288,7 @@ def test_c1_balanced_lift_matches_p4_path():
     for p in (67, 71, 101, 211):
         for z in (-1, 2, 7):
             via_p2 = ph.dwork_c1(z, p)
-            h, pk = ph.trace_Hq(ph.DWORK, z, p, 4), p**4
+            h, pk = trace_Hq(DWORK, z, p, 4), p**4
             via_p4 = -(h - pk if h > pk // 2 else h)
             assert via_p2 == via_p4
 
@@ -305,7 +331,7 @@ def test_power_sum_self_duality(p):
     lp = ph.dwork_lpoly(z, p)
     hp = -lp.c1
     k3 = 7 if p == 3 else (6 if p <= 13 else 5)
-    s3 = ph.trace_Hq(ph.DWORK, z, p**3, k3)
+    s3 = trace_Hq(DWORK, z, p**3, k3)
     pred = hp**3 - 3 * p * lp.c2 * hp + 3 * p**3 * hp
     assert (pred - s3) % p**k3 == 0
 

@@ -130,7 +130,8 @@ def test_stats_tsv_reads_old_bound_cells():
     ("#n\ta1.M2\ta3.M2\n10\t1.0\t2.0\n", "a3.M2"),  # was read as the a2 moment M2
     ("#n\ta1.M2\n-3\t1.0\n", "negative bound"),  # was read as the bound 1/8
     ("#n\ta1.M2\n10\t1.0\t5.0\t7\n", "4 cells for 2 columns"),  # extra cells were dropped
-], ids=["no-moments", "unknown-column", "negative-bound", "over-wide-row"])
+    ("#n\ta1.M2\n-5\tjunk\t1\t2\n10\t1.0\n", "4 cells for 2 columns"),  # only the last row was read
+], ids=["no-moments", "unknown-column", "negative-bound", "over-wide-row", "bad-earlier-row"])
 def test_bad_stats_file_is_rejected_and_classify_exits_3(tmp_path, capsys, text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_stats_tsv(text)
@@ -369,7 +370,10 @@ def _bad_stats_file():
         lambda n: hst.sampled_from([f"{n}", f"B={n}"])).map(lambda n: f"#n\ta1.M2\n{n}\t1.0\n")
     over_wide = hst.lists(hst.sampled_from(["", "5.0", "7"]), min_size=1, max_size=3).map(
         lambda extra: "#n\ta1.M2\n10\t1.0\t" + "\t".join(extra) + "\n")
-    return hst.one_of(no_moments, unknown_col, bad_cell, no_rows, negative_bound, over_wide)
+    bad_row = hst.one_of(no_moments, bad_cell, negative_bound, over_wide)
+    earlier_bad_row = bad_row.map(lambda text: text + "10\t1.0\n")  # a good last row
+    return hst.one_of(no_moments, unknown_col, bad_cell, no_rows, negative_bound, over_wide,
+                      earlier_bad_row)
 
 
 def _cases():
