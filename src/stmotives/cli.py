@@ -13,7 +13,8 @@
 Motive commands print the moment-statistics row (and with --classify the
 nearest-group ranking).  Exit codes: 0 ok, 1 internal consistency failure,
 2 bad arguments (unknown or missing labels, wrong form weights, a singular
-curve, z = 0 or 1, a bound below 2^1, an --out path that cannot be written),
+curve, z = 0 or 1, a bound below 2^1 or above 2^32 (the prime sieve takes one
+byte per integer up to the bound), an --out path that cannot be written),
 3 data errors (including a stream with no good primes).
 """
 
@@ -32,6 +33,7 @@ from .padic_hypergeom import HP2_MAX_P
 from .records import ConsistencyError
 
 CACHE_ENV = "STMOTIVES_CACHE_DIR"
+MAX_BOUND_LOG2 = 32  # the prime sieve takes one byte per integer up to B = 2^N
 
 
 class CliError(Exception):
@@ -107,10 +109,10 @@ def cmd_groups(args) -> int:
         if not args.group:
             raise CliError("groups moments needs --group")
         mv = stgroups.moment_vector(args.group)
-        lines = ["#coeff\t" + "\t".join(f"M{n}" for n in range(2, 17, 2))]
-        lines.append("a1\t" + "\t".join(str(v) for v in mv["a1"]))
-        lines.append("#coeff\t" + "\t".join(f"M{n}" for n in range(1, 10)))
-        lines.append("a2\t" + "\t".join(str(v) for v in mv["a2"]))
+        lines = []
+        for coeff, ns in stgroups.TABLE_ORDERS.items():
+            lines.append("#coeff\t" + "\t".join(f"M{n}" for n in ns))
+            lines.append(coeff + "\t" + "\t".join(str(v) for v in mv[coeff]))
         _emit("\n".join(lines) + "\n", args.out)
     else:  # invariants
         lines = ["#group\td\tc\tz1\tz2\tcomponent_group"]
@@ -151,6 +153,9 @@ def _make_spec(args) -> motives.MotiveSpec:
 def cmd_motive(args) -> int:
     if args.bound_log2 < 1:
         raise CliError(f"--bound-log2 must be at least 1, got {args.bound_log2}")
+    if args.bound_log2 > MAX_BOUND_LOG2:
+        raise CliError(f"--bound-log2 must be at most {MAX_BOUND_LOG2} (the prime sieve takes "
+                       f"one byte per integer up to the bound), got {args.bound_log2}")
     spec = _make_spec(args)
     bound = 2**args.bound_log2
     a1_only = args.construction == "dwork" and args.coeffs == "a1"

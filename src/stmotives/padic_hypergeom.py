@@ -14,14 +14,18 @@ Gamma_p(x0 + p y) mod p^k, k <= 4, from factorial-type tables and the series
 on p*Z_p.  O(p) setup, O(1) per value, through a pure-Python gamma_list (the
 H_p kernel) and an int64-array gamma_array (the H_{p^2} kernel).
 
-hp_poly sums the banded H_p series (the term at m carries p^e, e stepping up
-at the band cuts floor((i p + 5 - i)/5), so only the m below the k-th cut
-survive mod p^k) from two Gamma_p values a term (see _hp_coeffs); hp_fast
-evaluates it at Teich(z) by Horner, and dwork_c1 runs it at k = 2 (p > 64) or
-k = 4 in pure Python (numpy would add half to a c1 process's peak RSS).  The
-O(p^2) sum H_{p^2} runs in one numpy int64 kernel (_dwork_hp2), block by block
-over m, exact for p^4 < 2^50 (p <= HP2_MAX_P = 5791); dwork_lpoly runs both at
-k = 4.  Every trace is a plain int mod p^k.
+Both traces are polynomials in Teich(z) whose coefficients do not depend
+on z, and Teich(z)^(p-1) = 1, so each is a vector of at most p - 1
+coefficients mod p^k.  hp_poly sums the banded H_p series (the term at m
+carries p^e, e stepping up at the band cuts floor((i p + 5 - i)/5), so only
+the m below the k-th cut survive mod p^k) from two Gamma_p values a term, in
+pure Python (numpy would add half to a c1 process's peak RSS).  hp2_poly
+folds the O(p^2) sum H_{p^2} into the p - 1 classes of m mod (p - 1) in one
+numpy int64 kernel, block by block over m, exact for p^4 < 2^50
+(p <= HP2_MAX_P = 5791).  dwork_c1 and dwork_lpoly share one row body: it
+takes Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4,
+and hp2_poly at k = 4 for c2, each by Horner.  Every trace is a plain int
+mod p^k.
 
 At p <= 13 the c2 window [-4p^3, 12p^3] would need p^5 or p^6, which the
 series tables do not reach.  A row depends on z only through z mod p, so
@@ -141,8 +145,10 @@ class GammaTables:
 # the banded H_p kernel, at any precision
 
 
-def _hp_coeffs(p: int, tables: GammaTables) -> list[int]:
-    """The Teich(z) coefficients of H_p(Dwork | z) mod p^k, up to the band cut.
+def hp_poly(p: int, tables: GammaTables) -> list[int]:
+    """H_p(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision of
+    `tables`: its coefficients from degree 0 up to the k-th band cut (at most
+    p - 1 of them; the ones past the cut vanish mod p^k).
 
     The term at m carries p^e: e = eta_m + 4, from the grid numerators of the
     alphas {j/5 + u} and betas {u} (u = m/(1-p)) over D = 5(p-1), counts the
@@ -197,29 +203,8 @@ def _hp_coeffs(p: int, tables: GammaTables) -> list[int]:
     return coeffs
 
 
-def hp_poly(p: int, tables: GammaTables | None = None) -> tuple[int, ...]:
-    """H_p as a polynomial in Teich(z): its p - 1 coefficients mod p^k, k the
-    precision of `tables` (default GammaTables(p, 2)), zero from the band cut on."""
-    coeffs = _hp_coeffs(p, tables or GammaTables(p, 2))
-    return tuple(coeffs) + (0,) * (p - 1 - len(coeffs))
-
-
-def hp_fast(z: Fraction | int, p: int,
-            tables: GammaTables | None = None) -> int:
-    """H_p(Dwork | z) mod p^k, k the precision of `tables` (default
-    GammaTables(p, 2)): the hp_poly coefficients evaluated at Teich(z).
-    O(p) gamma values and ring operations."""
-    z = Fraction(z)
-    if z.denominator % p == 0 or z.numerator % p == 0:
-        raise ValueError(f"z={z} is not a unit at {p}")
-    tables = tables or GammaTables(p, 2)
-    pk = tables.pk
-    coeffs = _hp_coeffs(p, tables)
-    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)
-    return _horner_eval(coeffs, tz, pk)
-
-
-def _horner_eval(coeffs: tuple[int, ...], t: int, mod: int) -> int:
+def _horner_eval(coeffs: list[int], t: int, mod: int) -> int:
+    """The polynomial with the given coefficients (degree 0 first) at t, mod `mod`."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * t + c) % mod
@@ -231,8 +216,8 @@ def _horner_eval(coeffs: tuple[int, ...], t: int, mod: int) -> int:
 
 HP2_MAX_P = 5791  # the largest prime with p^4 < 2^50, the range of _mulmod
 # m values per block: small enough for the temporaries to stay in cache
-# (about 3 MB of peak RSS); a block's kept terms are each below
-# p^k < 2^50, so their int64 sum stays below 2^61
+# (about 3 MB of peak RSS); a block adds at most this many terms, each at
+# most p^k < 2^50, to a coefficient below p^k, so it stays below 2^62
 _HP2_BLOCK = 1 << 11
 
 
@@ -253,20 +238,24 @@ def _mulmod(a, b, m: int):
     return r
 
 
-def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
-    """H_{p^2}(Dwork | z) mod p^k, k the precision of `tables`, in numpy int64.
+def hp2_poly(p: int, tables: GammaTables) -> list[int]:
+    """H_{p^2}(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision
+    of `tables`: its p - 1 coefficients, summed in numpy int64.
 
-    Walks m = 1..p^2-2 in blocks of _HP2_BLOCK.  In each block the ten
-    fractional-part numerators on the grid D = 5(p^2-1) (eight alpha, two
-    beta) and their wrap counts come in closed form; the wraps give the net
-    p-power e_m, and only the terms with e_m < k get gamma work, through
+    Teich(z)^(p-1) = 1, so the term at m adds to the coefficient of degree
+    m mod (p - 1).  Walks m = 1..p^2-2 in blocks of _HP2_BLOCK.  In each block
+    the ten fractional-part numerators on the grid D = 5(p^2-1) (eight alpha,
+    two beta) and their wrap counts come in closed form; the wraps give the
+    net p-power e_m, and only the terms with e_m < k get gamma work, through
     GammaTables.gamma_array.  Beta gamma values are not inverted:
     Gamma_p(x) Gamma_p(1-x) = +-1, and the sign drops out of their fourth
-    power.
+    power.  The block's signed terms are added into the p - 1 classes, which
+    are then reduced mod p^k.
 
     Exact for p <= HP2_MAX_P: p^k < 2^50 is the range of _mulmod, every
-    other int64 intermediate is below 2p^k and a block's sum below 2^61.
-    Larger p raise ValueError.
+    other int64 intermediate is below 2p^k, and a class is below p^k plus
+    one block's terms, each at most p^k, so below 2^62.  Larger p raise
+    ValueError.
     """
     if p > HP2_MAX_P:
         raise ValueError(f"the int64 H_(p^2) kernel needs p^4 < 2^50, i.e. p <= {HP2_MAX_P}; "
@@ -288,11 +277,10 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
                  dtype=np.int64)[:, None]
     S = np.array([5, 5 * p] * 5, dtype=np.int64)[:, None]
     ca = math.prod(tables.gamma_list([n * invd % pk for n in A[:8, 0].tolist()])) % pk
-    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k)
-    tpow = np.array([pow(tz, j, pk) for j in range(p - 1)], dtype=np.int64)  # tz^(p-1) = 1
     ppow = np.array([p**e for e in range(k)], dtype=np.int64)
     pmod = pk // ppow
-    total = ca  # the m = 0 term times ca (divided out at the end)
+    coeffs = np.zeros(p - 1, dtype=np.int64)
+    coeffs[0] = ca  # the m = 0 term times ca (divided out at the end)
     for m0 in range(1, q - 1, _HP2_BLOCK):
         m = np.arange(m0, min(m0 + _HP2_BLOCK, q - 1), dtype=np.int64)
         floors, n = np.divmod(A - S * m, d)
@@ -308,10 +296,11 @@ def _dwork_hp2(z: Fraction, p: int, tables: GammaTables) -> int:
         g = _mulmod(g[0::2], g[1::2], pk)  # four alpha pairs and the beta pair
         b = _mulmod(g[4], g[4], pk)
         g = _mulmod(g[:2], g[2:4], pk)
-        t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk)
-        t = _mulmod(t, tpow[m % (p - 1)], pk) % pmod[e] * ppow[e]
-        total += int(np.where(e & 1, pk - t, t).sum())  # (-1)^eta_m, eta_m = e - 8
-    return total * pow(ca, -1, pk) % pk * pow(1 - q, -1, pk) % pk
+        t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk) % pmod[e] * ppow[e]
+        np.add.at(coeffs, m % (p - 1), np.where(e & 1, pk - t, t))  # (-1)^eta_m, eta_m = e - 8
+        coeffs %= pk
+    scale = pow(ca * (1 - q), -1, pk)
+    return [c * scale % pk for c in coeffs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -356,40 +345,25 @@ def _c1_lift(h: int, p: int, pk: int) -> int:
     return c1
 
 
-def _small_row(z: Fraction, p: int) -> tuple[int, int]:
-    return SMALL_PRIME_ROWS[p, rational_mod(z.numerator, z.denominator, p)]
-
-
-def dwork_c1(z: Fraction | int, p: int) -> int:
-    """c1 = -H_p, lifted to the integer obeying |c1| <= 4 p^(3/2).
-
-    For p > 64 precision p^2 identifies c1; smaller p use precision p^4
-    (4 p^(3/2) < p^4/2 always holds for odd p), and p <= 13 read
-    SMALL_PRIME_ROWS.
-    """
+def _dwork_row(z: Fraction | int, p: int, full: bool) -> tuple[int, ...]:
+    """(c1,), or (c1, c2) when full, of the Dwork-pencil motive at z and p:
+    hp_poly (and hp2_poly) evaluated at Teich(z), lifted through the Weil
+    windows; p <= 13 read SMALL_PRIME_ROWS."""
     z = Fraction(z)
     _check_dwork_prime(z, p)
     if p <= 13:
-        return _small_row(z, p)[0]
-    tables = GammaTables(p, 2 if p > 64 else 4)
-    return _c1_lift(hp_fast(z, p, tables), p, tables.pk)
-
-
-def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
-    """Full L-polynomial coefficient pair (c1, c2) of the Dwork-pencil
-    motive at z: c1 = -H_p and c2 = (H_p^2 - H_{p^2})/(2p), both lifted
-    through their Weil windows.  O(p^2) work (the H_{p^2} sum); p <= 13
-    read SMALL_PRIME_ROWS."""
-    z = Fraction(z)
-    _check_dwork_prime(z, p)
-    if p <= 13:
-        return LPoly(p, *_small_row(z, p))
-    tables = GammaTables(p, 4)  # p^4 > 16 p^3, the c2 window's width, for p >= 17
+        row = SMALL_PRIME_ROWS[p, rational_mod(z.numerator, z.denominator, p)]
+        return row if full else row[:1]
+    # p^4 > 16 p^3, the c2 window's width, for p >= 17; p^2 identifies c1 for p > 64
+    tables = GammaTables(p, 4 if full or p <= 64 else 2)
     pk = tables.pk
-    hp = hp_fast(z, p, tables)
+    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)
+    hp = _horner_eval(hp_poly(p, tables), tz, pk)
     c1 = _c1_lift(hp, p, pk)
+    if not full:
+        return (c1,)
     # lift H_p^2 - H_{p^2} into (-4p^3, 12p^3]
-    w = (hp * hp - _dwork_hp2(z, p, tables)) % pk
+    w = (hp * hp - _horner_eval(hp2_poly(p, tables), tz, pk)) % pk
     hi = 12 * p**3
     if w > hi:
         w -= pk
@@ -400,4 +374,22 @@ def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     c2, rem = divmod(w, 2 * p)
     if rem:
         raise ConsistencyError(f"H_p^2 - H_(p^2) not divisible by 2p at p={p}")
-    return LPoly(p, c1, c2)
+    return c1, c2
+
+
+def dwork_c1(z: Fraction | int, p: int) -> int:
+    """c1 = -H_p, lifted to the integer obeying |c1| <= 4 p^(3/2).
+
+    For p > 64 precision p^2 identifies c1; smaller p use precision p^4
+    (4 p^(3/2) < p^4/2 always holds for odd p), and p <= 13 read
+    SMALL_PRIME_ROWS.
+    """
+    return _dwork_row(z, p, False)[0]
+
+
+def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
+    """Full L-polynomial coefficient pair (c1, c2) of the Dwork-pencil
+    motive at z: c1 = -H_p and c2 = (H_p^2 - H_{p^2})/(2p), both lifted
+    through their Weil windows.  O(p^2) work (the H_{p^2} sum); p <= 13
+    read SMALL_PRIME_ROWS."""
+    return LPoly(p, *_dwork_row(z, p, True))

@@ -199,7 +199,10 @@ def _parse_stats_row(header: list[str], data: list[str]) -> MomentStats:
         if not cell:
             continue
         coeff, mn = name.split(".M")
-        (a1 if coeff == "a1" else a2)[int(mn)] = float(cell)
+        value = float(cell)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite moment cell {cell!r} in column {name}")
+        (a1 if coeff == "a1" else a2)[int(mn)] = value
     if not a1 and not a2:
         raise ValueError("the stats row has no moment values")
     n = data[0]  # a plain cell: log2 of the bound below 64, else the bound (older files)

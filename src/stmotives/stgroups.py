@@ -219,14 +219,18 @@ def _build_catalog() -> tuple[STGroup, ...]:
 _CATALOG = _build_catalog()
 _BY_NAME = {g.name: g for g in _CATALOG}
 
+# the printed table orders: a1 moments M_2..M_16, a2 moments M_1..M_9
+TABLE_ORDERS = {"a1": tuple(range(2, 17, 2)), "a2": tuple(range(1, 10))}
+
 
 def catalog() -> tuple[STGroup, ...]:
     """The 26 candidate groups, in their standard order."""
     return _CATALOG
 
 
-def group(name: str) -> STGroup:
-    return _BY_NAME[name]
+def group(g: STGroup | str) -> STGroup:
+    """The catalog group named g; a group object is returned as it is."""
+    return _BY_NAME[g] if isinstance(g, str) else g
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +284,8 @@ def component_moment(comp: Component, coeff: str, n: int) -> Fraction:
 
 def moment(g: STGroup | str, coeff: str, n: int) -> int:
     """Exact n-th moment of a1 or a2 over the group (always an integer)."""
-    if isinstance(g, str):
-        g = _BY_NAME[g]
     _check_moment_args(coeff, n)
-    return _group_moment(g, coeff, n)
+    return _group_moment(group(g), coeff, n)
 
 
 @cache
@@ -298,13 +300,9 @@ def _group_moment(g: STGroup, coeff: str, n: int) -> int:
 
 
 def moment_vector(g: STGroup | str) -> dict:
-    """The printed table slices: a1 moments M_2..M_16, a2 moments M_1..M_9."""
-    if isinstance(g, str):
-        g = _BY_NAME[g]
-    return {
-        "a1": [moment(g, "a1", n) for n in range(2, 17, 2)],
-        "a2": [moment(g, "a2", n) for n in range(1, 10)],
-    }
+    """The printed table slices, in TABLE_ORDERS."""
+    g = group(g)
+    return {coeff: [moment(g, coeff, n) for n in ns] for coeff, ns in TABLE_ORDERS.items()}
 
 
 def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:
@@ -313,8 +311,7 @@ def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:
     z1 counts components on which a1 is identically 0; z2[j+2] counts
     components on which a2 is identically the integer j, -2 <= j <= 2.
     """
-    if isinstance(g, str):
-        g = _BY_NAME[g]
+    g = group(g)
     z1 = 0
     z2 = [0, 0, 0, 0, 0]
     for comp in g.components:
@@ -334,8 +331,7 @@ def sample_many(g: STGroup | str, count: int, seed: int = 0):
     """numpy-vectorized sampler used by the statistical regression tests."""
     import numpy as np
 
-    if isinstance(g, str):
-        g = _BY_NAME[g]
+    g = group(g)
     rng = np.random.default_rng(seed)
     c = g.num_components
     counts = np.bincount(rng.integers(0, c, size=count), minlength=c)
@@ -419,12 +415,9 @@ def _lp_eval_np(f: dict, angles):
 
 def emit_group_table(coeff: str, names=None) -> str:
     """Tab-separated moment table (exact integers) for the requested groups."""
-    if coeff == "a1":
-        ns = list(range(2, 17, 2))
-    elif coeff == "a2":
-        ns = list(range(1, 10))
-    else:
+    if coeff not in TABLE_ORDERS:
         raise ValueError("coeff must be 'a1' or 'a2'")
+    ns = TABLE_ORDERS[coeff]
     rows = ["#group\t" + "\t".join(f"M{n}" for n in ns)]
     for g in catalog():
         if names and g.name not in names:

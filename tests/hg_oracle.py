@@ -1,10 +1,10 @@
 """The tests' oracles for the p-adic hypergeometric kernels.
 
 trace_Hq computes H_q from the definitions, on the raw product table of
-Gamma_p at small p or high precision; batch_evaluate evaluates a Teich(z)
-polynomial at every z by a subproduct tree or by Horner.  The package never
-imports this module: its kernels are checked against it, and the Dwork rows
-at p <= 13 are regenerated from it.
+Gamma_p at small p or high precision; teich_eval evaluates a Teich(z)
+polynomial at one z, and batch_evaluate at every z by a subproduct tree or
+by Horner.  The package never imports this module: its kernels are checked
+against it, and the Dwork rows at p <= 13 are regenerated from it.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> int
     definitions.
 
     Exact-rational bookkeeping for the fractional parts; gamma values at
-    precision p^precision.  O(q) gamma evaluations.  hp_fast (q = p) and
-    _dwork_hp2 (q = p^2) must agree with it.
+    precision p^precision.  O(q) gamma evaluations.  The package's Teich(z)
+    vectors hp_poly (q = p) and hp2_poly (q = p^2), evaluated at Teich(z) by
+    teich_eval, must agree with it.
     """
     p, f = _prime_power(q)
     k = precision
@@ -130,7 +131,14 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> int
 
 
 # ---------------------------------------------------------------------------
-# multipoint evaluation
+# evaluation of Teich(z) polynomials
+
+
+def teich_eval(coeffs: list[int], z: Fraction | int, p: int, k: int) -> int:
+    """The Teich(z) polynomial `coeffs` (hp_poly's or hp2_poly's, at
+    precision k) at z, mod p^k."""
+    z, pk = Fraction(z), p**k
+    return ph._horner_eval(coeffs, teichmuller(rational_mod(z.numerator, z.denominator, pk), p, k), pk)
 
 
 def _poly_mul(a: list[int], b: list[int], mod: int) -> list[int]:

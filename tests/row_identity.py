@@ -1,0 +1,75 @@
+"""Row identity of the Dwork streams between two checkouts.
+
+    PYTHONPATH=<old checkout>/src python tests/row_identity.py record rows.json
+    PYTHONPATH=src python tests/row_identity.py check rows.json
+
+`record` computes the rows with whichever stmotives is importable and writes
+them as JSON; `check` computes them again and compares them row by row.  The
+exit code is 0 when every row matches and 1 otherwise; the first differing
+row of each stream is printed.  The rows are (p, c1, c2) for every p <= 2^10
+at each z of bench/workloads.DWORK_Z, and (p, c1) for every p <= 2^14 at
+z in {-1, 2, 1/3}, all computed with jobs = 2.  A kernel change keeps every
+row bit-identical.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+from fractions import Fraction
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+
+from workloads import DWORK_Z  # noqa: E402
+
+# (name, z, bound, a1_only)
+STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
+           + [(f"c1 z={z} B=2^14", z, 2**14, True) for z in ("-1", "2", "1/3")])
+
+
+def compute() -> dict[str, list[list[int]]]:
+    from stmotives import motives
+
+    out = {}
+    for name, z, bound, a1_only in STREAMS:
+        t0 = time.perf_counter()
+        spec = motives.MotiveSpec(motives.Dwork(Fraction(z)), motives.Q)
+        rows = motives.cached_lpoly_stream(spec, bound, None, a1_only=a1_only, jobs=2)
+        out[name] = [list(r) for r in rows]
+        print(f"{name}: {len(rows)} rows, {time.perf_counter() - t0:.1f} s", flush=True)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or argv[0] not in ("record", "check"):
+        sys.stderr.write(__doc__)
+        return 2
+    action, path = argv
+    rows = compute()
+    if action == "record":
+        with open(path, "w") as fh:
+            json.dump(rows, fh)
+        return 0
+    with open(path) as fh:
+        recorded = json.load(fh)
+    bad = 0
+    for name, _, _, _ in STREAMS:
+        old, new = recorded.get(name), rows[name]
+        if old == new:
+            continue
+        bad += 1
+        if old is None:
+            print(f"MISMATCH {name}: not in {path}")
+            continue
+        diff = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+        print(f"MISMATCH {name}: {len(old)} recorded rows, {len(new)} now; first differing "
+              f"row {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
+    print(f"{len(STREAMS) - bad} of {len(STREAMS)} streams identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

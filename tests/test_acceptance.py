@@ -196,14 +196,15 @@ def test_08a_property_weil_bounds_all_constructions(dwork_rows_1024):
 
 
 def test_08b_dual_path_identities():
-    from hg_oracle import DWORK, batch_evaluate, trace_Hq
+    from hg_oracle import DWORK, batch_evaluate, teich_eval, trace_Hq
     from stmotives import padic_hypergeom as ph
 
     for p in (7, 13, 43, 101):
         for z in (-1, 2):
-            assert ph.hp_fast(z, p) == trace_Hq(DWORK, z, p, 2)
-    coeffs = ph.hp_poly(101)
-    tree = batch_evaluate(coeffs, 101, 2, force="tree")
+            coeffs = ph.hp_poly(p, ph.GammaTables(p, 2))
+            assert teich_eval(coeffs, z, p, 2) == trace_Hq(DWORK, z, p, 2)
+    coeffs = ph.hp_poly(101, ph.GammaTables(101, 2))
+    tree =batch_evaluate(coeffs, 101, 2, force="tree")
     horner = batch_evaluate(coeffs, 101, 2, force="horner")
     assert all(tree[z] == horner[z] for z in range(1, 101))
     for curve in (CurveSpec.short(0, 1), CurveSpec.short(-1, 0)):

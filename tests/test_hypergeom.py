@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from hg_oracle import DWORK, batch_evaluate, gamma_backend, trace_Hq
+from hg_oracle import DWORK, batch_evaluate, gamma_backend, teich_eval, trace_Hq
 from stmotives import padic_hypergeom as ph
 from stmotives.records import ConsistencyError, DegenerateFiber, LPoly
 
@@ -29,8 +29,9 @@ def test_eta_band_table_matches_definition(p):
     if p <= 13:
         backends += [gamma_backend(p, k) for k in range(1 if p == 3 else 4, 7)]
     for tables in backends:
+        coeffs = ph.hp_poly(p, tables)
         for z in (-1, 2, Fraction(1, 2)):
-            fast = ph.hp_fast(z, p, tables)
+            fast = teich_eval(coeffs, z, p, tables.k)
             assert 0 <= fast < tables.pk == p**tables.k
             assert fast == trace_Hq(DWORK, z, p, tables.k)
 
@@ -42,8 +43,9 @@ def test_band_cuts_at_11():
 
 @pytest.mark.parametrize("p", [3, 7, 11, 13, 19, 43, 97, 199])
 def test_hp_fast_equals_full_trace(p):
+    coeffs = ph.hp_poly(p, ph.GammaTables(p, 2))
     for z in (-1, 2, Fraction(1, 2)):
-        fast = ph.hp_fast(z, p)
+        fast = teich_eval(coeffs, z, p, 2)
         full = trace_Hq(DWORK, z, p, 2)
         assert fast == full
 
@@ -62,7 +64,7 @@ def test_hp_fast_o_of_p_cost():
     ratios = []
     for p in (101, 211, 401, 809, 1601):
         tables = _CountingTables(p, 2)
-        ph.hp_fast(-1, p, tables)
+        ph.hp_poly(p, tables)
         cut = (2 * p + 3) // 5  # the second band cut: terms past it vanish mod p^2
         assert tables.calls <= 2 * cut + 4  # two Gamma_p values a term
         ratios.append(tables.calls / p)
@@ -88,36 +90,30 @@ def test_c1_path_never_imports_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_hp_fast_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        ph.hp_fast(-1, 5)
-    with pytest.raises(ValueError):
-        ph.hp_fast(Fraction(1, 7), 7)
-    with pytest.raises(ValueError):
-        ph.hp_fast(14, 7)
-
-
 @pytest.mark.parametrize("p", [31, 101])
 def test_hp_poly_evaluates_to_hp_fast(p):
-    coeffs = ph.hp_poly(p)
-    assert len(coeffs) == p - 1
+    """hp_poly at k = 2, evaluated at Teich(z) = z^p mod p^2 by the test's
+    own Horner loop, is the trace at every class of z, and off the
+    degenerate fiber z = 1 its balanced lift is the row's c1."""
+    coeffs = ph.hp_poly(p, ph.GammaTables(p, 2))
+    # the coefficients stop at the second band cut: the later ones vanish mod p^2
+    assert len(coeffs) == (2 * p + 3) // 5
     pk = p * p
     for z in range(1, p):
         t = pow(z, p, pk)
         val = 0
         for c in reversed(coeffs):
             val = (val * t + c) % pk
-        assert val == ph.hp_fast(z, p)
+        assert val == trace_Hq(DWORK, z, p, 2)
+        if z > 1:
+            assert ph._c1_lift(val, p, pk) == ph.dwork_c1(z, p)
     # constant term is the m = 0 summand 1/(1-p)
     assert coeffs[0] == pow(1 - p, -1, pk)
-    # coefficients vanish beyond the second band
-    m2 = (2 * p + 3) // 5
-    assert all(c == 0 for c in coeffs[m2:])
 
 
 def test_batch_evaluate_tree_equals_horner():
     for p in (11, 101, 131):
-        coeffs = ph.hp_poly(p)
+        coeffs = ph.hp_poly(p, ph.GammaTables(p, 2))
         tree = batch_evaluate(coeffs, p, 2, force="tree")
         horner = batch_evaluate(coeffs, p, 2, force="horner")
         assert len(tree) == p - 1
@@ -127,19 +123,21 @@ def test_batch_evaluate_tree_equals_horner():
 def test_batch_matches_per_z_hp_fast():
     p = 11
     for k in (2, 4):
-        tables = ph.GammaTables(p, k)
-        out = batch_evaluate(ph.hp_poly(p, tables), p, k)
+        out = batch_evaluate(ph.hp_poly(p, ph.GammaTables(p, k)), p, k)
         for z in range(1, p):
-            assert out[z] == ph.hp_fast(z, p, tables)
+            assert out[z] == trace_Hq(DWORK, z, p, k)
 
 
-@pytest.mark.parametrize("p", [17, 19, 29, 43])
+@pytest.mark.parametrize("p", [17, 19, 23, 29, 43])
 def test_fast_hp2_loop_equals_generic_trace(p):
-    t = ph.GammaTables(p, 4)
-    for z in (-1, 2, Fraction(3, 7)):
-        fast = ph._dwork_hp2(Fraction(z), p, t)
-        full = trace_Hq(DWORK, z, p * p, 4)
-        assert fast == full
+    """hp2_poly has p - 1 coefficients, and at Teich(z) it is the trace at
+    q = p^2: at every non-degenerate class of z for p <= 23, at three fixed
+    z above."""
+    coeffs = ph.hp2_poly(p, ph.GammaTables(p, 4))
+    assert len(coeffs) == p - 1
+    zs = range(2, p) if p <= 23 else (-1, 2, Fraction(3, 7))
+    for z in zs:
+        assert teich_eval(coeffs, z, p, 4) == trace_Hq(DWORK, z, p * p, 4)
 
 
 _PRIMES_17_100 = [p for p in range(17, 100) if all(p % d for d in range(2, 10))]
@@ -151,7 +149,7 @@ _PRIMES_17_100 = [p for p in range(17, 100) if all(p % d for d in range(2, 10))]
 def test_hp2_kernel_equals_generic_trace_random(p, num, den):
     z = Fraction(num, den)
     assume(z.numerator % p and z.denominator % p and (z.numerator - z.denominator) % p)
-    fast = ph._dwork_hp2(z, p, ph.GammaTables(p, 4))
+    fast = teich_eval(ph.hp2_poly(p, ph.GammaTables(p, 4)), z, p, 4)
     assert fast == trace_Hq(DWORK, z, p * p, 4)
 
 
@@ -189,6 +187,7 @@ def test_small_prime_rows_certified_by_the_trace():
 @example(p=11, num=25, den=14)  # z = 1 mod p
 @example(p=13, num=5, den=26)  # a pole at p
 @example(p=3, num=2, den=1)
+@example(p=13, num=13, den=23725)  # z = 1/1825: p divides num and den, not z
 def test_small_prime_lookup_equals_table_row(p, num, den):
     z = Fraction(num, den)
     if z.denominator % p == 0 or z.numerator % p == 0 or (z.numerator - z.denominator) % p == 0:
@@ -196,19 +195,21 @@ def test_small_prime_lookup_equals_table_row(p, num, den):
             with pytest.raises(DegenerateFiber):
                 entry(z, p)
         return
-    c1, c2 = ph.SMALL_PRIME_ROWS[p, num * pow(den, -1, p) % p]
+    c1, c2 = ph.SMALL_PRIME_ROWS[p, z.numerator * pow(z.denominator, -1, p) % p]
     assert ph.dwork_lpoly(z, p) == LPoly(p, c1, c2)
     assert ph.dwork_c1(z, p) == c1
 
 
 _NOT_IN_PACKAGE = ("GammaProductTable", "_gamma_backend", "_c2_precision", "trace_Hq",
                     "_prime_power", "_frac", "HGParams", "DWORK", "DWORK_ALPHA", "DWORK_BETA",
-                    "ONE_FIFTH", "batch_evaluate", "_multipoint_tree", "_poly_mul", "_poly_rem")
+                    "ONE_FIFTH", "batch_evaluate", "_multipoint_tree", "_poly_mul", "_poly_rem",
+                    "hp_fast", "_hp_coeffs", "_dwork_hp2")
 
 
 def test_dwork_lpoly_never_calls_the_generic_trace():
     """The oracle lives in the tests only: the package has none of its
-    names, and no file under src/ or bench/ imports it."""
+    names (nor those of the retired per-z kernels), and no file under src/
+    or bench/ imports it."""
     assert [name for name in _NOT_IN_PACKAGE if hasattr(ph, name)] == []
     root = pathlib.Path(__file__).resolve().parent.parent
     sources = [f for d in ("src", "bench") for f in (root / d).rglob("*.py")]
@@ -240,16 +241,16 @@ def test_hp2_kernel_rejects_p_past_int64_range():
     p = 5801  # the next prime after HP2_MAX_P
     assert p**4 >= 2**50
     with pytest.raises(ValueError, match=str(ph.HP2_MAX_P)):
-        ph._dwork_hp2(Fraction(-1), p, ph.GammaTables(p, 4))
+        ph.hp2_poly(p, ph.GammaTables(p, 4))
     with pytest.raises(ValueError, match=str(ph.HP2_MAX_P)):
         ph.dwork_lpoly(-1, p)
 
 
 @pytest.mark.parametrize("p", [17, 19, 101])
 def test_banded_hp_p4_equals_generic(p):
-    t = ph.GammaTables(p, 4)
+    coeffs = ph.hp_poly(p, ph.GammaTables(p, 4))
     for z in (-1, 3):
-        assert ph.hp_fast(z, p, t) == trace_Hq(DWORK, z, p, 4)
+        assert teich_eval(coeffs, z, p, 4) == trace_Hq(DWORK, z, p, 4)
 
 
 _PRIMES_7_150 = [p for p in range(7, 150) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -261,7 +262,7 @@ _PRIMES_7_150 = [p for p in range(7, 150) if all(p % d for d in range(2, int(p**
 def test_hp_kernel_equals_generic_trace_random(p, k, num, den):
     z = Fraction(num, den)
     assume(z.numerator % p and z.denominator % p)
-    fast = ph.hp_fast(z, p, ph.GammaTables(p, k))
+    fast = teich_eval(ph.hp_poly(p, ph.GammaTables(p, k)), z, p, k)
     assert fast == trace_Hq(DWORK, z, p, k)
 
 
@@ -344,16 +345,19 @@ def test_dwork_lpoly_roots_on_critical_circle():
 
 
 def test_dwork_degenerate_fibers_rejected():
-    with pytest.raises(DegenerateFiber):
-        ph.dwork_lpoly(1, 7)  # psi^5 = 1
-    with pytest.raises(DegenerateFiber):
-        ph.dwork_lpoly(7, 7)  # z = 0 mod p
-    with pytest.raises(DegenerateFiber):
-        ph.dwork_lpoly(Fraction(1, 7), 7)  # pole
-    with pytest.raises(DegenerateFiber):
-        ph.dwork_lpoly(-1, 5)
-    with pytest.raises(DegenerateFiber):
-        ph.dwork_lpoly(8, 7)  # 8 = 1 mod 7
+    """Both row entry points reject the degenerate fibers before any kernel
+    work, below and above the small-prime table."""
+    cases = [
+        (1, 7),  # psi^5 = 1
+        (7, 7), (14, 7), (34, 17), (Fraction(202, 3), 101),  # z = 0 mod p
+        (Fraction(1, 7), 7), (Fraction(3, 17), 17), (Fraction(-1, 101), 101),  # a pole
+        (-1, 5), (2, 5), (-1, 2),  # the excluded primes
+        (8, 7), (18, 17), (Fraction(104, 3), 101),  # z = 1 mod p
+    ]
+    for z, p in cases:
+        for entry in (ph.dwork_lpoly, ph.dwork_c1):
+            with pytest.raises(DegenerateFiber):
+                entry(z, p)
 
 
 def test_c2_window_and_integrality():

@@ -1,6 +1,7 @@
 """Statistics, classification behavior, table emission, CLI surface."""
 
 import io
+import math
 import os
 import string
 import sys
@@ -131,7 +132,10 @@ def test_stats_tsv_reads_old_bound_cells():
     ("#n\ta1.M2\n-3\t1.0\n", "negative bound"),  # was read as the bound 1/8
     ("#n\ta1.M2\n10\t1.0\t5.0\t7\n", "4 cells for 2 columns"),  # extra cells were dropped
     ("#n\ta1.M2\n-5\tjunk\t1\t2\n10\t1.0\n", "4 cells for 2 columns"),  # only the last row was read
-], ids=["no-moments", "unknown-column", "negative-bound", "over-wide-row", "bad-earlier-row"])
+    ("#n\ta1.M2\ta1.M4\n10\tnan\t2.0\n", "non-finite"),  # every group at distance nan, C1 first
+    ("#n\ta1.M2\ta1.M4\n10\tinf\t2.0\n", "non-finite"),  # the same with inf
+], ids=["no-moments", "unknown-column", "negative-bound", "over-wide-row", "bad-earlier-row",
+        "nan-cell", "inf-cell"])
 def test_bad_stats_file_is_rejected_and_classify_exits_3(tmp_path, capsys, text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_stats_tsv(text)
@@ -244,11 +248,12 @@ def test_cli_construction_errors_exit_2(argv, msg, capsys):
 @pytest.mark.parametrize("argv,msg", [
     (["dwork", "--bound-log2", "-3"], "--bound-log2 must be at least 1"),
     (["dwork", "--bound-log2", "0"], "--bound-log2 must be at least 1"),
+    (["symcube", "--e1", "0,1", "--bound-log2", "70"], "--bound-log2 must be at most 32"),
     (["dwork", "--z", "0", "--bound-log2", "7"], "z=0 is a degenerate fibre"),
     (["dwork", "--z", "1", "--bound-log2", "7"], "z=1 is a degenerate fibre"),
     (["symcube", "--e1", "0,0", "--bound-log2", "7"], "singular curve"),
     (["tensor-ec", "--e1", "0,1", "--e2", "0,0,0,0,0", "--bound-log2", "7"], "singular curve"),
-], ids=["bound-negative", "bound-zero", "z0", "z1", "singular-short", "singular-long"])
+], ids=["bound-negative", "bound-zero", "bound-too-large", "z0", "z1", "singular-short", "singular-long"])
 def test_cli_names_degenerate_input(argv, msg, capsys):
     assert cli.main(["motive", *argv]) == 2
     assert msg in capsys.readouterr().err
@@ -352,6 +357,13 @@ def _parses(parse, text):
     return True
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _bad_curve():
     wrong_count = hst.lists(hst.integers(-50, 50), min_size=1, max_size=6).filter(
         lambda xs: len(xs) not in (2, 5)).map(lambda xs: ",".join(map(str, xs)))
@@ -364,16 +376,18 @@ def _bad_stats_file():
     no_moments = hst.just("#n\ta1.M2\ta2.M1\n10\t\t\n")
     unknown_col = hst.sampled_from(["a3.M2", "a1.M3", "a2.M9", "b1.M2", "a1.m2", "x"]).map(
         lambda col: f"#n\t{col}\n10\t1.5\n")
-    bad_cell = _WORD.filter(lambda w: not _parses(float, w)).map(lambda w: f"#n\ta1.M2\n10\t{w}\n")
+    bad_cell = _WORD.filter(lambda w: not _parses(_finite, w)).map(lambda w: f"#n\ta1.M2\n10\t{w}\n")
+    non_finite = hst.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e999"]).map(
+        lambda w: f"#n\ta1.M2\ta2.M1\n10\t1.0\t{w}\n")
     no_rows = hst.sampled_from(["", "#n\ta1.M2\n", "10\t1.0\n"])
     negative_bound = hst.integers(-10**6, -1).flatmap(
         lambda n: hst.sampled_from([f"{n}", f"B={n}"])).map(lambda n: f"#n\ta1.M2\n{n}\t1.0\n")
     over_wide = hst.lists(hst.sampled_from(["", "5.0", "7"]), min_size=1, max_size=3).map(
         lambda extra: "#n\ta1.M2\n10\t1.0\t" + "\t".join(extra) + "\n")
-    bad_row = hst.one_of(no_moments, bad_cell, negative_bound, over_wide)
+    bad_row = hst.one_of(no_moments, bad_cell, non_finite, negative_bound, over_wide)
     earlier_bad_row = bad_row.map(lambda text: text + "10\t1.0\n")  # a good last row
-    return hst.one_of(no_moments, unknown_col, bad_cell, no_rows, negative_bound, over_wide,
-                      earlier_bad_row)
+    return hst.one_of(no_moments, unknown_col, bad_cell, non_finite, no_rows, negative_bound,
+                      over_wide, earlier_bad_row)
 
 
 def _cases():
@@ -398,6 +412,8 @@ def _cases():
         bad_z.map(lambda z: (["motive", "dwork", f"--z={z}", "--bound-log2", "4"], 2, None)),
         hst.integers(-10**6, 0).map(lambda n: (["motive", "dwork", "--bound-log2", str(n)], 2, None)),
         hst.integers(13, 64).map(lambda n: (["motive", "dwork", "--bound-log2", str(n)], 2, None)),
+        # past the sieve's limit: rejected before any allocation
+        hst.integers(cli.MAX_BOUND_LOG2 + 1, 10**6).map(lambda n: (motive[:-1] + [str(n)], 2, None)),
         hst.sampled_from(["x", "1.5", ""]).map(lambda n: (motive[:-1] + [n], 2, None)),
         hst.integers(-10**6, 0).map(lambda j: (motive + ["--jobs", str(j)], 2, None)),
         bad_out.map(lambda out: (motive + ["--out", out], 2, None)),
