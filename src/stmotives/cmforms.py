@@ -29,11 +29,11 @@ from .ntkernel import (
     split_prime_qi,
     split_prime_qomega,
 )
-from .records import ConsistencyError
+from .records import ConsistencyError, SkippedPrime
 
 
-class BadPrimeError(ValueError):
-    pass
+class BadPrimeError(SkippedPrime, ValueError):
+    """No good coefficient or trace at this prime; a stream skips it."""
 
 
 class CoeffFileError(ValueError):

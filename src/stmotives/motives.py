@@ -17,7 +17,8 @@ Frobenius traces at p):
 
 Base change to a field K enters only through the degree-1 prime filter;
 bad primes (dividing a level or discriminant, or degenerate pencil
-fibers) raise SkippedPrime and are excluded from streams.
+fibers) raise SkippedPrime (cmforms.BadPrimeError is one) and are excluded
+from streams.
 
 cached_lpoly_stream is the one stream: rows (p, c1, c2), or (p, c1) with
 a1_only (for the Dwork pencil c1 alone skips the O(p^2) H_{p^2} sum), over
@@ -58,11 +59,8 @@ class DirectSum:
         return f"sum({self.f1.label},{self.f2.label})"
 
     def lpoly(self, p: int) -> LPoly:
-        try:
-            b = coeff(self.f1, p)
-            d = coeff(self.f2, p)
-        except cmforms.BadPrimeError as exc:
-            raise SkippedPrime(str(exc))
+        b = coeff(self.f1, p)
+        d = coeff(self.f2, p)
         return LPoly(p, -(p * b + d), b * d + 2 * p * p)
 
 
@@ -75,8 +73,6 @@ class TensorEC:
         return f"tensor_ec({_curve_tag(self.e1)},{_curve_tag(self.e2)})"
 
     def lpoly(self, p: int) -> LPoly:
-        if self.e1.discriminant() % p == 0 or self.e2.discriminant() % p == 0:
-            raise SkippedPrime(f"bad reduction at {p}")
         t1 = ec_trace(self.e1, p)
         t2 = ec_trace(self.e2, p)
         return _tensor_lpoly(p, t1, t2)
@@ -90,8 +86,6 @@ class SymCube:
         return f"symcube({_curve_tag(self.e1)})"
 
     def lpoly(self, p: int) -> LPoly:
-        if self.e1.discriminant() % p == 0:
-            raise SkippedPrime(f"bad reduction at {p}")
         t = ec_trace(self.e1, p)
         return _tensor_lpoly(p, t, t)
 
@@ -111,11 +105,8 @@ class TensorMF:
         return f"tensor_mf({self.f1.label},{self.f2.label})"
 
     def lpoly(self, p: int) -> LPoly:
-        try:
-            b = coeff(self.f1, p)
-            d = coeff(self.f2, p)
-        except cmforms.BadPrimeError as exc:
-            raise SkippedPrime(str(exc))
+        b = coeff(self.f1, p)
+        d = coeff(self.f2, p)
         chi = self.f2.nebentypus(p)
         if chi == 0:
             raise SkippedPrime(f"{p} divides the nebentypus modulus")
@@ -267,9 +258,11 @@ def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            # chunksize 1: per-prime cost is wildly uneven (grows like p^2 for
-            # the Dwork construction), so fine-grained dispatch balances better
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
+            # the pool starts all its workers at once: no more than the CPUs or the
+            # primes.  chunksize 1: per-prime cost is wildly uneven (grows like p^2
+            # for the Dwork construction), so fine-grained dispatch balances better
+            workers = max(1, min(jobs, os.cpu_count() or 1, len(primes)))
+            with ProcessPoolExecutor(max_workers=workers) as ex:
                 return [r for r in ex.map(row, primes, chunksize=1) if r is not None]
         except (OSError, ImportError) as exc:
             warnings.warn(f"process pool unavailable ({exc!r}); computing {len(primes)} primes "

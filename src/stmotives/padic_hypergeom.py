@@ -9,16 +9,15 @@ for q = p or p^2, through the p-adic gamma function evaluated at fixed
 precision p^k.  The trace at q = p gives the L-polynomial coefficient
 c1 = -H_p; the pair (H_p, H_{p^2}) mod p^4 gives c2 = (H_p^2 - H_{p^2})/(2p).
 
-One gamma backend, GammaTables: one cubic in p y per residue x0 for
-Gamma_p(x0 + p y) mod p^k, k <= 4, from factorial-type tables and the series
-on p*Z_p.  O(p) setup, O(1) per value, through a pure-Python gamma_list (the
-H_p kernel) and an int64-array gamma_array (the H_{p^2} kernel).
+One gamma backend, GammaTables: Gamma_p(x0 + p y) mod p^k, k <= 4, as one
+cubic in p y per residue x0, stepped up from the series on p*Z_p by the
+functional equation.  O(p) setup, O(1) per value, through a pure-Python
+gamma_list (the H_p kernel) and an int64-array gamma_array (the H_{p^2} kernel).
 
 Both traces are polynomials in Teich(z) whose coefficients do not depend
 on z, and Teich(z)^(p-1) = 1, so each is a vector of at most p - 1
-coefficients mod p^k.  hp_poly sums the banded H_p series (the term at m
-carries p^e, e stepping up at the band cuts floor((i p + 5 - i)/5), so only
-the m below the k-th cut survive mod p^k) from two Gamma_p values a term, in
+coefficients mod p^k.  hp_poly sums the banded H_p series (only the m
+below the k-th band cut survive mod p^k) from two Gamma_p values a term, in
 pure Python (numpy would add half to a c1 process's peak RSS).  hp2_poly
 folds the O(p^2) sum H_{p^2} into the p - 1 classes of m mod (p - 1) in one
 numpy int64 kernel, block by block over m, exact for p^4 < 2^50
@@ -37,7 +36,6 @@ product-table gamma backend it runs on.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .ntkernel import rational_mod, teichmuller
@@ -48,22 +46,16 @@ from .records import ConsistencyError, DegenerateFiber, LPoly
 
 
 class GammaTables:
-    """Gamma_p mod p^k (k <= 4) as one cubic in p y per residue x0 of x mod p.
+    """Gamma_p(x0 + py) mod p^k (k <= 4) as the cubic C0[x0] + C1[x0] (py) +
+    C2[x0] (py)^2 + C3[x0] (py)^3, C_i mod p^(k-i), per residue x0 of x mod p.
 
-    F[n] = n!,  T[n] = n! * e_1(1, 1/2, ..., 1/n),  U2/U3 the analogous
-    second and third elementary symmetric sums (all mod p^k, U2/U3 built at
-    k >= 3 only), so that
-
-        prod_{j=1}^{n} (py + j) = F[n] + (py) T[n] + (py)^2 U2[n] + (py)^3 U3[n]
-
-    exactly mod p^4.  The series Gamma_p(py) = 1 + a1 y + a2 y^2 + a3 y^3
-    holds mod p^4 with
+    The series Gamma_p(py) = 1 + a1 y + a2 y^2 + a3 y^3 holds mod p^4 with
         a2 = -((p-1)! + 1/(p-1)! + 2)/2
         a1 = -(8 (p-1)! + (2p)!/(2p^2) + 4 a2 + 7)/6
         a3 = -((p-1)! + 1 + a1 + a2)
-    and reduces mod p^2 to Gamma_p(py) = 1 + (1 + 1/(p-1)!) y.  Their product
-    (-1)^x0 prod_{0<j<x0} (py + j) Gamma_p(py), cut at (py)^4, is Gamma_p(x0 + py)
-    = C0[x0] + C1[x0] (py) + C2[x0] (py)^2 + C3[x0] (py)^3, C_i kept mod p^(k-i).
+    and reduces mod p^2 to Gamma_p(py) = 1 + (1 + 1/(p-1)!) y.  The functional
+    equation Gamma_p(x + 1) = -x Gamma_p(x) for a unit x, -Gamma_p(x) for x in
+    p Z_p (Robert, A Course in p-adic Analysis, ch. VII), steps it to x0 = p - 1.
     """
 
     def __init__(self, p: int, k: int):
@@ -73,47 +65,34 @@ class GammaTables:
             raise ValueError("series tables need p >= 5 at precision >= 3")
         self.p, self.k, self.pk = p, k, p**k
         pk = self.pk
-        F, T = [1] * p, [0] * p
-        for n in range(1, p):
-            F[n] = F[n - 1] * n % pk
-            T[n] = (T[n - 1] * n + F[n - 1]) % pk
-        self.F, self.T = F, T
-        w1 = F[p - 1]
+        w1 = 1  # (p-1)!
+        for j in range(2, p):
+            w1 = w1 * j % pk
         a1 = a2 = a3 = 0
         if k == 2:
             a1 = (1 + pow(w1, -1, pk)) % pk
         elif k > 2:
-            # (2p)!/(2p^2) = prod of 1..2p with the factors p, 2p removed
-            w2 = 1
-            for j in range(1, 2 * p + 1):
-                if j != p and j != 2 * p:
-                    w2 = w2 * j % pk
+            w2 = w1  # (2p)!/(2p^2) = (p-1)! (p+1) ... (2p-1)
+            for j in range(p + 1, 2 * p):
+                w2 = w2 * j % pk
             a2 = -(w1 + pow(w1, -1, pk) + 2) * pow(2, -1, pk) % pk
             a1 = -(8 * w1 + w2 + 4 * a2 + 7) * pow(6, -1, pk) % pk
             a3 = -(w1 + 1 + a1 + a2) % pk
         self.a1, self.a2, self.a3 = a1, a2, a3
-        # Gamma_p(py) = 1 + b1 (py) + b2 (py)^2 + b3 (py)^3 with b_i = a_i / p^i
-        if a1 % p or a2 % p**2 or a3 % p**3:
+        if a1 % p or a2 % p**2 or a3 % p**3:  # a_i y^i = (a_i / p^i) (py)^i
             raise ConsistencyError(f"gamma series coefficients not p-adically small at p={p}")
-        b1, b2, b3 = a1 // p, a2 // p**2, a3 // p**3
-        m1, m2, m3 = (p ** max(k - i, 0) for i in (1, 2, 3))
-        # (-1)^x0 prod_{0<j<x0} (py + j): the tables shifted by one, signed
-        sgn = [1, -1] * ((p + 1) // 2)
-        Fs, Ts = [1] + F[:-1], [0] + T[:-1]
-        C0 = [s * f % pk for s, f in zip(sgn, Fs)]
-        C1 = [s * (t + f * b1) % m1 for s, f, t in zip(sgn, Fs, Ts)]
-        C2 = C3 = [0] * p
-        if k > 2:  # U2, U3 only reach the cubic's (py)^2, (py)^3 terms
-            U2, U3 = [0] * p, [0] * p
-            for n in range(1, p):
-                U2[n] = (U2[n - 1] * n + T[n - 1]) % pk
-                U3[n] = (U3[n - 1] * n + U2[n - 1]) % pk
-            Us, Vs = [0] + U2[:-1], [0] + U3[:-1]
-            C2 = [s * (u + t * b1 + f * b2) % m2 for s, f, t, u in zip(sgn, Fs, Ts, Us)]
-            if k > 3:
-                C3 = [s * (v + u * b1 + t * b2 + f * b3) % m3
-                      for s, f, t, u, v in zip(sgn, Fs, Ts, Us, Vs)]
-        self.C = (C0, C1, C2, C3)
+        # G_x0 = Gamma_p(x0 + py): G_1 = -G_0, then G_(x0+1) = -(x0 + py) G_x0, that is
+        # C_i <- -(x0 C_i + C_(i-1)) mod p^(k-i), a column at a time (C_i = 0 for i >= k)
+        C, prev = [], [0] * p
+        for b, m in zip((1, a1 // p, a2 // p**2, a3 // p**3), (pk // p**i for i in range(k))):
+            c = -b % m
+            col = [b % m, c]
+            for x0 in range(1, p - 1):
+                c = -(x0 * c + prev[x0]) % m
+                col.append(c)
+            C.append(col)
+            prev = col
+        self.C = tuple(C + [[0] * p] * (4 - k))
         self._C_np = None
 
     def gamma_array(self, x):
@@ -276,11 +255,13 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     A = np.array([p**v * j * (q - 1) % d for j in (1, 2, 3, 4) for v in (0, 1)] + [0, 0],
                  dtype=np.int64)[:, None]
     S = np.array([5, 5 * p] * 5, dtype=np.int64)[:, None]
-    ca = math.prod(tables.gamma_list([n * invd % pk for n in A[:8, 0].tolist()])) % pk
     ppow = np.array([p**e for e in range(k)], dtype=np.int64)
     pmod = pk // ppow
     coeffs = np.zeros(p - 1, dtype=np.int64)
-    coeffs[0] = ca  # the m = 0 term times ca (divided out at the end)
+    # the m = 0 term is 1: a term's alpha gammas are divided by their m = 0 product,
+    # the eight Gamma_p({p^v j/5}), and ({p j/5}) permutes ({j/5}), so Gamma_p(x)
+    # Gamma_p(1 - x) = +-1, pairing j/5 with (5 - j)/5, makes that product (+-1)^2 = 1
+    coeffs[0] = 1
     for m0 in range(1, q - 1, _HP2_BLOCK):
         m = np.arange(m0, min(m0 + _HP2_BLOCK, q - 1), dtype=np.int64)
         floors, n = np.divmod(A - S * m, d)
@@ -299,7 +280,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
         t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk) % pmod[e] * ppow[e]
         np.add.at(coeffs, m % (p - 1), np.where(e & 1, pk - t, t))  # (-1)^eta_m, eta_m = e - 8
         coeffs %= pk
-    scale = pow(ca * (1 - q), -1, pk)
+    scale = pow(1 - q, -1, pk)
     return [c * scale % pk for c in coeffs.tolist()]
 
 
@@ -327,8 +308,7 @@ def _check_dwork_prime(z: Fraction, p: int) -> None:
         raise DegenerateFiber(f"p={p} is excluded for the Dwork family")
     if z.denominator % p == 0:
         raise DegenerateFiber(f"z has a pole at p={p}")
-    zn = z.numerator % p
-    if zn == 0:
+    if z.numerator % p == 0:
         raise DegenerateFiber(f"z = 0 mod {p}")
     if (z.numerator - z.denominator) % p == 0:
         raise DegenerateFiber(f"z = 1 mod {p} (psi^5 = 1, singular fiber)")

@@ -184,6 +184,11 @@ def parse_stats_tsv(text: str) -> MomentStats:
     if not headers or not rows:
         raise ValueError("no stats rows found")
     header = headers[-1]
+    if header[0] != "n":
+        raise ValueError(f"the header's first column is {header[0]!r}, not 'n'")
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated column(s) {repeated}")
     unknown = [name for name in header if name not in STATS_HEADER]
     if unknown:
         raise ValueError(f"unknown column(s) {unknown}; expected some of {STATS_HEADER}")

@@ -1,20 +1,25 @@
-"""Row identity of the Dwork streams between two checkouts.
+"""Row and gamma-table identity of the Dwork streams between two checkouts.
 
     PYTHONPATH=<old checkout>/src python tests/row_identity.py record rows.json
     PYTHONPATH=src python tests/row_identity.py check rows.json
 
-`record` computes the rows with whichever stmotives is importable and writes
-them as JSON; `check` computes them again and compares them row by row.  The
-exit code is 0 when every row matches and 1 otherwise; the first differing
-row of each stream is printed.  The rows are (p, c1, c2) for every p <= 2^10
-at each z of bench/workloads.DWORK_Z, and (p, c1) for every p <= 2^14 at
-z in {-1, 2, 1/3}, all computed with jobs = 2.  A kernel change keeps every
-row bit-identical.  pytest does not collect this file.
+`record` computes the rows and table digests with whichever stmotives is
+importable and writes them as JSON; `check` computes them again and compares
+them entry by entry.  The exit code is 0 when every entry matches and 1
+otherwise; the first differing row of each stream is printed.  The rows are
+(p, c1, c2) for every p <= 2^10 at each z of bench/workloads.DWORK_Z, and
+(p, c1) for every p <= 2^14 at z in {-1, 2, 1/3}, all computed with
+jobs = 2.  The tables are the SHA-256 of GammaTables(p, k).C, the cubic
+Gamma_p(x0 + py) by residue x0, for every prime 7 <= p <= 2^10 and
+p in {5791, 8191} at k = 1, 2, 3, 4.  A kernel change keeps every entry
+bit-identical.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -28,18 +33,30 @@ from workloads import DWORK_Z  # noqa: E402
 # (name, z, bound, a1_only)
 STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
            + [(f"c1 z={z} B=2^14", z, 2**14, True) for z in ("-1", "2", "1/3")])
+TABLE_PRIMES = [p for p in range(7, 2**10) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+TABLES = [(p, k) for p in TABLE_PRIMES + [5791, 8191] for k in (1, 2, 3, 4)]
 
 
-def compute() -> dict[str, list[list[int]]]:
+def table_digest(p: int, k: int) -> str:
+    from stmotives.padic_hypergeom import GammaTables
+
+    return hashlib.sha256(json.dumps([list(c) for c in GammaTables(p, k).C]).encode()).hexdigest()
+
+
+def compute() -> dict[str, list[list[int]] | str]:
     from stmotives import motives
 
-    out = {}
+    out: dict[str, list[list[int]] | str] = {}
     for name, z, bound, a1_only in STREAMS:
         t0 = time.perf_counter()
         spec = motives.MotiveSpec(motives.Dwork(Fraction(z)), motives.Q)
         rows = motives.cached_lpoly_stream(spec, bound, None, a1_only=a1_only, jobs=2)
         out[name] = [list(r) for r in rows]
         print(f"{name}: {len(rows)} rows, {time.perf_counter() - t0:.1f} s", flush=True)
+    t0 = time.perf_counter()
+    for p, k in TABLES:
+        out[f"GammaTables({p}, {k}).C"] = table_digest(p, k)
+    print(f"{len(TABLES)} gamma tables, {time.perf_counter() - t0:.1f} s", flush=True)
     return out
 
 
@@ -48,26 +65,30 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     action, path = argv
-    rows = compute()
+    entries = compute()
     if action == "record":
         with open(path, "w") as fh:
-            json.dump(rows, fh)
+            json.dump(entries, fh)
         return 0
     with open(path) as fh:
         recorded = json.load(fh)
     bad = 0
-    for name, _, _, _ in STREAMS:
-        old, new = recorded.get(name), rows[name]
+    for name, new in entries.items():
+        old = recorded.get(name)
         if old == new:
             continue
         bad += 1
         if old is None:
             print(f"MISMATCH {name}: not in {path}")
-            continue
-        diff = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
-        print(f"MISMATCH {name}: {len(old)} recorded rows, {len(new)} now; first differing "
-              f"row {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
-    print(f"{len(STREAMS) - bad} of {len(STREAMS)} streams identical")
+        elif isinstance(new, str):
+            print(f"MISMATCH {name}: digest {old} -> {new}")
+        else:
+            diff = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+                        min(len(old), len(new)))
+            print(f"MISMATCH {name}: {len(old)} recorded rows, {len(new)} now; first differing "
+                  f"row {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
+    print(f"{len(entries) - bad} of {len(entries)} entries identical "
+          f"({len(STREAMS)} streams, {len(TABLES)} gamma tables)")
     return 1 if bad else 0
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as hst
 
 from hg_oracle import DWORK, batch_evaluate, gamma_backend, teich_eval, trace_Hq
 from stmotives import padic_hypergeom as ph
+from stmotives.ntkernel import primes_up_to
 from stmotives.records import ConsistencyError, DegenerateFiber, LPoly
 
 
@@ -147,6 +148,20 @@ def test_fast_hp2_loop_equals_generic_trace(p):
     zs = range(2, p) if p <= 23 else (-1, 2, Fraction(3, 7))
     for z in zs:
         assert teich_eval(coeffs, z, p, 4) == trace_Hq(DWORK, z, p * p, 4)
+
+
+def test_hp2_m0_alpha_gammas_multiply_to_one():
+    """hp2_poly takes the m = 0 alpha product ca = prod_{j, v} Gamma_p({p^v j/5})
+    as 1: the eight arguments, on the kernel's grid D = 5(p^2 - 1), pair up
+    under Gamma_p(x) Gamma_p(1 - x) = +-1."""
+    for p in primes_up_to(1200):
+        if p < 17:
+            continue
+        q, pk = p * p, p**4
+        d = 5 * (q - 1)
+        invd = pow(d, -1, pk)
+        args = [p**v * j * (q - 1) % d * invd % pk for j in (1, 2, 3, 4) for v in (0, 1)]
+        assert math.prod(ph.GammaTables(p, 4).gamma_list(args)) % pk == 1, p
 
 
 _PRIMES_17_100 = [p for p in range(17, 100) if all(p % d for d in range(2, 10))]

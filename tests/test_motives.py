@@ -247,6 +247,61 @@ def test_parallel_fallback_warns_and_matches_serial(monkeypatch):
     assert fallback == serial
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_pool_workers_capped_at_cpus_and_primes(monkeypatch):
+    import concurrent.futures
+
+    from stmotives import cli
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "workers", [])
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: 3)
+    spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
+    serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)
+    assert _SerialPool.workers == []
+    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=10**6) == serial
+    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=2) == serial
+    assert mv.cached_lpoly_stream(spec, 8, None, jobs=10**6) == [(7, *serial[0][1:])]
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: None)
+    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=10**6) == serial
+    assert _SerialPool.workers == [3, 2, 1, 1]  # CPUs, jobs, primes (7 alone), unknown CPUs
+    # the CLI's --jobs has no upper limit of its own
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: 64)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)  # a cache hit would start no pool
+    argv = ["motive", "symcube", "--e1", "0,1", "--bound-log2", "4"]
+    assert cli.main(argv + ["--jobs", "1000000"]) == 0
+    assert _SerialPool.workers[4:] == [5]  # the primes 3, 5, 7, 11, 13 below 2^4
+
+
+def test_bad_primes_are_skipped_primes():
+    """cmforms.BadPrimeError is a SkippedPrime: bad reduction and level primes
+    leave the stream without a wrapper in the constructions."""
+    e = CurveSpec.short(0, 1)  # bad at 2 and 3
+    for lpoly in (mv.TensorEC(e, CurveSpec.short(1, 0)).lpoly, mv.TensorEC(CurveSpec.short(1, 0), e).lpoly,
+                  mv.SymCube(e).lpoly, mv.TensorMF(FORMS["27.2a"], FORMS["27.3.5a"]).lpoly):
+        with pytest.raises(SkippedPrime, match="3"):
+            lpoly(3)
+    spec = mv.MotiveSpec(mv.SymCube(e), Q)
+    assert [r[0] for r in mv.cached_lpoly_stream(spec, 20, None)] == [5, 7, 11, 13, 17, 19]
+
+
 def test_dwork_a1_parallel_stream_matches_serial():
     spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
     serial = mv.cached_lpoly_stream(spec, 2**9, None, a1_only=True, jobs=1)

@@ -44,21 +44,26 @@ def gamma_products(ns, p: int, pk: int) -> dict:
 
 def test_gamma_tables_factorials_and_sums():
     t = ph.GammaTables(5, 2)
-    assert t.F == [1, 1, 2, 6, 24]
-    # T_2 = 2!/1 + 2!/2 = 3
-    assert t.T[2] == 3
-    assert t.T[0] == 0 and t.F[0] == 1
+    # Gamma_p(n) = (-1)^n (n-1)! for 0 < n <= p: the factorials 1, 1, 2, 6, 24
+    assert t.C[0] == [1, 24, 1, 23, 6]
+    assert [gamma_int(t, n) for n in range(6)] == [1, 24, 1, 23, 6, 1]
+    # Gamma_p(p + 3) = 4! (p + 1)(p + 2) = 4! (2! + 2! (1/1 + 1/2) p) mod p^2
+    assert gamma_int(t, 8) == 24 * (2 + 3 * 5) % 25
 
 
 @pytest.mark.parametrize("p", [7, 11, 23, 97, 211])
 def test_recurrence_matches_exact_integers(p):
+    """Gamma_p(n + 1) = (-1)^(n+1) n! and, with prod_{0<j<=n} (p + j) = n! (1 + p H_n)
+    mod p^2, Gamma_p(p + n + 1) = (-1)^(p+n+1) (p-1)! (n! + p n! H_n)."""
     t = ph.GammaTables(p, 2)
     pk = p * p
+    wilson = math.factorial(p - 1)
     fact = 1
     for n in range(1, p):
         fact *= n
-        assert t.F[n] == fact % pk
-        assert t.T[n] == sum(fact // k for k in range(1, n + 1)) % pk
+        assert gamma_int(t, n + 1) == (-1) ** (n + 1) * fact % pk
+        lift = fact + p * sum(fact // k for k in range(1, n + 1))
+        assert gamma_int(t, p + n + 1) == (-1) ** (p + n + 1) * wilson * lift % pk
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -109,7 +114,7 @@ def test_a2_defining_relation():
     for p in (5, 13, 37):
         t = ph.GammaTables(p, 4)
         pk = p**4
-        w = t.F[p - 1]
+        w = math.factorial(p - 1) % pk
         assert (2 * t.a2 + w + pow(w, -1, pk) + 2) % pk == 0
 
 
@@ -134,11 +139,11 @@ def test_gamma_rejects_p_in_denominator():
 
 
 def test_series_tables_match_product_table_smallish_p():
-    # the two backends agree on every residue for a small modulus
-    p = 17
-    t = ph.GammaTables(p, 2)
-    big = GammaProductTable(p, 2)
-    assert all(gamma_int(t, n) == gamma_int(big, n) for n in range(p * p))
+    # the two backends agree on every residue at every precision
+    for p in (7, 17):
+        for k in (1, 2, 3, 4):
+            xs = range(p**k)
+            assert ph.GammaTables(p, k).gamma_list(xs) == GammaProductTable(p, k).gamma_list(xs), (p, k)
 
 
 def _residues(pk, rng):

@@ -134,8 +134,12 @@ def test_stats_tsv_reads_old_bound_cells():
     ("#n\ta1.M2\n-5\tjunk\t1\t2\n10\t1.0\n", "4 cells for 2 columns"),  # only the last row was read
     ("#n\ta1.M2\ta1.M4\n10\tnan\t2.0\n", "non-finite"),  # every group at distance nan, C1 first
     ("#n\ta1.M2\ta1.M4\n10\tinf\t2.0\n", "non-finite"),  # the same with inf
+    ("#a1.M2\ta1.M4\n10\t3.0\n", "first column"),  # was read as a1.M4 = 3.0 at 2^10
+    ("#a1.M2\tn\n3.0\t10\n", "first column"),  # n past the first column
+    ("#n\ta1.M2\tn\n10\t1.0\t10\n", "repeated"),  # a second n
+    ("#n\ta1.M2\ta1.M2\n10\t1.0\t2.0\n", "repeated"),  # the last duplicate was kept
 ], ids=["no-moments", "unknown-column", "negative-bound", "over-wide-row", "bad-earlier-row",
-        "nan-cell", "inf-cell"])
+        "nan-cell", "inf-cell", "no-leading-n", "misplaced-n", "second-n", "repeated-column"])
 def test_bad_stats_file_is_rejected_and_classify_exits_3(tmp_path, capsys, text, msg):
     with pytest.raises(ValueError, match=msg):
         parse_stats_tsv(text)
@@ -384,10 +388,15 @@ def _bad_stats_file():
         lambda n: hst.sampled_from([f"{n}", f"B={n}"])).map(lambda n: f"#n\ta1.M2\n{n}\t1.0\n")
     over_wide = hst.lists(hst.sampled_from(["", "5.0", "7"]), min_size=1, max_size=3).map(
         lambda extra: "#n\ta1.M2\n10\t1.0\t" + "\t".join(extra) + "\n")
+    moments = hst.lists(hst.sampled_from(stats.STATS_HEADER[1:]), min_size=1, max_size=4, unique=True)
+    no_leading_n = moments.flatmap(lambda cols: hst.permutations(cols + ["n"]) | hst.just(cols)).filter(
+        lambda cols: cols[0] != "n").map(lambda cols: "#" + "\t".join(cols) + "\n10\t3.0\n")
+    repeated = moments.flatmap(lambda cols: hst.sampled_from(["n"] + cols).map(
+        lambda col: "#" + "\t".join(["n"] + cols + [col]) + "\n10\t1.0\n"))
     bad_row = hst.one_of(no_moments, bad_cell, non_finite, negative_bound, over_wide)
     earlier_bad_row = bad_row.map(lambda text: text + "10\t1.0\n")  # a good last row
     return hst.one_of(no_moments, unknown_col, bad_cell, non_finite, no_rows, negative_bound,
-                      over_wide, earlier_bad_row)
+                      over_wide, earlier_bad_row, no_leading_n, repeated)
 
 
 def _cases():
