@@ -16,6 +16,7 @@ tests for the table it reproduces.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -233,36 +234,48 @@ _FILE_TABLES: dict[str, tuple[bytes, dict[int, int]]] = {}  # path: (SHA-256, ta
 
 
 def file_digest(path: str) -> bytes:
-    """The SHA-256 of a coefficient file's contents; re-reads the file's
-    memoized table if it was read from other contents.  Streams call it once."""
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).digest()
+    """The SHA-256 of a coefficient file's bytes; re-parses the file's
+    memoized table from them when they changed.  Streams call it once."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CoeffFileError(f"{path}: cannot read coefficient file ({exc.strerror})") from exc
+    digest = hashlib.sha256(data).digest()
     if _FILE_TABLES.get(path, (None,))[0] != digest:
-        _FILE_TABLES[path] = (digest, load_coeffs(path))
+        _FILE_TABLES[path] = (digest, _parse_coeffs(path, data))
     return digest
 
 
 def load_coeffs(path: str) -> dict[int, int]:
-    """Parse a coefficient file: '#' comments, 'p a_p' per line, primes
-    ascending."""
+    """Read and parse a coefficient file: UTF-8 text, '#' comments, 'p a_p'
+    per line, primes ascending."""
+    file_digest(path)
+    return dict(_FILE_TABLES[path][1])
+
+
+def _parse_coeffs(path: str, data: bytes) -> dict[int, int]:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CoeffFileError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     table: dict[int, int] = {}
     last = 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise CoeffFileError(f"{path}:{lineno}: expected 'p a_p', got {raw!r}")
-            try:
-                p, ap = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise CoeffFileError(f"{path}:{lineno}: non-integer field") from exc
-            if p <= last:
-                raise CoeffFileError(f"{path}:{lineno}: primes not ascending")
-            last = p
-            table[p] = ap
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise CoeffFileError(f"{path}:{lineno}: expected 'p a_p', got {raw!r}")
+        try:
+            p, ap = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise CoeffFileError(f"{path}:{lineno}: non-integer field") from exc
+        if p <= last:
+            raise CoeffFileError(f"{path}:{lineno}: primes not ascending")
+        last = p
+        table[p] = ap
     if not table:
         raise CoeffFileError(f"{path}: empty coefficient table")
     return table

@@ -59,10 +59,6 @@ def lp_add(f: dict, g: dict) -> dict:
     return out
 
 
-def lp_neg(f: dict) -> dict:
-    return {key: -c for key, c in f.items()}
-
-
 def lp_mul(f: dict, g: dict) -> dict:
     out: dict = {}
     get = out.get

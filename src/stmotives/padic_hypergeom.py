@@ -65,9 +65,18 @@ class GammaTables:
             raise ValueError("series tables need p >= 5 at precision >= 3")
         self.p, self.k, self.pk = p, k, p**k
         pk = self.pk
-        w1 = 1  # (p-1)!
-        for j in range(2, p):
-            w1 = w1 * j % pk
+
+        def column(b, m, prev):
+            # G_x0 = Gamma_p(x0 + py): G_1 = -G_0, then G_(x0+1) = -(x0 + py) G_x0, that
+            # is C_i <- -(x0 C_i + C_(i-1)) mod p^(k-i), a column at a time (C_i = 0, i >= k)
+            c = -b % m
+            col = [b % m, c]
+            for x0 in range(1, p - 1):
+                c = -(x0 * c + prev[x0]) % m
+                col.append(c)
+            return col
+        C = [column(1, pk, [0] * p)]  # Gamma_p(x0) for x0 = 0..p-1
+        w1 = (-1) ** (p + 1) * (p - 1) * C[0][-1] % pk  # (p-1)! = (-1)^p Gamma_p(p)
         a1 = a2 = a3 = 0
         if k == 2:
             a1 = (1 + pow(w1, -1, pk)) % pk
@@ -81,17 +90,8 @@ class GammaTables:
         self.a1, self.a2, self.a3 = a1, a2, a3
         if a1 % p or a2 % p**2 or a3 % p**3:  # a_i y^i = (a_i / p^i) (py)^i
             raise ConsistencyError(f"gamma series coefficients not p-adically small at p={p}")
-        # G_x0 = Gamma_p(x0 + py): G_1 = -G_0, then G_(x0+1) = -(x0 + py) G_x0, that is
-        # C_i <- -(x0 C_i + C_(i-1)) mod p^(k-i), a column at a time (C_i = 0 for i >= k)
-        C, prev = [], [0] * p
-        for b, m in zip((1, a1 // p, a2 // p**2, a3 // p**3), (pk // p**i for i in range(k))):
-            c = -b % m
-            col = [b % m, c]
-            for x0 in range(1, p - 1):
-                c = -(x0 * c + prev[x0]) % m
-                col.append(c)
-            C.append(col)
-            prev = col
+        for i, b in enumerate((a1 // p, a2 // p**2, a3 // p**3)[: k - 1], 1):
+            C.append(column(b, pk // p**i, C[-1]))
         self.C = tuple(C + [[0] * p] * (4 - k))
         self._C_np = None
 

@@ -29,15 +29,16 @@ up to the largest order asked so far.  On top of it `moment` is memoized
 on the group object (its content, not its name), so repeated tables and
 `stats.classify` calls reuse every exact moment.  Nothing is computed at
 import time; `laurent.lp_pow` stays as the independent oracle of the tests.
+The Monte-Carlo oracle `sample_many` shares only the spectra with this
+engine: it forms a1 and a2 from each draw's four eigenvalues.
 """
 
 from __future__ import annotations
 
-from cmath import exp as cexp
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import pi
+from functools import cache, reduce
+from itertools import combinations
 
 from .laurent import (
     expectation as lp_expectation,
@@ -45,7 +46,6 @@ from .laurent import (
     lp_const,
     lp_constant_value,
     lp_mul,
-    lp_neg,
     lp_term,
 )
 
@@ -65,18 +65,12 @@ class Component:
     eigen: tuple[tuple[int, tuple[int, ...]], ...]
 
     def charpoly_coeff(self, coeff: str) -> dict:
-        """a1 = -sum(lam) or a2 = e2(lam) as a Laurent polynomial (a1 needs
-        no product)."""
-        lams = [lp_term(exps, zp) for zp, exps in self.eigen]
-        out: dict = {}
+        """a1 = -sum(lam) = sum(zeta_24^12 lam), with no product, or
+        a2 = e2(lam) as a Laurent polynomial."""
         if coeff == "a1":
-            for lam in lams:
-                out = lp_add(out, lam)
-            return lp_neg(out)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                out = lp_add(out, lp_mul(lams[i], lams[j]))
-        return out
+            return reduce(lp_add, (lp_term(exps, zp + 12) for zp, exps in self.eigen), {})
+        lams = [lp_term(exps, zp) for zp, exps in self.eigen]
+        return reduce(lp_add, (lp_mul(a, b) for a, b in combinations(lams, 2)), {})
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(v.kind for v in self.vars)
@@ -328,15 +322,16 @@ def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:
 
 
 def sample_many(g: STGroup | str, count: int, seed: int = 0):
-    """numpy-vectorized sampler used by the statistical regression tests."""
+    """count Haar draws of (a1, a2), from each component's spectrum alone:
+    eigenvalue phases pi k / 12 + <exps, angles>, then a1 = -sum(lam) and
+    a2 = e2(lam) = (sum(lam)^2 - sum(lam^2)) / 2.  numpy-vectorized."""
     import numpy as np
 
     g = group(g)
     rng = np.random.default_rng(seed)
     c = g.num_components
     counts = np.bincount(rng.integers(0, c, size=count), minlength=c)
-    out1 = np.empty(count)
-    out2 = np.empty(count)
+    out1, out2 = np.empty(count), np.empty(count)
     pos = 0
     for comp, m in zip(g.components, counts):
         m = int(m)
@@ -347,8 +342,15 @@ def sample_many(g: STGroup | str, count: int, seed: int = 0):
             angs = _rejection_np(rng, m, 2, 3, _usp4_accept)
         else:
             angs = np.column_stack([_angles_np(k, rng, m) for k in kinds]) if kinds else np.zeros((m, 0))
-        out1[pos : pos + m] = _lp_eval_np(comp.charpoly_coeff("a1"), angs)
-        out2[pos : pos + m] = _lp_eval_np(comp.charpoly_coeff("a2"), angs)
+        s1, s2 = np.zeros(m, complex), np.zeros(m, complex)  # sum(lam), sum(lam^2)
+        for k, exps in comp.eigen:  # one eigenvalue at a time, in place
+            lam = 1j * (np.pi * k / 12 + angs @ exps)
+            s1 += np.exp(lam, out=lam)
+            s2 += np.square(lam, out=lam)
+        if max(np.abs(s1.imag).max(), np.abs(s2.imag).max()) > 1e-8:
+            raise ArithmeticError(f"non-real samples on {g.name} component {comp.label}")
+        out1[pos : pos + m] = -s1.real
+        out2[pos : pos + m] = ((s1 * s1).real - s2.real) / 2
         pos += m
     return out1, out2
 
@@ -387,26 +389,13 @@ def _usp4_accept(t1, t2):
     the weight (1-a^2)(1-b^2)(a-b)^2 peaks at 16/27, at a = -b = 1/sqrt(3)."""
     import numpy as np
 
-    return (np.sin(t1) * np.sin(t2)) ** 2 * (np.cos(t1) - np.cos(t2)) ** 2 * (27 / 16)
-
-
-def _lp_eval_np(f: dict, angles):
-    import numpy as np
-
-    coeffs: dict = {}  # exps -> sum over k of c zeta_24^k: one exp per torus monomial
-    for (k, e), c in f.items():
-        coeffs[e] = coeffs.get(e, 0) + c * cexp(1j * pi * k / 12)
-    n = angles.shape[0]
-    total = np.zeros(n, dtype=complex)
-    for e, coeff in coeffs.items():
-        phase = np.zeros(n)
-        for k, col in zip(e, angles.T):
-            if k:
-                phase += k * col
-        total += coeff * np.exp(1j * phase)
-    if total.size and np.max(np.abs(total.imag)) > 1e-8:
-        raise ArithmeticError("non-real samples")
-    return total.real
+    a, b = np.cos(t1), np.cos(t2)
+    w = (a - b) ** 2 * (27 / 16)
+    for c in (a, b):  # c^2 - 1 in place of 1 - c^2 (on arrays): the two signs cancel
+        c *= c
+        c -= 1
+        w *= c
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as hst
 
 from hg_oracle import DWORK, batch_evaluate, gamma_backend, teich_eval, trace_Hq
@@ -166,8 +166,12 @@ def test_hp2_m0_alpha_gammas_multiply_to_one():
 
 _PRIMES_17_100 = [p for p in range(17, 100) if all(p % d for d in range(2, 10))]
 
+# the oracle tests report the first failing example: shrinking it would rerun
+# the Fraction-based trace_Hq for minutes under a broken kernel
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
-@settings(max_examples=12)
+
+@settings(max_examples=12, phases=NO_SHRINK)
 @given(p=hst.sampled_from(_PRIMES_17_100), num=hst.integers(-10**6, 10**6),
        den=hst.integers(1, 10**6))
 def test_hp2_kernel_equals_generic_trace_random(p, num, den):
@@ -280,7 +284,7 @@ def test_banded_hp_p4_equals_generic(p):
 _PRIMES_7_150 = [p for p in range(7, 150) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
-@settings(max_examples=20)
+@settings(max_examples=20, phases=NO_SHRINK)
 @given(p=hst.sampled_from(_PRIMES_7_150), k=hst.sampled_from([2, 4]),
        num=hst.integers(-10**6, 10**6), den=hst.integers(1, 10**6))
 def test_hp_kernel_equals_generic_trace_random(p, k, num, den):

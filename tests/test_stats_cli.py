@@ -277,6 +277,22 @@ def test_cli_weil_bound_break_in_coefficient_file_exits_3(tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
+def test_cli_unreadable_coefficient_file_exits_3(tmp_path, monkeypatch, capsys, content):
+    path = tmp_path / "broken.4a.txt"
+    if content is not None:
+        path.write_bytes(content)
+    handle = cmforms.NewformHandle("broken.4a", 4, 1, "file", path=str(path))
+    monkeypatch.setitem(cmforms.FORMS, "broken.4a", handle)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    rc = cli.main(["motive", "sum", "--f1", "27.2a", "--f2", "broken.4a",
+                   "--bound-log2", "3"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("data error:") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_cli_weil_bound_break_in_computed_form_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cmforms, "_hecke_coeff", lambda *args: 10**6)
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)

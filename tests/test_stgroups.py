@@ -277,19 +277,38 @@ def test_sample_many_range_smoke():
         assert np.all((-2.0 - 1e-9 <= a2) & (a2 <= 6.0 + 1e-9))
 
 
+def _one_component_group(comp):
+    return sg.STGroup(f"only {comp.label}", 1, "C1", (comp,))
+
+
 def test_sample_j_component_constant():
     comp = sg.group("J(C1)").components[1]
     assert "J" in comp.label
-    a1, a2 = comp.charpoly_coeff("a1"), comp.charpoly_coeff("a2")
-    no_angles = np.zeros((1, 0))
-    assert sg._lp_eval_np(a1, no_angles)[0] == 0
-    assert abs(sg._lp_eval_np(a2, no_angles)[0] - 2) < 1e-12
-    # zeta^2 + zeta^22 = 2 cos(pi/6) spans several power-basis keys on one
-    # monomial; a lone zeta^2 is not real
-    root3 = lp_add(lp_term((), 2), lp_term((), 22))
-    assert abs(sg._lp_eval_np(root3, no_angles)[0] - math.sqrt(3)) < 1e-12
+    a1, a2 = sg.sample_many(_one_component_group(comp), 50, seed=3)
+    assert np.all(np.abs(a1) < 1e-12)
+    assert np.all(np.abs(a2 - 2) < 1e-12)
+    # zeta^2 + zeta^22 = 2 cos(pi/6): the eigenvalue phases carry the root of unity
+    root3 = sg.Component("root3", (), ((2, ()), (22, ()), (0, ()), (0, ())))
+    a1, _ = sg.sample_many(_one_component_group(root3), 50, seed=3)
+    assert np.all(np.abs(a1 + 2 + math.sqrt(3)) < 1e-12)
+    # a spectrum not closed under inversion gives non-real a1
+    lone = sg.Component("lone", (), ((2, ()), (0, ()), (0, ()), (0, ())))
     with pytest.raises(ArithmeticError):
-        sg._lp_eval_np(lp_term((), 2), no_angles)
+        sg.sample_many(_one_component_group(lone), 50, seed=3)
+
+
+def test_sample_many_reads_spectra_not_laurent_polynomials(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the sampler reached the Laurent engine")
+
+    for target in (sg, laurent):
+        monkeypatch.setattr(target, "lp_mul", boom)
+        monkeypatch.setattr(target, "lp_term", boom)
+    monkeypatch.setattr(sg.Component, "charpoly_coeff", boom)
+    for g in sg.catalog():
+        a1, a2 = sg.sample_many(g, 500, seed=g.catalog_index + 1)
+        assert a1.shape == a2.shape == (500,)
+        assert np.all(np.abs(a1) <= 4 + 1e-9) and np.all((-2 - 1e-9 <= a2) & (a2 <= 6 + 1e-9))
 
 
 @pytest.mark.parametrize("name", ["C3", "D", "U(2)", "F_{a,b}", "G_{1,3}", "USp(4)"])
