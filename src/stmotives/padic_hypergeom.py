@@ -75,6 +75,7 @@ class GammaTables:
                 c = -(x0 * c + prev[x0]) % m
                 col.append(c)
             return col
+
         C = [column(1, pk, [0] * p)]  # Gamma_p(x0) for x0 = 0..p-1
         w1 = (-1) ** (p + 1) * (p - 1) * C[0][-1] % pk  # (p-1)! = (-1)^p Gamma_p(p)
         a1 = a2 = a3 = 0
