@@ -15,11 +15,17 @@ empty, and it is a rational constant exactly when its only key is
 (0, zeros).  Keys by the zeta exponent mod 24 (or mod 12 with a sign) would
 not be canonical: 1 + z^8 + z^16 = 0 in Z[zeta_24], but not in those rings.
 Products reduce z^(k1 + k2) through the rows of one table of zeta_24^j.
+
+A measure on the torus is its Weyl density table: an integer Laurent
+polynomial in exponents alone, the product of one table per variable kind
+(a pair of "usp4" variables shares one).  `expectation` reads one density
+coefficient per term and divides by the constant term once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import add
 
 
@@ -86,80 +92,59 @@ def lp_pow(f: dict, n: int, nvars: int) -> dict:
     return out
 
 
-def lp_constant_value(f: dict):
-    """Rational constant value of f, or None if not a rational constant."""
-    if all(k == 0 and not any(e) for k, e in f):
-        return sum(f.values())
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Expectation functionals.  Each torus variable carries one of the measure
-# kinds below; "usp4" variables come in pairs sharing the joint Weyl measure
-# of USp(4) restricted to the maximal torus.
-
-MEASURE_KINDS = ("circle", "su2", "su2sqrt", "usp4")
+# Weyl densities against the uniform measure on each variable's circle
 
 
-def _su2_moment(j: int) -> Fraction:
-    # E[v^j] under the SU(2) Weyl measure (2/pi) sin^2
-    if j == 0:
-        return Fraction(1)
-    if abs(j) == 2:
-        return Fraction(-1, 2)
-    return Fraction(0)
+def _usp4_density() -> dict:
+    # ((v1 - 1/v1)(v2 - 1/v2)(v1 + 1/v1 - v2 - 1/v2))^2, constant term 8
+    x = lp_mul({(0, (1, 0)): 1, (0, (-1, 0)): -1}, {(0, (0, 1)): 1, (0, (0, -1)): -1})
+    x = lp_mul(x, {(0, (1, 0)): 1, (0, (-1, 0)): 1, (0, (0, 1)): -1, (0, (0, -1)): -1})
+    return {e: c for (_, e), c in lp_mul(x, x).items()}
 
 
-def _single_moment(kind: str, j: int) -> Fraction:
-    if kind == "circle":
-        return Fraction(1) if j == 0 else Fraction(0)
-    if kind == "su2":
-        return _su2_moment(j)
-    if kind == "su2sqrt":
-        # h stands for a square root of an SU(2) eigenvalue; only even
-        # powers of h occur in symmetric functions of {h,-h,1/h,-1/h}
-        return _su2_moment(j // 2) if j % 2 == 0 else Fraction(0)
-    raise ValueError(f"unknown measure kind {kind}")
+_DENSITY = {
+    "circle": {(0,): 1},
+    "su2": {(0,): 2, (2,): -1, (-2,): -1},
+    "su2sqrt": {(0,): 2, (4,): -1, (-4,): -1},  # h^2 is an su2 variable
+    "usp4": _usp4_density(),  # one table for the pair
+}
 
 
-def _usp4_weight_table() -> dict:
-    """Laurent expansion of the USp(4) torus weight
-    (v1-1/v1)^2 (v2-1/v2)^2 (v1+1/v1-v2-1/v2)^2."""
-    v1 = {(0, (1, 0)): 1, (0, (-1, 0)): -1}
-    v2 = {(0, (0, 1)): 1, (0, (0, -1)): -1}
-    d = {(0, (1, 0)): 1, (0, (-1, 0)): 1, (0, (0, 1)): -1, (0, (0, -1)): -1}
-    w = lp_mul(lp_mul(lp_mul(v1, v1), lp_mul(v2, v2)), lp_mul(d, d))
-    return {e: c for (_, e), c in w.items()}
-
-
-_USP4_W = _usp4_weight_table()
-_USP4_CT = _USP4_W[(0, 0)]  # = 8
-
-
-def usp4_joint_moment(j: int, k: int) -> Fraction:
-    """E[v1^j v2^k] for the joint torus measure of USp(4)."""
-    return Fraction(_USP4_W.get((-j, -k), 0), _USP4_CT)
+@cache
+def _density(kinds: tuple) -> tuple[dict, int]:
+    """The product of the variables' density tables, keyed by the negated
+    exponent tuple (so E[u^e] reads key e), and its constant term."""
+    usp = tuple(i for i, kd in enumerate(kinds) if kd == "usp4")
+    if len(usp) not in (0, 2):
+        raise ValueError("usp4 variables must come as a pair")
+    n = len(kinds)
+    dens = lp_const(n, 1)
+    for pos in [(i,) for i, kd in enumerate(kinds) if kd != "usp4"] + ([usp] if usp else []):
+        if kinds[pos[0]] not in _DENSITY:
+            raise ValueError(f"unknown measure kind {kinds[pos[0]]}")
+        factor = {}
+        for e, c in _DENSITY[kinds[pos[0]]].items():
+            full = [0] * n
+            for i, x in zip(pos, e):
+                full[i] = -x
+            factor[(0, tuple(full))] = c
+        dens = lp_mul(dens, factor)
+    return {e: c for (_, e), c in dens.items()}, dens[(0, (0,) * n)]
 
 
 def expectation(f: dict, kinds: tuple) -> Fraction:
     """Exact Haar expectation of a Laurent polynomial whose variable i has
-    measure kinds[i].  The cyclotomic parts must cancel to a rational."""
-    usp_idx = tuple(i for i, kd in enumerate(kinds) if kd == "usp4")
-    if len(usp_idx) not in (0, 2):
-        raise ValueError("usp4 variables must come as a pair")
-    acc = [Fraction(0)] * 8
-    for (k, exps), c in f.items():
-        w = Fraction(1)
-        for i, kd in enumerate(kinds):
-            if kd == "usp4":
-                continue
-            w *= _single_moment(kd, exps[i])
-            if not w:
-                break
-        if w and usp_idx:
-            w *= usp4_joint_moment(exps[usp_idx[0]], exps[usp_idx[1]])
+    measure kinds[i]: one lookup per term in the kinds' density table, one
+    division by its constant term.  The cyclotomic parts must cancel to a
+    rational."""
+    dens, ct = _density(tuple(kinds))
+    acc = [0] * 8
+    get = dens.get
+    for (k, e), c in f.items():
+        w = get(e)
         if w:
-            acc[k] += w * c
+            acc[k] += c * w
     if any(acc[1:]):
         raise ValueError("expectation has a non-rational cyclotomic part")
-    return acc[0]
+    return Fraction(acc[0], ct)

@@ -3,13 +3,14 @@
 Each group is a finite list of connected components carrying equal Haar
 mass.  A component is described by the four eigenvalues of its elements,
 each a root of unity (in Z[zeta_24]) times a Laurent monomial in torus
-variables; the variables carry expectation functionals ("measures") that
-realize Weyl integration:
+variables; each variable carries a measure kind, its Weyl density against
+the uniform measure on the circle (E[u^e] = coefficient of u^-e over the
+constant term; see laurent.expectation):
 
-  circle   E[u^j] = [j == 0]                      (uniform on U(1))
-  su2      E[v^j] = [j == 0] - [|j| == 2]/2       (Weyl measure of SU(2))
-  su2sqrt  h = sqrt of an su2 eigenvalue          (only even powers occur)
-  usp4     joint pair measure of the USp(4) torus
+  circle   1                                      E[u^j] = [j == 0]
+  su2      2 - v^2 - v^-2                         E[v^j] = [j == 0] - [|j| == 2]/2
+  su2sqrt  2 - h^4 - h^-4  (h^2 is an su2 variable; odd powers of h average 0)
+  usp4     (v1-1/v1)^2 (v2-1/v2)^2 (v1+1/v1-v2-1/v2)^2 on a pair, constant term 8
 
 Components whose elements are not plain torus translates (the J-cosets,
 the swap coset of N(G_{3,3}), the antidiagonal cosets in the U(1)xU(1)
@@ -44,24 +45,18 @@ from .laurent import (
     expectation as lp_expectation,
     lp_add,
     lp_const,
-    lp_constant_value,
     lp_mul,
     lp_term,
 )
 
 
 @dataclass(frozen=True)
-class TorusVar:
-    name: str
-    kind: str  # one of laurent.MEASURE_KINDS
-
-
-@dataclass(frozen=True)
 class Component:
-    """One connected component: four eigenvalues, each (zeta24 power, exps)."""
+    """One connected component: the measure kind of each torus variable and
+    four eigenvalues, each (zeta24 power, exps)."""
 
     label: str
-    vars: tuple[TorusVar, ...]
+    kinds: tuple[str, ...]
     eigen: tuple[tuple[int, tuple[int, ...]], ...]
 
     def charpoly_coeff(self, coeff: str) -> dict:
@@ -71,9 +66,6 @@ class Component:
             return reduce(lp_add, (lp_term(exps, zp + 12) for zp, exps in self.eigen), {})
         lams = [lp_term(exps, zp) for zp, exps in self.eigen]
         return reduce(lp_add, (lp_mul(a, b) for a, b in combinations(lams, 2)), {})
-
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(v.kind for v in self.vars)
 
 
 @dataclass(frozen=True)
@@ -92,14 +84,14 @@ class STGroup:
 # ---------------------------------------------------------------------------
 # catalog construction
 
-_U = (TorusVar("u", "circle"),)
-_V = (TorusVar("v", "su2"),)
-_UV = (TorusVar("u", "circle"), TorusVar("v", "su2"))
-_U12 = (TorusVar("u1", "circle"), TorusVar("u2", "circle"))
-_Q = (TorusVar("q", "circle"),)  # stands for a square root of u1*u2 (or u1/u2)
-_H = (TorusVar("h", "su2sqrt"),)
-_V12 = (TorusVar("v1", "su2"), TorusVar("v2", "su2"))
-_VJ = (TorusVar("v1", "usp4"), TorusVar("v2", "usp4"))
+_U = ("circle",)  # u
+_V = ("su2",)  # v
+_UV = ("circle", "su2")  # u, v
+_U12 = ("circle", "circle")  # u1, u2
+_Q = ("circle",)  # q, a square root of u1*u2 (or u1/u2)
+_H = ("su2sqrt",)  # h
+_V12 = ("su2", "su2")  # v1, v2
+_VJ = ("usp4", "usp4")  # v1, v2
 
 
 def _hodge_circle_comp(label: str, zpow: int) -> Component:
@@ -269,7 +261,7 @@ _SERIES: dict[tuple, _PowerSeries] = {}
 def component_moment(comp: Component, coeff: str, n: int) -> Fraction:
     """Exact E[coeff^n] over one component (shared by equal spectra)."""
     _check_moment_args(coeff, n)
-    key = (comp.kinds(), comp.eigen, coeff)
+    key = (comp.kinds, comp.eigen, coeff)
     series = _SERIES.get(key)
     if series is None:
         series = _SERIES[key] = _PowerSeries(comp.charpoly_coeff(coeff), key[0])
@@ -309,10 +301,12 @@ def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:
     z1 = 0
     z2 = [0, 0, 0, 0, 0]
     for comp in g.components:
-        if lp_constant_value(comp.charpoly_coeff("a1")) == 0:
+        if comp.charpoly_coeff("a1") == {}:  # zero is the empty dict
             z1 += 1
-        v = lp_constant_value(comp.charpoly_coeff("a2"))
-        if v is not None and -2 <= v <= 2:
+        const = (0, (0,) * len(comp.kinds))
+        a2 = comp.charpoly_coeff("a2")
+        v = a2.get(const, 0)
+        if a2.keys() <= {const} and -2 <= v <= 2:
             z2[v + 2] += 1
     return g.dim, g.num_components, z1, z2, g.component_group
 
@@ -337,7 +331,7 @@ def sample_many(g: STGroup | str, count: int, seed: int = 0):
         m = int(m)
         if m == 0:
             continue
-        kinds = comp.kinds()
+        kinds = comp.kinds
         if "usp4" in kinds:
             angs = _rejection_np(rng, m, 2, 3, _usp4_accept)
         else:

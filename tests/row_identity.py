@@ -1,18 +1,24 @@
-"""Row and gamma-table identity of the Dwork streams between two checkouts.
+"""Identity of the Dwork streams, the gamma tables and the exact moment
+engine between two checkouts.
 
     PYTHONPATH=<old checkout>/src python tests/row_identity.py record rows.json
     PYTHONPATH=src python tests/row_identity.py check rows.json
 
-`record` computes the rows and table digests with whichever stmotives is
-importable and writes them as JSON; `check` computes them again and compares
+`record` computes every entry with whichever stmotives is importable and
+writes them as JSON; `check` computes them again and compares
 them entry by entry.  The exit code is 0 when every entry matches and 1
 otherwise; the first differing row of each stream is printed.  The rows are
 (p, c1, c2) for every p <= 2^10 at each z of bench/workloads.DWORK_Z, and
 (p, c1) for every p <= 2^14 at z in {-1, 2, 1/3}, all computed with
 jobs = 2.  The tables are the SHA-256 of GammaTables(p, k).C, the cubic
 Gamma_p(x0 + py) by residue x0, for every prime 7 <= p <= 2^10 and
-p in {5791, 8191} at k = 1, 2, 3, 4.  A kernel change keeps every entry
-bit-identical.  pytest does not collect this file.
+p in {5791, 8191} at k = 1, 2, 3, 4.  The moment entries are, for every
+catalog group, the exact a1 moments M_0..M_18 and a2 moments M_0..M_12, each
+component's `component_moment` at the same orders (as str(Fraction)), and
+the group's `invariants`; these orders go past the printed tables, and only
+`catalog`, `moment`, `component_moment` and `invariants` are called, so a
+record can be taken at an older checkout.  A kernel change keeps every
+entry bit-identical.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
            + [(f"c1 z={z} B=2^14", z, 2**14, True) for z in ("-1", "2", "1/3")])
 TABLE_PRIMES = [p for p in range(7, 2**10) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 TABLES = [(p, k) for p in TABLE_PRIMES + [5791, 8191] for k in (1, 2, 3, 4)]
+MOMENT_ORDERS = {"a1": range(19), "a2": range(13)}
 
 
 def table_digest(p: int, k: int) -> str:
@@ -43,10 +50,24 @@ def table_digest(p: int, k: int) -> str:
     return hashlib.sha256(json.dumps([list(c) for c in GammaTables(p, k).C]).encode()).hexdigest()
 
 
-def compute() -> dict[str, list[list[int]] | str]:
+def moment_entries() -> dict[str, list]:
+    from stmotives.stgroups import catalog, component_moment, invariants, moment
+
+    out: dict[str, list] = {}
+    for g in catalog():
+        for coeff, ns in MOMENT_ORDERS.items():
+            out[f"moment({g.name}, {coeff})"] = [moment(g, coeff, n) for n in ns]
+            for i, comp in enumerate(g.components):
+                out[f"component_moment({g.name} #{i} {comp.label}, {coeff})"] = [
+                    str(component_moment(comp, coeff, n)) for n in ns]
+        out[f"invariants({g.name})"] = list(invariants(g))
+    return out
+
+
+def compute() -> dict[str, list | str]:
     from stmotives import motives
 
-    out: dict[str, list[list[int]] | str] = {}
+    out: dict[str, list | str] = {}
     for name, z, bound, a1_only in STREAMS:
         t0 = time.perf_counter()
         spec = motives.MotiveSpec(motives.Dwork(Fraction(z)), motives.Q)
@@ -57,7 +78,11 @@ def compute() -> dict[str, list[list[int]] | str]:
     for p, k in TABLES:
         out[f"GammaTables({p}, {k}).C"] = table_digest(p, k)
     print(f"{len(TABLES)} gamma tables, {time.perf_counter() - t0:.1f} s", flush=True)
-    return out
+    t0 = time.perf_counter()
+    moments = moment_entries()
+    print(f"{len(moments)} moment and invariant entries, {time.perf_counter() - t0:.1f} s",
+          flush=True)
+    return out | moments
 
 
 def main(argv: list[str]) -> int:
@@ -85,10 +110,11 @@ def main(argv: list[str]) -> int:
         else:
             diff = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
                         min(len(old), len(new)))
-            print(f"MISMATCH {name}: {len(old)} recorded rows, {len(new)} now; first differing "
-                  f"row {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
-    print(f"{len(entries) - bad} of {len(entries)} entries identical "
-          f"({len(STREAMS)} streams, {len(TABLES)} gamma tables)")
+            print(f"MISMATCH {name}: {len(old)} recorded items, {len(new)} now; first differing "
+                  f"item {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
+    print(f"{len(entries) - bad} of {len(entries)} entries identical ({len(STREAMS)} streams, "
+          f"{len(TABLES)} gamma tables, {len(entries) - len(STREAMS) - len(TABLES)} moment "
+          f"and invariant entries)")
     return 1 if bad else 0
 
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from stmotives import laurent, stats, stgroups as sg
-from stmotives.laurent import expectation as lp_expectation, lp_add, lp_mul, lp_pow, lp_term
+from stmotives.laurent import (
+    expectation as lp_expectation, lp_add, lp_const, lp_mul, lp_pow, lp_term,
+)
 
 from sample_moments import sample_moments
 from table_data import A1_MOMENTS, A2_MOMENTS, INVARIANTS
@@ -65,10 +67,22 @@ def test_circle_and_su2_trace_moments():
 
 
 def test_usp4_normalization_is_computed():
-    from stmotives.laurent import _USP4_CT, usp4_joint_moment
+    # the USp(4) torus density has constant term 8, and E[1] = 1 under every
+    # measure the catalog uses
+    assert laurent._DENSITY["usp4"][(0, 0)] == 8
+    for kinds in {c.kinds for g in sg.catalog() for c in g.components}:
+        assert lp_expectation(lp_const(len(kinds), 1), kinds) == 1
 
-    assert _USP4_CT == 8
-    assert usp4_joint_moment(0, 0) == 1
+
+@pytest.mark.parametrize("kinds", [("usp4",), ("usp4", "circle")])
+def test_expectation_rejects_a_lone_usp4_variable(kinds):
+    with pytest.raises(ValueError, match="must come as a pair"):
+        lp_expectation(lp_const(len(kinds), 1), kinds)
+
+
+def test_expectation_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        lp_expectation(lp_const(2, 1), ("circle", "haar"))
 
 
 def test_usp4_first_moments():
@@ -161,8 +175,8 @@ def test_zeta_table_rows_are_the_24th_roots_of_unity():
         assert abs(_lp_value(lp_term((), j), ()) - cmath.exp(1j * math.pi * j / 12)) < 1e-12
 
 
-def _laurent_polys(nvars):
-    key = hst.tuples(hst.integers(0, 7), hst.tuples(*[hst.integers(-3, 3)] * nvars))
+def _laurent_polys(nvars, span=3, ks=hst.integers(0, 7)):
+    key = hst.tuples(ks, hst.tuples(*[hst.integers(-span, span)] * nvars))
     return hst.dictionaries(key, hst.integers(-5, 5).filter(bool), max_size=6)
 
 
@@ -181,12 +195,68 @@ def test_lp_mul_and_lp_add_agree_with_complex_evaluation(data):
         assert abs(_lp_value(got, point) - want) < 1e-8
 
 
+def _su2_rule(j):
+    return Fraction(j == 0) - Fraction(abs(j) == 2, 2)
+
+
+# E[u^j] for one variable of each single kind, in closed form
+_KIND_RULES = {
+    "circle": lambda j: Fraction(j == 0),
+    "su2": _su2_rule,
+    "su2sqrt": lambda j: _su2_rule(j // 2) if j % 2 == 0 else Fraction(0),
+}
+
+
+def _usp4_grid_moment(a, b):
+    """E[v1^a v2^b] under the USp(4) torus weight by a 16 x 16 grid quadrature,
+    exact for trigonometric degree below 16 in each angle (here at most 8)."""
+    t = 2 * np.pi * np.arange(16) / 16
+    v1, v2 = np.exp(1j * t)[:, None], np.exp(1j * t)[None, :]
+    w = ((v1 - 1 / v1) * (v2 - 1 / v2) * (v1 + 1 / v1 - v2 - 1 / v2)) ** 2
+    return (v1**a * v2**b * w).mean().real / w.mean().real
+
+
+@settings(max_examples=300)
+@given(hst.data())
+def test_expectation_matches_closed_forms_and_usp4_quadrature(data):
+    kinds = data.draw(hst.one_of(
+        hst.lists(hst.sampled_from(sorted(_KIND_RULES)), min_size=1, max_size=2).map(tuple),
+        hst.just(("usp4", "usp4"))), label="kinds")
+    # power-basis slots 0 and one more: slot 0 alone is rational, and a lone
+    # irrational slot must cancel on its own
+    slot = data.draw(hst.one_of(hst.just(0), hst.integers(1, 7)), label="slot")
+    f = data.draw(_laurent_polys(len(kinds), span=4, ks=hst.sampled_from((0, slot))), label="f")
+    usp4 = kinds == ("usp4", "usp4")
+    want = [0] * 8  # E of each power-basis slot
+    for (k, e), c in f.items():
+        if usp4:
+            want[k] += c * _usp4_grid_moment(*e)
+        else:
+            want[k] += c * math.prod(_KIND_RULES[kd](j) for kd, j in zip(kinds, e))
+    if any(abs(x) > 1e-9 for x in want[1:]):
+        with pytest.raises(ValueError, match="non-rational"):
+            lp_expectation(f, kinds)
+    elif usp4:
+        assert abs(lp_expectation(f, kinds) - want[0]) < 1e-9
+    else:
+        assert lp_expectation(f, kinds) == want[0]
+
+
+def test_expectation_of_each_monomial_matches_the_oracles():
+    for j in range(-4, 5):
+        for kd, rule in _KIND_RULES.items():
+            assert lp_expectation({(0, (j,)): 1}, (kd,)) == rule(j)
+        for i in range(-4, 5):
+            got = lp_expectation({(0, (j, i)): 1}, ("usp4", "usp4"))
+            assert abs(got - _usp4_grid_moment(j, i)) < 1e-9
+
+
 def _direct_moment(components, coeff, n):
     """The group moment from one lp_pow per component (no shared series)."""
     total = Fraction(0)
     for comp in components:
         f = comp.charpoly_coeff(coeff)
-        total += lp_expectation(lp_pow(f, n, len(comp.vars)), comp.kinds())
+        total += lp_expectation(lp_pow(f, n, len(comp.kinds)), comp.kinds)
     return Fraction(total, len(components))
 
 
@@ -240,7 +310,7 @@ def test_cold_a1_table_takes_at_most_16_products_per_spectrum(monkeypatch):
     sg._group_moment.cache_clear()
     calls = _count_lp_mul(monkeypatch)
     text = sg.emit_group_table("a1")
-    spectra = {(c.kinds(), c.eigen) for g in sg.catalog() for c in g.components}
+    spectra = {(c.kinds, c.eigen) for g in sg.catalog() for c in g.components}
     assert "C1\t4\t44\t580\t8092\t116304\t1703636\t25288120\t379061020" in text
     assert 0 < calls[0] <= 16 * len(spectra)
 
