@@ -11,11 +11,12 @@
   stmotives stats classify --in stats.tsv
 
 Motive commands print the moment-statistics row (and with --classify the
-nearest-group ranking).  Exit codes: 0 ok, 1 internal consistency failure,
-2 bad arguments (unknown or missing labels, wrong form weights, a singular
-curve, z = 0 or 1, a bound below 2^1 or above 2^32 (the prime sieve takes one
-byte per integer up to the bound), an --out path that cannot be written),
-3 data errors (including a stream with no good primes).
+nearest-group ranking); --coeffs a1 keeps the a1 moments alone.  Exit codes:
+0 ok, 1 internal consistency failure, 2 bad arguments (unknown or missing
+labels, wrong form weights, a singular curve, z = 0 or 1, a bound below 2^1 or
+above 2^32 (the prime sieve takes one byte per integer up to the bound), an
+--out path that cannot be written), 3 data errors (including a stream with no
+good primes).
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def cmd_motive(args) -> int:
                        f"one byte per integer up to the bound), got {args.bound_log2}")
     spec = _make_spec(args)
     bound = 2**args.bound_log2
-    a1_only = args.construction == "dwork" and args.coeffs == "a1"
+    a1_only = args.coeffs == "a1"
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     if args.construction == "dwork" and not a1_only and bound > HP2_MAX_P:
@@ -217,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--field", default="Q")
     m.add_argument("--bound-log2", type=int, required=True, metavar="N", help="norm bound B = 2^N")
     m.add_argument("--coeffs", choices=("a1", "both"), default="both",
-                   help="dwork only: skip the O(p^2) a2 computation")
+                   help="a1: print and classify on c1 alone, leaving the a2 cells "
+                        "empty (for dwork this skips the O(p^2) H_(p^2) sum)")
     m.add_argument("--classify", action="store_true")
     m.add_argument("--format", choices=("tsv", "aligned"), default="tsv")
     m.add_argument("--out", default=None)

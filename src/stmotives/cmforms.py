@@ -206,10 +206,11 @@ def ec_trace(curve: CurveSpec, p: int) -> int:
 class NewformHandle:
     """A source of rational Fourier coefficients b_p.
 
-    kind 'hecke': (field, power, twist, dirichlet); 'curve': CurveSpec;
-    'file': path to a coefficient table.  weight drives the Weil bound;
-    nebentypus is the quadratic character chi with b_p = chi(p) b_p
-    (trivial for even weight)."""
+    kind 'hecke' with hecke = (field, power, twist, dirichlet), 'curve' with
+    a CurveSpec, or 'file' with the path to a coefficient table; another kind,
+    or a kind without its field, is a ValueError naming the label.  weight
+    drives the Weil bound; nebentypus is the quadratic character chi with
+    b_p = chi(p) b_p (trivial for even weight)."""
 
     label: str
     weight: int
@@ -221,6 +222,11 @@ class NewformHandle:
     nebentypus: QuadraticCharacter | None = None
 
     def __post_init__(self):
+        field = {"hecke": "hecke", "curve": "curve", "file": "path"}.get(self.kind)
+        if field is None:
+            raise ValueError(f"{self.label}: unknown kind {self.kind!r}, not hecke, curve or file")
+        if getattr(self, field) is None:
+            raise ValueError(f"{self.label}: kind {self.kind!r} needs its {field} field")
         if self.weight % 2 == 0 and self.nebentypus is not None:
             raise ValueError(f"{self.label}: even weight forces trivial nebentypus")
         if self.weight % 2 == 1 and self.nebentypus is None:
@@ -245,13 +251,6 @@ def file_digest(path: str) -> bytes:
     if _FILE_TABLES.get(path, (None,))[0] != digest:
         _FILE_TABLES[path] = (digest, _parse_coeffs(path, data))
     return digest
-
-
-def load_coeffs(path: str) -> dict[int, int]:
-    """Read and parse a coefficient file: UTF-8 text, '#' comments, 'p a_p'
-    per line, primes ascending."""
-    file_digest(path)
-    return dict(_FILE_TABLES[path][1])
 
 
 def _parse_coeffs(path: str, data: bytes) -> dict[int, int]:
@@ -293,15 +292,13 @@ def coeff(form: NewformHandle, p: int) -> int:
         b = _hecke_coeff(field, power, p, twist, dirichlet)
     elif form.kind == "curve":
         b = ec_trace(form.curve, p)
-    elif form.kind == "file":
+    else:  # "file": NewformHandle admits no other kind
         if form.path not in _FILE_TABLES:
             file_digest(form.path)
         try:
             b = _FILE_TABLES[form.path][1][p]
         except KeyError:
             raise BadPrimeError(f"{form.label}: no coefficient for p={p} in file")
-    else:
-        raise ValueError(form.kind)
     if 4 * p ** (form.weight - 1) < b * b:
         msg = f"{form.label}: b_{p}={b} breaks the Weil bound"
         if form.kind == "file":

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,12 +190,15 @@ def cache_path(cache_dir: str, spec: MotiveSpec, bound: int, a1_only: bool) -> s
 
 
 def write_stream_cache(path: str, spec: MotiveSpec, bound: int, rows) -> None:
-    """Write the rows through a temporary file; a cache that cannot be written
-    (OSError) is a RuntimeWarning naming the path, not an error."""
-    tmp = path + ".tmp"
+    """Write the rows through a temporary file of this writer's own in the same
+    directory, removed on failure; a cache that cannot be written (OSError) is a
+    RuntimeWarning naming the path, not an error."""
+    tmp = None
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "w") as fh:
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
+                                   dir=os.path.dirname(path) or ".")
+        with open(fd, "w") as fh:
             fh.write(f"# spec={spec.describe()} bound={bound}\n")
             for row in rows:
                 fh.write("\t".join(str(x) for x in row) + "\n")
@@ -202,14 +206,15 @@ def write_stream_cache(path: str, spec: MotiveSpec, bound: int, rows) -> None:
     except OSError as exc:
         warnings.warn(f"cannot write stream cache {path} ({exc}); not cached", RuntimeWarning,
                       stacklevel=2)
-        if os.path.isfile(tmp):
+        if tmp is not None and os.path.isfile(tmp):
             os.remove(tmp)
 
 
 def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
     """The cached rows, or None on a miss: no file, another spec or bound, or, warned
-    about, a corrupt file (a row not all integers, of the wrong width or past a Weil
-    bound) or one that cannot be read (OSError, such as a directory at the path)."""
+    about, a corrupt file (a row not all integers, of the wrong width, past a Weil bound,
+    or not at a prime of stream_primes(spec, bound) above the previous row's) or one that
+    cannot be read (OSError, such as a directory at the path)."""
     if not os.path.exists(path):
         return None
     width = 2 if path.endswith("-c1.tsv") else 3  # the mode cache_path put in the name
@@ -219,9 +224,13 @@ def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
                 return None
             rows = [tuple(int(x) for x in line.split("\t"))
                     for line in fh.read().splitlines() if line.strip()]
+        primes, last = set(stream_primes(spec, bound)), 0
         for row in rows:
             if len(row) != width:
                 raise ValueError(f"row {row} has {len(row)} fields, not {width}")
+            if row[0] <= last or row[0] not in primes:
+                raise ValueError(f"row {row} is not at a stream prime above {last}")
+            last = row[0]
             LPoly(row[0], row[1], row[2] if width == 3 else 0)  # c2 = 0 is in every window
     except (ValueError, ConsistencyError) as exc:
         warnings.warn(f"corrupt stream cache {path} ({exc}); recomputing", RuntimeWarning,

@@ -14,17 +14,17 @@ cubic in p y per residue x0, stepped up from the series on p*Z_p by the
 functional equation.  O(p) setup, O(1) per value, through a pure-Python
 gamma_list (the H_p kernel) and an int64-array gamma_array (the H_{p^2} kernel).
 
-Both traces are polynomials in Teich(z) whose coefficients do not depend
-on z, and Teich(z)^(p-1) = 1, so each is a vector of at most p - 1
-coefficients mod p^k.  hp_poly sums the banded H_p series (only the m
-below the k-th band cut survive mod p^k) from two Gamma_p values a term, in
-pure Python (numpy would add half to a c1 process's peak RSS).  hp2_poly
-folds the O(p^2) sum H_{p^2} into the p - 1 classes of m mod (p - 1) in one
-numpy int64 kernel, block by block over m, exact for p^4 < 2^50
-(p <= HP2_MAX_P = 5791).  dwork_c1 and dwork_lpoly share one row body: it
-takes Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4,
-and hp2_poly at k = 4 for c2, each by Horner.  Every trace is a plain int
-mod p^k.
+Both traces are polynomials in Teich(z) whose coefficients do not depend on z,
+and Teich(z)^(p-1) = 1, so each is a vector of at most p - 1 coefficients mod
+p^k.  One wrap count W(x) = floor((5x - 1)/(q - 1)) gives every p-power: the
+term at m carries p^W(m) in H_p, and p^(W(m) + W(sigma(m))) in H_{p^2}, where
+sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
+hp_poly sums the m with W(m) < k from two Gamma_p values a term, in pure Python
+(numpy would add half to a c1 process's peak RSS).  hp2_poly folds H_{p^2} into
+the p - 1 classes of m mod (p - 1) in one numpy int64 kernel, exact for
+p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly share one row body: it takes
+Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and
+hp2_poly at k = 4 for c2, each by Horner.  Every trace is a plain int mod p^k.
 
 At p <= 13 the c2 window [-4p^3, 12p^3] would need p^5 or p^6, which the
 series tables do not reach.  A row depends on z only through z mod p, so
@@ -122,19 +122,21 @@ class GammaTables:
 
 
 # ---------------------------------------------------------------------------
-# the banded H_p kernel, at any precision
+# the wrap count and the banded H_p kernel, at any precision
+
+
+def _wraps(x, q: int):
+    """W(x) = #{j in 1..4 : j(q - 1) < 5x}, 1 <= x <= q - 2: the wrapped alphas j/5 at x."""
+    return (5 * x - 1) // (q - 1)
 
 
 def hp_poly(p: int, tables: GammaTables) -> list[int]:
     """H_p(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision of
-    `tables`: its coefficients from degree 0 up to the k-th band cut (at most
-    p - 1 of them; the ones past the cut vanish mod p^k).
+    `tables`: its coefficients of degree 0 up to the k-th band cut, at most p - 1.
 
-    The term at m carries p^e: e = eta_m + 4, from the grid numerators of the
-    alphas {j/5 + u} and betas {u} (u = m/(1-p)) over D = 5(p-1), counts the
-    alphas that wrapped past 1, j <= e.  e steps from 0 to 4 at the band cuts
-    floor((i p + 5 - i)/5); terms past the k-th cut vanish mod p^k.  With y = 5u,
-    b = m/(p-1) = -u and f = floor(5m/p), a term costs two Gamma_p values:
+    The term at m >= 1 carries p^e, e = eta_m + 4 = W(m) (_wraps), so it
+    vanishes mod p^k from the cut on.  With y = 5u, u = m/(1-p), b = m/(p-1) = -u
+    and f = floor(5m/p), a term costs two Gamma_p values:
 
       coeff_m = (-1)^(e+m+1) p^e/(1-p) 5^(1+f) omega(5)^(-5m) Gamma_p(y) b Gamma_p(b)^5 prod_{j<=e} w_j
 
@@ -158,28 +160,20 @@ def hp_poly(p: int, tables: GammaTables) -> list[int]:
     bs = [5 * m * invd % pk for m in range(cut)]  # b = m/(p-1)
     gys, gbs = tables.gamma_list([-5 * b % pk for b in bs]), tables.gamma_list(bs)
     r = -pow(teichmuller(5, p, k), -5, pk)  # r^m = (-1)^m omega(5)^(-5m)
-    n1, n2, n3, n4 = na = [j * (p - 1) for j in (1, 2, 3, 4)]
-    sa0 = sum(na)
+    s = [[(-1) ** (e + 1) * p**e * pow(invd, e, pk) * 5 ** (f + 1) * inv1mp % pk
+          for f in range(k + 1)] for e in range(k)]
     coeffs, rm = [inv1mp], 1
-    for e in range(k):  # the band where the alphas j <= e have wrapped
-        s = [(-1) ** (e + 1) * p**e * pow(invd, e, pk) * 5 ** (f + 1) * inv1mp % pk
-             for f in range(k + 1)]
-        for m in range(len(coeffs), min(p - 1, ((e + 1) * p + 4 - e) // 5)):
-            m5 = 5 * m
-            ns = (n1 - m5) % d, (n2 - m5) % d, (n3 - m5) % d, (n4 - m5) % d
-            eg, rem = divmod(sum(ns) - sa0 + 4 * m5, d)  # the betas: D - 5m each
-            if rem:
-                raise ConsistencyError(f"eta_m not an integer at m={m}, p={p}")
-            if eg != e:
-                raise ConsistencyError(f"net p-power {eg} at m={m} is not its band's wrap "
-                                       f"count {e} in [0, {k}) before the band cut {cut}, p={p}")
-            rm = rm * r % pk
-            g = gbs[m]
-            g2 = g * g % pk
-            t = s[m5 // p] * rm % pk * gys[m] % pk * bs[m] % pk * g % pk * (g2 * g2) % pk
-            for n in ns[:e]:  # D w_j = D - n_j
-                t = t * (d - n if (d - n) % p else -d) % pk
-            coeffs.append(t)
+    for m in range(1, cut):
+        # e is an integer: the n_j = (j(p-1) - 5m) mod D sum to sum_j j(p-1) - 20m + D W(m);
+        # and e < k: W(m) < k iff 5m <= k(p-1) iff m < (kp + 5 - k)/5
+        m5, e = 5 * m, _wraps(m, p)
+        rm = rm * r % pk
+        g = gbs[m]
+        g2 = g * g % pk
+        t = s[e][m5 // p] * rm % pk * gys[m] % pk * bs[m] % pk * g % pk * (g2 * g2) % pk
+        for j in range(1, e + 1):  # D w_j = 5m - j(p-1) = 5m + j mod p, or -D in p Z_p
+            t = t * (m5 - j * (p - 1) if (m5 + j) % p else -d) % pk
+        coeffs.append(t)
     return coeffs
 
 
@@ -223,14 +217,14 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     of `tables`: its p - 1 coefficients, summed in numpy int64.
 
     Teich(z)^(p-1) = 1, so the term at m adds to the coefficient of degree
-    m mod (p - 1).  Walks m = 1..p^2-2 in blocks of _HP2_BLOCK.  In each block
-    the ten fractional-part numerators on the grid D = 5(p^2-1) (eight alpha,
-    two beta) and their wrap counts come in closed form; the wraps give the
-    net p-power e_m, and only the terms with e_m < k get gamma work, through
-    GammaTables.gamma_array.  Beta gamma values are not inverted:
-    Gamma_p(x) Gamma_p(1-x) = +-1, and the sign drops out of their fourth
-    power.  The block's signed terms are added into the p - 1 classes, which
-    are then reduced mod p^k.
+    m mod (p - 1).  Walks m = 1..q-2 (q = p^2) in blocks of _HP2_BLOCK.  The
+    Frobenius twist {p(j/5 + u)}, u = m/(1-q), is the alpha (pj mod 5)/5 at
+    the base-p digit swap sigma(m) = pm mod (q - 1) = (m mod p) p + floor(m/p),
+    so a term takes, at x = m and sigma(m), the alpha numerators (j(q-1) - 5x)
+    mod D, D = 5(q - 1), and the beta argument 1 - beta = 5x/D (the sign of
+    Gamma_p(x) Gamma_p(1-x) = +-1 drops out of the betas' fourth power).  Only
+    the terms with e_m = W(m) + W(sigma(m)) < k get gamma work, through
+    GammaTables.gamma_array; each block's terms are added into the p - 1 classes.
 
     Exact for p <= HP2_MAX_P: p^k < 2^50 is the range of _mulmod, every
     other int64 intermediate is below 2p^k, and a class is below p^k plus
@@ -251,11 +245,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     k, pk = tables.k, tables.pk
     d = 5 * (q - 1)
     invd = pow(d, -1, pk)
-    # grid numerators at m: (A - m S) mod D, rows (j, v) for alpha = j/5 and
-    # the Frobenius twist p^v, then beta = 0 at v = 0, 1
-    A = np.array([p**v * j * (q - 1) % d for j in (1, 2, 3, 4) for v in (0, 1)] + [0, 0],
-                 dtype=np.int64)[:, None]
-    S = np.array([5, 5 * p] * 5, dtype=np.int64)[:, None]
+    jq = np.arange(1, 5, dtype=np.int64)[:, None] * (q - 1)
     ppow = np.array([p**e for e in range(k)], dtype=np.int64)
     pmod = pk // ppow
     coeffs = np.zeros(p - 1, dtype=np.int64)
@@ -265,17 +255,17 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     coeffs[0] = 1
     for m0 in range(1, q - 1, _HP2_BLOCK):
         m = np.arange(m0, min(m0 + _HP2_BLOCK, q - 1), dtype=np.int64)
-        floors, n = np.divmod(A - S * m, d)
-        # the net p-power eta_m(alpha) - eta_m(beta) + 2 xi_m (xi_m = 4 for
-        # m >= 1) is 8 plus the alpha wraps minus 4 times the beta wraps
-        e = 8 - floors[:8].sum(axis=0) + 4 * floors[8:].sum(axis=0)
-        if (e < 0).any():
-            raise ConsistencyError(f"negative net p-power at m={m[e < 0][0]}, p={p}")
+        x = np.stack([m, m % p * p + m // p])  # m and sigma(m)
+        # e_m = 8 - sum(alpha floors) + 4 sum(beta floors), floors of (p^v N - 5 p^v m)/D at
+        # twist v: -W(m) and -1 at v = 0; as pm = sigma(m) + (q - 1) m1, m1 = floor(m/p), at
+        # v = 1 they are -W(sigma(m)) - 4 m1 and -1 - m1, so e_m = W(m) + W(sigma(m)) >= 0
+        e = _wraps(x, q).sum(axis=0)
         keep = e < k
-        m, e, n = m[keep], e[keep], n[:, keep]
-        n[8:] = d - n[8:]  # 1 - beta
+        m, e, x5 = m[keep], e[keep], 5 * x[:, None, keep]
+        # rows [alpha_j(m), beta(m), alpha_j(sigma m), beta(sigma m)]
+        n = np.concatenate(((jq - x5) % d, x5), axis=1).reshape(10, -1)
         g = tables.gamma_array(_mulmod(n, invd, pk))
-        g = _mulmod(g[0::2], g[1::2], pk)  # four alpha pairs and the beta pair
+        g = _mulmod(g[:5], g[5:], pk)  # four alpha pairs and the beta pair
         b = _mulmod(g[4], g[4], pk)
         g = _mulmod(g[:2], g[2:4], pk)
         t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk) % pmod[e] * ppow[e]

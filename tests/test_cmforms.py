@@ -10,6 +10,13 @@ from stmotives.ntkernel import degree_one_primes, primes_up_to, split_prime_qi, 
 from table_data import BP_576_3_QUARTIC, BP_576_4_QUARTIC, BP_576_4_SEXTIC
 
 
+def load_coeffs(path: str) -> dict[int, int]:
+    """Read and parse a coefficient file (UTF-8 text, '#' comments, 'p a_p' per
+    line, primes ascending) through the package's memoized file table."""
+    cf.file_digest(path)
+    return dict(cf._FILE_TABLES[path][1])
+
+
 def save_coeffs(path, table, header=""):
     """Write a coefficient file in the format load_coeffs reads."""
     with open(path, "w") as fh:
@@ -146,23 +153,23 @@ def test_load_coeffs_roundtrip(tmp_path):
     path = tmp_path / "c.txt"
     table = {2: 1, 3: -2, 11: 7}
     save_coeffs(str(path), table, header="test table")
-    assert cf.load_coeffs(str(path)) == table
+    assert load_coeffs(str(path)) == table
 
 
 def test_load_coeffs_errors(tmp_path):
     bad1 = tmp_path / "bad1.txt"
     bad1.write_text("2 1\nthree -2\n")
     with pytest.raises(cf.CoeffFileError) as ei:
-        cf.load_coeffs(str(bad1))
+        load_coeffs(str(bad1))
     assert "bad1.txt:2" in str(ei.value)
     bad2 = tmp_path / "bad2.txt"
     bad2.write_text("5 1\n3 2\n")
     with pytest.raises(cf.CoeffFileError):
-        cf.load_coeffs(str(bad2))
+        load_coeffs(str(bad2))
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
     with pytest.raises(cf.CoeffFileError):
-        cf.load_coeffs(str(empty))
+        load_coeffs(str(empty))
 
 
 def test_5_4a_fixture_plausible():
@@ -228,6 +235,19 @@ def test_nebentypus_parity_enforced():
                          nebentypus=cf.CHI4)
     with pytest.raises(ValueError):
         cf.NewformHandle("y", 3, 1, "hecke", hecke=("Q(i)", 2, None, None))
+
+
+@pytest.mark.parametrize("kind,fields,message", [
+    ("curve", {}, "x: kind 'curve' needs its curve field"),
+    ("hecke", {}, "x: kind 'hecke' needs its hecke field"),
+    ("file", {"curve": cf.CurveSpec.short(0, 1)}, "x: kind 'file' needs its path field"),
+    ("weird", {"curve": cf.CurveSpec.short(0, 1)}, "x: unknown kind 'weird'"),
+], ids=["curve", "hecke", "file", "unknown-kind"])
+def test_newform_handle_rejects_what_coeff_cannot_evaluate(kind, fields, message):
+    # these used to construct, and their first coeff ended in an AttributeError,
+    # a TypeError or a bare ValueError('weird')
+    with pytest.raises(ValueError, match="^" + message):
+        cf.NewformHandle("x", 2, 11, kind, **fields)
 
 
 def test_discriminant_is_computed_once_per_curve():

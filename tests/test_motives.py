@@ -145,13 +145,16 @@ def test_edited_file_form_is_not_served_stale(tmp_path):
 
 
 def _weil_rows(full):
-    """Rows (p, c1[, c2]) at primes up to 2^12 with c1, c2 inside their Weil windows."""
+    """Rows (p, c1[, c2]) at ascending odd primes up to 2^12 with c1, c2 inside their
+    Weil windows."""
     def row(p):
         c1 = hst.integers(-isqrt(16 * p**3), isqrt(16 * p**3))
         if not full:
             return hst.tuples(hst.just(p), c1)
         return hst.tuples(hst.just(p), c1, hst.integers(-2 * p * p, 6 * p * p))
-    return hst.lists(hst.sampled_from(primes_up_to(2**12)).flatmap(row), min_size=1, max_size=40)
+    primes = hst.lists(hst.sampled_from(primes_up_to(2**12)[1:]), min_size=1, max_size=40,
+                       unique=True)
+    return primes.flatmap(lambda ps: hst.tuples(*map(row, sorted(ps)))).map(list)
 
 
 @given(hst.booleans(), hst.data())
@@ -184,7 +187,11 @@ def test_stream_cache_round_trip(full, data):
     (False, "7\t75\t0"),  # c1 past 4 p^(3/2)
     (True, "7\t1\t2"),  # a full row in a c1 file
     (True, "7\t-75"),  # c1 past 4 p^(3/2)
-], ids=["junk", "c1-row-in-full", "c2-window", "c1-weil", "full-row-in-c1", "c1-weil-c1"])
+    (False, "61\t0\t0"),  # the last row's prime again
+    (False, "67\t0\t0"),  # a prime past the bound
+    (True, "63\t0"),  # a composite p, ascending and inside the bound
+], ids=["junk", "c1-row-in-full", "c2-window", "c1-weil", "full-row-in-c1", "c1-weil-c1",
+        "repeated-prime", "prime-past-bound", "composite-p"])
 def test_corrupt_cache_is_a_miss(tmp_path, a1_only, bad_row):
     spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
     fresh = mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=a1_only)
@@ -211,6 +218,20 @@ def test_unreadable_cache_is_a_warned_miss(tmp_path):
     assert any(m.startswith(f"unreadable stream cache {path}") for m in messages)
     assert any(m.startswith(f"cannot write stream cache {path}") for m in messages)
     assert os.listdir(tmp_path) == [os.path.basename(path)]  # no .tmp file left
+
+
+def test_cache_is_written_past_a_directory_at_the_old_temp_name(tmp_path):
+    # every writer used to go through <path>.tmp, so a directory left there
+    # blocked the cache for good; each writer now has a temporary file of its own
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    path = mv.cache_path(str(tmp_path), spec, 64, True)
+    os.mkdir(path + ".tmp")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=True)
+        assert mv.read_stream_cache(path, spec, 64) == rows
+    name = os.path.basename(path)
+    assert sorted(os.listdir(tmp_path)) == [name, name + ".tmp"]  # no temporary file left
 
 
 def test_unwritable_cache_dir_warns_and_returns_rows(tmp_path):

@@ -313,6 +313,29 @@ def test_cli_dwork_a1_only(capsys):
     assert cells[1] != "" and all(c == "" for c in cells[7:])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "--f1", "27.2a", "--f2", "9.4a", "--field", "Q(w)"],
+    ["tensor-ec", "--e1", "0,4", "--e2", "0,1", "--field", "Q(w)"],
+    ["symcube", "--e1", "0,1"],
+    ["tensor-mf", "--f1", "27.2a", "--f2", "27.3.5a"],
+], ids=["sum", "tensor-ec", "symcube", "tensor-mf"])
+def test_cli_a1_only_for_every_construction(argv, capsys, monkeypatch):
+    """--coeffs a1 used to be read for dwork alone, so the other constructions
+    printed their a2 cells and classified on them; now the a2 cells are empty
+    and --classify ranks the a1 statistics alone."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert cli.main(["motive", *argv, "--bound-log2", "8", "--coeffs", "a1", "--classify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    cells = [ln for ln in out if not ln.startswith("#")][0].split("\t")
+    assert cells[1] != "" and all(c == "" for c in cells[7:])
+    spec = cli._make_spec(cli.build_parser().parse_args(["motive", *argv, "--bound-log2", "8"]))
+    st = moment_statistics(motives.cached_lpoly_stream(spec, 2**8, None, a1_only=True), 2**8)
+    assert st.a2 is None
+    ranked = classify(st).ranked[:5]
+    assert [ln for ln in out if ln.startswith("# rank")] == [
+        f"# rank{i + 1} {name} dist={d:.6g}" for i, (name, d) in enumerate(ranked)]
+
+
 @pytest.mark.parametrize("bad_row", ["7\tjunk", "7"], ids=["junk", "short"])
 def test_cli_corrupt_stream_cache_recomputes(tmp_path, capsys, bad_row):
     """A corrupt cache row used to end in a ValueError or an IndexError
