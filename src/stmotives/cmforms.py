@@ -3,8 +3,9 @@
 CM forms come from Hecke characters of Q(i) or Q(w): the coefficient at a
 split prime p is the trace of psi(P)^l times an optional quartic/sextic
 residue-symbol twist, possibly flipped by a quadratic Dirichlet character;
-inert primes give 0.  Non-CM forms come from elliptic-curve point counts
-or from coefficient files.
+inert primes give 0.  A CM curve's trace is the coefficient of its
+conjugate-twisted character (CurveSpec.cm_family) on the same path.  Non-CM
+forms come from elliptic-curve point counts or from coefficient files.
 
 Conventions are pinned empirically by the printed coefficient tables the
 test suite asserts: psi(P) is the generator normalized to 1 mod (1+i)^3
@@ -70,10 +71,12 @@ KRONECKER_M3 = QuadraticCharacter(3, frozenset({1}))
 # Hecke character values and coefficients
 
 
-def _cm_prime(field: str, p: int, twist: int | None):
-    """(alpha, sym): the generator alpha of a prime over p in the CM field
-    Q(i) or Q(w), normalized to 1 mod (1+i)^3 resp. 3, and the quartic resp.
-    sextic symbol (twist/alpha), None without a twist.  None at an inert p."""
+def _hecke_coeff(hecke: tuple, p: int) -> int:
+    """Trace of psi(P)^power * (twist/P), times dirichlet(p), for hecke =
+    (field, power, twist, dirichlet); 0 at an inert p.  P = (alpha) lies over
+    p in Q(i) or Q(w), alpha normalized to 1 mod (1+i)^3 resp. 3, and the
+    twist is the quartic resp. sextic residue symbol at alpha (1 if twist is None)."""
+    field, power, twist, dirichlet = hecke
     if field == "Q(i)":
         ring, split, symbol = GaussInt, split_prime_qi, residue_symbol_quartic
     elif field == "Q(w)":
@@ -82,23 +85,14 @@ def _cm_prime(field: str, p: int, twist: int | None):
         raise ValueError(field)
     d = 4 - ring.T * ring.T  # |discriminant|: p is inert iff p = -1 mod d
     if p % d == d - 1:
-        return None
-    alpha = split(p)
-    if twist is None:
-        return alpha, None
-    sym = symbol(ring(twist, 0), alpha)
-    if sym.norm() == 0:
-        raise BadPrimeError(f"twist {twist} not coprime to {p}")
-    return alpha, sym
-
-
-def _hecke_coeff(field: str, power: int, p: int, twist=None, dirichlet=None) -> int:
-    """Trace of psi(P)^power * twist(P), times dirichlet(p); 0 at inert p."""
-    cm = _cm_prime(field, p, twist)
-    if cm is None:
         return 0
-    alpha, sym = cm
-    val = alpha**power if sym is None else alpha**power * sym
+    alpha = split(p)
+    val = alpha**power
+    if twist is not None:
+        sym = symbol(ring(twist, 0), alpha)
+        if sym.norm() == 0:
+            raise BadPrimeError(f"twist {twist} not coprime to {p}")
+        val = val * sym
     b = val.trace()
     if dirichlet is not None:
         b *= dirichlet(p)
@@ -141,14 +135,15 @@ class CurveSpec:
         return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
 
     def cm_family(self):
-        """(CM field, twist) for y^2 = x^3 + B: ('Q(w)', 4B), and for
-        y^2 = x^3 + Ax: ('Q(i)', -A).  At a split p > 3 of good reduction,
-        a_p is the trace of conj((twist/alpha)) alpha; see ec_trace."""
+        """The Hecke data (field, 1, t^(n-1), None) of _hecke_coeff for
+        y^2 = x^3 + B (Q(w), t = 4B, n = 6) and y^2 = x^3 + Ax (Q(i), t = -A,
+        n = 4), else None.  At a p > 3 of good reduction a_p is the trace of
+        conj((t/P)) alpha, and (t^(n-1)/P) = (t/P)^(n-1) = conj((t/P))."""
         if (self.a1, self.a2, self.a3) == (0, 0, 0):
             if self.a4 == 0 and self.a6 != 0:
-                return ("Q(w)", 4 * self.a6)
+                return ("Q(w)", 1, (4 * self.a6) ** 5, None)
             if self.a6 == 0 and self.a4 != 0:
-                return ("Q(i)", -self.a4)
+                return ("Q(i)", 1, (-self.a4) ** 3, None)
         return None
 
 
@@ -182,19 +177,14 @@ def ec_trace_naive(curve: CurveSpec, p: int) -> int:
 
 
 def ec_trace(curve: CurveSpec, p: int) -> int:
-    """a_p = p + 1 - #E(F_p).  CM curves in the two standard families take
-    the residue-symbol fast path at split primes and return 0 at inert
-    ones; everything else is counted directly."""
+    """a_p = p + 1 - #E(F_p).  At p > 3, CM curves in the two standard
+    families are the Hecke coefficient of their cm_family() (0 at inert
+    primes); everything else is counted directly."""
     if curve.discriminant() % p == 0:
         raise BadPrimeError(f"bad reduction at {p}")
-    fam = curve.cm_family()
-    if fam is not None and p > 3:
-        field, twist = fam
-        cm = _cm_prime(field, p, twist)
-        if cm is None:
-            return 0
-        alpha, sym = cm
-        return (sym.conj() * alpha).trace()
+    hecke = curve.cm_family()
+    if hecke is not None and p > 3:
+        return _hecke_coeff(hecke, p)
     return ec_trace_naive(curve, p)
 
 
@@ -288,8 +278,7 @@ def coeff(form: NewformHandle, p: int) -> int:
     if not form.is_good(p):
         raise BadPrimeError(f"{form.label}: {p} divides the level")
     if form.kind == "hecke":
-        field, power, twist, dirichlet = form.hecke
-        b = _hecke_coeff(field, power, p, twist, dirichlet)
+        b = _hecke_coeff(form.hecke, p)
     elif form.kind == "curve":
         b = ec_trace(form.curve, p)
     else:  # "file": NewformHandle admits no other kind

@@ -141,7 +141,7 @@ def _curve_tag(c: CurveSpec) -> str:
 class MotiveSpec:
     construction: DirectSum | TensorEC | SymCube | TensorMF | Dwork
     base_field: FieldSpec = Q
-    CACHE_FORMAT = 2  # stream-cache layout version, in the spec_hash key; bump on change
+    CACHE_FORMAT = 3  # stream-cache layout version, in the spec_hash key; bump on change
 
     def describe(self) -> str:
         return f"{self.construction.describe()}/{self.base_field.name}"
@@ -181,7 +181,8 @@ def _row(spec: MotiveSpec, p: int, a1_only: bool):
 
 
 # ---------------------------------------------------------------------------
-# stream caching (TSV 'p c1 c2', invalidated by the spec hash)
+# stream caching (TSV 'p c1 c2' under a header with the rows' SHA-256,
+# invalidated by the spec hash)
 
 
 def cache_path(cache_dir: str, spec: MotiveSpec, bound: int, a1_only: bool) -> str:
@@ -189,19 +190,24 @@ def cache_path(cache_dir: str, spec: MotiveSpec, bound: int, a1_only: bool) -> s
     return os.path.join(cache_dir, f"{spec.spec_hash()}-{bound}-{mode}.tsv")
 
 
+def _cache_header(spec: MotiveSpec, bound: int) -> str:
+    return f"# spec={spec.describe()} bound={bound} sha256="
+
+
 def write_stream_cache(path: str, spec: MotiveSpec, bound: int, rows) -> None:
-    """Write the rows through a temporary file of this writer's own in the same
-    directory, removed on failure; a cache that cannot be written (OSError) is a
-    RuntimeWarning naming the path, not an error."""
+    """Write the rows, under a header that ends in the SHA-256 of the row lines,
+    through a temporary file of this writer's own in the same directory, removed
+    on failure; a cache that cannot be written (OSError) is a RuntimeWarning
+    naming the path, not an error."""
     tmp = None
+    body = "".join("\t".join(str(x) for x in row) + "\n" for row in rows)
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(path) + ".",
                                    dir=os.path.dirname(path) or ".")
         with open(fd, "w") as fh:
-            fh.write(f"# spec={spec.describe()} bound={bound}\n")
-            for row in rows:
-                fh.write("\t".join(str(x) for x in row) + "\n")
+            fh.write(_cache_header(spec, bound) + hashlib.sha256(body.encode()).hexdigest() + "\n")
+            fh.write(body)
         os.replace(tmp, path)
     except OSError as exc:
         warnings.warn(f"cannot write stream cache {path} ({exc}); not cached", RuntimeWarning,
@@ -213,17 +219,20 @@ def write_stream_cache(path: str, spec: MotiveSpec, bound: int, rows) -> None:
 def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
     """The cached rows, or None on a miss: no file, another spec or bound, or, warned
     about, a corrupt file (a row not all integers, of the wrong width, past a Weil bound,
-    or not at a prime of stream_primes(spec, bound) above the previous row's) or one that
-    cannot be read (OSError, such as a directory at the path)."""
+    or not at a prime of stream_primes(spec, bound) above the previous row's, or row
+    lines whose SHA-256 is not the header's) or one that cannot be read (OSError, such
+    as a directory at the path)."""
     if not os.path.exists(path):
         return None
     width = 2 if path.endswith("-c1.tsv") else 3  # the mode cache_path put in the name
+    header = _cache_header(spec, bound)
     try:
         with open(path) as fh:
-            if fh.readline().strip() != f"# spec={spec.describe()} bound={bound}":
+            head = fh.readline()
+            if not head.startswith(header):
                 return None
-            rows = [tuple(int(x) for x in line.split("\t"))
-                    for line in fh.read().splitlines() if line.strip()]
+            body = fh.read()
+        rows = [tuple(map(int, line.split("\t"))) for line in body.splitlines()]
         primes, last = set(stream_primes(spec, bound)), 0
         for row in rows:
             if len(row) != width:
@@ -232,6 +241,9 @@ def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
                 raise ValueError(f"row {row} is not at a stream prime above {last}")
             last = row[0]
             LPoly(row[0], row[1], row[2] if width == 3 else 0)  # c2 = 0 is in every window
+        # a dropped or edited row can pass every check above: skipped primes leave gaps
+        if head[len(header):].rstrip("\n") != hashlib.sha256(body.encode()).hexdigest():
+            raise ValueError("row lines do not match the header's SHA-256")
     except (ValueError, ConsistencyError) as exc:
         warnings.warn(f"corrupt stream cache {path} ({exc}); recomputing", RuntimeWarning,
                       stacklevel=2)

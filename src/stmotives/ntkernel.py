@@ -158,14 +158,14 @@ class _QuadInt:
         return 2 * self.a - self.T * self.b
 
     def __pow__(self, k: int):
-        r = type(self)(1, 0)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        # by halving, with no product past the last one needed: self^1 takes
+        # none, self^3 two
+        if k < 2:
+            if k < 0:
+                raise ValueError(f"negative power {k}")
+            return self if k else type(self)(1, 0)
+        h = self ** (k >> 1)
+        return h * h * self if k & 1 else h * h
 
     def divides(self, other) -> bool:
         n = self.norm()

@@ -333,15 +333,14 @@ def _dwork_row(z: Fraction | int, p: int, full: bool) -> tuple[int, ...]:
     c1 = _c1_lift(hp, p, pk)
     if not full:
         return (c1,)
-    # lift H_p^2 - H_{p^2} into (-4p^3, 12p^3]
+    # lift H_p^2 - H_{p^2} into (-4p^3, 12p^3]; the lift is unique: w <= 12p^3
+    # gives w - p^4 <= 12p^3 - p^4 <= -4p^3 for p >= 16
     w = (hp * hp - _horner_eval(hp2_poly(p, tables), tz, pk)) % pk
     hi = 12 * p**3
     if w > hi:
         w -= pk
     if not -4 * p**3 < w <= hi:
         raise ConsistencyError(f"2p*c2={w} outside the Weil window at p={p}")
-    if w - pk > -4 * p**3:
-        raise ConsistencyError(f"ambiguous c2 window lift at p={p}")
     c2, rem = divmod(w, 2 * p)
     if rem:
         raise ConsistencyError(f"H_p^2 - H_(p^2) not divisible by 2p at p={p}")

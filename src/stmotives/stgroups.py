@@ -160,29 +160,18 @@ def _build_catalog() -> tuple[STGroup, ...]:
     add("U(2)", 4, "C1", [u2])
     add("N(U(2))", 4, "C2", [u2, ju2])
 
-    # U(1)xU(1) family
-    f_words = {
-        "F": ["e"],
-        "F_a": ["e", "a"],
-        "F_c": ["e", "c"],
-        "F_{ab}": ["e", "ab"],
-        "F_{ac}": ["e", "ac", "ac^2", "ac^3"],
-        "F_{a,b}": ["e", "a", "b", "ab"],
-        "F_{ab,c}": ["e", "ab", "c", "abc"],
-        "F_{a,b,c}": ["e", "a", "b", "ab", "c", "ac", "bc", "abc"],
-    }
-    f_cgrp = {
-        "F": "C1",
-        "F_a": "C2",
-        "F_c": "C2",
-        "F_{ab}": "C2",
-        "F_{ac}": "C4",
-        "F_{a,b}": "D2",
-        "F_{ab,c}": "D2",
-        "F_{a,b,c}": "D4",
-    }
-    for name in ("F", "F_a", "F_c", "F_{ab}", "F_{ac}", "F_{a,b}", "F_{ab,c}", "F_{a,b,c}"):
-        add(name, 2, f_cgrp[name], [_f_family_comp(w) for w in f_words[name]])
+    # U(1)xU(1) family: (name, component group, words)
+    for name, cgrp, words in (
+        ("F", "C1", ["e"]),
+        ("F_a", "C2", ["e", "a"]),
+        ("F_c", "C2", ["e", "c"]),
+        ("F_{ab}", "C2", ["e", "ab"]),
+        ("F_{ac}", "C4", ["e", "ac", "ac^2", "ac^3"]),
+        ("F_{a,b}", "D2", ["e", "a", "b", "ab"]),
+        ("F_{ab,c}", "D2", ["e", "ab", "c", "abc"]),
+        ("F_{a,b,c}", "D4", ["e", "a", "b", "ab", "c", "ac", "bc", "abc"]),
+    ):
+        add(name, 2, cgrp, [_f_family_comp(w) for w in words])
 
     # U(1)xSU(2) and SU(2)xSU(2)
     g13 = Component("e", _UV, ((0, (1, 0)), (0, (-1, 0)), (0, (0, 1)), (0, (0, -1))))

@@ -1,5 +1,5 @@
-"""Identity of the Dwork streams, the gamma tables and the exact moment
-engine between two checkouts.
+"""Identity of the Dwork streams, the gamma tables, the exact moment engine
+and the CM coefficients between two checkouts.
 
     PYTHONPATH=<old checkout>/src python tests/row_identity.py record rows.json
     PYTHONPATH=src python tests/row_identity.py check rows.json
@@ -17,8 +17,12 @@ catalog group, the exact a1 moments M_0..M_18 and a2 moments M_0..M_12, each
 component's `component_moment` at the same orders (as str(Fraction)), and
 the group's `invariants`; these orders go past the printed tables, and only
 `catalog`, `moment`, `component_moment` and `invariants` are called, so a
-record can be taken at an older checkout.  A kernel change keeps every
-entry bit-identical.  pytest does not collect this file.
+record can be taken at an older checkout.  The coefficient entries are
+`coeff` of every form in cmforms.FORMS and `ec_trace` of every curve
+y^2 = x^3 + Ax + B of bench/workloads.CM_CURVES at every prime
+5 <= p <= 2^16, a skipped prime (BadPrimeError) recorded as null; they too
+call only public names.  A kernel change keeps every entry bit-identical.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
 
-from workloads import DWORK_Z  # noqa: E402
+from workloads import CM_CURVES, DWORK_Z  # noqa: E402
 
 # (name, z, bound, a1_only)
 STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
@@ -42,6 +46,7 @@ STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
 TABLE_PRIMES = [p for p in range(7, 2**10) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 TABLES = [(p, k) for p in TABLE_PRIMES + [5791, 8191] for k in (1, 2, 3, 4)]
 MOMENT_ORDERS = {"a1": range(19), "a2": range(13)}
+COEFF_BOUND = 2**16
 
 
 def table_digest(p: int, k: int) -> str:
@@ -64,6 +69,25 @@ def moment_entries() -> dict[str, list]:
     return out
 
 
+def coefficient_entries() -> dict[str, list]:
+    from stmotives.cmforms import FORMS, BadPrimeError, CurveSpec, coeff, ec_trace
+    from stmotives.ntkernel import primes_up_to
+
+    def values(fn, arg):
+        out = []
+        for p in primes_up_to(COEFF_BOUND)[2:]:  # from p = 5
+            try:
+                out.append(fn(arg, p))
+            except BadPrimeError:
+                out.append(None)
+        return out
+
+    entries = {f"coeff({label})": values(coeff, form) for label, form in FORMS.items()}
+    for c in CM_CURVES:
+        entries[f"ec_trace({c})"] = values(ec_trace, CurveSpec.short(*map(int, c.split(","))))
+    return entries
+
+
 def compute() -> dict[str, list | str]:
     from stmotives import motives
 
@@ -82,7 +106,10 @@ def compute() -> dict[str, list | str]:
     moments = moment_entries()
     print(f"{len(moments)} moment and invariant entries, {time.perf_counter() - t0:.1f} s",
           flush=True)
-    return out | moments
+    t0 = time.perf_counter()
+    coeffs = coefficient_entries()
+    print(f"{len(coeffs)} coefficient entries, {time.perf_counter() - t0:.1f} s", flush=True)
+    return out | moments | coeffs
 
 
 def main(argv: list[str]) -> int:
@@ -112,9 +139,11 @@ def main(argv: list[str]) -> int:
                         min(len(old), len(new)))
             print(f"MISMATCH {name}: {len(old)} recorded items, {len(new)} now; first differing "
                   f"item {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
+    n_coeffs = sum(name.startswith(("coeff(", "ec_trace(")) for name in entries)
+    n_moments = len(entries) - len(STREAMS) - len(TABLES) - n_coeffs
     print(f"{len(entries) - bad} of {len(entries)} entries identical ({len(STREAMS)} streams, "
-          f"{len(TABLES)} gamma tables, {len(entries) - len(STREAMS) - len(TABLES)} moment "
-          f"and invariant entries)")
+          f"{len(TABLES)} gamma tables, {n_moments} moment and invariant entries, "
+          f"{n_coeffs} coefficient entries)")
     return 1 if bad else 0
 
 

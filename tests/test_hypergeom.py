@@ -37,9 +37,11 @@ def test_eta_band_table_matches_definition(p):
             assert fast == trace_Hq(DWORK, z, p, tables.k)
 
 
-def test_band_cuts_at_11():
-    assert (11 + 4) // 5 == 3
-    assert (2 * 11 + 3) // 5 == 5
+def test_hp_poly_stops_at_the_band_cut():
+    # the k-th band cut: the first m whose term carries p^k, W(m) >= k
+    for p, k in product((7, 11, 13, 101), range(1, 5)):
+        cut = next((m for m in range(1, p - 1) if ph._wraps(m, p) >= k), p - 1)
+        assert len(ph.hp_poly(p, ph.GammaTables(p, k))) == cut, (p, k)
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 13, 19, 43, 97, 199])

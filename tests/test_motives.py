@@ -198,10 +198,38 @@ def test_corrupt_cache_is_a_miss(tmp_path, a1_only, bad_row):
     path = mv.cache_path(str(tmp_path), spec, 64, a1_only)
     with open(path) as fh:
         good = fh.read()
-    with open(path, "a") as fh:
-        fh.write(bad_row + "\n")
+    # under the header's digest of the new rows, so only the row checks can catch it;
+    # a p = 7 row replaces the stream's, so the checks ahead of its own pass
+    bad = bad_row.split("\t")
+    rows = [bad if r[0] == 7 else r for r in fresh] if bad[0] == "7" else fresh + [bad]
+    mv.write_stream_cache(path, spec, 64, rows)
     with pytest.warns(RuntimeWarning, match="corrupt stream cache .*" + os.path.basename(path)):
         assert mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=a1_only) == fresh
+    with open(path) as fh:
+        assert fh.read() == good  # rewritten
+
+
+@pytest.mark.parametrize("edit", ["drop-middle-row", "c1-off-by-one"])
+def test_cache_with_an_edited_row_set_is_a_miss(tmp_path, edit):
+    # both edits pass every row check: skipped primes leave gaps like a dropped
+    # row, and c1 + 1 stays inside its Weil window; only the digest sees them
+    spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
+    fresh = mv.cached_lpoly_stream(spec, 64, str(tmp_path))
+    path = mv.cache_path(str(tmp_path), spec, 64, False)
+    with open(path) as fh:
+        good = fh.read()
+    head, *lines = good.splitlines(keepends=True)
+    i = len(lines) // 2
+    if edit == "drop-middle-row":
+        del lines[i]
+    else:
+        p, c1, c2 = map(int, lines[i].split("\t"))
+        assert (c1 + 1) ** 2 <= 16 * p**3
+        lines[i] = f"{p}\t{c1 + 1}\t{c2}\n"
+    with open(path, "w") as fh:
+        fh.write(head + "".join(lines))
+    with pytest.warns(RuntimeWarning, match="corrupt stream cache .*" + os.path.basename(path)):
+        assert mv.cached_lpoly_stream(spec, 64, str(tmp_path)) == fresh
     with open(path) as fh:
         assert fh.read() == good  # rewritten
 

@@ -298,3 +298,13 @@ def test_gauss_eisen_arithmetic():
     assert w * w == nt.EisenInt(-1, -1)
     assert nt.EisenInt(3, 1).norm() == 7
     assert nt.GaussInt(3, 2).norm() == 13
+
+
+@pytest.mark.parametrize("x", [nt.GaussInt(3, -2), nt.EisenInt(-4, 7)], ids=["gauss", "eisen"])
+def test_pow_equals_repeated_products(x):
+    power = type(x)(1, 0)
+    for k in range(40):
+        assert x**k == power
+        power = power * x
+    with pytest.raises(ValueError, match="negative power"):
+        x ** -1
