@@ -60,8 +60,8 @@ class DirectSum:
         return f"sum({self.f1.label},{self.f2.label})"
 
     def lpoly(self, p: int) -> LPoly:
+        d = coeff(self.f2, p)  # first: a weight-4 file table skips p before f1's point count
         b = coeff(self.f1, p)
-        d = coeff(self.f2, p)
         return LPoly(p, -(p * b + d), b * d + 2 * p * p)
 
 
@@ -240,7 +240,7 @@ def read_stream_cache(path: str, spec: MotiveSpec, bound: int):
             if row[0] <= last or row[0] not in primes:
                 raise ValueError(f"row {row} is not at a stream prime above {last}")
             last = row[0]
-            LPoly(row[0], row[1], row[2] if width == 3 else 0)  # c2 = 0 is in every window
+            LPoly(*row)
         # a dropped or edited row can pass every check above: skipped primes leave gaps
         if head[len(header):].rstrip("\n") != hashlib.sha256(body.encode()).hexdigest():
             raise ValueError("row lines do not match the header's SHA-256")

@@ -24,7 +24,8 @@ hp_poly sums the m with W(m) < k from two Gamma_p values a term, in pure Python
 the p - 1 classes of m mod (p - 1) in one numpy int64 kernel, exact for
 p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly share one row body: it takes
 Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and
-hp2_poly at k = 4 for c2, each by Horner.  Every trace is a plain int mod p^k.
+hp2_poly at k = 4 for c2, each by Horner, and lifts c1 and 2p c2 to integers;
+the LPoly it returns checks the Weil windows.  Every trace is a plain int mod p^k.
 
 At p <= 13 the c2 window [-4p^3, 12p^3] would need p^5 or p^6, which the
 series tables do not reach.  A row depends on z only through z mod p, so
@@ -305,61 +306,47 @@ def _check_dwork_prime(z: Fraction, p: int) -> None:
         raise DegenerateFiber(f"z = 1 mod {p} (psi^5 = 1, singular fiber)")
 
 
-def _c1_lift(h: int, p: int, pk: int) -> int:
-    """c1 = -H_p, from h = H_p mod pk, lifted to (-pk/2, pk/2] and checked
-    against |c1| <= 4 p^(3/2)."""
-    c1 = -h % pk
-    if c1 > pk // 2:
-        c1 -= pk
-    if c1 * c1 > 16 * p**3:
-        raise ConsistencyError(f"c1={c1} violates the Weil bound at p={p}")
-    return c1
+def _lift(w: int, pk: int, hi: int) -> int:
+    """The integer = w mod pk in (hi - pk, hi], for 0 <= hi < pk."""
+    w %= pk
+    return w - pk if w > hi else w
 
 
-def _dwork_row(z: Fraction | int, p: int, full: bool) -> tuple[int, ...]:
-    """(c1,), or (c1, c2) when full, of the Dwork-pencil motive at z and p:
-    hp_poly (and hp2_poly) evaluated at Teich(z), lifted through the Weil
-    windows; p <= 13 read SMALL_PRIME_ROWS."""
+def _dwork_row(z: Fraction | int, p: int, full: bool) -> LPoly:
+    """The Dwork-pencil row at z and p, c2 None unless full: hp_poly (and
+    hp2_poly) evaluated at Teich(z) and lifted to integers, LPoly judging the
+    Weil windows; p <= 13 read SMALL_PRIME_ROWS."""
     z = Fraction(z)
     _check_dwork_prime(z, p)
     if p <= 13:
-        row = SMALL_PRIME_ROWS[p, rational_mod(z.numerator, z.denominator, p)]
-        return row if full else row[:1]
+        c1, c2 = SMALL_PRIME_ROWS[p, rational_mod(z.numerator, z.denominator, p)]
+        return LPoly(p, c1, c2 if full else None)
     # p^4 > 16 p^3, the c2 window's width, for p >= 17; p^2 identifies c1 for p > 64
     tables = GammaTables(p, 4 if full or p <= 64 else 2)
     pk = tables.pk
     tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)
     hp = _horner_eval(hp_poly(p, tables), tz, pk)
-    c1 = _c1_lift(hp, p, pk)
+    c1 = _lift(-hp, pk, pk // 2)
     if not full:
-        return (c1,)
-    # lift H_p^2 - H_{p^2} into (-4p^3, 12p^3]; the lift is unique: w <= 12p^3
-    # gives w - p^4 <= 12p^3 - p^4 <= -4p^3 for p >= 16
-    w = (hp * hp - _horner_eval(hp2_poly(p, tables), tz, pk)) % pk
-    hi = 12 * p**3
-    if w > hi:
-        w -= pk
-    if not -4 * p**3 < w <= hi:
-        raise ConsistencyError(f"2p*c2={w} outside the Weil window at p={p}")
+        return LPoly(p, c1)
+    # 2p c2 = H_p^2 - H_(p^2); for p >= 17 the lift window (12p^3 - p^4, 12p^3] holds
+    # [-4p^3, 12p^3], so the lift is unique and LPoly's c2 check decides the rest
+    w = _lift(hp * hp - _horner_eval(hp2_poly(p, tables), tz, pk), pk, 12 * p**3)
     c2, rem = divmod(w, 2 * p)
     if rem:
         raise ConsistencyError(f"H_p^2 - H_(p^2) not divisible by 2p at p={p}")
-    return c1, c2
+    return LPoly(p, c1, c2)
 
 
 def dwork_c1(z: Fraction | int, p: int) -> int:
-    """c1 = -H_p, lifted to the integer obeying |c1| <= 4 p^(3/2).
-
-    For p > 64 precision p^2 identifies c1; smaller p use precision p^4
-    (4 p^(3/2) < p^4/2 always holds for odd p), and p <= 13 read
-    SMALL_PRIME_ROWS.
-    """
-    return _dwork_row(z, p, False)[0]
+    """c1 = -H_p, lifted to (-p^k/2, p^k/2] and checked by LPoly: precision p^2
+    identifies c1 for p > 64, smaller p use p^4 (4 p^(3/2) < p^4/2 for odd p),
+    and p <= 13 read SMALL_PRIME_ROWS."""
+    return _dwork_row(z, p, False).c1
 
 
 def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
-    """Full L-polynomial coefficient pair (c1, c2) of the Dwork-pencil
-    motive at z: c1 = -H_p and c2 = (H_p^2 - H_{p^2})/(2p), both lifted
-    through their Weil windows.  O(p^2) work (the H_{p^2} sum); p <= 13
-    read SMALL_PRIME_ROWS."""
-    return LPoly(p, *_dwork_row(z, p, True))
+    """The full row LPoly(p, c1, c2) of the Dwork-pencil motive at z:
+    c1 = -H_p and c2 = (H_p^2 - H_{p^2})/(2p), lifted to integers that LPoly
+    checks.  O(p^2) work (the H_{p^2} sum); p <= 13 read SMALL_PRIME_ROWS."""
+    return _dwork_row(z, p, True)

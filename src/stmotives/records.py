@@ -20,14 +20,17 @@ class ConsistencyError(ArithmeticError):
 @dataclass(frozen=True)
 class LPoly:
     """Coefficient data of the degree-4 Euler factor
-    p^6 T^4 + c1 p^3 T^3 + c2 p T^2 + c1 T + 1 at a good prime p."""
+    p^6 T^4 + c1 p^3 T^3 + c2 p T^2 + c1 T + 1 at a good prime p, c2 None on a
+    c1-only row.  The one statement of the Weil windows, for every computed,
+    cached and tabulated row: the normalized factor is the characteristic
+    polynomial of a USp(4) matrix, so c1/p^(3/2) is in [-4, 4], c2/p^2 in [-2, 6]."""
 
     p: int
     c1: int
-    c2: int
+    c2: int | None = None
 
     def __post_init__(self):
         if self.c1 * self.c1 > 16 * self.p**3:
             raise ConsistencyError(f"|c1|={abs(self.c1)} breaks the Weil bound at p={self.p}")
-        if not (-2 * self.p**2 <= self.c2 <= 6 * self.p**2):
+        if self.c2 is not None and not (-2 * self.p**2 <= self.c2 <= 6 * self.p**2):
             raise ConsistencyError(f"c2={self.c2} out of range at p={self.p}")

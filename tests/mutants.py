@@ -1,0 +1,248 @@
+"""The mutation gate: every listed mutant of the package must fail a named test.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (name, file, exact snippet, replacement, tests, note),
+plus `equivalent`, the reason, for a mutant that cannot change what the
+package returns.  The tool copies the checkout (src/, tests/, bench/ and
+pyproject.toml) into a temporary directory once and first runs the union of
+the named tests there unmutated; they must pass.  Then it applies one
+mutant at a time to that copy (the snippet must occur exactly once), runs
+`python -m pytest -x` on the mutant's tests under TIMEOUT (60 s), and
+restores the file.  A mutant is killed when pytest fails (exit 1, or 2 for an error
+at collection) within the timeout, and survives when the tests pass; the
+time to fail is the wall time of that pytest run.  The exit code is 0 when
+the unmutated run passes, every snippet applies and every non-equivalent
+mutant is killed within the timeout, and 1 otherwise.  Equivalent mutants
+are run and reported but do not count.  A survivor stays on the list.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIMEOUT = 60.0
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    note: str
+    equivalent: str = ""
+
+
+PH = "src/stmotives/padic_hypergeom.py"
+MV = "src/stmotives/motives.py"
+LR = "src/stmotives/laurent.py"
+SG = "src/stmotives/stgroups.py"
+HG = "tests/test_hypergeom.py::"
+TM = "tests/test_motives.py::"
+TS = "tests/test_stgroups.py::"
+TG = "tests/test_padic_gamma.py::"
+HP2 = (HG + "test_fast_hp2_loop_equals_generic_trace",)
+CACHE = (TM + "test_corrupt_cache_is_a_miss",)
+
+MUTANTS = [
+    # the Weil windows live in LPoly; the Dwork row only lifts
+    Mutant("lift-at-hi", PH, "return w - pk if w > hi else w", "return w - pk if w >= hi else w",
+           (HG + "test_c1_lift_is_balanced_and_weil_checked",),
+           "_lift sends w = hi to hi - pk"),
+    Mutant("c1-lift-window-hi-pk", PH, "c1 = _lift(-hp, pk, pk // 2)", "c1 = _lift(-hp, pk, pk)",
+           (HG + "test_c1_weil_bound_sweep",), "c1 lifted to [0, p^k), not balanced"),
+    Mutant("c2-lift-window-one-short", PH, "pk, 12 * p**3)", "pk, 12 * p**3 - 1)",
+           (HG + "test_c2_lift_reaches_both_edges_of_the_window",),
+           "2p c2 = 12p^3 (c2 = 6p^2) wraps out of the window"),
+    Mutant("lpoly-c2-guard-dropped", "src/stmotives/records.py",
+           "if self.c2 is not None and not (", "if not (",
+           (TM + "test_lpoly_validates_weil_bounds",), "a c1-only row compares None with ints"),
+    Mutant("direct-sum-f1-first", MV,
+           "        d = coeff(self.f2, p)  # first: a weight-4 file table skips p before f1's "
+           "point count\n        b = coeff(self.f1, p)\n",
+           "        b = coeff(self.f1, p)\n        d = coeff(self.f2, p)\n",
+           (TM + "test_direct_sum_skips_past_a_file_table_before_the_weight_2_form",),
+           "the weight-2 form runs at primes past the weight-4 table's end"),
+    # the stream cache's row checks
+    Mutant("cache-weil-check-dropped", MV, "            LPoly(*row)\n", "", CACHE,
+           "a cached row past a Weil bound is served"),
+    Mutant("cache-width-check-dropped", MV, "            if len(row) != width:",
+           "            if False:", CACHE, "a cached row of the wrong width is served"),
+    Mutant("cache-ascending-check-dropped", MV, "if row[0] <= last or row[0] not in primes:",
+           "if row[0] not in primes:", CACHE, "a repeated or descending cached prime is served"),
+    Mutant("cache-stream-prime-check-dropped", MV, "if row[0] <= last or row[0] not in primes:",
+           "if row[0] <= last:", CACHE, "a cached row at no stream prime is served"),
+    Mutant("cache-digest-check-dropped", MV,
+           '        if head[len(header):].rstrip("\\n") != hashlib.sha256(body.encode()).hexdigest():',
+           "        if False:", (TM + "test_cache_with_an_edited_row_set_is_a_miss",),
+           "a cache with a dropped or edited row is served"),
+    # the banded H_p kernel
+    Mutant("band-cut-plus-one", PH, "(k * p + 5 - k) // 5", "(k * p + 6 - k) // 5",
+           (HG + "test_hp_poly_stops_at_the_band_cut",), "one band term too many"),
+    Mutant("band-cut-minus-one", PH, "(k * p + 5 - k) // 5", "(k * p + 4 - k) // 5",
+           (HG + "test_hp_poly_stops_at_the_band_cut",), "one band term too few"),
+    Mutant("band-cut-without-k", PH, "(k * p + 5 - k) // 5", "(k * p + 5) // 5",
+           (HG + "test_hp_poly_stops_at_the_band_cut",), "the cut's -k dropped"),
+    Mutant("wraps-without-minus-one", PH, "    return (5 * x - 1) // (q - 1)",
+           "    return 5 * x // (q - 1)",
+           (HG + "test_eta_band_table_matches_definition",) + HP2, "W(x) = 5x // (q - 1)"),
+    Mutant("wrap-correction-without-minus-d", PH,
+           "t = t * (m5 - j * (p - 1) if (m5 + j) % p else -d) % pk",
+           "t = t * (m5 - j * (p - 1)) % pk", (HG + "test_eta_band_table_matches_definition",),
+           "a wrapped alpha in p Z_p takes 5m - j(p - 1), not -D"),
+    Mutant("z-in-place-of-teich", PH,
+           "    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)",
+           "    tz = rational_mod(z.numerator, z.denominator, pk)",
+           (HG + "test_c1_balanced_lift_matches_p4_path",), "the row body evaluates at z"),
+    # the H_{p^2} kernel
+    Mutant("sigma-identity", PH, "x = np.stack([m, m % p * p + m // p])",
+           "x = np.stack([m, m])", HP2, "sigma(m) = m: no Frobenius twist"),
+    Mutant("hp2-e-without-sigma", PH, "e = _wraps(x, q).sum(axis=0)", "e = _wraps(x[0], q)",
+           HP2, "e_m = W(m), the twist's wraps dropped"),
+    Mutant("beta-argument-complement", PH, "n = np.concatenate(((jq - x5) % d, x5), axis=1)",
+           "n = np.concatenate(((jq - x5) % d, d - x5), axis=1)", HP2,
+           "beta argument D - 5x in place of 5x"),
+    Mutant("class-index-shifted", PH, "np.add.at(coeffs, m % (p - 1),",
+           "np.add.at(coeffs, (m + 1) % (p - 1),", HP2, "each term in the next class"),
+    Mutant("hp2-m0-term-dropped", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 0\n", HP2,
+           "the m = 0 term left out"),
+    Mutant("hp2-m0-term-doubled", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 2\n", HP2,
+           "the m = 0 term counted twice"),
+    Mutant("block-reduction-mod-p-k-minus-1", PH, "        coeffs %= pk\n",
+           "        coeffs %= pk // p\n", HP2, "classes reduced mod p^(k-1)"),
+    Mutant("block-reduction-dropped", PH, "        coeffs %= pk\n", "", HP2,
+           "classes left unreduced until the final scale",
+           equivalent="each class takes at most p + 1 terms below p^4, and (p + 2) p^4 < "
+                      "0.71 * 2^63 at p = HP2_MAX_P = 5791, so the int64 sums stay exact"),
+    Mutant("hp2-keep-below-4", PH, "keep = e < k", "keep = e < 4",
+           (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
+           "gamma work kept for e_m < 4 whatever k is"),
+    # the gamma tables
+    Mutant("g1-equals-plus-g0", PH, "        c = -b % m\n", "        c = b % m\n",
+           (TG + "test_recurrence_matches_exact_integers",), "G_1 = +G_0"),
+    Mutant("unit-step-at-x0-0", PH, "        c = -b % m\n", "        c = -prev[0] % m\n",
+           (TG + "test_recurrence_matches_exact_integers",),
+           "the unit step at x0 = 0 in place of G_1 = -G_0"),
+    Mutant("column-carries-c-i", PH, "c = -(x0 * c + prev[x0]) % m",
+           "c = -(x0 * c + col[x0]) % m", (TG + "test_recurrence_matches_exact_integers",),
+           "C_i carried in place of C_(i-1)"),
+    Mutant("column-subtracts-c-i-minus-1", PH, "c = -(x0 * c + prev[x0]) % m",
+           "c = -(x0 * c - prev[x0]) % m",
+           (HG + "test_hp2_kernel_equals_generic_trace_random",
+            HG + "test_hp_kernel_equals_generic_trace_random"),
+           "the series columns subtract C_(i-1); the random oracle tests must fail fast"),
+    # the small-prime rows
+    Mutant("small-prime-row-changed", PH, "    (3, 2): (5, 15),", "    (3, 2): (5, 16),",
+           (HG + "test_small_prime_rows_certified_by_the_trace",), "one literal row edited"),
+    Mutant("small-prime-key-numerator", PH,
+           "SMALL_PRIME_ROWS[p, rational_mod(z.numerator, z.denominator, p)]",
+           "SMALL_PRIME_ROWS[p, z.numerator % p]",
+           (HG + "test_small_prime_lookup_equals_table_row",), "the key ignores z's denominator"),
+    # the exact moment engine
+    Mutant("zeta-keyed-mod-24", LR, "return {(k, exps): c for k, c in _ZETA24[j % 24]}",
+           "return {(j % 24, exps): 1}", (TS + "test_zero_is_the_empty_dict",),
+           "keys by the zeta exponent mod 24 are not canonical"),
+    Mutant("lp-mul-wrong-row", LR, "for k, s in _ZETA24[k1 + k2]:",
+           "for k, s in _ZETA24[k1 + k2 + 1]:",
+           (TS + "test_lp_mul_and_lp_add_agree_with_complex_evaluation",),
+           "products reduced with the next zeta row"),
+    Mutant("su2sqrt-as-su2", LR, '"su2sqrt": {(0,): 2, (4,): -1, (-4,): -1}',
+           '"su2sqrt": {(0,): 2, (2,): -1, (-2,): -1}',
+           (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
+           "the su2sqrt density read as su2's"),
+    Mutant("usp4-sign-flip", LR, "x = lp_mul({(0, (1, 0)): 1, (0, (-1, 0)): -1}",
+           "x = lp_mul({(0, (1, 0)): 1, (0, (-1, 0)): 1}",
+           (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
+           "v1 + 1/v1 in place of v1 - 1/v1 in the usp4 density"),
+    Mutant("su2-asymmetric", LR, '"su2": {(0,): 2, (2,): -1, (-2,): -1}',
+           '"su2": {(0,): 2, (2,): -2}',
+           (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
+           "an asymmetric su2 density"),
+    Mutant("usp4-extra-coefficient", LR, '"usp4": _usp4_density(),',
+           '"usp4": {**_usp4_density(), (2, 2): 1},',
+           (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
+           "one coefficient added to the usp4 density"),
+    Mutant("slot-1-unchecked", LR, "if any(acc[1:]):", "if any(acc[2:]):",
+           (TS + "test_expectation_matches_closed_forms_and_usp4_quadrature",),
+           "a z^1 part of an expectation goes unreported"),
+    Mutant("wrong-divisor", LR, "return Fraction(acc[0], ct)", "return Fraction(acc[0], 2 * ct)",
+           (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
+           "expectations divided by twice the constant term"),
+    Mutant("series-memo-ignores-spectrum", SG, "key = (comp.kinds, comp.eigen, coeff)",
+           "key = (comp.kinds, coeff)", (TS + "test_a1_moment_table",),
+           "components with equal measures share one series (once: keyed on the group name)"),
+    Mutant("series-one-order-short", SG, "while len(values) <= n:", "while len(values) < n:",
+           (TS + "test_a1_moment_table",), "a series extended one order short"),
+    Mutant("sampler-a2-sign", SG, "((s1 * s1).real - s2.real) / 2",
+           "((s1 * s1).real + s2.real) / 2", (TS + "test_sample_j_component_constant",),
+           "a2 = ((sum lam)^2 + sum lam^2) / 2"),
+]
+
+
+def _pytest(workdir: str, tests, timeout: float):
+    """(exit code or None on timeout, wall seconds) of pytest -x on tests in workdir."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    t0 = time.perf_counter()
+    try:
+        code = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True,
+                              timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - t0
+
+
+def main() -> int:
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="stmotives-mutants-") as work:
+        for name in COPIED:
+            src = os.path.join(ROOT, name)
+            if os.path.isdir(src):
+                shutil.copytree(src, os.path.join(work, name),
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy(src, work)
+        union = sorted({t for m in MUTANTS for t in m.tests})
+        code, secs = _pytest(work, union, 10 * TIMEOUT)
+        print(f"unmutated: {len(union)} test ids, exit {code}, {secs:.1f} s", flush=True)
+        if code != 0:
+            return 1
+        for m in MUTANTS:
+            path = os.path.join(work, m.file)
+            with open(path) as fh:
+                original = fh.read()
+            if original.count(m.snippet) != 1:
+                print(f"STALE     {m.name}: snippet found {original.count(m.snippet)} times "
+                      f"in {m.file}", flush=True)
+                ok = False
+                continue
+            with open(path, "w") as fh:
+                fh.write(original.replace(m.snippet, m.replacement))
+            try:
+                code, secs = _pytest(work, m.tests, TIMEOUT)
+            finally:
+                with open(path, "w") as fh:
+                    fh.write(original)
+            killed = code in (1, 2)
+            status = "killed" if killed else "TIMEOUT" if code is None else "SURVIVED"
+            if m.equivalent:
+                status = f"({status}, equivalent)"
+            else:
+                ok &= killed
+            print(f"{status:<9} {m.name}: {secs:5.1f} s, {m.note}", flush=True)
+    print("gate:", "every non-equivalent mutant killed" if ok else "FAILED")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

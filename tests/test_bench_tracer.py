@@ -31,7 +31,7 @@ print(json.dumps(tracer.aggregate(tracer.load_spans(out_dir))))
 
 
 COUNTS = {"ntkernel.split_prime.calls": 331, "ntkernel.residue_symbol.calls": 248,
-          "cmforms.coeff.hecke.calls": 342, "cmforms.ec_trace.cm.calls": 340}
+          "cmforms.coeff.hecke.calls": 341, "cmforms.ec_trace.cm.calls": 340}
 
 
 def test_tracer_sees_the_cm_coefficient_path(tmp_path):

@@ -118,7 +118,7 @@ def test_hp_poly_evaluates_to_hp_fast(p):
             val = (val * t + c) % pk
         assert val == trace_Hq(DWORK, z, p, 2)
         if z > 1:
-            assert ph._c1_lift(val, p, pk) == ph.dwork_c1(z, p)
+            assert ph._lift(-val, pk, pk // 2) == ph.dwork_c1(z, p)
     # constant term is the m = 0 summand 1/(1-p)
     assert coeffs[0] == pow(1 - p, -1, pk)
 
@@ -150,6 +150,15 @@ def test_fast_hp2_loop_equals_generic_trace(p):
     zs = range(2, p) if p <= 23 else (-1, 2, Fraction(3, 7))
     for z in zs:
         assert teich_eval(coeffs, z, p, 4) == trace_Hq(DWORK, z, p * p, 4)
+
+
+@pytest.mark.parametrize("p", [7, 17, 23])
+def test_hp2_poly_at_every_precision_reduces_the_p4_vector(p):
+    """hp2_poly at precision k < 4 is the precision-4 vector mod p^k: the
+    kernel's p-power bookkeeping (e_m < k, p^e mod p^k) holds at every k."""
+    top = ph.hp2_poly(p, ph.GammaTables(p, 4))
+    for k in (1, 2, 3):
+        assert ph.hp2_poly(p, ph.GammaTables(p, k)) == [c % p**k for c in top]
 
 
 def test_hp2_m0_alpha_gammas_multiply_to_one():
@@ -400,10 +409,39 @@ def test_c2_window_and_integrality():
 
 
 def test_c1_lift_is_balanced_and_weil_checked():
-    # c1 = -H_p lifted to (-p^k/2, p^k/2]
-    assert ph._c1_lift(1, 7, 49) == -1
-    assert ph._c1_lift(25, 7, 49) == 24
-    assert ph._c1_lift(24, 7, 49) == -24
-    assert ph._c1_lift(0, 101, 101**2) == 0
+    # c1 = -H_p lifted to (-p^k/2, p^k/2]; LPoly checks |c1| <= 4 p^(3/2)
+    assert ph._lift(-1, 49, 49 // 2) == -1
+    assert ph._lift(-25, 49, 49 // 2) == 24
+    assert ph._lift(-24, 49, 49 // 2) == -24
+    assert ph._lift(0, 101**2, 101**2 // 2) == 0
     with pytest.raises(ConsistencyError, match="Weil bound"):
-        ph._c1_lift(5000, 101, 101**2)  # |c1| = 5000 > 4 * 101^(3/2)
+        LPoly(101, -5000)  # |c1| = 5000 > 4 * 101^(3/2)
+
+
+def _patched_row(monkeypatch, p, hp, hp2):
+    """dwork_lpoly(-1, p) with H_p and H_{p^2} replaced by the constants hp, hp2."""
+    monkeypatch.setattr(ph, "hp_poly", lambda p, tables: [hp])
+    monkeypatch.setattr(ph, "hp2_poly", lambda p, tables: [hp2])
+    return ph.dwork_lpoly(-1, p)
+
+
+def test_c2_lift_reaches_both_edges_of_the_window(monkeypatch):
+    """2p c2 = H_p^2 - H_{p^2} = -4p^3 is c2 = -2p^2, the factor (1 - p^3 T^2)^2,
+    a point of USp(4); 12p^3 is c2 = 6p^2.  One step past either edge is a
+    ConsistencyError: LPoly's below, and above, where the lift wraps by the
+    odd p^4, the divisibility check's."""
+    p = 17
+    assert _patched_row(monkeypatch, p, 0, 4 * p**3) == LPoly(p, 0, -2 * p**2)
+    assert _patched_row(monkeypatch, p, 0, -12 * p**3 % p**4) == LPoly(p, 0, 6 * p**2)
+    with pytest.raises(ConsistencyError, match="out of range"):
+        _patched_row(monkeypatch, p, 0, 4 * p**3 + 2 * p)
+    with pytest.raises(ConsistencyError, match="not divisible"):
+        _patched_row(monkeypatch, p, 0, -(12 * p**3 + 2 * p) % p**4)
+
+
+def test_small_prime_c1_rows_are_weil_checked(monkeypatch):
+    """A c1-only row at p <= 13 passes through LPoly too."""
+    monkeypatch.setitem(ph.SMALL_PRIME_ROWS, (7, 6), (75, 50))  # 75^2 > 16 * 7^3
+    for entry in (ph.dwork_c1, ph.dwork_lpoly):
+        with pytest.raises(ConsistencyError, match="Weil bound"):
+            entry(-1, 7)

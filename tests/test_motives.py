@@ -103,6 +103,12 @@ def test_lpoly_validates_weil_bounds():
         LPoly(7, 100, 0)
     with pytest.raises(ConsistencyError):
         LPoly(7, 0, -99)
+    # c2 None is a c1-only row: only the c1 bound applies
+    assert LPoly(7, 74).c2 is None and LPoly(7, -74) == LPoly(7, -74, None)
+    with pytest.raises(ConsistencyError):
+        LPoly(7, 75)  # 75^2 > 16 * 7^3
+    with pytest.raises(ConsistencyError):
+        LPoly(7, -75)
 
 
 def test_weight_validation():
@@ -142,6 +148,29 @@ def test_edited_file_form_is_not_served_stale(tmp_path):
     after = mv.cached_lpoly_stream(spec, 2**8, str(tmp_path))
     assert after == mv.cached_lpoly_stream(spec, 2**8, None)
     assert after != before and [r for r in after if r[0] != 7] == [r for r in before if r[0] != 7]
+
+
+def test_direct_sum_skips_past_a_file_table_before_the_weight_2_form(tmp_path, monkeypatch):
+    """A weight-4 file table that ends near p = 100 skips every later prime
+    before the weight-2 form's O(p) point count runs there."""
+    table = tmp_path / "5.4a-short.txt"
+    with open(FORMS["5.4a"].path) as fh:
+        lines = fh.read().splitlines()
+    table.write_text("\n".join(ln for ln in lines if ln.startswith("#") or int(ln.split()[0]) <= 101))
+    monkeypatch.setitem(FORMS, "5.4a-short", NewformHandle("5.4a-short", 4, 5, "file",
+                                                           path=str(table)))
+    calls = []
+
+    def counting_coeff(form, p):
+        calls.append((form.label, p))
+        return coeff(form, p)
+
+    monkeypatch.setattr(mv, "coeff", counting_coeff)
+    spec = mv.MotiveSpec(mv.DirectSum(FORMS["11.2a"], FORMS["5.4a-short"]), Q)
+    rows = mv.cached_lpoly_stream(spec, 2**9, None)
+    assert [r[0] for r in rows] == [p for p in primes_up_to(101) if p not in (2, 5, 11)]
+    assert [p for label, p in calls if label == "11.2a" and p > 101] == []
+    assert sum(label == "5.4a-short" for label, _ in calls) == len(primes_up_to(2**9)) - 1
 
 
 def _weil_rows(full):
