@@ -12,11 +12,12 @@
 
 Motive commands print the moment-statistics row (and with --classify the
 nearest-group ranking); --coeffs a1 keeps the a1 moments alone.  Exit codes:
-0 ok, 1 internal consistency failure, 2 bad arguments (unknown or missing
-labels, wrong form weights, a singular curve, z = 0 or 1, a bound below 2^1 or
-above 2^32 (the prime sieve takes one byte per integer up to the bound), an
---out path that cannot be written), 3 data errors (including a stream with no
-good primes).
+0 ok, 1 internal consistency failure, 2 bad arguments (an unknown group, field
+or newform, a missing label or curve, wrong form weights, a singular curve,
+z = 0 or 1, a bound below 2^1 or above 2^32 (the prime sieve takes one byte per
+integer up to the bound), --jobs below 1, dwork --coeffs both past B = 5791,
+an --out path that cannot be written), 3 data errors (a bad, missing or
+non-UTF-8 coefficient file, a stream with no good primes, a bad stats file).
 """
 
 from __future__ import annotations
@@ -109,11 +110,10 @@ def cmd_groups(args) -> int:
     elif args.action == "moments":
         if not args.group:
             raise CliError("groups moments needs --group")
-        mv = stgroups.moment_vector(args.group)
         lines = []
         for coeff, ns in stgroups.TABLE_ORDERS.items():
             lines.append("#coeff\t" + "\t".join(f"M{n}" for n in ns))
-            lines.append(coeff + "\t" + "\t".join(str(v) for v in mv[coeff]))
+            lines.append(coeff + "\t" + "\t".join(str(stgroups.moment(args.group, coeff, n)) for n in ns))
         _emit("\n".join(lines) + "\n", args.out)
     else:  # invariants
         lines = ["#group\td\tc\tz1\tz2\tcomponent_group"]

@@ -298,34 +298,28 @@ def coeff(form: NewformHandle, p: int) -> int:
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-FORMS: dict[str, NewformHandle] = {}
-
-
-def _register(handle: NewformHandle) -> NewformHandle:
-    FORMS[handle.label] = handle
-    return handle
-
-
-# weight-2 CM forms (elliptic curves with CM)
-F_27_2A = _register(NewformHandle("27.2a", 2, 27, "hecke", hecke=("Q(w)", 1, None, None)))
-F_32_2A = _register(NewformHandle("32.2a", 2, 32, "hecke", hecke=("Q(i)", 1, None, None)))
-# weight-4 powers and their twists
-F_9_4A = _register(NewformHandle("9.4a", 4, 9, "hecke", hecke=("Q(w)", 3, None, None)))
-F_32_4B = _register(NewformHandle("32.4b", 4, 32, "hecke", hecke=("Q(i)", 3, None, None)))
-F_144_4D = _register(NewformHandle("144.4d", 4, 144, "hecke", hecke=("Q(w)", 3, None, CHI4)))
-F_576_4_SEXTIC = _register(NewformHandle("576.4.sextic", 4, 576, "hecke", hecke=("Q(w)", 3, 2, None)))
-F_108_4C = _register(NewformHandle("108.4c", 4, 108, "hecke", hecke=("Q(w)", 3, 2, CHI24_B)))
-F_576_4_QUARTIC = _register(NewformHandle("576.4.quartic", 4, 576, "hecke", hecke=("Q(i)", 3, 3, None)))
-F_288_4D = _register(NewformHandle("288.4d", 4, 288, "hecke", hecke=("Q(i)", 3, -3, None)))
-# weight-3 forms (quadratic nebentypus = the CM field's Kronecker symbol)
-F_16_3_3A = _register(NewformHandle("16.3.3a", 3, 16, "hecke", hecke=("Q(i)", 2, None, None), nebentypus=CHI4))
-F_27_3_5A = _register(NewformHandle("27.3.5a", 3, 27, "hecke", hecke=("Q(w)", 2, None, None), nebentypus=KRONECKER_M3))
-# the level-576 weight-3 quartic twist: the printed coefficient table pins
-# an extra Kronecker-6 flip on top of the residue-symbol twist
-F_576_3_QUARTIC = _register(NewformHandle("576.3.quartic", 3, 576, "hecke", hecke=("Q(i)", 2, 27, CHI6), nebentypus=CHI4))
-# non-CM weight 2 and the quartic-twist curve
-F_11_2A = _register(NewformHandle("11.2a", 2, 11, "curve", curve=CurveSpec(0, -1, 1, -10, -20)))
-F_256_2B = _register(NewformHandle("256.2b", 2, 256, "curve", curve=CurveSpec.short(-2, 0)))
-F_36_2A = _register(NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)))
-# non-CM weight 4, ingested from a shipped coefficient table
-F_5_4A = _register(NewformHandle("5.4a", 4, 5, "file", path=os.path.join(_DATA_DIR, "5.4a.txt")))
+FORMS: dict[str, NewformHandle] = {form.label: form for form in (
+    # weight-2 CM forms (elliptic curves with CM)
+    NewformHandle("27.2a", 2, 27, "hecke", hecke=("Q(w)", 1, None, None)),
+    NewformHandle("32.2a", 2, 32, "hecke", hecke=("Q(i)", 1, None, None)),
+    # weight-4 powers and their twists
+    NewformHandle("9.4a", 4, 9, "hecke", hecke=("Q(w)", 3, None, None)),
+    NewformHandle("32.4b", 4, 32, "hecke", hecke=("Q(i)", 3, None, None)),
+    NewformHandle("144.4d", 4, 144, "hecke", hecke=("Q(w)", 3, None, CHI4)),
+    NewformHandle("576.4.sextic", 4, 576, "hecke", hecke=("Q(w)", 3, 2, None)),
+    NewformHandle("108.4c", 4, 108, "hecke", hecke=("Q(w)", 3, 2, CHI24_B)),
+    NewformHandle("576.4.quartic", 4, 576, "hecke", hecke=("Q(i)", 3, 3, None)),
+    NewformHandle("288.4d", 4, 288, "hecke", hecke=("Q(i)", 3, -3, None)),
+    # weight-3 forms (quadratic nebentypus = the CM field's Kronecker symbol)
+    NewformHandle("16.3.3a", 3, 16, "hecke", hecke=("Q(i)", 2, None, None), nebentypus=CHI4),
+    NewformHandle("27.3.5a", 3, 27, "hecke", hecke=("Q(w)", 2, None, None), nebentypus=KRONECKER_M3),
+    # the level-576 weight-3 quartic twist: the printed coefficient table pins
+    # an extra Kronecker-6 flip on top of the residue-symbol twist
+    NewformHandle("576.3.quartic", 3, 576, "hecke", hecke=("Q(i)", 2, 27, CHI6), nebentypus=CHI4),
+    # non-CM weight 2 and the quartic-twist curve
+    NewformHandle("11.2a", 2, 11, "curve", curve=CurveSpec(0, -1, 1, -10, -20)),
+    NewformHandle("256.2b", 2, 256, "curve", curve=CurveSpec.short(-2, 0)),
+    NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)),
+    # non-CM weight 4, ingested from a shipped coefficient table
+    NewformHandle("5.4a", 4, 5, "file", path=os.path.join(_DATA_DIR, "5.4a.txt")),
+)}

@@ -69,25 +69,22 @@ def is_prime(n: int) -> bool:
 @dataclass(frozen=True)
 class FieldSpec:
     """A base field, identified by the congruence condition its degree-1
-    primes satisfy.  `residues` are the allowed classes of p mod `modulus`;
-    ramified primes are excluded outright."""
+    primes satisfy: p mod `modulus` lies in `residues`.  Every ramified
+    prime fails that test."""
 
     name: str
     modulus: int
     residues: frozenset[int]
-    ramified: frozenset[int]
 
     def is_degree_one(self, p: int) -> bool:
-        if p in self.ramified:
-            return False
-        return self.modulus == 1 or p % self.modulus in self.residues
+        return p % self.modulus in self.residues
 
 
-Q = FieldSpec("Q", 1, frozenset(), frozenset())
-QI = FieldSpec("Q(i)", 4, frozenset({1}), frozenset({2}))
-QW = FieldSpec("Q(w)", 3, frozenset({1}), frozenset({3}))
-QIW = FieldSpec("Q(i,w)", 12, frozenset({1}), frozenset({2, 3}))
-QSQRT3 = FieldSpec("Q(sqrt3)", 12, frozenset({1, 11}), frozenset({2, 3}))
+Q = FieldSpec("Q", 1, frozenset({0}))
+QI = FieldSpec("Q(i)", 4, frozenset({1}))
+QW = FieldSpec("Q(w)", 3, frozenset({1}))
+QIW = FieldSpec("Q(i,w)", 12, frozenset({1}))
+QSQRT3 = FieldSpec("Q(sqrt3)", 12, frozenset({1, 11}))
 
 FIELDS = {f.name: f for f in (Q, QI, QW, QIW, QSQRT3)}
 # accepted spellings on the CLI / in specs

@@ -7,8 +7,11 @@ group moments through the scale-normalized squared deviation
     d(G) = sum_n ((M_n[stat] - M_n[G]) / max(1, |M_n[G]|))^2
 
 over a1 moments M_2..M_12 and a2 moments M_1..M_9 (whichever the input
-carries).  Groups whose distances agree to within 1% relative are
-reported as a tie cluster ordered by catalog position: several catalog
+carries).  Groups whose distances agree to within 1% relative, or, for
+an imperfect best fit, within the jitter radius of two nearly equal
+model vectors (see `classify`; it puts C2 at 0.658 with C3 at 0.556 for
+tensor-ec(0,4; 0,1)/Q(w) at B = 2^12), are reported as a tie cluster
+ordered by catalog position, whatever their distances: several catalog
 groups have identical moment vectors through this range (C4, C6 and F;
 J(C4), J(C6) and F_{ab}; and C3 differs from that first cluster only in
 the 12th a1 moment, by half a part in a thousand), so finite-bound
@@ -148,17 +151,14 @@ def _fmt(x: float, places: int) -> str:
 def stats_row(stats: MomentStats) -> list[str]:
     b = stats.bound  # the first cell: log2 of a power of two below 2^64, else "B=<bound>"
     cells = [str(b.bit_length() - 1) if 0 < b < 2**64 and b & (b - 1) == 0 else f"B={b}"]
-    for nn, places in zip(A1_NS, A1_DECIMALS):
-        cells.append(_fmt(stats.a1[nn], places) if nn in stats.a1 else "")
-    if stats.a2 is not None:
-        for nn, places in zip(A2_NS[:7], A2_DECIMALS):
-            cells.append(_fmt(stats.a2[nn], places) if nn in stats.a2 else "")
-    else:
-        cells.extend([""] * 7)
+    for got, ns, places in ((stats.a1, A1_NS, A1_DECIMALS), (stats.a2 or {}, A2_NS, A2_DECIMALS)):
+        cells += [_fmt(got[n], d) if n in got else "" for n, d in zip(ns, places)]
     return cells
 
 
-STATS_HEADER = ["n"] + [f"a1.M{n}" for n in A1_NS] + [f"a2.M{n}" for n in A2_NS[:7]]
+# the decimals profiles set the printed columns: a1 M2..M12, a2 M1..M7
+STATS_HEADER = (["n"] + [f"a1.M{n}" for n, _ in zip(A1_NS, A1_DECIMALS)]
+                + [f"a2.M{n}" for n, _ in zip(A2_NS, A2_DECIMALS)])
 
 
 def emit_table(rows: list[list[str]], fmt: str = "tsv") -> str:
@@ -177,8 +177,9 @@ def emit_table(rows: list[list[str]], fmt: str = "tsv") -> str:
 
 def parse_stats_tsv(text: str) -> MomentStats:
     """Read back a stats TSV produced by emit_table: every data row is
-    checked against the (last) header, and the last row is returned."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    checked against the (last) header, and the last row is returned.  A
+    line that starts with "# " is a comment (the CLI's own ranking lines)."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("# ")]
     headers = [ln[1:].split("\t") for ln in lines if ln.startswith("#")]
     rows = [ln.split("\t") for ln in lines if not ln.startswith("#")]
     if not headers or not rows:

@@ -23,10 +23,10 @@ all of them.
 
 Moments are computed once.  The components of the catalog (86 of them)
 carry only 22 distinct spectra, and a component's moments depend on
-its spectrum alone, so each (measure kinds, spectrum, coefficient) key owns
-one power series of f = a1 or a2: the last power f^k and the expectations
-E[f^0], ..., E[f^k], extended lazily by one Laurent product per new order
-up to the largest order asked so far.  On top of it `moment` is memoized
+its spectrum alone, so the one memo `_SERIES` maps each (measure kinds,
+spectrum, coefficient) key to the plain tuple (f, f^k, (E[f^0], ..., E[f^k]))
+for f = a1 or a2, extended lazily by one Laurent product per new order up
+to the largest order asked so far.  On top of it `moment` is memoized
 on the group object (its content, not its name), so repeated tables and
 `stats.classify` calls reuse every exact moment.  Nothing is computed at
 import time; `laurent.lp_pow` stays as the independent oracle of the tests.
@@ -219,42 +219,26 @@ def _check_moment_args(coeff: str, n: int) -> None:
         raise ValueError(f"moment order must be a non-negative int, got {n!r}")
 
 
-class _PowerSeries:
-    """E[f^0], ..., E[f^k] for one Laurent polynomial f under one measure,
-    extended on demand by one product with f per new order."""
-
-    __slots__ = ("f", "kinds", "state")
-
-    def __init__(self, f: dict, kinds: tuple[str, ...]):
-        self.f = f
-        self.kinds = kinds
-        one = lp_const(len(kinds), 1)
-        self.state = (one, (lp_expectation(one, kinds),))
-
-    def moment(self, n: int) -> Fraction:
-        """E[f^n]."""
-        power, values = self.state
-        while len(values) <= n:
-            power = lp_mul(power, self.f)
-            values += (lp_expectation(power, self.kinds),)
-            # one assignment publishes a consistent (f^k, E[f^0..f^k]) pair:
-            # threads racing to extend a series can lose work, never mix orders
-            self.state = (power, values)
-        return values[n]
-
-
-# (measure kinds, spectrum, coeff) -> its power series, filled on first use
-_SERIES: dict[tuple, _PowerSeries] = {}
+# (measure kinds, spectrum, coeff) -> (f, f^k, (E[f^0], ..., E[f^k])), the
+# one memo of the engine: filled on first use, extended by one product with f
+# per new order, and stored back as one tuple per order, so a reader never
+# sees f^k with another order's expectations
+_SERIES: dict[tuple, tuple] = {}
 
 
 def component_moment(comp: Component, coeff: str, n: int) -> Fraction:
     """Exact E[coeff^n] over one component (shared by equal spectra)."""
     _check_moment_args(coeff, n)
     key = (comp.kinds, comp.eigen, coeff)
-    series = _SERIES.get(key)
-    if series is None:
-        series = _SERIES[key] = _PowerSeries(comp.charpoly_coeff(coeff), key[0])
-    return series.moment(n)
+    if key not in _SERIES:
+        one = lp_const(len(comp.kinds), 1)
+        _SERIES[key] = (comp.charpoly_coeff(coeff), one, (lp_expectation(one, comp.kinds),))
+    f, power, values = _SERIES[key]
+    while len(values) <= n:
+        power = lp_mul(power, f)
+        values += (lp_expectation(power, comp.kinds),)
+        _SERIES[key] = (f, power, values)
+    return values[n]
 
 
 def moment(g: STGroup | str, coeff: str, n: int) -> int:
@@ -272,12 +256,6 @@ def _group_moment(g: STGroup, coeff: str, n: int) -> int:
     if val.denominator != 1:
         raise ArithmeticError(f"non-integer moment {val} for {g.name} {coeff} M_{n}")
     return int(val)
-
-
-def moment_vector(g: STGroup | str) -> dict:
-    """The printed table slices, in TABLE_ORDERS."""
-    g = group(g)
-    return {coeff: [moment(g, coeff, n) for n in ns] for coeff, ns in TABLE_ORDERS.items()}
 
 
 def invariants(g: STGroup | str) -> tuple[int, int, int, list[int], str]:

@@ -50,6 +50,7 @@ SG = "src/stmotives/stgroups.py"
 HG = "tests/test_hypergeom.py::"
 TM = "tests/test_motives.py::"
 TS = "tests/test_stgroups.py::"
+SC = "tests/test_stats_cli.py::"
 TG = "tests/test_padic_gamma.py::"
 HP2 = (HG + "test_fast_hp2_loop_equals_generic_trace",)
 CACHE = (TM + "test_corrupt_cache_is_a_miss",)
@@ -183,6 +184,28 @@ MUTANTS = [
            "components with equal measures share one series (once: keyed on the group name)"),
     Mutant("series-one-order-short", SG, "while len(values) <= n:", "while len(values) < n:",
            (TS + "test_a1_moment_table",), "a series extended one order short"),
+    Mutant("series-never-stored-back", SG, "        _SERIES[key] = (f, power, values)\n", "",
+           (TS + "test_cold_a1_table_takes_at_most_16_products_per_spectrum",),
+           "each order recomputed from f^0: the series stays at order 0"),
+    Mutant("groups-moments-a1-twice", "src/stmotives/cli.py",
+           "str(stgroups.moment(args.group, coeff, n))", 'str(stgroups.moment(args.group, "a1", n))',
+           (SC + "test_cli_groups_moments_prints_the_table_rows",),
+           "`groups moments` prints a1 moments on the a2 row"),
+    # statistics files, fields and forms
+    Mutant("comment-read-as-header", "src/stmotives/stats.py",
+           ' and not ln.startswith("# ")]', "]",
+           (SC + "test_cli_classifies_the_file_motive_classify_writes",),
+           "the CLI's trailing '# top ...' line is read as the header"),
+    Mutant("a2-decimals-shifted", "src/stmotives/stats.py", "A2_DECIMALS = (3, 3, 3, 3, 3, 2, 1)",
+           "A2_DECIMALS = (3, 3, 3, 3, 2, 1, 0)",
+           (SC + "test_emit_table_formats_and_rounding",), "a2 M5..M7 printed one place short"),
+    Mutant("q-residues-one", "src/stmotives/ntkernel.py", 'FieldSpec("Q", 1, frozenset({0}))',
+           'FieldSpec("Q", 1, frozenset({1}))', ("tests/test_ntkernel.py::test_degree_one_primes",),
+           "p mod 1 is never 1: Q has no degree-1 primes"),
+    Mutant("form-dropped", "src/stmotives/cmforms.py",
+           '    NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)),\n', "",
+           ("tests/test_cmforms.py::test_forms_hold_every_documented_label_once",),
+           "a documented label left out of FORMS"),
     Mutant("sampler-a2-sign", SG, "((s1 * s1).real - s2.real) / 2",
            "((s1 * s1).real + s2.real) / 2", (TS + "test_sample_j_component_constant",),
            "a2 = ((sum lam)^2 + sum lam^2) / 2"),

@@ -37,6 +37,14 @@ def test_psi_value_norms_and_conjugates():
         assert a.norm() == p
 
 
+def test_forms_hold_every_documented_label_once():
+    # the newform labels of the README's CLI section, each keyed by its own label
+    labels = ("27.2a 32.2a 9.4a 32.4b 144.4d 108.4c 288.4d 16.3.3a 27.3.5a 11.2a 256.2b 36.2a "
+              "5.4a 576.4.quartic 576.3.quartic 576.4.sextic").split()
+    assert sorted(cf.FORMS) == sorted(labels)
+    assert all(form.label == label for label, form in cf.FORMS.items())
+
+
 def test_psi_weight2_weil_bound():
     for p in degree_one_primes(QW, 500):
         b = cf.coeff(cf.FORMS["27.2a"], p)

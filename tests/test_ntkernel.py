@@ -47,6 +47,7 @@ def test_primes_up_to_count_independent_sieve():
         (nt.QI, 20, [5, 13, 17]),
         (nt.QW, 20, [7, 13, 19]),
         (nt.QIW, 100, [13, 37, 61, 73, 97]),
+        (nt.Q, 20, [2, 3, 5, 7, 11, 13, 17, 19]),
     ],
 )
 def test_degree_one_primes(field, bound, expected):

@@ -95,6 +95,8 @@ def test_emit_table_formats_and_rounding():
     assert row[1] == "1.038" and row[2] == "2.956"
     assert row[4] == "56.20"  # 56.205 -> even
     assert row[6] == "1800"   # 1799.5 -> even
+    assert row[7:] == ["0.998", "2.002", "3.826", "9.220", "22.506", "61.02", "170.2"]  # a2 M1..M7
+    assert stats_row(MomentStats(2**10, 100, s.a1, None))[7:] == [""] * 7
     text = emit_table([row])
     assert text.startswith("#n\t")
     aligned = emit_table([row], fmt="aligned")
@@ -197,6 +199,31 @@ def test_cli_classify_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.splitlines()[0].split("\t")[1] == "G_{3,3}"
+
+
+def test_cli_classifies_the_file_motive_classify_writes(tmp_path, capsys):
+    # the '# rank...' and '# top ...' lines come after the table: comments,
+    # not headers, so the file ranks as the one written without --classify
+    ranks = []
+    for extra in ([], ["--classify"]):
+        f = tmp_path / f"stats{len(extra)}.tsv"
+        assert cli.main(["motive", "tensor-ec", "--e1", "0,4", "--e2", "0,1", "--field", "Q(w)",
+                         "--bound-log2", "12", "--out", str(f)] + extra) == 0
+        assert cli.main(["stats", "classify", "--in", str(f)]) == 0
+        ranks.append(capsys.readouterr().out)
+    assert "# top C2" in f.read_text()
+    assert ranks[1] == ranks[0] and ranks[0].startswith("1\tC2\t")
+
+
+@pytest.mark.parametrize("name", [g.name for g in stgroups.catalog()])
+def test_cli_groups_moments_prints_the_table_rows(name, capsys):
+    assert cli.main(["groups", "moments", "--group", name]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "#coeff\t" + "\t".join(f"M{n}" for n in range(2, 17, 2)),
+        "a1\t" + "\t".join(map(str, A1_MOMENTS[name])),
+        "#coeff\t" + "\t".join(f"M{n}" for n in range(1, 10)),
+        "a2\t" + "\t".join(map(str, A2_MOMENTS[name])),
+    ]
 
 
 def test_cli_error_codes(tmp_path, capsys):
