@@ -20,7 +20,8 @@ p^k.  One wrap count W(x) = floor((5x - 1)/(q - 1)) gives every p-power: the
 term at m carries p^W(m) in H_p, and p^(W(m) + W(sigma(m))) in H_{p^2}, where
 sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
 hp_poly sums the m with W(m) < k from two Gamma_p values a term, in pure Python
-(numpy would add half to a c1 process's peak RSS).  hp2_poly folds H_{p^2} into
+(numpy would add half to a c1 process's peak RSS).  hp2_poly sums one m of
+each orbit {m, sigma(m)}, weight 2 off the p - 2 fixed points of sigma, into
 the p - 1 classes of m mod (p - 1) in one numpy int64 kernel, exact for
 p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly share one row body: it takes
 Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and
@@ -190,21 +191,23 @@ def _horner_eval(coeffs: list[int], t: int, mod: int) -> int:
 # the H_{p^2} kernel, at any precision
 
 HP2_MAX_P = 5791  # the largest prime with p^4 < 2^50, the range of _mulmod
-# m values per block: small enough for the temporaries to stay in cache
-# (about 3 MB of peak RSS); a block adds at most this many terms, each at
-# most p^k < 2^50, to a coefficient below p^k, so it stays below 2^62
+# orbit representatives per block, in whole rows (one row if a row is longer):
+# small enough for the temporaries to stay in cache; a block adds at most this
+# many weighted terms (a row at most two), each at most p^k < 2^50, to a
+# coefficient below p^k, so it stays below 2^62
 _HP2_BLOCK = 1 << 11
 
 
 def _mulmod(a, b, m: int):
-    """a * b mod m, exactly, for an int64 array a and an int64 array or int
-    b with 0 <= a, b < m < 2^50.
+    """a * b mod m, exactly, for an int64 array a and an int64 array or int b
+    with 0 <= a, b < 2^53, a * b < 2^50 m and m < 2^50: a, b < m, or the alpha
+    numerators a < D = 5(p^2 - 1) with b < m = p^k that hp2_poly passes at k <= 2.
 
-    The float64 quotient a * (b * (1/m)) carries three roundings of
-    relative size 2^-53 on a value below 2^50, so it is within 3/8 of a*b/m
-    and its nearest integer within 7/8.  The remainder, formed with
-    wrapping int64 products, therefore lies in (-m, m); one correction
-    (adding m where the sign bit is set) lifts it to [0, m).
+    The float64 quotient a * (b * (1/m)) of the exact floats a and b carries
+    three roundings of relative size 2^-53 on a value below 2^50, so it is
+    within 3/8 of a*b/m and its nearest integer within 7/8.  The remainder,
+    formed with wrapping int64 products, therefore lies in (-m, m); one
+    correction (adding m where the sign bit is set) lifts it to [0, m).
     """
     import numpy as np
 
@@ -217,19 +220,25 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     """H_{p^2}(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision
     of `tables`: its p - 1 coefficients, summed in numpy int64.
 
-    Teich(z)^(p-1) = 1, so the term at m adds to the coefficient of degree
-    m mod (p - 1).  Walks m = 1..q-2 (q = p^2) in blocks of _HP2_BLOCK.  The
-    Frobenius twist {p(j/5 + u)}, u = m/(1-q), is the alpha (pj mod 5)/5 at
-    the base-p digit swap sigma(m) = pm mod (q - 1) = (m mod p) p + floor(m/p),
-    so a term takes, at x = m and sigma(m), the alpha numerators (j(q-1) - 5x)
+    Teich(z)^(p-1) = 1, so the term at m, 1 <= m <= q - 2 (q = p^2), adds to
+    the coefficient of degree m mod (p - 1).  The Frobenius twist
+    {p(j/5 + u)}, u = m/(1-q), is the alpha (pj mod 5)/5 at the base-p digit
+    swap sigma(m) = pm mod (q - 1), which sends m = m0 + p m1 to m1 + p m0, so
+    a term takes, at x = m and sigma(m), the alpha numerators (j(q-1) - 5x)
     mod D, D = 5(q - 1), and the beta argument 1 - beta = 5x/D (the sign of
-    Gamma_p(x) Gamma_p(1-x) = +-1 drops out of the betas' fourth power).  Only
-    the terms with e_m = W(m) + W(sigma(m)) < k get gamma work, through
-    GammaTables.gamma_array; each block's terms are added into the p - 1 classes.
+    Gamma_p(x) Gamma_p(1-x) = +-1 drops out of the betas' fourth power).  The
+    term and e_m = W(m) + W(sigma(m)) are symmetric in m and sigma(m) = m
+    mod (p - 1), so the walk takes the m <= sigma(m), i.e. m1 <= m0: rows
+    m0 = p-1..1 of m1 = 0..m0, whole rows to a block of about _HP2_BLOCK,
+    weight 2, or 1 at the p - 2 fixed points m0 = m1 (the multiples of p + 1
+    in 0 < m < q - 1).  Only the terms with e_m < k get gamma work, through
+    GammaTables.gamma_array (m = q - 1, a row's last, has e_m = 8); each
+    block's weighted terms are reduced mod p^k and added into the p - 1 classes.
 
     Exact for p <= HP2_MAX_P: p^k < 2^50 is the range of _mulmod, every
-    other int64 intermediate is below 2p^k, and a class is below p^k plus
-    one block's terms, each at most p^k, so below 2^62.  Larger p raise
+    other int64 intermediate is below 2p^k or D, and a class is below p^k plus
+    at most _HP2_BLOCK of a block's terms (a row of m1 = 0..m0 puts at most
+    two in a class), each at most p^k, so below 2^62.  Larger p raise
     ValueError.
     """
     if p > HP2_MAX_P:
@@ -237,7 +246,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
                          f"got p={p}")
     import numpy as np
 
-    # A block's temporaries (up to 10 * _HP2_BLOCK int64, 160 KB) sit above glibc's
+    # A block's temporaries (10 rows of up to 5791 int64, 460 KB) sit above glibc's
     # initial 128 KB mmap threshold, so each would be a fresh mapping whose pages
     # fault in again.  Freeing one 1 MB buffer lifts glibc's dynamic threshold past
     # them: a B = 2^10 c2 stream takes 14k minor page faults with it, 4.3M without.
@@ -254,15 +263,20 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     # the eight Gamma_p({p^v j/5}), and ({p j/5}) permutes ({j/5}), so Gamma_p(x)
     # Gamma_p(1 - x) = +-1, pairing j/5 with (5 - j)/5, makes that product (+-1)^2 = 1
     coeffs[0] = 1
-    for m0 in range(1, q - 1, _HP2_BLOCK):
-        m = np.arange(m0, min(m0 + _HP2_BLOCK, q - 1), dtype=np.int64)
-        x = np.stack([m, m % p * p + m // p])  # m and sigma(m)
+    hi = p  # rows m0 = lo..hi-1, m1 = 0..m0, of about _HP2_BLOCK orbit representatives
+    while hi > 1:
+        lo = max(1, hi - max(1, _HP2_BLOCK // hi))
+        lens = np.arange(lo + 1, hi + 1)
+        x = np.stack([np.repeat(lens - 1, lens),
+                      np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)])
+        x = x + p * x[::-1]  # m = m0 + p m1 and sigma(m) = m1 + p m0
+        hi = lo
         # e_m = 8 - sum(alpha floors) + 4 sum(beta floors), floors of (p^v N - 5 p^v m)/D at
         # twist v: -W(m) and -1 at v = 0; as pm = sigma(m) + (q - 1) m1, m1 = floor(m/p), at
         # v = 1 they are -W(sigma(m)) - 4 m1 and -1 - m1, so e_m = W(m) + W(sigma(m)) >= 0
         e = _wraps(x, q).sum(axis=0)
-        keep = e < k
-        m, e, x5 = m[keep], e[keep], 5 * x[:, None, keep]
+        keep = e < k  # drops m = q - 1 too: e = 8
+        x, e, x5 = x[:, keep], e[keep], 5 * x[:, None, keep]
         # rows [alpha_j(m), beta(m), alpha_j(sigma m), beta(sigma m)]
         n = np.concatenate(((jq - x5) % d, x5), axis=1).reshape(10, -1)
         g = tables.gamma_array(_mulmod(n, invd, pk))
@@ -270,7 +284,8 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
         b = _mulmod(g[4], g[4], pk)
         g = _mulmod(g[:2], g[2:4], pk)
         t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk) % pmod[e] * ppow[e]
-        np.add.at(coeffs, m % (p - 1), np.where(e & 1, pk - t, t))  # (-1)^eta_m, eta_m = e - 8
+        t = t * (1 + (x[0] < x[1])) % pk  # weight 2 off the p - 2 fixed points m0 = m1
+        np.add.at(coeffs, x[0] % (p - 1), np.where(e & 1, pk - t, t))  # (-1)^eta_m, eta_m = e - 8
         coeffs %= pk
     scale = pow(1 - q, -1, pk)
     return [c * scale % pk for c in coeffs.tolist()]

@@ -106,15 +106,15 @@ MUTANTS = [
            "    tz = rational_mod(z.numerator, z.denominator, pk)",
            (HG + "test_c1_balanced_lift_matches_p4_path",), "the row body evaluates at z"),
     # the H_{p^2} kernel
-    Mutant("sigma-identity", PH, "x = np.stack([m, m % p * p + m // p])",
-           "x = np.stack([m, m])", HP2, "sigma(m) = m: no Frobenius twist"),
+    Mutant("sigma-identity", PH, "x = x + p * x[::-1]", "x = (x + p * x[::-1])[[0, 0]]", HP2,
+           "sigma(m) = m: no Frobenius twist"),
     Mutant("hp2-e-without-sigma", PH, "e = _wraps(x, q).sum(axis=0)", "e = _wraps(x[0], q)",
            HP2, "e_m = W(m), the twist's wraps dropped"),
     Mutant("beta-argument-complement", PH, "n = np.concatenate(((jq - x5) % d, x5), axis=1)",
            "n = np.concatenate(((jq - x5) % d, d - x5), axis=1)", HP2,
            "beta argument D - 5x in place of 5x"),
-    Mutant("class-index-shifted", PH, "np.add.at(coeffs, m % (p - 1),",
-           "np.add.at(coeffs, (m + 1) % (p - 1),", HP2, "each term in the next class"),
+    Mutant("class-index-shifted", PH, "np.add.at(coeffs, x[0] % (p - 1),",
+           "np.add.at(coeffs, (x[0] + 1) % (p - 1),", HP2, "each term in the next class"),
     Mutant("hp2-m0-term-dropped", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 0\n", HP2,
            "the m = 0 term left out"),
     Mutant("hp2-m0-term-doubled", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 2\n", HP2,
@@ -123,11 +123,19 @@ MUTANTS = [
            "        coeffs %= pk // p\n", HP2, "classes reduced mod p^(k-1)"),
     Mutant("block-reduction-dropped", PH, "        coeffs %= pk\n", "", HP2,
            "classes left unreduced until the final scale",
-           equivalent="each class takes at most p + 1 terms below p^4, and (p + 2) p^4 < "
-                      "0.71 * 2^63 at p = HP2_MAX_P = 5791, so the int64 sums stay exact"),
+           equivalent="a class takes at most (p + 3)/2 orbit representatives (the p + 1 "
+                      "m of its class paired by sigma, at most two fixed points), each "
+                      "weighted term reduced to at most p^4, and (p + 5)/2 p^4 < 0.36 * 2^63 "
+                      "at p = HP2_MAX_P = 5791, so the int64 sums stay exact"),
     Mutant("hp2-keep-below-4", PH, "keep = e < k", "keep = e < 4",
            (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
            "gamma work kept for e_m < 4 whatever k is"),
+    Mutant("hp2-weight-one", PH, "t = t * (1 + (x[0] < x[1])) % pk", "t = t * 1 % pk", HP2,
+           "every orbit representative weighted 1: sigma(m) left out"),
+    Mutant("hp2-fixed-points-weight-two", PH, "t = t * (1 + (x[0] < x[1])) % pk",
+           "t = t * 2 % pk", HP2, "the p - 2 fixed points of sigma counted twice"),
+    Mutant("hp2-fixed-points-dropped", PH, "keep = e < k", "keep = (e < k) & (x[0] != x[1])",
+           HP2, "the walk over m1 < m0 only: the fixed points m0 = m1 left out"),
     # the gamma tables
     Mutant("g1-equals-plus-g0", PH, "        c = -b % m\n", "        c = b % m\n",
            (TG + "test_recurrence_matches_exact_integers",), "G_1 = +G_0"),

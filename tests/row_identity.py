@@ -1,5 +1,5 @@
-"""Identity of the Dwork streams, the gamma tables, the exact moment engine
-and the CM coefficients between two checkouts.
+"""Identity of the Dwork streams, the gamma tables, the H_{p^2} vectors, the
+exact moment engine and the CM coefficients between two checkouts.
 
     PYTHONPATH=<old checkout>/src python tests/row_identity.py record rows.json
     PYTHONPATH=src python tests/row_identity.py check rows.json
@@ -12,7 +12,9 @@ otherwise; the first differing row of each stream is printed.  The rows are
 (p, c1) for every p <= 2^14 at z in {-1, 2, 1/3}, all computed with
 jobs = 2.  The tables are the SHA-256 of GammaTables(p, k).C, the cubic
 Gamma_p(x0 + py) by residue x0, for every prime 7 <= p <= 2^10 and
-p in {5791, 8191} at k = 1, 2, 3, 4.  The moment entries are, for every
+p in {5791, 8191} at k = 1, 2, 3, 4.  The H_{p^2} entries are the SHA-256 of
+hp2_poly(p, GammaTables(p, 4)), the coefficient vector in Teich(z), at
+p in HP2_PRIMES, up to HP2_MAX_P = 5791.  The moment entries are, for every
 catalog group, the exact a1 moments M_0..M_18 and a2 moments M_0..M_12, each
 component's `component_moment` at the same orders (as str(Fraction)), and
 the group's `invariants`; these orders go past the printed tables, and only
@@ -45,6 +47,7 @@ STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
            + [(f"c1 z={z} B=2^14", z, 2**14, True) for z in ("-1", "2", "1/3")])
 TABLE_PRIMES = [p for p in range(7, 2**10) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 TABLES = [(p, k) for p in TABLE_PRIMES + [5791, 8191] for k in (1, 2, 3, 4)]
+HP2_PRIMES = (1021, 2039, 4093, 5791)
 MOMENT_ORDERS = {"a1": range(19), "a2": range(13)}
 COEFF_BOUND = 2**16
 
@@ -53,6 +56,12 @@ def table_digest(p: int, k: int) -> str:
     from stmotives.padic_hypergeom import GammaTables
 
     return hashlib.sha256(json.dumps([list(c) for c in GammaTables(p, k).C]).encode()).hexdigest()
+
+
+def hp2_digest(p: int) -> str:
+    from stmotives.padic_hypergeom import GammaTables, hp2_poly
+
+    return hashlib.sha256(json.dumps(hp2_poly(p, GammaTables(p, 4))).encode()).hexdigest()
 
 
 def moment_entries() -> dict[str, list]:
@@ -103,6 +112,10 @@ def compute() -> dict[str, list | str]:
         out[f"GammaTables({p}, {k}).C"] = table_digest(p, k)
     print(f"{len(TABLES)} gamma tables, {time.perf_counter() - t0:.1f} s", flush=True)
     t0 = time.perf_counter()
+    for p in HP2_PRIMES:
+        out[f"hp2_poly({p})"] = hp2_digest(p)
+    print(f"{len(HP2_PRIMES)} hp2_poly vectors, {time.perf_counter() - t0:.1f} s", flush=True)
+    t0 = time.perf_counter()
     moments = moment_entries()
     print(f"{len(moments)} moment and invariant entries, {time.perf_counter() - t0:.1f} s",
           flush=True)
@@ -140,9 +153,10 @@ def main(argv: list[str]) -> int:
             print(f"MISMATCH {name}: {len(old)} recorded items, {len(new)} now; first differing "
                   f"item {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
     n_coeffs = sum(name.startswith(("coeff(", "ec_trace(")) for name in entries)
-    n_moments = len(entries) - len(STREAMS) - len(TABLES) - n_coeffs
+    n_moments = len(entries) - len(STREAMS) - len(TABLES) - len(HP2_PRIMES) - n_coeffs
     print(f"{len(entries) - bad} of {len(entries)} entries identical ({len(STREAMS)} streams, "
-          f"{len(TABLES)} gamma tables, {n_moments} moment and invariant entries, "
+          f"{len(TABLES)} gamma tables, {len(HP2_PRIMES)} hp2_poly vectors, "
+          f"{n_moments} moment and invariant entries, "
           f"{n_coeffs} coefficient entries)")
     return 1 if bad else 0
 

@@ -274,6 +274,29 @@ def test_mulmod_exact_near_top_of_range(p):
     assert got.tolist() == [x * y % m for x, y in zip(a.tolist(), b.tolist())]
     # the scalar-operand form the kernel uses for n * D^-1
     assert ph._mulmod(a, m - 1, m).tolist() == [x * (m - 1) % m for x in a.tolist()]
+    # at k <= 2 the kernel's alpha numerators n < D = 5(p^2 - 1) pass m = p^k
+    d = 5 * (p * p - 1)
+    n = np.array([0, 1, p, p * p, d - 2, d - 1] + rng.integers(0, d, 5000).tolist(), dtype=np.int64)
+    for pk in (p, p * p):
+        inv = pow(d, -1, pk)
+        assert ph._mulmod(n, inv, pk).tolist() == [x * inv % pk for x in n.tolist()]
+
+
+def test_hp2_poly_peak_memory_stays_flat():
+    """The H_{p^2} kernel holds one block at a time, never an array of size
+    p^2 (8 MB at p = 1021): its traced peak, the 1 MB buffer it frees
+    included, stays below 2 MB."""
+    import tracemalloc
+
+    tables = ph.GammaTables(1021, 4)
+    tables.gamma_array(np.arange(3, dtype=np.int64))  # the cached int64 columns
+    tracemalloc.start()
+    try:
+        ph.hp2_poly(1021, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 def test_hp2_kernel_rejects_p_past_int64_range():
