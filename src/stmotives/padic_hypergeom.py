@@ -21,9 +21,9 @@ term at m carries p^W(m) in H_p, and p^(W(m) + W(sigma(m))) in H_{p^2}, where
 sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
 hp_poly sums the m with W(m) < k from two Gamma_p values a term, in pure Python
 (numpy would add half to a c1 process's peak RSS).  hp2_poly sums one m of
-each orbit {m, sigma(m)}, weight 2 off the p - 2 fixed points of sigma, into
-the p - 1 classes of m mod (p - 1) in one numpy int64 kernel, exact for
-p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly share one row body: it takes
+each orbit {m, sigma(m)}, weight 2 off the p - 2 fixed points of sigma, from
+four Gamma_p values a term, into the p - 1 classes of m mod (p - 1) in one
+numpy int64 kernel, exact for p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly share one row body: it takes
 Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and
 hp2_poly at k = 4 for c2, each by Horner, and lifts c1 and 2p c2 to integers;
 the LPoly it returns checks the Weil windows.  Every trace is a plain int mod p^k.
@@ -193,15 +193,15 @@ def _horner_eval(coeffs: list[int], t: int, mod: int) -> int:
 HP2_MAX_P = 5791  # the largest prime with p^4 < 2^50, the range of _mulmod
 # orbit representatives per block, in whole rows (one row if a row is longer):
 # small enough for the temporaries to stay in cache; a block adds at most this
-# many weighted terms (a row at most two), each at most p^k < 2^50, to a
-# coefficient below p^k, so it stays below 2^62
-_HP2_BLOCK = 1 << 11
+# many weighted terms (a row at most two), each below p^k < 2^50, to a
+# coefficient below p^k, so it stays below 2^63
+_HP2_BLOCK = 1 << 12
 
 
 def _mulmod(a, b, m: int):
     """a * b mod m, exactly, for an int64 array a and an int64 array or int b
-    with 0 <= a, b < 2^53, a * b < 2^50 m and m < 2^50: a, b < m, or the alpha
-    numerators a < D = 5(p^2 - 1) with b < m = p^k that hp2_poly passes at k <= 2.
+    with 0 <= a, b < 2^53, a * b < 2^50 m and m < 2^50: a, b < m, or the
+    a = m, sigma(m) < p^2 with b < m = p that hp2_poly passes at precision 1.
 
     The float64 quotient a * (b * (1/m)) of the exact floats a and b carries
     three roundings of relative size 2^-53 on a value below 2^50, so it is
@@ -221,24 +221,36 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     of `tables`: its p - 1 coefficients, summed in numpy int64.
 
     Teich(z)^(p-1) = 1, so the term at m, 1 <= m <= q - 2 (q = p^2), adds to
-    the coefficient of degree m mod (p - 1).  The Frobenius twist
-    {p(j/5 + u)}, u = m/(1-q), is the alpha (pj mod 5)/5 at the base-p digit
-    swap sigma(m) = pm mod (q - 1), which sends m = m0 + p m1 to m1 + p m0, so
-    a term takes, at x = m and sigma(m), the alpha numerators (j(q-1) - 5x)
-    mod D, D = 5(q - 1), and the beta argument 1 - beta = 5x/D (the sign of
-    Gamma_p(x) Gamma_p(1-x) = +-1 drops out of the betas' fourth power).  The
-    term and e_m = W(m) + W(sigma(m)) are symmetric in m and sigma(m) = m
+    the coefficient of degree m mod (p - 1).  The Frobenius twist {p(j/5 + u)},
+    u = m/(1-q), is the alpha (pj mod 5)/5 at the base-p digit swap
+    sigma(m) = pm mod (q - 1), which sends m = m0 + p m1 to m1 + p m0, so with
+    u_x = x/(1-q) = -b_x and e_m = W(m) + W(sigma(m)) the term at m is
+
+      (-p)^e_m prod_{x = m, sigma(m)} Gamma_p(b_x)^4 prod_{j=1..4} Gamma_p({j/5 + u_x})
+
+    * Gauss multiplication (as in hp_poly): the {j/5 + u}, j = 0..4, are the
+      (V + i)/5, V = {5u} = 5u + W(x) + 1, so no wrapped alpha needs a
+      correction: prod_{j>=1} = eps_5 5^(1-R) c^Q Gamma_p(V) / Gamma_p(1 - b),
+      V = R + pQ.  As sum_x V_x = 5(m0 + m1)/(1 - p) + e_m + 2 and
+      c^(1/(1-p)) = 5/omega(5), the pair's 5^(1-R) c^Q is omega(5)^(-5(m0+m1))
+      times prod_x 5^(f - W(x)), f = floor((5 x0 + W(x))/p), x0 = x mod p.
+    * Reflection: 1/Gamma_p(1 - b) = (-1)^R(b) Gamma_p(b), R(b) = -x0 mod p:
+      the pair's sign is (-1)^(m0 + m1), and with omega(5)^(-5(m0+m1)) it is
+      r^c, r = -omega(5)^(-5), taken once per class c = m mod (p - 1).
+
+    A term thus takes Gamma_p at b_x and V_x and the entries (-p)^W 5^(f - W)
+    of a table by (W(x), x0).  It and e_m are symmetric in m and sigma(m) = m
     mod (p - 1), so the walk takes the m <= sigma(m), i.e. m1 <= m0: rows
     m0 = p-1..1 of m1 = 0..m0, whole rows to a block of about _HP2_BLOCK,
     weight 2, or 1 at the p - 2 fixed points m0 = m1 (the multiples of p + 1
-    in 0 < m < q - 1).  Only the terms with e_m < k get gamma work, through
-    GammaTables.gamma_array (m = q - 1, a row's last, has e_m = 8); each
-    block's weighted terms are reduced mod p^k and added into the p - 1 classes.
+    in 0 < m < q - 1).  Only the terms with e_m < k get gamma work (m = q - 1,
+    a row's last, has e_m = 8); each block's weighted terms are reduced mod
+    p^k and added into the p - 1 classes.
 
     Exact for p <= HP2_MAX_P: p^k < 2^50 is the range of _mulmod, every
-    other int64 intermediate is below 2p^k or D, and a class is below p^k plus
-    at most _HP2_BLOCK of a block's terms (a row of m1 = 0..m0 puts at most
-    two in a class), each at most p^k, so below 2^62.  Larger p raise
+    other int64 intermediate is below 5p^k or q, and a class is below p^k
+    plus at most _HP2_BLOCK of a block's terms (a row of m1 = 0..m0 puts at
+    most two in a class), each below p^k, so below 2^63.  Larger p raise
     ValueError.
     """
     if p > HP2_MAX_P:
@@ -246,22 +258,23 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
                          f"got p={p}")
     import numpy as np
 
-    # A block's temporaries (10 rows of up to 5791 int64, 460 KB) sit above glibc's
+    # A block's temporaries (4 rows of up to 5791 int64, 185 KB) reach glibc's
     # initial 128 KB mmap threshold, so each would be a fresh mapping whose pages
     # fault in again.  Freeing one 1 MB buffer lifts glibc's dynamic threshold past
-    # them: a B = 2^10 c2 stream takes 14k minor page faults with it, 4.3M without.
+    # them: a serial B = 2^10 c2 stream takes 0.7k minor page faults with it, 320k without.
     np.empty(1 << 17, dtype=np.int64)
     q = p * p
     k, pk = tables.k, tables.pk
-    d = 5 * (q - 1)
-    invd = pow(d, -1, pk)
-    jq = np.arange(1, 5, dtype=np.int64)[:, None] * (q - 1)
-    ppow = np.array([p**e for e in range(k)], dtype=np.int64)
-    pmod = pk // ppow
+    invq = pow(q - 1, -1, pk)
+    # (-p)^W 5^(f - W) by wrap count W < k and digit x0, f = floor((5 x0 + W)/p) in 0..4
+    w = np.arange(k)[:, None]
+    fac = np.array([[(-p) ** v * pow(5, f - v, pk) % pk for f in range(5)] for v in range(k)],
+                   dtype=np.int64)[w, (5 * np.arange(p) + w) // p].ravel()
     coeffs = np.zeros(p - 1, dtype=np.int64)
     # the m = 0 term is 1: a term's alpha gammas are divided by their m = 0 product,
-    # the eight Gamma_p({p^v j/5}), and ({p j/5}) permutes ({j/5}), so Gamma_p(x)
-    # Gamma_p(1 - x) = +-1, pairing j/5 with (5 - j)/5, makes that product (+-1)^2 = 1
+    # the eight Gamma_p({p^v j/5}), and ({p j/5}) permutes ({j/5}), so that is eps_5^2,
+    # the two twists' Gauss constants (it is 1, too: Gamma_p(x) Gamma_p(1 - x) = +-1
+    # pairs j/5 with (5 - j)/5)
     coeffs[0] = 1
     hi = p  # rows m0 = lo..hi-1, m1 = 0..m0, of about _HP2_BLOCK orbit representatives
     while hi > 1:
@@ -274,21 +287,25 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
         # e_m = 8 - sum(alpha floors) + 4 sum(beta floors), floors of (p^v N - 5 p^v m)/D at
         # twist v: -W(m) and -1 at v = 0; as pm = sigma(m) + (q - 1) m1, m1 = floor(m/p), at
         # v = 1 they are -W(sigma(m)) - 4 m1 and -1 - m1, so e_m = W(m) + W(sigma(m)) >= 0
-        e = _wraps(x, q).sum(axis=0)
-        keep = e < k  # drops m = q - 1 too: e = 8
-        x, e, x5 = x[:, keep], e[keep], 5 * x[:, None, keep]
-        # rows [alpha_j(m), beta(m), alpha_j(sigma m), beta(sigma m)]
-        n = np.concatenate(((jq - x5) % d, x5), axis=1).reshape(10, -1)
-        g = tables.gamma_array(_mulmod(n, invd, pk))
-        g = _mulmod(g[:5], g[5:], pk)  # four alpha pairs and the beta pair
-        b = _mulmod(g[4], g[4], pk)
-        g = _mulmod(g[:2], g[2:4], pk)
-        t = _mulmod(_mulmod(g[0], g[1], pk), _mulmod(b, b, pk), pk) % pmod[e] * ppow[e]
+        w = _wraps(x, q)
+        keep = w.sum(axis=0) < k  # drops m = q - 1 too: e_m = 8
+        x, w = x[:, keep], w[:, keep]
+        b = _mulmod(x, invq, pk)
+        g = tables.gamma_array(np.concatenate((b, (w + 1 - 5 * b) % pk)))  # at b and V
+        gb = _mulmod(g[0], g[1], pk)
+        gb2 = _mulmod(gb, gb, pk)
+        f = fac[w * p + x % p]
+        t = _mulmod(_mulmod(gb2, gb2, pk), _mulmod(gb, _mulmod(g[2], g[3], pk), pk), pk)
+        t = _mulmod(t, _mulmod(f[0], f[1], pk), pk)
         t = t * (1 + (x[0] < x[1])) % pk  # weight 2 off the p - 2 fixed points m0 = m1
-        np.add.at(coeffs, x[0] % (p - 1), np.where(e & 1, pk - t, t))  # (-1)^eta_m, eta_m = e - 8
+        np.add.at(coeffs, x[0] % (p - 1), t)
         coeffs %= pk
-    scale = pow(1 - q, -1, pk)
-    return [c * scale % pk for c in coeffs.tolist()]
+    r, scale = -pow(teichmuller(5, p, k), -5, pk), pow(1 - q, -1, pk)
+    out = []
+    for c in coeffs.tolist():  # r^c = (-1)^c omega(5)^(-5c) in class c
+        out.append(c * scale % pk)
+        scale = scale * r % pk
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -108,11 +108,21 @@ MUTANTS = [
     # the H_{p^2} kernel
     Mutant("sigma-identity", PH, "x = x + p * x[::-1]", "x = (x + p * x[::-1])[[0, 0]]", HP2,
            "sigma(m) = m: no Frobenius twist"),
-    Mutant("hp2-e-without-sigma", PH, "e = _wraps(x, q).sum(axis=0)", "e = _wraps(x[0], q)",
-           HP2, "e_m = W(m), the twist's wraps dropped"),
-    Mutant("beta-argument-complement", PH, "n = np.concatenate(((jq - x5) % d, x5), axis=1)",
-           "n = np.concatenate(((jq - x5) % d, d - x5), axis=1)", HP2,
-           "beta argument D - 5x in place of 5x"),
+    Mutant("hp2-w-without-sigma", PH, "        w = _wraps(x, q)\n",
+           "        w = _wraps(x, q) * [[1], [0]]\n", HP2,
+           "W(sigma(m)) = 0: the twist's wraps dropped from e_m, V and the table"),
+    Mutant("beta-argument-complement", PH, "np.concatenate((b, (w + 1 - 5 * b) % pk))",
+           "np.concatenate((pk - b, (w + 1 - 5 * b) % pk))", HP2,
+           "Gamma_p at 1 - beta = -b in place of b"),
+    Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HP2,
+           "V = 5u + 1: the wrap count left out of {5u}"),
+    Mutant("gauss-f-without-wraps", PH, "(5 * np.arange(p) + w) // p", "5 * np.arange(p) // p",
+           HP2, "f = floor(5 x0/p): the wrap count left out of the 5-power"),
+    Mutant("gauss-reflection-gamma-dropped", PH,
+           "_mulmod(gb, _mulmod(g[2], g[3], pk), pk)", "_mulmod(g[2], g[3], pk)", HP2,
+           "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
+    Mutant("class-sign-dropped", PH, "r, scale = -pow(", "r, scale = pow(", HP2,
+           "r = omega(5)^(-5): the pair's sign (-1)^(m0 + m1) left out"),
     Mutant("class-index-shifted", PH, "np.add.at(coeffs, x[0] % (p - 1),",
            "np.add.at(coeffs, (x[0] + 1) % (p - 1),", HP2, "each term in the next class"),
     Mutant("hp2-m0-term-dropped", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 0\n", HP2,
@@ -125,16 +135,17 @@ MUTANTS = [
            "classes left unreduced until the final scale",
            equivalent="a class takes at most (p + 3)/2 orbit representatives (the p + 1 "
                       "m of its class paired by sigma, at most two fixed points), each "
-                      "weighted term reduced to at most p^4, and (p + 5)/2 p^4 < 0.36 * 2^63 "
+                      "weighted term reduced below p^4, and (p + 5)/2 p^4 < 0.36 * 2^63 "
                       "at p = HP2_MAX_P = 5791, so the int64 sums stay exact"),
-    Mutant("hp2-keep-below-4", PH, "keep = e < k", "keep = e < 4",
+    Mutant("hp2-keep-below-4", PH, "keep = w.sum(axis=0) < k", "keep = w.sum(axis=0) < 4",
            (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
            "gamma work kept for e_m < 4 whatever k is"),
     Mutant("hp2-weight-one", PH, "t = t * (1 + (x[0] < x[1])) % pk", "t = t * 1 % pk", HP2,
            "every orbit representative weighted 1: sigma(m) left out"),
     Mutant("hp2-fixed-points-weight-two", PH, "t = t * (1 + (x[0] < x[1])) % pk",
            "t = t * 2 % pk", HP2, "the p - 2 fixed points of sigma counted twice"),
-    Mutant("hp2-fixed-points-dropped", PH, "keep = e < k", "keep = (e < k) & (x[0] != x[1])",
+    Mutant("hp2-fixed-points-dropped", PH, "keep = w.sum(axis=0) < k",
+           "keep = (w.sum(axis=0) < k) & (x[0] != x[1])",
            HP2, "the walk over m1 < m0 only: the fixed points m0 = m1 left out"),
     # the gamma tables
     Mutant("g1-equals-plus-g0", PH, "        c = -b % m\n", "        c = b % m\n",

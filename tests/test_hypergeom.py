@@ -274,12 +274,11 @@ def test_mulmod_exact_near_top_of_range(p):
     assert got.tolist() == [x * y % m for x, y in zip(a.tolist(), b.tolist())]
     # the scalar-operand form the kernel uses for n * D^-1
     assert ph._mulmod(a, m - 1, m).tolist() == [x * (m - 1) % m for x in a.tolist()]
-    # at k <= 2 the kernel's alpha numerators n < D = 5(p^2 - 1) pass m = p^k
-    d = 5 * (p * p - 1)
-    n = np.array([0, 1, p, p * p, d - 2, d - 1] + rng.integers(0, d, 5000).tolist(), dtype=np.int64)
-    for pk in (p, p * p):
-        inv = pow(d, -1, pk)
-        assert ph._mulmod(n, inv, pk).tolist() == [x * inv % pk for x in n.tolist()]
+    # at k = 1 the kernel's m and sigma(m), below p^2, pass m = p
+    q = p * p
+    x = np.array([0, 1, p - 1, p, q - 2, q - 1] + rng.integers(0, q, 5000).tolist(), dtype=np.int64)
+    for inv in (1, p - 1, pow(q - 1, -1, p)):
+        assert ph._mulmod(x, inv, p).tolist() == [v * inv % p for v in x.tolist()]
 
 
 def test_hp2_poly_peak_memory_stays_flat():
