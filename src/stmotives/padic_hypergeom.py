@@ -23,10 +23,11 @@ hp_poly sums the m with W(m) < k from two Gamma_p values a term, in pure Python
 (numpy would add half to a c1 process's peak RSS).  hp2_poly sums one m of
 each orbit {m, sigma(m)}, weight 2 off the p - 2 fixed points of sigma, from
 four Gamma_p values a term, into the p - 1 classes of m mod (p - 1) in one
-numpy int64 kernel, exact for p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly share one row body: it takes
-Teich(z) once and evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and
-hp2_poly at k = 4 for c2, each by Horner, and lifts c1 and 2p c2 to integers;
-the LPoly it returns checks the Weil windows.  Every trace is a plain int mod p^k.
+numpy int64 kernel, exact for p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly
+share one row body: it takes Teich(z) once and evaluates hp_poly at k = 2
+(c1, p > 64) or k = 4, and hp2_poly at k = 4 for c2, each by Horner, and lifts
+c1 and 2p c2 to integers; the LPoly it returns checks the Weil windows.  Every
+trace is a plain int mod p^k.
 
 At p <= 13 the c2 window [-4p^3, 12p^3] would need p^5 or p^6, which the
 series tables do not reach.  A row depends on z only through z mod p, so
@@ -201,7 +202,7 @@ _HP2_BLOCK = 1 << 12
 def _mulmod(a, b, m: int):
     """a * b mod m, exactly, for an int64 array a and an int64 array or int b
     with 0 <= a, b < 2^53, a * b < 2^50 m and m < 2^50: a, b < m, or the
-    a = m, sigma(m) < p^2 with b < m = p that hp2_poly passes at precision 1.
+    a < p^2 (m and sigma(m)) with b < m = p that hp2_poly passes at k = 1.
 
     The float64 quotient a * (b * (1/m)) of the exact floats a and b carries
     three roundings of relative size 2^-53 on a value below 2^50, so it is
@@ -261,15 +262,16 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     # A block's temporaries (4 rows of up to 5791 int64, 185 KB) reach glibc's
     # initial 128 KB mmap threshold, so each would be a fresh mapping whose pages
     # fault in again.  Freeing one 1 MB buffer lifts glibc's dynamic threshold past
-    # them: a serial B = 2^10 c2 stream takes 0.7k minor page faults with it, 320k without.
+    # them: a serial B = 2^10 c2 stream takes 0.7k minor page faults with it, 320k
+    # without.
     np.empty(1 << 17, dtype=np.int64)
     q = p * p
     k, pk = tables.k, tables.pk
     invq = pow(q - 1, -1, pk)
     # (-p)^W 5^(f - W) by wrap count W < k and digit x0, f = floor((5 x0 + W)/p) in 0..4
-    w = np.arange(k)[:, None]
+    ws = np.arange(k)[:, None]
     fac = np.array([[(-p) ** v * pow(5, f - v, pk) % pk for f in range(5)] for v in range(k)],
-                   dtype=np.int64)[w, (5 * np.arange(p) + w) // p].ravel()
+                   dtype=np.int64)[ws, (5 * np.arange(p) + ws) // p].ravel()
     coeffs = np.zeros(p - 1, dtype=np.int64)
     # the m = 0 term is 1: a term's alpha gammas are divided by their m = 0 product,
     # the eight Gamma_p({p^v j/5}), and ({p j/5}) permutes ({j/5}), so that is eps_5^2,

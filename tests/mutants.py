@@ -116,7 +116,7 @@ MUTANTS = [
            "Gamma_p at 1 - beta = -b in place of b"),
     Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HP2,
            "V = 5u + 1: the wrap count left out of {5u}"),
-    Mutant("gauss-f-without-wraps", PH, "(5 * np.arange(p) + w) // p", "5 * np.arange(p) // p",
+    Mutant("gauss-f-without-wraps", PH, "(5 * np.arange(p) + ws) // p", "5 * np.arange(p) // p",
            HP2, "f = floor(5 x0/p): the wrap count left out of the 5-power"),
     Mutant("gauss-reflection-gamma-dropped", PH,
            "_mulmod(gb, _mulmod(g[2], g[3], pk), pk)", "_mulmod(g[2], g[3], pk)", HP2,
