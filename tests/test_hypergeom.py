@@ -272,7 +272,7 @@ def test_mulmod_exact_near_top_of_range(p):
                  dtype=np.int64)
     got = ph._mulmod(a, b, m)
     assert got.tolist() == [x * y % m for x, y in zip(a.tolist(), b.tolist())]
-    # the scalar-operand form the kernel uses for n * D^-1
+    # the scalar-operand form the kernel uses for b = x (q - 1)^-1
     assert ph._mulmod(a, m - 1, m).tolist() == [x * (m - 1) % m for x in a.tolist()]
     # at k = 1 the kernel's m and sigma(m), below p^2, pass m = p
     q = p * p
