@@ -1,5 +1,7 @@
 """Hypergeometric trace sums, dual-path identities, Dwork L-polynomials."""
 
+import hashlib
+import json
 import math
 import os
 import pathlib
@@ -159,6 +161,21 @@ def test_hp2_poly_at_every_precision_reduces_the_p4_vector(p):
     top = ph.hp2_poly(p, ph.GammaTables(p, 4))
     for k in (1, 2, 3):
         assert ph.hp2_poly(p, ph.GammaTables(p, k)) == [c % p**k for c in top]
+
+
+# SHA-256 of json.dumps(hp2_poly(p, GammaTables(p, 4))), recorded with the numpy int64
+# kernel that the digit-separated sum replaced; the trace oracle stops below p = 100
+_HP2_DIGESTS = {
+    251: "b178aaf9af9850561613d60f55499abe4cec937e9aca04caea209655c80bad0d",
+    1021: "d956527c9c3574af78909deaf530f73d053014894955bade1380590c2797c4c4",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_HP2_DIGESTS))
+def test_hp2_poly_vectors_pinned_above_the_oracle_range(p):
+    vec = ph.hp2_poly(p, ph.GammaTables(p, 4))
+    assert len(vec) == p - 1
+    assert hashlib.sha256(json.dumps(vec).encode()).hexdigest() == _HP2_DIGESTS[p]
 
 
 def test_hp2_m0_alpha_gammas_multiply_to_one():
