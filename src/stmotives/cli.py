@@ -163,8 +163,9 @@ def cmd_motive(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     if args.construction == "dwork" and not a1_only and bound > HP2_MAX_P:
-        raise CliError(f"dwork --coeffs both needs B <= {HP2_MAX_P} (the H_(p^2) kernel's "
-                       f"int64 range p^4 < 2^50), got B=2^{args.bound_log2}; use --coeffs a1")
+        raise CliError(f"dwork --coeffs both needs B <= {HP2_MAX_P} (the H_(p^2) kernel is "
+                       f"validated up to there: p^4 < 2^50, the range of the int64 kernel it "
+                       f"replaced), got B=2^{args.bound_log2}; use --coeffs a1")
     _check_out(args.out)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     rows = motives.cached_lpoly_stream(spec, bound, cache_dir, a1_only=a1_only, jobs=args.jobs)
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--bound-log2", type=int, required=True, metavar="N", help="norm bound B = 2^N")
     m.add_argument("--coeffs", choices=("a1", "both"), default="both",
                    help="a1: print and classify on c1 alone, leaving the a2 cells "
-                        "empty (for dwork this skips the O(p^2) H_(p^2) sum)")
+                        "empty (for dwork this skips the H_(p^2) sum)")
     m.add_argument("--classify", action="store_true")
     m.add_argument("--format", choices=("tsv", "aligned"), default="tsv")
     m.add_argument("--out", default=None)

@@ -21,7 +21,7 @@ fibers) raise SkippedPrime (cmforms.BadPrimeError is one) and are excluded
 from streams.
 
 cached_lpoly_stream is the one stream: rows (p, c1, c2), or (p, c1) with
-a1_only (for the Dwork pencil c1 alone skips the O(p^2) H_{p^2} sum), over
+a1_only (for the Dwork pencil c1 alone skips the H_{p^2} sum), over
 stream_primes, from one row function _row on the serial, process-pool and
 cached paths, with an optional TSV cache keyed by MotiveSpec.spec_hash.
 """
@@ -280,8 +280,8 @@ def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
             from concurrent.futures import ProcessPoolExecutor
 
             # the pool starts all its workers at once: no more than the CPUs or the
-            # primes.  chunksize 1: per-prime cost is wildly uneven (grows like p^2
-            # for the Dwork construction), so fine-grained dispatch balances better
+            # primes.  chunksize 1: per-prime cost is uneven (it grows like p for
+            # the Dwork construction), so fine-grained dispatch balances better
             workers = max(1, min(jobs, os.cpu_count() or 1, len(primes)))
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 return [r for r in ex.map(row, primes, chunksize=1) if r is not None]

@@ -11,23 +11,23 @@ c1 = -H_p; the pair (H_p, H_{p^2}) mod p^4 gives c2 = (H_p^2 - H_{p^2})/(2p).
 
 One gamma backend, GammaTables: Gamma_p(x0 + p y) mod p^k, k <= 4, as one
 cubic in p y per residue x0, stepped up from the series on p*Z_p by the
-functional equation.  O(p) setup, O(1) per value, through a pure-Python
-gamma_list (the H_p kernel) and an int64-array gamma_array (the H_{p^2} kernel).
+functional equation.  O(p) setup, O(1) per value through gamma_list.
 
 Both traces are polynomials in Teich(z) whose coefficients do not depend on z,
 and Teich(z)^(p-1) = 1, so each is a vector of at most p - 1 coefficients mod
 p^k.  One wrap count W(x) = floor((5x - 1)/(q - 1)) gives every p-power: the
 term at m carries p^W(m) in H_p, and p^(W(m) + W(sigma(m))) in H_{p^2}, where
 sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
-hp_poly sums the m with W(m) < k from two Gamma_p values a term, in pure Python
-(numpy would add half to a c1 process's peak RSS).  hp2_poly sums one m of
-each orbit {m, sigma(m)}, weight 2 off the p - 2 fixed points of sigma, from
-four Gamma_p values a term, into the p - 1 classes of m mod (p - 1) in one
-numpy int64 kernel, exact for p <= HP2_MAX_P = 5791.  dwork_c1 and dwork_lpoly
-share one row body: it takes Teich(z) once and evaluates hp_poly at k = 2
-(c1, p > 64) or k = 4, and hp2_poly at k = 4 for c2, each by Horner, and lifts
-c1 and 2p c2 to integers; the LPoly it returns checks the Weil windows.  Every
-trace is a plain int mod p^k.
+hp_poly sums the m with W(m) < k from two Gamma_p values a term.  hp2_poly
+separates the two digits of m: a term is a sum of products of two factors,
+each a polynomial in one digit, so apart from four rows summed directly the
+sum is 19 cyclic convolutions, each one big-integer product; O(p) work for
+p <= HP2_MAX_P = 5791.  Both kernels are pure Python: no Dwork path imports numpy,
+which would cost each process about 0.13 s of CPU and half its peak RSS.
+dwork_c1 and dwork_lpoly share one row body: it takes Teich(z) once and
+evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and hp2_poly at k = 4 for
+c2, each by Horner, and lifts c1 and 2p c2 to integers; the LPoly it returns
+checks the Weil windows.  Every trace is a plain int mod p^k.
 
 At p <= 13 the c2 window [-4p^3, 12p^3] would need p^5 or p^6, which the
 series tables do not reach.  A row depends on z only through z mod p, so
@@ -40,6 +40,7 @@ product-table gamma backend it runs on.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .ntkernel import rational_mod, teichmuller
 from .records import ConsistencyError, DegenerateFiber, LPoly
@@ -97,21 +98,6 @@ class GammaTables:
         for i, b in enumerate((a1 // p, a2 // p**2, a3 // p**3)[: k - 1], 1):
             C.append(column(b, pk // p**i, C[-1]))
         self.C = tuple(C + [[0] * p] * (4 - k))
-        self._C_np = None
-
-    def gamma_array(self, x):
-        """gamma_list over an int64 numpy array of residues mod p^k."""
-        import numpy as np
-
-        if self._C_np is None:
-            self._C_np = tuple(np.array(c, dtype=np.int64) for c in self.C)
-        C0, C1, C2, C3 = self._C_np
-        x0 = x % self.p
-        py = x - x0
-        g = C3[x0]
-        for c in (C2, C1, C0):
-            g = (c[x0] + _mulmod(py, g, self.pk)) % self.pk
-        return g
 
     def gamma_list(self, xs) -> list[int]:
         """Gamma_p(x) mod p^k for each residue x mod p^k in xs: the cubic of
@@ -191,120 +177,114 @@ def _horner_eval(coeffs: list[int], t: int, mod: int) -> int:
 # ---------------------------------------------------------------------------
 # the H_{p^2} kernel, at any precision
 
-HP2_MAX_P = 5791  # the largest prime with p^4 < 2^50, the range of _mulmod
-# orbit representatives per block, in whole rows (one row if a row is longer):
-# small enough for the temporaries to stay in cache; a block adds at most this
-# many weighted terms (a row at most two), each below p^k < 2^50, to a
-# coefficient below p^k, so it stays below 2^63
-_HP2_BLOCK = 1 << 12
+# the largest p at which the vectors were checked against the numpy int64 kernel that the
+# digit-separated sum replaced (tests/row_identity.py); full rows past it are not yet validated
+HP2_MAX_P = 5791
 
 
-def _mulmod(a, b, m: int):
-    """a * b mod m, exactly, for an int64 array a and an int64 array or int b
-    with 0 <= a, b < 2^53, a * b < 2^50 m and m < 2^50: a, b < m, or the
-    a < p^2 (m and sigma(m)) with b < m = p that hp2_poly passes at k = 1.
+def _terms(tables: GammaTables, lam: int, xs, ws) -> list[int]:
+    """u(x; w) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k for x in xs,
+    w in ws: b = lam x, V = w + 1 - 5b and f = floor((5 x0 + w)/p), x0 = x mod p."""
+    p, pk = tables.p, tables.pk
+    fac = [[(-1) ** w * pow(5, f - w, pk) % pk for f in range(5)] for w in range(tables.k)]
+    bs = [lam * x % pk for x in xs]
+    gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b, w in zip(bs, ws)])
+    return [(g2 := g * g % pk) * g2 % pk * g % pk * v % pk * fac[w][(5 * (x % p) + w) // p] % pk
+            for g, v, x, w in zip(tables.gamma_list(bs), gv, xs, ws)]
 
-    The float64 quotient a * (b * (1/m)) of the exact floats a and b carries
-    three roundings of relative size 2^-53 on a value below 2^50, so it is
-    within 3/8 of a*b/m and its nearest integer within 7/8.  The remainder,
-    formed with wrapping int64 products, therefore lies in (-m, m); one
-    correction (adding m where the sign bit is set) lifts it to [0, m).
-    """
-    import numpy as np
 
-    r = a * b - np.rint(a * (b * (1.0 / m))).astype(np.int64) * m
-    r += (r >> 63) & m
-    return r
+def _pack(vals, nb: int) -> int:
+    """sum_n vals[n] X^n at X = 2^(8 nb), for 0 <= vals[n] < X."""
+    return int.from_bytes(b"".join(map(int.to_bytes, vals, repeat(nb), repeat("little"))),
+                          "little")
 
 
 def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     """H_{p^2}(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision
-    of `tables`: its p - 1 coefficients, summed in numpy int64.
+    of `tables`: its p - 1 coefficients, in O(p) work, for 7 <= p <= HP2_MAX_P.
 
-    Teich(z)^(p-1) = 1, so the term at m, 1 <= m <= q - 2 (q = p^2), adds to
+    Teich(z)^(p-1) = 1, so the term at m, 0 <= m <= q - 2 (q = p^2), adds to
     the coefficient of degree m mod (p - 1).  The Frobenius twist {p(j/5 + u)},
     u = m/(1-q), is the alpha (pj mod 5)/5 at the base-p digit swap
-    sigma(m) = pm mod (q - 1), which sends m = m0 + p m1 to m1 + p m0, so with
-    u_x = x/(1-q) = -b_x and e_m = W(m) + W(sigma(m)) the term at m is
+    sigma(m) = pm mod (q - 1), which sends m = m0 + p m1 to m1 + p m0.  Gauss
+    multiplication and reflection (as in hp_poly; the {j/5 + u}, j = 0..4, are
+    the (V + i)/5, V = {5u}, so no wrapped alpha needs a correction) make the
+    term r^(m0 + m1)/(1 - q) U(m) U(sigma(m)), r = -omega(5)^(-5), with
 
-      (-p)^e_m prod_{x = m, sigma(m)} Gamma_p(b_x)^4 prod_{j=1..4} Gamma_p({j/5 + u_x})
+      U(x) = p^W u(x; W),  W = W(x),  u as in _terms at lam = 1/(q - 1),
 
-    * Gauss multiplication (as in hp_poly): the {j/5 + u}, j = 0..4, are the
-      (V + i)/5, V = {5u} = 5u + W(x) + 1, so no wrapped alpha needs a
-      correction: prod_{j>=1} = eps_5 5^(1-R) c^Q Gamma_p(V) / Gamma_p(1 - b),
-      V = R + pQ.  As sum_x V_x = 5(m0 + m1)/(1 - p) + e_m + 2 and
-      c^(1/(1-p)) = 5/omega(5), the pair's 5^(1-R) c^Q is omega(5)^(-5(m0+m1))
-      times prod_x 5^(f - W(x)), f = floor((5 x0 + W(x))/p), x0 = x mod p.
-    * Reflection: 1/Gamma_p(1 - b) = (-1)^R(b) Gamma_p(b), R(b) = -x0 mod p:
-      the pair's sign is (-1)^(m0 + m1), and with omega(5)^(-5(m0+m1)) it is
-      r^c, r = -omega(5)^(-5), taken once per class c = m mod (p - 1).
+    and W(0) = 0, so the m = 0 term is U(0)^2 = 1.  Digit separation:
 
-    A term thus takes Gamma_p at b_x and V_x and the entries (-p)^W 5^(f - W)
-    of a table by (W(x), x0).  It and e_m are symmetric in m and sigma(m) = m
-    mod (p - 1), so the walk takes the m <= sigma(m), i.e. m1 <= m0: rows
-    m0 = p-1..1 of m1 = 0..m0, whole rows to a block of about _HP2_BLOCK,
-    weight 2, or 1 at the p - 2 fixed points m0 = m1 (the multiples of p + 1
-    in 0 < m < q - 1).  Only the terms with e_m < k get gamma work (m = q - 1,
-    a row's last, has e_m = 8); each block's weighted terms are reduced mod
-    p^k and added into the p - 1 classes.
-
-    Exact for p <= HP2_MAX_P: p^k < 2^50 is the range of _mulmod, every
-    other int64 intermediate is below 5p^k or q, and a class is below p^k
-    plus at most _HP2_BLOCK of a block's terms (a row of m1 = 0..m0 puts at
-    most two in a class), each below p^k, so below 2^63.  Larger p raise
-    ValueError.
+    * Mod p^4, b = -x(1 + p^2) and V are linear in x1 = floor(x/p) with slopes
+      in p Z_p, so for each x0 and w, u(x0 + p x1; w) = sum_j D_j p^j C(x1, j)
+      (Newton's form, D_j p^j the j-th forward difference in x1 at 0), and
+      the term at m is the sum over i, j of
+        p^(W + W' + i + j) [D_j(m0; W) C(m0, i)] [D_i(m1; W') C(m1, j)],
+      W = W(m), W' = W(sigma(m)): 35 terms (W, W', i, j) with
+      W + W' + i + j < k = 4, fewer at lower k.
+    * W(m0 + p m1) is lev(m1) = W(p m1) except on the rows m1 where 5m passes
+      j(q - 1), j = 1..4; by symmetry W(sigma(m)) is lev(m0) off those columns.
+      The crossing rows are summed directly, weight 2 for their sigma images
+      (the crossing columns), 1 where a row meets a column.
+    * Every other point lies on level intervals lev(m0) = W', lev(m1) = W,
+      where each (W, W', i, j) term is a cyclic convolution mod p - 1 of two
+      vectors: one Kronecker product of packed integers.  (W', W, j, i) gives
+      the same convolution, so one of each pair is taken, weight 2.  The
+      products are summed in one integer, shifted to the intervals' starts,
+      and folded mod p - 1 once.
     """
-    if p > HP2_MAX_P:
-        raise ValueError(f"the int64 H_(p^2) kernel needs p^4 < 2^50, i.e. p <= {HP2_MAX_P}; "
-                         f"got p={p}")
-    import numpy as np
-
-    # A block's temporaries (4 rows of up to 5791 int64, 185 KB) reach glibc's
-    # initial 128 KB mmap threshold, so each would be a fresh mapping whose pages
-    # fault in again.  Freeing one 1 MB buffer lifts glibc's dynamic threshold past
-    # them: a serial B = 2^10 c2 stream takes 0.7k minor page faults with it, 320k
-    # without.
-    np.empty(1 << 17, dtype=np.int64)
+    if not 7 <= p <= HP2_MAX_P:
+        raise ValueError(f"hp2_poly is validated for 7 <= p <= {HP2_MAX_P} (p^4 < 2^50, the "
+                         f"range of the int64 kernel it replaced); got p={p}")
     q = p * p
     k, pk = tables.k, tables.pk
-    invq = pow(q - 1, -1, pk)
-    # (-p)^W 5^(f - W) by wrap count W < k and digit x0, f = floor((5 x0 + W)/p) in 0..4
-    ws = np.arange(k)[:, None]
-    fac = np.array([[(-p) ** v * pow(5, f - v, pk) % pk for f in range(5)] for v in range(k)],
-                   dtype=np.int64)[ws, (5 * np.arange(p) + ws) // p].ravel()
-    coeffs = np.zeros(p - 1, dtype=np.int64)
-    # the m = 0 term is 1: a term's alpha gammas are divided by their m = 0 product,
-    # the eight Gamma_p({p^v j/5}), and ({p j/5}) permutes ({j/5}), so that is eps_5^2,
-    # the two twists' Gauss constants (it is 1, too: Gamma_p(x) Gamma_p(1 - x) = +-1
-    # pairs j/5 with (5 - j)/5)
-    coeffs[0] = 1
-    hi = p  # rows m0 = lo..hi-1, m1 = 0..m0, of about _HP2_BLOCK orbit representatives
-    while hi > 1:
-        lo = max(1, hi - max(1, _HP2_BLOCK // hi))
-        lens = np.arange(lo + 1, hi + 1)
-        x = np.stack([np.repeat(lens - 1, lens),
-                      np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)])
-        x = x + p * x[::-1]  # m = m0 + p m1 and sigma(m) = m1 + p m0
-        hi = lo
-        # e_m = 8 - sum(alpha floors) + 4 sum(beta floors), floors of (p^v N - 5 p^v m)/D at
-        # twist v: -W(m) and -1 at v = 0; as pm = sigma(m) + (q - 1) m1, m1 = floor(m/p), at
-        # v = 1 they are -W(sigma(m)) - 4 m1 and -1 - m1, so e_m = W(m) + W(sigma(m)) >= 0
-        w = _wraps(x, q)
-        keep = w.sum(axis=0) < k  # drops m = q - 1 too: e_m = 8
-        x, w = x[:, keep], w[:, keep]
-        b = _mulmod(x, invq, pk)
-        g = tables.gamma_array(np.concatenate((b, (w + 1 - 5 * b) % pk)))  # at b and V
-        gb = _mulmod(g[0], g[1], pk)
-        gb2 = _mulmod(gb, gb, pk)
-        f = fac[w * p + x % p]
-        t = _mulmod(_mulmod(gb2, gb2, pk), _mulmod(gb, _mulmod(g[2], g[3], pk), pk), pk)
-        t = _mulmod(t, _mulmod(f[0], f[1], pk), pk)
-        t = t * (1 + (x[0] < x[1])) % pk  # weight 2 off the p - 2 fixed points m0 = m1
-        np.add.at(coeffs, x[0] % (p - 1), t)
-        coeffs %= pk
+    lam = pow(q - 1, -1, pk)
+    cross = [j * (q - 1) // (5 * p) for j in range(1, 5)]  # lev(y) = j - 1 on cross[j - 1]
+    top = cross[k - 1] + 1  # lev(y) >= k from here on: every term vanishes
+    coeffs = [0] * (p - 1)
+    for r in cross[:k]:  # the crossing rows m1 = r; past cross[k - 1], W >= k
+        pts = [(m0, _wraps(m0 + p * r, q), _wraps(r + p * m0, q)) for m0 in range(top)]
+        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < k]
+        ua = _terms(tables, lam, [m0 + p * r for m0, _, _ in pts], [w for _, w, _ in pts])
+        ub = _terms(tables, lam, [r + p * m0 for m0, _, _ in pts], [ws for _, _, ws in pts])
+        for (m0, w, ws), a, b in zip(pts, ua, ub):
+            coeffs[(m0 + r) % (p - 1)] += p ** (w + ws) * a * b * (1 if m0 in cross else 2)
+    # dn[w][j][x0] = D_j(x0; w) mod p^(k - j)
+    dn = []
+    for w in range(k):
+        x0s = range(cross[k - 1 - w] + 1)  # lev(x0) < k - w
+        diffs = [_terms(tables, lam, [x0 + p * x1 for x0 in x0s], repeat(w))
+                 for x1 in range(k - w)]
+        dn.append([])
+        for j in range(k - w):
+            dn[w].append([d % pk // p**j for d in diffs[0]])
+            diffs = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(diffs, diffs[1:])]
+    levels = [(0, cross[0])] + [(cross[j] + 1, cross[j + 1]) for j in range(3)]
+    binom = [[1] * p, list(range(p)), [m * (m - 1) // 2 for m in range(p)],
+             [m * (m - 1) * (m - 2) // 6 for m in range(p)]]
+    nb = ((2 * k + 1) * p.bit_length() + 15) // 8  # a slot holds 38 p^(2k+1) < 2^(8 nb)
+    total = 0
+    for w in range(k):
+        for ws in range(k - w):
+            e = w + ws
+            lo0, hi0 = levels[ws]  # m0: lev(m0) = W(sigma(m)) = ws
+            lo1, hi1 = levels[w]  # m1: lev(m1) = W(m) = w
+            for i in range(k - e):
+                for j in range(k - e - i):
+                    if (w, i) > (ws, j):
+                        continue
+                    mod = p ** (k - e - i - j)
+                    a = [c * t % mod for c, t in zip(dn[w][j][lo0:hi0], binom[i][lo0:hi0])]
+                    b = [c * t % mod for c, t in zip(dn[ws][i][lo1:hi1], binom[j][lo1:hi1])]
+                    weight = 1 if (w, i) == (ws, j) else 2
+                    total += (_pack(a, nb) * _pack(b, nb) * weight * p ** (e + i + j)
+                              << 8 * nb * (lo0 + lo1))
+    slots = total.to_bytes(2 * p * nb, "little")
+    for n in range(2 * p):
+        coeffs[n % (p - 1)] += int.from_bytes(slots[n * nb:(n + 1) * nb], "little")
     r, scale = -pow(teichmuller(5, p, k), -5, pk), pow(1 - q, -1, pk)
     out = []
-    for c in coeffs.tolist():  # r^c = (-1)^c omega(5)^(-5c) in class c
+    for c in coeffs:  # r^c = (-1)^c omega(5)^(-5c) in class c
         out.append(c * scale % pk)
         scale = scale * r % pk
     return out
@@ -382,5 +362,5 @@ def dwork_c1(z: Fraction | int, p: int) -> int:
 def dwork_lpoly(z: Fraction | int, p: int) -> LPoly:
     """The full row LPoly(p, c1, c2) of the Dwork-pencil motive at z:
     c1 = -H_p and c2 = (H_p^2 - H_{p^2})/(2p), lifted to integers that LPoly
-    checks.  O(p^2) work (the H_{p^2} sum); p <= 13 read SMALL_PRIME_ROWS."""
+    checks.  O(p) work; p <= 13 read SMALL_PRIME_ROWS."""
     return _dwork_row(z, p, True)

@@ -105,48 +105,61 @@ MUTANTS = [
            "    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)",
            "    tz = rational_mod(z.numerator, z.denominator, pk)",
            (HG + "test_c1_balanced_lift_matches_p4_path",), "the row body evaluates at z"),
-    # the H_{p^2} kernel
-    Mutant("sigma-identity", PH, "x = x + p * x[::-1]", "x = (x + p * x[::-1])[[0, 0]]", HP2,
-           "sigma(m) = m: no Frobenius twist"),
-    Mutant("hp2-w-without-sigma", PH, "        w = _wraps(x, q)\n",
-           "        w = _wraps(x, q) * [[1], [0]]\n", HP2,
-           "W(sigma(m)) = 0: the twist's wraps dropped from e_m, V and the table"),
-    Mutant("beta-argument-complement", PH, "np.concatenate((b, (w + 1 - 5 * b) % pk))",
-           "np.concatenate((pk - b, (w + 1 - 5 * b) % pk))", HP2,
+    # the H_{p^2} kernel: the term builder shared by the direct points and the Newton data
+    Mutant("beta-argument-complement", PH, "zip(tables.gamma_list(bs), gv, xs, ws)",
+           "zip(tables.gamma_list([-b % pk for b in bs]), gv, xs, ws)", HP2,
            "Gamma_p at 1 - beta = -b in place of b"),
     Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HP2,
            "V = 5u + 1: the wrap count left out of {5u}"),
-    Mutant("gauss-f-without-wraps", PH, "(5 * np.arange(p) + ws) // p", "5 * np.arange(p) // p",
+    Mutant("gauss-f-without-wraps", PH, "fac[w][(5 * (x % p) + w) // p]", "fac[w][5 * (x % p) // p]",
            HP2, "f = floor(5 x0/p): the wrap count left out of the 5-power"),
-    Mutant("gauss-reflection-gamma-dropped", PH,
-           "_mulmod(gb, _mulmod(g[2], g[3], pk), pk)", "_mulmod(g[2], g[3], pk)", HP2,
+    Mutant("gauss-reflection-gamma-dropped", PH, "* g2 % pk * g % pk", "* g2 % pk", HP2,
            "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
+    Mutant("newton-coefficient-unscaled", PH, "[d % pk // p**j for d in diffs[0]]",
+           "[d % pk for d in diffs[0]]", HP2, "D_j not divided by p^j: p^j counted twice"),
+    # the H_{p^2} kernel: the crossing rows, summed directly
+    Mutant("sigma-identity", PH, "[r + p * m0 for m0, _, _ in pts]",
+           "[m0 + p * r for m0, _, _ in pts]", HP2,
+           "sigma(m) = m on the crossing rows: no Frobenius twist"),
+    Mutant("hp2-w-without-sigma", PH, "_wraps(r + p * m0, q)", "0", HP2,
+           "W(sigma(m)) = 0 on the crossing rows: the twist's wraps dropped"),
+    Mutant("hp2-keep-below-4", PH, "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < k]\n",
+           "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < 4]\n",
+           (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
+           "direct points kept for e < 4 whatever k is: u has no wrap count past k - 1"),
+    Mutant("direct-row-dropped", PH, "for r in cross[:k]:", "for r in cross[1:k]:", HP2,
+           "the first crossing row and column left out"),
+    Mutant("direct-meets-counted-twice", PH, "(1 if m0 in cross else 2)", "2", HP2,
+           "a point where a crossing row meets a crossing column counted twice"),
+    Mutant("direct-columns-dropped", PH, "(1 if m0 in cross else 2)", "1", HP2,
+           "the crossing columns, the rows' sigma images, left out"),
+    Mutant("class-index-shifted", PH, "coeffs[(m0 + r) % (p - 1)]", "coeffs[(m0 + r + 1) % (p - 1)]",
+           HP2, "each crossing-row term in the next class"),
+    # the H_{p^2} kernel: the level intervals and the convolutions
+    Mutant("level-zero-from-one", PH, "levels = [(0, cross[0])]", "levels = [(1, cross[0])]", HP2,
+           "digit 0 left out of the first level interval: the m = 0 term among others"),
+    Mutant("level-takes-crossing-row", PH, "(cross[j] + 1, cross[j + 1])",
+           "(cross[j], cross[j + 1])", HP2,
+           "a level interval starts on a crossing row: that row counted twice"),
+    Mutant("level-ends-one-short", PH, "(cross[j] + 1, cross[j + 1])",
+           "(cross[j] + 1, cross[j + 1] - 1)", HP2,
+           "a level interval stops one digit before the next crossing row"),
+    Mutant("truncation-tightened", PH, "for j in range(k - e - i):", "for j in range(k - 1 - e - i):",
+           HP2, "the terms with W + W' + i + j = k - 1 left out"),
+    Mutant("truncation-loosened", PH, "for j in range(k - e - i):", "for j in range(k + 1 - e - i):",
+           HP2, "the terms with W + W' + i + j = k taken: a Newton coefficient never formed"),
+    Mutant("conv-reduction-one-power-short", PH, "mod = p ** (k - e - i - j)",
+           "mod = p ** (k - 1 - e - i - j)", HP2, "convolution entries reduced mod p^(k-1-e-i-j)"),
+    Mutant("hp2-weight-one", PH, "weight = 1 if (w, i) == (ws, j) else 2", "weight = 1", HP2,
+           "each convolution weighted 1: its mirror (W', W, j, i) left out"),
+    Mutant("hp2-fixed-points-weight-two", PH, "weight = 1 if (w, i) == (ws, j) else 2",
+           "weight = 2", HP2, "the self-mirrored convolutions, (W, i) = (W', j), counted twice"),
+    Mutant("hp2-fixed-points-dropped", PH, "if (w, i) > (ws, j):", "if (w, i) >= (ws, j):", HP2,
+           "the self-mirrored convolutions left out"),
+    Mutant("fold-shifted", PH, "coeffs[n % (p - 1)] +=", "coeffs[(n + 1) % (p - 1)] +=", HP2,
+           "each convolution slot folded into the next class"),
     Mutant("class-sign-dropped", PH, "r, scale = -pow(", "r, scale = pow(", HP2,
            "r = omega(5)^(-5): the pair's sign (-1)^(m0 + m1) left out"),
-    Mutant("class-index-shifted", PH, "np.add.at(coeffs, x[0] % (p - 1),",
-           "np.add.at(coeffs, (x[0] + 1) % (p - 1),", HP2, "each term in the next class"),
-    Mutant("hp2-m0-term-dropped", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 0\n", HP2,
-           "the m = 0 term left out"),
-    Mutant("hp2-m0-term-doubled", PH, "    coeffs[0] = 1\n", "    coeffs[0] = 2\n", HP2,
-           "the m = 0 term counted twice"),
-    Mutant("block-reduction-mod-p-k-minus-1", PH, "        coeffs %= pk\n",
-           "        coeffs %= pk // p\n", HP2, "classes reduced mod p^(k-1)"),
-    Mutant("block-reduction-dropped", PH, "        coeffs %= pk\n", "", HP2,
-           "classes left unreduced until the final scale",
-           equivalent="a class takes at most (p + 3)/2 orbit representatives (the p + 1 "
-                      "m of its class paired by sigma, at most two fixed points), each "
-                      "weighted term reduced below p^4, and (p + 5)/2 p^4 < 0.36 * 2^63 "
-                      "at p = HP2_MAX_P = 5791, so the int64 sums stay exact"),
-    Mutant("hp2-keep-below-4", PH, "keep = w.sum(axis=0) < k", "keep = w.sum(axis=0) < 4",
-           (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
-           "gamma work kept for e_m < 4 whatever k is"),
-    Mutant("hp2-weight-one", PH, "t = t * (1 + (x[0] < x[1])) % pk", "t = t * 1 % pk", HP2,
-           "every orbit representative weighted 1: sigma(m) left out"),
-    Mutant("hp2-fixed-points-weight-two", PH, "t = t * (1 + (x[0] < x[1])) % pk",
-           "t = t * 2 % pk", HP2, "the p - 2 fixed points of sigma counted twice"),
-    Mutant("hp2-fixed-points-dropped", PH, "keep = w.sum(axis=0) < k",
-           "keep = (w.sum(axis=0) < k) & (x[0] != x[1])",
-           HP2, "the walk over m1 < m0 only: the fixed points m0 = m1 left out"),
     # the gamma tables
     Mutant("g1-equals-plus-g0", PH, "        c = -b % m\n", "        c = b % m\n",
            (TG + "test_recurrence_matches_exact_integers",), "G_1 = +G_0"),

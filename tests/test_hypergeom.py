@@ -95,6 +95,29 @@ def test_c1_path_never_imports_numpy(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
+def test_dwork_path_never_imports_numpy(tmp_path):
+    """A full (c1, c2) row needs no numpy either: dwork_lpoly at p = 17 and
+    1021, `motive dwork --coeffs both`, and each worker of a jobs = 2
+    process pool that computes a full row, run without it."""
+    code = ("import sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from stmotives import cli, padic_hypergeom as ph\n"
+            "ph.dwork_lpoly(-1, 17), ph.dwork_lpoly(2, 1021)\n"
+            "assert 'numpy' not in sys.modules, 'dwork_lpoly'\n"
+            "assert cli.main(['motive', 'dwork', '--z', '-1', '--bound-log2', '8', '--coeffs', 'both',\n"
+            "                 '--cache-dir', sys.argv[1]]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'motive dwork --coeffs both'\n"
+            "def row(p):\n"
+            "    return ph.dwork_lpoly(-1, p).c2 is not None, 'numpy' in sys.modules\n"
+            "with ProcessPoolExecutor(max_workers=2) as ex:\n"
+            "    assert list(ex.map(row, [17, 1021])) == [(True, False)] * 2, 'pool worker'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_hp_fast_rejects_bad_inputs():
     """The inputs the H_p trace used to reject, p = 5, a pole and z = 0 mod p,
     are rejected at row level by both entry points."""
@@ -278,34 +301,13 @@ def test_dwork_lpoly_never_calls_the_generic_trace():
     assert len(primes) == 16
 
 
-@pytest.mark.parametrize("p", [5779, 5783, ph.HP2_MAX_P])
-def test_mulmod_exact_near_top_of_range(p):
-    m = p**4
-    assert m < 2**50
-    edges = [0, 1, 2, m // 2, m - 2, m - 1]
-    rng = np.random.default_rng(p)
-    a = np.array(edges * len(edges) + rng.integers(0, m, 5000).tolist(), dtype=np.int64)
-    b = np.array([e for e in edges for _ in edges] + rng.integers(0, m, 5000).tolist(),
-                 dtype=np.int64)
-    got = ph._mulmod(a, b, m)
-    assert got.tolist() == [x * y % m for x, y in zip(a.tolist(), b.tolist())]
-    # the scalar-operand form the kernel uses for b = x (q - 1)^-1
-    assert ph._mulmod(a, m - 1, m).tolist() == [x * (m - 1) % m for x in a.tolist()]
-    # at k = 1 the kernel's m and sigma(m), below p^2, pass m = p
-    q = p * p
-    x = np.array([0, 1, p - 1, p, q - 2, q - 1] + rng.integers(0, q, 5000).tolist(), dtype=np.int64)
-    for inv in (1, p - 1, pow(q - 1, -1, p)):
-        assert ph._mulmod(x, inv, p).tolist() == [v * inv % p for v in x.tolist()]
-
-
 def test_hp2_poly_peak_memory_stays_flat():
-    """The H_{p^2} kernel holds one block at a time, never an array of size
-    p^2 (8 MB at p = 1021): its traced peak, the 1 MB buffer it frees
-    included, stays below 2 MB."""
+    """The H_{p^2} kernel holds O(p) lists and packed integers, never a
+    structure of size p^2 (8 MB of int64 at p = 1021): its traced peak
+    stays below 2 MB."""
     import tracemalloc
 
     tables = ph.GammaTables(1021, 4)
-    tables.gamma_array(np.arange(3, dtype=np.int64))  # the cached int64 columns
     tracemalloc.start()
     try:
         ph.hp2_poly(1021, tables)

@@ -146,26 +146,6 @@ def test_series_tables_match_product_table_smallish_p():
             assert ph.GammaTables(p, k).gamma_list(xs) == GammaProductTable(p, k).gamma_list(xs), (p, k)
 
 
-def _residues(pk, rng):
-    """Every residue for a small modulus, else the low end, the top and a
-    random scatter."""
-    if pk <= 50_000:
-        return np.arange(pk, dtype=np.int64)
-    return np.concatenate([np.arange(500), np.arange(pk - 500, pk),
-                           rng.integers(0, pk, 20_000)]).astype(np.int64)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 17, 101, 1021, ph.HP2_MAX_P])
-def test_gamma_array_equals_gamma_int_on_series_tables(p):
-    """The array entry point is the same cubic: at every precision, up to
-    the top of the kernel's range (p^4 just below 2^50 at p = HP2_MAX_P)."""
-    rng = np.random.default_rng(p)
-    for k in (1, 2) if p < 5 else (1, 2, 3, 4):
-        t = ph.GammaTables(p, k)
-        x = _residues(t.pk, rng)
-        assert t.gamma_array(x).tolist() == t.gamma_list(x.tolist())
-
-
 def _check_gauss_multiplication_and_reflection(t, rng):
     """At random residues x mod p^k, through gamma_list:
     prod_{j<5} Gamma_p(x + j/5) = eps_5 5^(1-R) c^Q Gamma_p(5x) (5x = R + pQ,
