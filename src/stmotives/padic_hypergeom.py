@@ -111,7 +111,7 @@ class GammaTables:
 
 
 # ---------------------------------------------------------------------------
-# the wrap count and the banded H_p kernel, at any precision
+# the wrap count, the term builder and the banded H_p kernel, at any precision
 
 
 def _wraps(x, q: int):
@@ -119,50 +119,53 @@ def _wraps(x, q: int):
     return (5 * x - 1) // (q - 1)
 
 
+def _terms(tables: GammaTables, lam: int, xs, ws) -> list[int]:
+    """u(x; w) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k for x in xs,
+    w in ws: b = lam x, V = w + 1 - 5b and f = floor((5 x0 + w)/p), x0 = x mod p.
+    The term builder of both kernels, at lam = 1/(q - 1)."""
+    p, pk = tables.p, tables.pk
+    fac = [[(-1) ** w * pow(5, f - w, pk) % pk for f in range(5)] for w in range(tables.k)]
+    bs = [lam * x % pk for x in xs]
+    gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b, w in zip(bs, ws)])
+    return [(g2 := g * g % pk) * g2 % pk * g % pk * v % pk * fac[w][(5 * (x % p) + w) // p] % pk
+            for g, v, x, w in zip(tables.gamma_list(bs), gv, xs, ws)]
+
+
 def hp_poly(p: int, tables: GammaTables) -> list[int]:
     """H_p(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision of
     `tables`: its coefficients of degree 0 up to the k-th band cut, at most p - 1.
 
-    The term at m >= 1 carries p^e, e = eta_m + 4 = W(m) (_wraps), so it
-    vanishes mod p^k from the cut on.  With y = 5u, u = m/(1-p), b = m/(p-1) = -u
-    and f = floor(5m/p), a term costs two Gamma_p values:
+    The term at m carries p^W(m) (_wraps; W(0) = 0), so it vanishes mod p^k
+    from the cut on.  With u = m/(1-p), b = -u and V = {5u} = 5u + W(m) + 1,
+    a term costs two Gamma_p values:
 
-      coeff_m = (-1)^(e+m+1) p^e/(1-p) 5^(1+f) omega(5)^(-5m) Gamma_p(y) b Gamma_p(b)^5 prod_{j<=e} w_j
+      coeff_m = -r^m p^W u(m; W)/(1 - p),  r = -omega(5)^(-5),
+
+    u(m; W) = (-1)^W 5^(f-W) Gamma_p(b)^5 Gamma_p(V), f = floor((5m + W)/p),
+    from _terms at lam = 1/(p - 1).
 
     * Gauss multiplication (Robert, A Course in p-adic Analysis, ch. VII):
-      prod_{j<5} Gamma_p(u + j/5) = eps_5 5^(1-R) c^Q Gamma_p(y), y = R + pQ,
-      1 <= R <= p, c = 5^-(p-1), and eps_5 = prod_j Gamma_p(j/5) cancels as the
-      m = 0 alpha product.  R = 5m - fp, Q = f + y and c^-y = (5/omega(5))^(5m),
-      omega the Teichmuller lift, so 5^(1-R) c^Q = 5^(1+f) omega(5)^(-5m).
-    * Reflection, Gamma_p(x) Gamma_p(1-x) = (-1)^R(x), and Gamma_p(1+b) = -b Gamma_p(b):
-      1/Gamma_p(u) = (-1)^(m+1) b Gamma_p(b); the betas give Gamma_p(b)^4.
-    * A wrapped alpha adds w_j = -(u + j/5) = (5m - j(p-1))/D, or -1 in p Z_p.
+      the alphas {j/5 + u}, j = 1..4, and 1 - b are the (V + i)/5, i = 0..4,
+      so no wrapped alpha needs a correction:
+      prod_{j>=1} Gamma_p({j/5 + u}) = eps_5 5^(1-R) c^Q Gamma_p(V) / Gamma_p(1 - b),
+      V = R + pQ, 1 <= R <= p, c = 5^-(p-1), and eps_5 = prod_{j>=1} Gamma_p(j/5)
+      cancels as the m = 0 alpha product.  R = 5m + W + 1 - fp, Q = f + 5u and
+      c^(5u) = (5/omega(5))^(5m), so 5^(1-R) c^Q = 5^(f-W) omega(5)^(-5m).
+    * Reflection, Gamma_p(x) Gamma_p(1-x) = (-1)^R(x):
+      1/Gamma_p(1 - b) = (-1)^(m+1) Gamma_p(b); the betas give Gamma_p(b)^4.
 
-    `tables` is any gamma backend (gamma_list, pk, k) at the wanted precision.
+    `tables` is any gamma backend (gamma_list, p, pk, k) at the wanted precision.
     """
     if p == 5 or p == 2:
         raise ValueError("p = 2, 5 are bad for the Dwork parameters")
     k, pk = tables.k, tables.pk
-    d = 5 * (p - 1)
-    invd, inv1mp = pow(d, -1, pk), pow(1 - p, -1, pk)
-    cut = min(p - 1, (k * p + 5 - k) // 5)
-    bs = [5 * m * invd % pk for m in range(cut)]  # b = m/(p-1)
-    gys, gbs = tables.gamma_list([-5 * b % pk for b in bs]), tables.gamma_list(bs)
-    r = -pow(teichmuller(5, p, k), -5, pk)  # r^m = (-1)^m omega(5)^(-5m)
-    s = [[(-1) ** (e + 1) * p**e * pow(invd, e, pk) * 5 ** (f + 1) * inv1mp % pk
-          for f in range(k + 1)] for e in range(k)]
-    coeffs, rm = [inv1mp], 1
-    for m in range(1, cut):
-        # e is an integer: the n_j = (j(p-1) - 5m) mod D sum to sum_j j(p-1) - 20m + D W(m);
-        # and e < k: W(m) < k iff 5m <= k(p-1) iff m < (kp + 5 - k)/5
-        m5, e = 5 * m, _wraps(m, p)
-        rm = rm * r % pk
-        g = gbs[m]
-        g2 = g * g % pk
-        t = s[e][m5 // p] * rm % pk * gys[m] % pk * bs[m] % pk * g % pk * (g2 * g2) % pk
-        for j in range(1, e + 1):  # D w_j = 5m - j(p-1) = 5m + j mod p, or -D in p Z_p
-            t = t * (m5 - j * (p - 1) if (m5 + j) % p else -d) % pk
-        coeffs.append(t)
+    cut = min(p - 1, (k * p + 5 - k) // 5)  # W(m) < k iff 5m <= k(p-1) iff m < (kp + 5 - k)/5
+    ws = [0] + [_wraps(m, p) for m in range(1, cut)]
+    r, scale = -pow(teichmuller(5, p, k), -5, pk), -pow(1 - p, -1, pk)
+    pw, coeffs = [p**w for w in range(k)], []
+    for w, u in zip(ws, _terms(tables, pow(p - 1, -1, pk), range(cut), ws)):
+        coeffs.append(scale * pw[w] * u % pk)  # r^m = (-1)^m omega(5)^(-5m)
+        scale = scale * r % pk
     return coeffs
 
 
@@ -180,17 +183,6 @@ def _horner_eval(coeffs: list[int], t: int, mod: int) -> int:
 # the largest p at which the vectors were checked against the numpy int64 kernel that the
 # digit-separated sum replaced (tests/row_identity.py); full rows past it are not yet validated
 HP2_MAX_P = 5791
-
-
-def _terms(tables: GammaTables, lam: int, xs, ws) -> list[int]:
-    """u(x; w) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k for x in xs,
-    w in ws: b = lam x, V = w + 1 - 5b and f = floor((5 x0 + w)/p), x0 = x mod p."""
-    p, pk = tables.p, tables.pk
-    fac = [[(-1) ** w * pow(5, f - w, pk) % pk for f in range(5)] for w in range(tables.k)]
-    bs = [lam * x % pk for x in xs]
-    gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b, w in zip(bs, ws)])
-    return [(g2 := g * g % pk) * g2 % pk * g % pk * v % pk * fac[w][(5 * (x % p) + w) // p] % pk
-            for g, v, x, w in zip(tables.gamma_list(bs), gv, xs, ws)]
 
 
 def _pack(vals, nb: int) -> int:
@@ -211,7 +203,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     the (V + i)/5, V = {5u}, so no wrapped alpha needs a correction) make the
     term r^(m0 + m1)/(1 - q) U(m) U(sigma(m)), r = -omega(5)^(-5), with
 
-      U(x) = p^W u(x; W),  W = W(x),  u as in _terms at lam = 1/(q - 1),
+      U(x) = p^W u(x; W),  W = W(x),  u from _terms at lam = 1/(q - 1),
 
     and W(0) = 0, so the m = 0 term is U(0)^2 = 1.  Digit separation:
 

@@ -97,10 +97,14 @@ MUTANTS = [
     Mutant("wraps-without-minus-one", PH, "    return (5 * x - 1) // (q - 1)",
            "    return 5 * x // (q - 1)",
            (HG + "test_eta_band_table_matches_definition",) + HP2, "W(x) = 5x // (q - 1)"),
-    Mutant("wrap-correction-without-minus-d", PH,
-           "t = t * (m5 - j * (p - 1) if (m5 + j) % p else -d) % pk",
-           "t = t * (m5 - j * (p - 1)) % pk", (HG + "test_eta_band_table_matches_definition",),
-           "a wrapped alpha in p Z_p takes 5m - j(p - 1), not -D"),
+    Mutant("hp-lam-at-q-p2", PH, "_terms(tables, pow(p - 1, -1, pk), range(cut), ws)",
+           "_terms(tables, pow(p * p - 1, -1, pk), range(cut), ws)",
+           (HG + "test_eta_band_table_matches_definition",), "H_p's b = m/(p - 1) read at q = p^2"),
+    Mutant("hp-p-power-dropped", PH, "coeffs.append(scale * pw[w] * u % pk)",
+           "coeffs.append(scale * u % pk)", (HG + "test_eta_band_table_matches_definition",),
+           "the p^W(m) of an H_p term left out"),
+    Mutant("hp-scale-sign", PH, "-pow(1 - p, -1, pk)", "pow(1 - p, -1, pk)",
+           (HG + "test_eta_band_table_matches_definition",), "every H_p term negated"),
     Mutant("z-in-place-of-teich", PH,
            "    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)",
            "    tz = rational_mod(z.numerator, z.denominator, pk)",
@@ -158,7 +162,8 @@ MUTANTS = [
            "the self-mirrored convolutions left out"),
     Mutant("fold-shifted", PH, "coeffs[n % (p - 1)] +=", "coeffs[(n + 1) % (p - 1)] +=", HP2,
            "each convolution slot folded into the next class"),
-    Mutant("class-sign-dropped", PH, "r, scale = -pow(", "r, scale = pow(", HP2,
+    Mutant("class-sign-dropped", PH, "r, scale = -pow(teichmuller(5, p, k), -5, pk), pow(1 - q",
+           "r, scale = pow(teichmuller(5, p, k), -5, pk), pow(1 - q", HP2,
            "r = omega(5)^(-5): the pair's sign (-1)^(m0 + m1) left out"),
     # the gamma tables
     Mutant("g1-equals-plus-g0", PH, "        c = -b % m\n", "        c = b % m\n",
