@@ -127,7 +127,7 @@ def _terms(tables: GammaTables, lam: int, xs, ws) -> list[int]:
     fac = [[(-1) ** w * pow(5, f - w, pk) % pk for f in range(5)] for w in range(tables.k)]
     bs = [lam * x % pk for x in xs]
     gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b, w in zip(bs, ws)])
-    return [(g2 := g * g % pk) * g2 % pk * g % pk * v % pk * fac[w][(5 * (x % p) + w) // p] % pk
+    return [(g2 := g * g % pk) * g2 * g % pk * v * fac[w][(5 * (x % p) + w) // p] % pk
             for g, v, x, w in zip(tables.gamma_list(bs), gv, xs, ws)]
 
 

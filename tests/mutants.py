@@ -117,7 +117,7 @@ MUTANTS = [
            "V = 5u + 1: the wrap count left out of {5u}"),
     Mutant("gauss-f-without-wraps", PH, "fac[w][(5 * (x % p) + w) // p]", "fac[w][5 * (x % p) // p]",
            HP2, "f = floor(5 x0/p): the wrap count left out of the 5-power"),
-    Mutant("gauss-reflection-gamma-dropped", PH, "* g2 % pk * g % pk", "* g2 % pk", HP2,
+    Mutant("gauss-reflection-gamma-dropped", PH, "* g2 * g % pk", "* g2 % pk", HP2,
            "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
     Mutant("newton-coefficient-unscaled", PH, "[d % pk // p**j for d in diffs[0]]",
            "[d % pk for d in diffs[0]]", HP2, "D_j not divided by p^j: p^j counted twice"),
