@@ -22,8 +22,9 @@ hp_poly sums the m with W(m) < k from two Gamma_p values a term.  hp2_poly
 separates the two digits of m: a term is a sum of products of two factors,
 each a polynomial in one digit, so apart from four rows summed directly the
 sum is 19 cyclic convolutions, each one big-integer product; O(p) work for
-p <= HP2_MAX_P = 5791.  Both kernels are pure Python: no Dwork path imports numpy,
-which would cost each process about 0.13 s of CPU and half its peak RSS.
+p <= HP2_MAX_P = 5791.  Both kernels are pure Python: no Dwork path imports
+numpy, which would cost each process about 0.13 s of CPU and add about half
+to its peak RSS.
 dwork_c1 and dwork_lpoly share one row body: it takes Teich(z) once and
 evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and hp2_poly at k = 4 for
 c2, each by Horner, and lifts c1 and 2p c2 to integers; the LPoly it returns

@@ -115,8 +115,9 @@ MUTANTS = [
            "Gamma_p at 1 - beta = -b in place of b"),
     Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HP2,
            "V = 5u + 1: the wrap count left out of {5u}"),
-    Mutant("gauss-f-without-wraps", PH, "fac[w][(5 * (x % p) + w) // p]", "fac[w][5 * (x % p) // p]",
-           HP2, "f = floor(5 x0/p): the wrap count left out of the 5-power"),
+    Mutant("gauss-f-without-wraps", PH, "fac[w][(5 * (x % p) + w) // p]",
+           "fac[w][5 * (x % p) // p]", HP2,
+           "f = floor(5 x0/p): the wrap count left out of the 5-power"),
     Mutant("gauss-reflection-gamma-dropped", PH, "* g2 * g % pk", "* g2 % pk", HP2,
            "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
     Mutant("newton-coefficient-unscaled", PH, "[d % pk // p**j for d in diffs[0]]",
@@ -127,7 +128,8 @@ MUTANTS = [
            "sigma(m) = m on the crossing rows: no Frobenius twist"),
     Mutant("hp2-w-without-sigma", PH, "_wraps(r + p * m0, q)", "0", HP2,
            "W(sigma(m)) = 0 on the crossing rows: the twist's wraps dropped"),
-    Mutant("hp2-keep-below-4", PH, "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < k]\n",
+    Mutant("hp2-keep-below-4", PH,
+           "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < k]\n",
            "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < 4]\n",
            (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
            "direct points kept for e < 4 whatever k is: u has no wrap count past k - 1"),
@@ -137,8 +139,8 @@ MUTANTS = [
            "a point where a crossing row meets a crossing column counted twice"),
     Mutant("direct-columns-dropped", PH, "(1 if m0 in cross else 2)", "1", HP2,
            "the crossing columns, the rows' sigma images, left out"),
-    Mutant("class-index-shifted", PH, "coeffs[(m0 + r) % (p - 1)]", "coeffs[(m0 + r + 1) % (p - 1)]",
-           HP2, "each crossing-row term in the next class"),
+    Mutant("class-index-shifted", PH, "coeffs[(m0 + r) % (p - 1)]",
+           "coeffs[(m0 + r + 1) % (p - 1)]", HP2, "each crossing-row term in the next class"),
     # the H_{p^2} kernel: the level intervals and the convolutions
     Mutant("level-zero-from-one", PH, "levels = [(0, cross[0])]", "levels = [(1, cross[0])]", HP2,
            "digit 0 left out of the first level interval: the m = 0 term among others"),
@@ -148,10 +150,11 @@ MUTANTS = [
     Mutant("level-ends-one-short", PH, "(cross[j] + 1, cross[j + 1])",
            "(cross[j] + 1, cross[j + 1] - 1)", HP2,
            "a level interval stops one digit before the next crossing row"),
-    Mutant("truncation-tightened", PH, "for j in range(k - e - i):", "for j in range(k - 1 - e - i):",
-           HP2, "the terms with W + W' + i + j = k - 1 left out"),
-    Mutant("truncation-loosened", PH, "for j in range(k - e - i):", "for j in range(k + 1 - e - i):",
-           HP2, "the terms with W + W' + i + j = k taken: a Newton coefficient never formed"),
+    Mutant("truncation-tightened", PH, "for j in range(k - e - i):",
+           "for j in range(k - 1 - e - i):", HP2, "the terms with W + W' + i + j = k - 1 left out"),
+    Mutant("truncation-loosened", PH, "for j in range(k - e - i):",
+           "for j in range(k + 1 - e - i):", HP2,
+           "the terms with W + W' + i + j = k taken: a Newton coefficient never formed"),
     Mutant("conv-reduction-one-power-short", PH, "mod = p ** (k - e - i - j)",
            "mod = p ** (k - 1 - e - i - j)", HP2, "convolution entries reduced mod p^(k-1-e-i-j)"),
     Mutant("hp2-weight-one", PH, "weight = 1 if (w, i) == (ws, j) else 2", "weight = 1", HP2,

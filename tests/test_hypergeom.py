@@ -104,8 +104,8 @@ def test_dwork_path_never_imports_numpy(tmp_path):
             "from stmotives import cli, padic_hypergeom as ph\n"
             "ph.dwork_lpoly(-1, 17), ph.dwork_lpoly(2, 1021)\n"
             "assert 'numpy' not in sys.modules, 'dwork_lpoly'\n"
-            "assert cli.main(['motive', 'dwork', '--z', '-1', '--bound-log2', '8', '--coeffs', 'both',\n"
-            "                 '--cache-dir', sys.argv[1]]) == 0\n"
+            "assert cli.main(['motive', 'dwork', '--z', '-1', '--bound-log2', '8',\n"
+            "                 '--coeffs', 'both', '--cache-dir', sys.argv[1]]) == 0\n"
             "assert 'numpy' not in sys.modules, 'motive dwork --coeffs both'\n"
             "def row(p):\n"
             "    return ph.dwork_lpoly(-1, p).c2 is not None, 'numpy' in sys.modules\n"
