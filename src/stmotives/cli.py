@@ -15,9 +15,9 @@ nearest-group ranking); --coeffs a1 keeps the a1 moments alone.  Exit codes:
 0 ok, 1 internal consistency failure, 2 bad arguments (an unknown group, field
 or newform, a missing label or curve, wrong form weights, a singular curve,
 z = 0 or 1, a bound below 2^1 or above 2^32 (the prime sieve takes one byte per
-integer up to the bound), --jobs below 1, dwork --coeffs both past B = 5791,
-an --out path that cannot be written), 3 data errors (a bad, missing or
-non-UTF-8 coefficient file, a stream with no good primes, a bad stats file).
+integer up to the bound), --jobs below 1, an --out path that cannot be
+written), 3 data errors (a bad, missing or non-UTF-8 coefficient file, a
+stream with no good primes, a bad stats file).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from fractions import Fraction
 from . import motives, stats, stgroups
 from .cmforms import CoeffFileError, CurveSpec, FORMS
 from .ntkernel import FIELD_ALIASES
-from .padic_hypergeom import HP2_MAX_P
 from .records import ConsistencyError
 
 CACHE_ENV = "STMOTIVES_CACHE_DIR"
@@ -162,10 +161,6 @@ def cmd_motive(args) -> int:
     a1_only = args.coeffs == "a1"
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.construction == "dwork" and not a1_only and bound > HP2_MAX_P:
-        raise CliError(f"dwork --coeffs both needs B <= {HP2_MAX_P} (the H_(p^2) kernel is "
-                       f"validated up to there: p^4 < 2^50, the range of the int64 kernel it "
-                       f"replaced), got B=2^{args.bound_log2}; use --coeffs a1")
     _check_out(args.out)
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     rows = motives.cached_lpoly_stream(spec, bound, cache_dir, a1_only=a1_only, jobs=args.jobs)

@@ -21,10 +21,10 @@ sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
 hp_poly sums the m with W(m) < k from two Gamma_p values a term.  hp2_poly
 separates the two digits of m: a term is a sum of products of two factors,
 each a polynomial in one digit, so apart from four rows summed directly the
-sum is 19 cyclic convolutions, each one big-integer product; O(p) work for
-p <= HP2_MAX_P = 5791.  Both kernels are pure Python: no Dwork path imports
-numpy, which would cost each process about 0.13 s of CPU and add about half
-to its peak RSS.
+sum is 19 cyclic convolutions, each one big-integer product; O(p) work at
+every p >= 7, the packed slots sized from p.  Both kernels are pure Python: no
+Dwork path imports numpy, which would cost each process about 0.13 s of CPU
+and add about half to its peak RSS.
 dwork_c1 and dwork_lpoly share one row body: it takes Teich(z) once and
 evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and hp2_poly at k = 4 for
 c2, each by Horner, and lifts c1 and 2p c2 to integers; the LPoly it returns
@@ -181,11 +181,6 @@ def _horner_eval(coeffs: list[int], t: int, mod: int) -> int:
 # ---------------------------------------------------------------------------
 # the H_{p^2} kernel, at any precision
 
-# the largest p at which the vectors were checked against the numpy int64 kernel that the
-# digit-separated sum replaced (tests/row_identity.py); full rows past it are not yet validated
-HP2_MAX_P = 5791
-
-
 def _pack(vals, nb: int) -> int:
     """sum_n vals[n] X^n at X = 2^(8 nb), for 0 <= vals[n] < X."""
     return int.from_bytes(b"".join(map(int.to_bytes, vals, repeat(nb), repeat("little"))),
@@ -194,7 +189,7 @@ def _pack(vals, nb: int) -> int:
 
 def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     """H_{p^2}(Dwork | z) mod p^k as a polynomial in Teich(z), k the precision
-    of `tables`: its p - 1 coefficients, in O(p) work, for 7 <= p <= HP2_MAX_P.
+    of `tables`: its p - 1 coefficients, in O(p) work, for p >= 7.
 
     Teich(z)^(p-1) = 1, so the term at m, 0 <= m <= q - 2 (q = p^2), adds to
     the coefficient of degree m mod (p - 1).  The Frobenius twist {p(j/5 + u)},
@@ -226,9 +221,8 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
       products are summed in one integer, shifted to the intervals' starts,
       and folded mod p - 1 once.
     """
-    if not 7 <= p <= HP2_MAX_P:
-        raise ValueError(f"hp2_poly is validated for 7 <= p <= {HP2_MAX_P} (p^4 < 2^50, the "
-                         f"range of the int64 kernel it replaced); got p={p}")
+    if p < 7:
+        raise ValueError(f"hp2_poly needs p >= 7 (at p = 3 the crossing rows coincide); got p={p}")
     q = p * p
     k, pk = tables.k, tables.pk
     lam = pow(q - 1, -1, pk)

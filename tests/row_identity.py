@@ -14,7 +14,8 @@ jobs = 2.  The tables are the SHA-256 of GammaTables(p, k).C, the cubic
 Gamma_p(x0 + py) by residue x0, for every prime 7 <= p <= 2^10 and
 p in {5791, 8191} at k = 1, 2, 3, 4.  The H_{p^2} entries are the SHA-256 of
 hp2_poly(p, GammaTables(p, 4)), the coefficient vector in Teich(z), at
-p in HP2_PRIMES, up to HP2_MAX_P = 5791.  The moment entries are, for every
+p in HP2_PRIMES, which stop at 5791 so that a record can be taken at a
+checkout whose kernel stopped there.  The moment entries are, for every
 catalog group, the exact a1 moments M_0..M_18 and a2 moments M_0..M_12, each
 component's `component_moment` at the same orders (as str(Fraction)), and
 the group's `invariants`; these orders go past the printed tables, and only

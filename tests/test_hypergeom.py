@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 
 from hg_oracle import DWORK, batch_evaluate, gamma_backend, teich_eval, trace_Hq
 from stmotives import padic_hypergeom as ph
-from stmotives.ntkernel import primes_up_to
+from stmotives.ntkernel import primes_up_to, teichmuller
 from stmotives.records import ConsistencyError, DegenerateFiber, LPoly
 
 
@@ -317,13 +317,37 @@ def test_hp2_poly_peak_memory_stays_flat():
     assert peak < 2 * 10**6
 
 
-def test_hp2_kernel_rejects_p_past_int64_range():
-    p = 5801  # the next prime after HP2_MAX_P
-    assert p**4 >= 2**50
-    with pytest.raises(ValueError, match=str(ph.HP2_MAX_P)):
-        ph.hp2_poly(p, ph.GammaTables(p, 4))
-    with pytest.raises(ValueError, match=str(ph.HP2_MAX_P)):
-        ph.dwork_lpoly(-1, p)
+def test_hp2_kernel_rejects_p_below_7():
+    """At p = 3 two of the four crossing rows coincide; the Dwork row reads
+    SMALL_PRIME_ROWS there and never calls the kernel."""
+    with pytest.raises(ValueError, match="p >= 7"):
+        ph.hp2_poly(3, ph.GammaTables(3, 2))
+
+
+def test_fiber_rows_past_5791_are_weil_rows_on_the_critical_circle():
+    """No oracle reaches p = 5801, the first prime past the range of the retired
+    int64 kernel: one vector pair gives the fibers z = 2..201 by Horner, and
+    each must be a row of a USp(4) Frobenius.  2p divides H_p^2 - H_{p^2},
+    LPoly holds, and with a1 = c1/p^(3/2), a2 = c2/p^2 and x = t + 1/t both
+    roots of x^2 + a1 x + (a2 - 2) are real and in [-2, 2]: the discriminant
+    c1^2 - 4p c2 + 8p^3 is >= 0, and the value at x = +-2 is >= 0, that is
+    2p^2 + c2 >= 0 and (2p^2 + c2)^2 >= 4p c1^2 (the vertex lies in [-2, 2]
+    by LPoly's c1 window)."""
+    p = 5801
+    tables = ph.GammaTables(p, 4)
+    pk = tables.pk
+    hp, hp2 = ph.hp_poly(p, tables), ph.hp2_poly(p, tables)
+    rows = {}
+    for z in range(2, 202):
+        tz = teichmuller(z, p, 4)
+        h1 = ph._horner_eval(hp, tz, pk)
+        c2, rem = divmod(ph._lift(h1 * h1 - ph._horner_eval(hp2, tz, pk), pk, 12 * p**3), 2 * p)
+        assert rem == 0, z
+        row = rows[z] = LPoly(p, ph._lift(-h1, pk, pk // 2), c2)
+        assert row.c1**2 - 4 * p * c2 + 8 * p**3 >= 0, z
+        assert 2 * p**2 + c2 >= 0 and (2 * p**2 + c2) ** 2 >= 4 * p * row.c1**2, z
+    for z in (2, 201):
+        assert ph.dwork_lpoly(z, p) == rows[z]
 
 
 @pytest.mark.parametrize("p", [17, 19, 101])

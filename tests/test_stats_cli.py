@@ -256,13 +256,18 @@ def test_cli_motive_checks_out_before_the_stream(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_rejects_bad_jobs_and_dwork_bound_past_kernel_range(capsys):
+def test_cli_rejects_bad_jobs_and_takes_full_dwork_rows_past_2_12(monkeypatch, capsys):
     for jobs in ("0", "-2"):
         assert cli.main(["motive", "dwork", "--bound-log2", "7", "--jobs", jobs]) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
-    assert cli.main(["motive", "dwork", "--z", "-1", "--bound-log2", "13"]) == 2
-    err = capsys.readouterr().err
-    assert "5791" in err and "2^50" in err
+
+    def stream(*args, **kwargs):
+        raise AssertionError("stream was computed")
+
+    # --coeffs both (the default) past B = 5791 passes the argument checks
+    monkeypatch.setattr(motives, "cached_lpoly_stream", stream)
+    with pytest.raises(AssertionError, match="stream was computed"):
+        cli.main(["motive", "dwork", "--z", "-1", "--bound-log2", "13"])
 
 
 @pytest.mark.parametrize("argv,msg", [
@@ -486,7 +491,6 @@ def _cases():
                                      "--bound-log2", "4"], 2, None)),
         bad_z.map(lambda z: (["motive", "dwork", f"--z={z}", "--bound-log2", "4"], 2, None)),
         hst.integers(-10**6, 0).map(lambda n: (["motive", "dwork", "--bound-log2", str(n)], 2, None)),
-        hst.integers(13, 64).map(lambda n: (["motive", "dwork", "--bound-log2", str(n)], 2, None)),
         # past the sieve's limit: rejected before any allocation
         hst.integers(cli.MAX_BOUND_LOG2 + 1, 10**6).map(lambda n: (motive[:-1] + [str(n)], 2, None)),
         hst.sampled_from(["x", "1.5", ""]).map(lambda n: (motive[:-1] + [n], 2, None)),
