@@ -139,6 +139,10 @@ MUTANTS = [
            "a point where a crossing row meets a crossing column counted twice"),
     Mutant("direct-columns-dropped", PH, "(1 if m0 in cross else 2)", "1", HP2,
            "the crossing columns, the rows' sigma images, left out"),
+    Mutant("direct-meets-weight-two-at-5801", PH, "(1 if m0 in cross else 2)",
+           "(2 if m0 in cross else 2)",
+           (HG + "test_fiber_rows_past_5791_are_weil_rows_on_the_critical_circle",),
+           "the meeting points counted twice, seen at p = 5801 by the fiber rows alone"),
     Mutant("class-index-shifted", PH, "coeffs[(m0 + r) % (p - 1)]",
            "coeffs[(m0 + r + 1) % (p - 1)]", HP2, "each crossing-row term in the next class"),
     # the H_{p^2} kernel: the level intervals and the convolutions
