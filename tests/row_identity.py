@@ -14,8 +14,8 @@ jobs = 2.  The tables are the SHA-256 of GammaTables(p, k).C, the cubic
 Gamma_p(x0 + py) by residue x0, for every prime 7 <= p <= 2^10 and
 p in {5791, 8191} at k = 1, 2, 3, 4.  The H_{p^2} entries are the SHA-256 of
 hp2_poly(p, GammaTables(p, 4)), the coefficient vector in Teich(z), at
-p in HP2_PRIMES, which stop at 5791 so that a record can be taken at a
-checkout whose kernel stopped there.  The moment entries are, for every
+p in HP2_PRIMES, from 1021 up to 8191, past the 5791 where the retired
+int64 kernel stopped.  The moment entries are, for every
 catalog group, the exact a1 moments M_0..M_18 and a2 moments M_0..M_12, each
 component's `component_moment` at the same orders (as str(Fraction)), and
 the group's `invariants`; these orders go past the printed tables, and only
@@ -48,7 +48,7 @@ STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
            + [(f"c1 z={z} B=2^14", z, 2**14, True) for z in ("-1", "2", "1/3")])
 TABLE_PRIMES = [p for p in range(7, 2**10) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 TABLES = [(p, k) for p in TABLE_PRIMES + [5791, 8191] for k in (1, 2, 3, 4)]
-HP2_PRIMES = (1021, 2039, 4093, 5791)
+HP2_PRIMES = (1021, 2039, 4093, 5791, 5801, 8191)
 MOMENT_ORDERS = {"a1": range(19), "a2": range(13)}
 COEFF_BOUND = 2**16
 

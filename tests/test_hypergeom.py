@@ -186,11 +186,15 @@ def test_hp2_poly_at_every_precision_reduces_the_p4_vector(p):
         assert ph.hp2_poly(p, ph.GammaTables(p, k)) == [c % p**k for c in top]
 
 
-# SHA-256 of json.dumps(hp2_poly(p, GammaTables(p, 4))), recorded with the numpy int64
-# kernel that the digit-separated sum replaced; the trace oracle stops below p = 100
+# SHA-256 of json.dumps(hp2_poly(p, GammaTables(p, 4))): p = 251 and 1021 recorded with
+# the numpy int64 kernel that the digit-separated sum replaced, p = 2039 and 5801 with the
+# digit-separated kernel that still summed its crossing rows from _terms; the trace oracle
+# stops below p = 100
 _HP2_DIGESTS = {
     251: "b178aaf9af9850561613d60f55499abe4cec937e9aca04caea209655c80bad0d",
     1021: "d956527c9c3574af78909deaf530f73d053014894955bade1380590c2797c4c4",
+    2039: "0124d52f8354b576ef8eccaf63cc2f73ca62656e7792d4cfabce1230218cb8bb",
+    5801: "493db907662c2c9f2c44f9b9789ceb248847139187bee520e2e59f134e676126",
 }
 
 
