@@ -20,11 +20,11 @@ term at m carries p^W(m) in H_p, and p^(W(m) + W(sigma(m))) in H_{p^2}, where
 sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
 hp_poly sums the m with W(m) < k from two Gamma_p values a term.  hp2_poly
 separates the two digits of m: a term is a sum of products of two factors,
-each a polynomial in one digit, so apart from four rows summed directly the
-sum is 19 cyclic convolutions, each one big-integer product; O(p) work at
-every p >= 7, the packed slots sized from p.  Both kernels are pure Python: no
-Dwork path imports numpy, which would cost each process about 0.13 s of CPU
-and add about half to its peak RSS.
+each a polynomial in one digit from one Newton table, so the sum is four
+crossing rows and 19 cyclic convolutions, each one big-integer product; O(p)
+work at every p >= 7, the packed slots sized from p.  Both kernels are pure
+Python: no Dwork path imports numpy, which would cost each process about 0.13 s
+of CPU and add about half to its peak RSS.
 dwork_c1 and dwork_lpoly share one row body: it takes Teich(z) once and
 evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and hp2_poly at k = 4 for
 c2, each by Horner, and lifts c1 and 2p c2 to integers; the LPoly it returns
@@ -199,7 +199,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     the (V + i)/5, V = {5u}, so no wrapped alpha needs a correction) make the
     term r^(m0 + m1)/(1 - q) U(m) U(sigma(m)), r = -omega(5)^(-5), with
 
-      U(x) = p^W u(x; W),  W = W(x),  u from _terms at lam = 1/(q - 1),
+      U(x) = p^W u(x; W),  W = W(x),  u as in _terms at lam = 1/(q - 1),
 
     and W(0) = 0, so the m = 0 term is U(0)^2 = 1.  Digit separation:
 
@@ -212,8 +212,8 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
       W + W' + i + j < k = 4, fewer at lower k.
     * W(m0 + p m1) is lev(m1) = W(p m1) except on the rows m1 where 5m passes
       j(q - 1), j = 1..4; by symmetry W(sigma(m)) is lev(m0) off those columns.
-      The crossing rows are summed directly, weight 2 for their sigma images
-      (the crossing columns), 1 where a row meets a column.
+      Crossing-row points read both factors from the Newton form at their own
+      W, W', weight 2 (the sigma image), 1 where a row meets a column.
     * Every other point lies on level intervals lev(m0) = W', lev(m1) = W,
       where each (W, W', i, j) term is a cyclic convolution mod p - 1 of two
       vectors: one Kronecker product of packed integers.  (W', W, j, i) gives
@@ -227,16 +227,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     k, pk = tables.k, tables.pk
     lam = pow(q - 1, -1, pk)
     cross = [j * (q - 1) // (5 * p) for j in range(1, 5)]  # lev(y) = j - 1 on cross[j - 1]
-    top = cross[k - 1] + 1  # lev(y) >= k from here on: every term vanishes
-    coeffs = [0] * (p - 1)
-    for r in cross[:k]:  # the crossing rows m1 = r; past cross[k - 1], W >= k
-        pts = [(m0, _wraps(m0 + p * r, q), _wraps(r + p * m0, q)) for m0 in range(top)]
-        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < k]
-        ua = _terms(tables, lam, [m0 + p * r for m0, _, _ in pts], [w for _, w, _ in pts])
-        ub = _terms(tables, lam, [r + p * m0 for m0, _, _ in pts], [ws for _, _, ws in pts])
-        for (m0, w, ws), a, b in zip(pts, ua, ub):
-            coeffs[(m0 + r) % (p - 1)] += p ** (w + ws) * a * b * (1 if m0 in cross else 2)
-    # dn[w][j][x0] = D_j(x0; w) mod p^(k - j)
+    # dn[w][j][x0] = D_j(x0; w) mod p^(k - j), from the kernel's only _terms calls
     dn = []
     for w in range(k):
         x0s = range(cross[k - 1 - w] + 1)  # lev(x0) < k - w
@@ -249,6 +240,14 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     levels = [(0, cross[0])] + [(cross[j] + 1, cross[j + 1]) for j in range(3)]
     binom = [[1] * p, list(range(p)), [m * (m - 1) // 2 for m in range(p)],
              [m * (m - 1) * (m - 2) // 6 for m in range(p)]]
+    coeffs = [0] * (p - 1)
+    for v, r in enumerate(cross[:k]):  # the crossing rows m1 = r, lev(r) = v; past them W >= k
+        for m0 in range(cross[k - 1 - v] + 1):  # lev(m0) <= W(sigma(m)) < k - W(m) <= k - v
+            w, ws = _wraps(m0 + p * r, q), _wraps(r + p * m0, q)
+            if w + ws < k:  # lev(m0) <= ws < k - w and lev(r) <= w < k - ws: both in dn
+                a = sum(dn[w][j][m0] * p**j * binom[j][r] for j in range(k - w))
+                b = sum(dn[ws][i][r] * p**i * binom[i][m0] for i in range(k - ws))
+                coeffs[(m0 + r) % (p - 1)] += p ** (w + ws) * a * b * (1 if m0 in cross else 2)
     nb = ((2 * k + 1) * p.bit_length() + 15) // 8  # a slot holds 38 p^(2k+1) < 2^(8 nb)
     total = 0
     for w in range(k):

@@ -109,7 +109,7 @@ MUTANTS = [
            "    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)",
            "    tz = rational_mod(z.numerator, z.denominator, pk)",
            (HG + "test_c1_balanced_lift_matches_p4_path",), "the row body evaluates at z"),
-    # the H_{p^2} kernel: the term builder shared by the direct points and the Newton data
+    # the H_{p^2} kernel: the term builder, run only to build the Newton data
     Mutant("beta-argument-complement", PH, "zip(tables.gamma_list(bs), gv, xs, ws)",
            "zip(tables.gamma_list([-b % pk for b in bs]), gv, xs, ws)", HP2,
            "Gamma_p at 1 - beta = -b in place of b"),
@@ -122,24 +122,31 @@ MUTANTS = [
            "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
     Mutant("newton-coefficient-unscaled", PH, "[d % pk // p**j for d in diffs[0]]",
            "[d % pk for d in diffs[0]]", HP2, "D_j not divided by p^j: p^j counted twice"),
-    # the H_{p^2} kernel: the crossing rows, summed directly
-    Mutant("sigma-identity", PH, "[r + p * m0 for m0, _, _ in pts]",
-           "[m0 + p * r for m0, _, _ in pts]", HP2,
-           "sigma(m) = m on the crossing rows: no Frobenius twist"),
+    # the H_{p^2} kernel: the crossing rows, read from the Newton data
+    Mutant("sigma-identity", PH, "dn[ws][i][r] * p**i * binom[i][m0]",
+           "dn[ws][i][m0] * p**i * binom[i][r]", HP2,
+           "the sigma factor read at (m0, r), not (r, m0): no twist on the crossing rows"),
     Mutant("hp2-w-without-sigma", PH, "_wraps(r + p * m0, q)", "0", HP2,
            "W(sigma(m)) = 0 on the crossing rows: the twist's wraps dropped"),
-    Mutant("hp2-keep-below-4", PH,
-           "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < k]\n",
-           "        pts = [(m0, w, ws) for m0, w, ws in pts if w + ws < 4]\n",
+    Mutant("hp2-keep-below-4", PH, "            if w + ws < k:", "            if w + ws < 4:",
            (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
-           "direct points kept for e < 4 whatever k is: u has no wrap count past k - 1"),
-    Mutant("direct-row-dropped", PH, "for r in cross[:k]:", "for r in cross[1:k]:", HP2,
+           "crossing-row points kept for e < 4 whatever k is: dn has no wrap count past k - 1"),
+    Mutant("crossing-binom-digit-swapped", PH, "p**j * binom[j][r]", "p**j * binom[j][m0]", HP2,
+           "the factor U(m) read at C(m0, j) in place of C(m1, j): the high digit swapped"),
+    Mutant("crossing-newton-one-term-short", PH, "binom[j][r] for j in range(k - w))",
+           "binom[j][r] for j in range(k - 1 - w))", HP2,
+           "the Newton sum for U(m) on a crossing row stopped one term early"),
+    Mutant("crossing-sigma-newton-one-term-short", PH, "binom[i][m0] for i in range(k - ws))",
+           "binom[i][m0] for i in range(k - 1 - ws))", HP2,
+           "the Newton sum for U(sigma(m)) on a crossing row stopped one term early"),
+    Mutant("crossing-row-dropped", PH, "for v, r in enumerate(cross[:k]):",
+           "for v, r in list(enumerate(cross[:k]))[1:]:", HP2,
            "the first crossing row and column left out"),
-    Mutant("direct-meets-counted-twice", PH, "(1 if m0 in cross else 2)", "2", HP2,
+    Mutant("crossing-meets-counted-twice", PH, "(1 if m0 in cross else 2)", "2", HP2,
            "a point where a crossing row meets a crossing column counted twice"),
-    Mutant("direct-columns-dropped", PH, "(1 if m0 in cross else 2)", "1", HP2,
+    Mutant("crossing-columns-dropped", PH, "(1 if m0 in cross else 2)", "1", HP2,
            "the crossing columns, the rows' sigma images, left out"),
-    Mutant("direct-meets-weight-two-at-5801", PH, "(1 if m0 in cross else 2)",
+    Mutant("crossing-meets-weight-two-at-5801", PH, "(1 if m0 in cross else 2)",
            "(2 if m0 in cross else 2)",
            (HG + "test_fiber_rows_past_5791_are_weil_rows_on_the_critical_circle",),
            "the meeting points counted twice, seen at p = 5801 by the fiber rows alone"),
