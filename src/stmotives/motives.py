@@ -280,11 +280,15 @@ def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
             from concurrent.futures import ProcessPoolExecutor
 
             # the pool starts all its workers at once: no more than the CPUs or the
-            # primes.  chunksize 1: per-prime cost is uneven (it grows like p for
-            # the Dwork construction), so fine-grained dispatch balances better
+            # primes.  Per-prime cost grows with p (like p for Dwork c1), so the primes
+            # go largest-first and the cheapest work is the stream's tail; about 16
+            # chunks a worker keep the parent's messages few (1 prime a chunk below
+            # 32 primes a worker).  The rows come back descending and are reversed
             workers = max(1, min(jobs, os.cpu_count() or 1, len(primes)))
+            chunk = max(1, len(primes) // (16 * workers))
             with ProcessPoolExecutor(max_workers=workers) as ex:
-                return [r for r in ex.map(row, primes, chunksize=1) if r is not None]
+                rows = list(ex.map(row, primes[::-1], chunksize=chunk))
+            return [r for r in reversed(rows) if r is not None]
         except (OSError, ImportError) as exc:
             warnings.warn(f"process pool unavailable ({exc!r}); computing {len(primes)} primes "
                           f"serially", RuntimeWarning, stacklevel=2)

@@ -18,7 +18,9 @@ and Teich(z)^(p-1) = 1, so each is a vector of at most p - 1 coefficients mod
 p^k.  One wrap count W(x) = floor((5x - 1)/(q - 1)) gives every p-power: the
 term at m carries p^W(m) in H_p, and p^(W(m) + W(sigma(m))) in H_{p^2}, where
 sigma(m) = pm mod (p^2 - 1), the Frobenius twist, swaps the base-p digits of m.
-hp_poly sums the m with W(m) < k from two Gamma_p values a term.  hp2_poly
+hp_poly sums the m with W(m) < k from two Gamma_p values a term, one wrap band
+at a time: on band w, W = f = w, so every power of 5 is 1, the sign and p^w are
+constants, and b = m/(p - 1) is an arithmetic progression.  hp2_poly
 separates the two digits of m: a term is a sum of products of two factors,
 each a polynomial in one digit from one Newton table, so the sum is four
 crossing rows and 19 cyclic convolutions, each one big-integer product; O(p)
@@ -75,13 +77,10 @@ class GammaTables:
             # G_x0 = Gamma_p(x0 + py): G_1 = -G_0, then G_(x0+1) = -(x0 + py) G_x0, that
             # is C_i <- -(x0 C_i + C_(i-1)) mod p^(k-i), a column at a time (C_i = 0, i >= k)
             c = -b % m
-            col = [b % m, c]
-            for x0 in range(1, p - 1):
-                c = -(x0 * c + prev[x0]) % m
-                col.append(c)
-            return col
+            return [b % m, c] + [c := -(x0 * c + g) % m for x0, g in enumerate(prev[1:p - 1], 1)]
 
-        C = [column(1, pk, [0] * p)]  # Gamma_p(x0) for x0 = 0..p-1
+        # C0 = Gamma_p(x0), x0 = 0..p-1: G_1 = -1, then each step multiplies by -x0 = p^k - x0
+        C = [[1, c := pk - 1] + [c := c * (pk - x0) % pk for x0 in range(1, p - 1)]]
         w1 = (-1) ** (p + 1) * (p - 1) * C[0][-1] % pk  # (p-1)! = (-1)^p Gamma_p(p)
         a1 = a2 = a3 = 0
         if k == 2:
@@ -120,16 +119,18 @@ def _wraps(x, q: int):
     return (5 * x - 1) // (q - 1)
 
 
-def _terms(tables: GammaTables, lam: int, xs, ws) -> list[int]:
-    """u(x; w) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k for x in xs,
-    w in ws: b = lam x, V = w + 1 - 5b and f = floor((5 x0 + w)/p), x0 = x mod p.
-    The term builder of both kernels, at lam = 1/(q - 1)."""
-    p, pk = tables.p, tables.pk
-    fac = [[(-1) ** w * pow(5, f - w, pk) % pk for f in range(5)] for w in range(tables.k)]
-    bs = [lam * x % pk for x in xs]
-    gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b, w in zip(bs, ws)])
-    return [(g2 := g * g % pk) * g2 * g % pk * v * fac[w][(5 * (x % p) + w) // p] % pk
-            for g, v, x, w in zip(tables.gamma_list(bs), gv, xs, ws)]
+def _terms(tables: GammaTables, bs, w: int, f: int) -> list[int]:
+    """u(b) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k, V = w + 1 - 5b, for the
+    residues b mod p^k in bs, a run of terms with one wrap count w and one
+    f = floor((5 x0 + w)/p), x0 the low digit of the term's index.  The term
+    builder of both kernels: two Gamma_p values a term, through gamma_list,
+    which takes residues, so V is reduced mod p^k: w + 1 - 5b leaves [0, p^k),
+    and at the top of an H_p band, when p = 1 mod 5, it is a multiple of p^k."""
+    pk = tables.pk
+    c = (-1) ** w * pow(5, f - w, pk) % pk
+    gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b in bs])
+    return [(g2 := g * g % pk) * g2 * g % pk * v * c % pk
+            for g, v in zip(tables.gamma_list(bs), gv)]
 
 
 def hp_poly(p: int, tables: GammaTables) -> list[int]:
@@ -143,7 +144,7 @@ def hp_poly(p: int, tables: GammaTables) -> list[int]:
       coeff_m = -r^m p^W u(m; W)/(1 - p),  r = -omega(5)^(-5),
 
     u(m; W) = (-1)^W 5^(f-W) Gamma_p(b)^5 Gamma_p(V), f = floor((5m + W)/p),
-    from _terms at lam = 1/(p - 1).
+    from _terms.
 
     * Gauss multiplication (Robert, A Course in p-adic Analysis, ch. VII):
       the alphas {j/5 + u}, j = 1..4, and 1 - b are the (V + i)/5, i = 0..4,
@@ -155,18 +156,32 @@ def hp_poly(p: int, tables: GammaTables) -> list[int]:
     * Reflection, Gamma_p(x) Gamma_p(1-x) = (-1)^R(x):
       1/Gamma_p(1 - b) = (-1)^(m+1) Gamma_p(b); the betas give Gamma_p(b)^4.
 
+    The terms go one wrap band at a time: band w holds the m with
+    w(p - 1) < 5m <= (w + 1)(p - 1), where W(m) = w and f = w, so the 5-power
+    is 1 and the sign and p^w are constants of the band.  1/(p - 1) = -S mod
+    p^k, S = (p^k - 1)/(p - 1), so b = m/(p - 1) is the progression p^k - mS,
+    in [0, p^k) for 1 <= m <= p - 2; m = 0 (b = 0) is a run of its own.  A
+    band can be empty (band 1 at p = 3) with terms in the next; empty bands
+    are skipped.
+
     `tables` is any gamma backend (gamma_list, p, pk, k) at the wanted precision.
     """
     if p == 5 or p == 2:
         raise ValueError("p = 2, 5 are bad for the Dwork parameters")
     k, pk = tables.k, tables.pk
     cut = min(p - 1, (k * p + 5 - k) // 5)  # W(m) < k iff 5m <= k(p-1) iff m < (kp + 5 - k)/5
-    ws = [0] + [_wraps(m, p) for m in range(1, cut)]
+    s = (pk - 1) // (p - 1)  # S: b = m/(p - 1) = p^k - mS
+    runs = [(0, range(1))]  # m = 0: W = 0, b = 0
+    for w in range(5):  # band w, W(m) = f = w
+        lo, hi = w * (p - 1) // 5 + 1, min((w + 1) * (p - 1) // 5, cut - 1)
+        runs.append((w, range(pk - lo * s, pk - (hi + 1) * s, -s)))  # empty when hi < lo
     r, scale = -pow(teichmuller(5, p, k), -5, pk), -pow(1 - p, -1, pk)
-    pw, coeffs = [p**w for w in range(k)], []
-    for w, u in zip(ws, _terms(tables, pow(p - 1, -1, pk), range(cut), ws)):
-        coeffs.append(scale * pw[w] * u % pk)  # r^m = (-1)^m omega(5)^(-5m)
-        scale = scale * r % pk
+    coeffs = []
+    for w, bs in runs:
+        pw = p**w
+        for u in _terms(tables, bs, w, w):
+            coeffs.append(scale * pw * u % pk)  # r^m = (-1)^m omega(5)^(-5m)
+            scale = scale * r % pk
     return coeffs
 
 
@@ -199,10 +214,12 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     the (V + i)/5, V = {5u}, so no wrapped alpha needs a correction) make the
     term r^(m0 + m1)/(1 - q) U(m) U(sigma(m)), r = -omega(5)^(-5), with
 
-      U(x) = p^W u(x; W),  W = W(x),  u as in _terms at lam = 1/(q - 1),
+      U(x) = p^W u(b; W),  W = W(x),  u from _terms at b = x/(q - 1),
 
     and W(0) = 0, so the m = 0 term is U(0)^2 = 1.  Digit separation:
 
+    * f = floor((5 x0 + W)/p) takes at most 5 values, each on a run of x0, so
+      the Newton stage calls _terms once per run.
     * Mod p^4, b = -x(1 + p^2) and V are linear in x1 = floor(x/p) with slopes
       in p Z_p, so for each x0 and w, u(x0 + p x1; w) = sum_j D_j p^j C(x1, j)
       (Newton's form, D_j p^j the j-th forward difference in x1 at 0), and
@@ -230,9 +247,15 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     # dn[w][j][x0] = D_j(x0; w) mod p^(k - j), from the kernel's only _terms calls
     dn = []
     for w in range(k):
-        x0s = range(cross[k - 1 - w] + 1)  # lev(x0) < k - w
-        diffs = [_terms(tables, lam, [x0 + p * x1 for x0 in x0s], repeat(w))
-                 for x1 in range(k - w)]
+        top = cross[k - 1 - w] + 1  # x0 < top: lev(x0) < k - w
+        # the runs of f = floor((5 x0 + w)/p): x0 from ceil((fp - w)/5), f = 0..4
+        starts = [min((f * p - w + 4) // 5, top) for f in range(5)] + [top]
+        diffs = []
+        for x1 in range(k - w):
+            diffs.append([])
+            for f in range(5):
+                xs = range(starts[f] + p * x1, starts[f + 1] + p * x1)
+                diffs[-1] += _terms(tables, [lam * x % pk for x in xs], w, f)
         dn.append([])
         for j in range(k - w):
             dn[w].append([d % pk // p**j for d in diffs[0]])

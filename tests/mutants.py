@@ -83,6 +83,9 @@ MUTANTS = [
            "if row[0] not in primes:", CACHE, "a repeated or descending cached prime is served"),
     Mutant("cache-stream-prime-check-dropped", MV, "if row[0] <= last or row[0] not in primes:",
            "if row[0] <= last:", CACHE, "a cached row at no stream prime is served"),
+    Mutant("pool-rows-in-dispatch-order", MV, "for r in reversed(rows) if r", "for r in rows if r",
+           (TM + "test_pool_sends_long_streams_largest_first_in_chunks",),
+           "pooled rows returned largest prime first, as dispatched"),
     Mutant("cache-digest-check-dropped", MV,
            '        if head[len(header):].rstrip("\\n") != hashlib.sha256(body.encode()).hexdigest():',
            "        if False:", (TM + "test_cache_with_an_edited_row_set_is_a_miss",),
@@ -97,10 +100,17 @@ MUTANTS = [
     Mutant("wraps-without-minus-one", PH, "    return (5 * x - 1) // (q - 1)",
            "    return 5 * x // (q - 1)",
            (HG + "test_eta_band_table_matches_definition",) + HP2, "W(x) = 5x // (q - 1)"),
-    Mutant("hp-lam-at-q-p2", PH, "_terms(tables, pow(p - 1, -1, pk), range(cut), ws)",
-           "_terms(tables, pow(p * p - 1, -1, pk), range(cut), ws)",
-           (HG + "test_eta_band_table_matches_definition",), "H_p's b = m/(p - 1) read at q = p^2"),
-    Mutant("hp-p-power-dropped", PH, "coeffs.append(scale * pw[w] * u % pk)",
+    Mutant("hp-lam-at-q-p2", PH, "s = (pk - 1) // (p - 1)", "s = (pk - 1) // (p * p - 1)",
+           (HG + "test_eta_band_table_matches_definition",),
+           "H_p's b = m/(p - 1) read at q = p^2: S = (p^k - 1)/(p^2 - 1)"),
+    Mutant("hp-s-without-one", PH, "s = (pk - 1) // (p - 1)", "s = (pk - p) // (p - 1)",
+           (HG + "test_eta_band_table_matches_definition",),
+           "S = p + ... + p^(k-1): the progression b = p^k - mS with a wrong step"),
+    Mutant("hp-band-hi-plus-one", PH, "min((w + 1) * (p - 1) // 5, cut - 1)",
+           "min((w + 1) * (p - 1) // 5 + 1, cut - 1)",
+           (HG + "test_eta_band_table_matches_definition",),
+           "a band's top one past its last m: the next band's first term taken twice"),
+    Mutant("hp-p-power-dropped", PH, "coeffs.append(scale * pw * u % pk)",
            "coeffs.append(scale * u % pk)", (HG + "test_eta_band_table_matches_definition",),
            "the p^W(m) of an H_p term left out"),
     Mutant("hp-scale-sign", PH, "-pow(1 - p, -1, pk)", "pow(1 - p, -1, pk)",
@@ -110,14 +120,15 @@ MUTANTS = [
            "    tz = rational_mod(z.numerator, z.denominator, pk)",
            (HG + "test_c1_balanced_lift_matches_p4_path",), "the row body evaluates at z"),
     # the H_{p^2} kernel: the term builder, run only to build the Newton data
-    Mutant("beta-argument-complement", PH, "zip(tables.gamma_list(bs), gv, xs, ws)",
-           "zip(tables.gamma_list([-b % pk for b in bs]), gv, xs, ws)", HP2,
+    Mutant("beta-argument-complement", PH, "zip(tables.gamma_list(bs), gv)",
+           "zip(tables.gamma_list([-b % pk for b in bs]), gv)", HP2,
            "Gamma_p at 1 - beta = -b in place of b"),
     Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HP2,
            "V = 5u + 1: the wrap count left out of {5u}"),
-    Mutant("gauss-f-without-wraps", PH, "fac[w][(5 * (x % p) + w) // p]",
-           "fac[w][5 * (x % p) // p]", HP2,
-           "f = floor(5 x0/p): the wrap count left out of the 5-power"),
+    Mutant("gauss-f-without-wraps", PH, "(f * p - w + 4) // 5", "(f * p + 4) // 5", HP2,
+           "f = floor(5 x0/p): the wrap count left out of the f-runs"),
+    Mutant("newton-f-run-off-by-one", PH, "(f * p - w + 4) // 5", "(f * p - w + 5) // 5", HP2,
+           "an f-run of the Newton stage starts one x0 late"),
     Mutant("gauss-reflection-gamma-dropped", PH, "* g2 * g % pk", "* g2 % pk", HP2,
            "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
     Mutant("newton-coefficient-unscaled", PH, "[d % pk // p**j for d in diffs[0]]",
@@ -185,14 +196,15 @@ MUTANTS = [
     Mutant("unit-step-at-x0-0", PH, "        c = -b % m\n", "        c = -prev[0] % m\n",
            (TG + "test_recurrence_matches_exact_integers",),
            "the unit step at x0 = 0 in place of G_1 = -G_0"),
-    Mutant("column-carries-c-i", PH, "c = -(x0 * c + prev[x0]) % m",
-           "c = -(x0 * c + col[x0]) % m", (TG + "test_recurrence_matches_exact_integers",),
-           "C_i carried in place of C_(i-1)"),
-    Mutant("column-subtracts-c-i-minus-1", PH, "c = -(x0 * c + prev[x0]) % m",
-           "c = -(x0 * c - prev[x0]) % m",
+    Mutant("column-carries-c-i", PH, "c := -(x0 * c + g) % m", "c := -(x0 * c + c) % m",
+           (TG + "test_recurrence_matches_exact_integers",), "C_i carried in place of C_(i-1)"),
+    Mutant("column-subtracts-c-i-minus-1", PH, "c := -(x0 * c + g) % m", "c := -(x0 * c - g) % m",
            (HG + "test_hp2_kernel_equals_generic_trace_random",
             HG + "test_hp_kernel_equals_generic_trace_random"),
            "the series columns subtract C_(i-1); the random oracle tests must fail fast"),
+    Mutant("c0-step-plus-x0", PH, "c := c * (pk - x0) % pk", "c := c * (pk + x0) % pk",
+           (TG + "test_recurrence_matches_exact_integers",),
+           "the Gamma_p(x0) column steps by +x0 in place of -x0"),
     # the small-prime rows
     Mutant("small-prime-row-changed", PH, "    (3, 2): (5, 15),", "    (3, 2): (5, 16),",
            (HG + "test_small_prime_rows_certified_by_the_trace",), "one literal row edited"),

@@ -1,5 +1,5 @@
-"""Identity of the Dwork streams, the gamma tables, the H_{p^2} vectors, the
-exact moment engine and the CM coefficients between two checkouts.
+"""Identity of the Dwork streams, the gamma tables, the H_p and H_{p^2} vectors,
+the exact moment engine and the CM coefficients between two checkouts.
 
     PYTHONPATH=<old checkout>/src python tests/row_identity.py record rows.json
     PYTHONPATH=src python tests/row_identity.py check rows.json
@@ -15,15 +15,16 @@ Gamma_p(x0 + py) by residue x0, for every prime 7 <= p <= 2^10 and
 p in {5791, 8191} at k = 1, 2, 3, 4.  The H_{p^2} entries are the SHA-256 of
 hp2_poly(p, GammaTables(p, 4)), the coefficient vector in Teich(z), at
 p in HP2_PRIMES, from 1021 up to 8191, past the 5791 where the retired
-int64 kernel stopped.  The moment entries are, for every
-catalog group, the exact a1 moments M_0..M_18 and a2 moments M_0..M_12, each
-component's `component_moment` at the same orders (as str(Fraction)), and
-the group's `invariants`; these orders go past the printed tables, and only
-`catalog`, `moment`, `component_moment` and `invariants` are called, so a
-record can be taken at an older checkout.  The coefficient entries are
-`coeff` of every form in cmforms.FORMS and `ec_trace` of every curve
-y^2 = x^3 + Ax + B of bench/workloads.CM_CURVES at every prime
-5 <= p <= 2^16, a skipped prime (BadPrimeError) recorded as null; they too
+int64 kernel stopped.  The H_p entries are the SHA-256 of
+hp_poly(p, GammaTables(p, k)) at each (p, k) of HP_VECTORS.  The moment
+entries are, for every catalog group, the exact a1 moments M_0..M_18 and
+a2 moments M_0..M_12, each component's `component_moment` at the same
+orders (as str(Fraction)), and the group's `invariants`; these orders go
+past the printed tables, and only `catalog`, `moment`, `component_moment`
+and `invariants` are called, so a record can be taken at an older checkout.
+The coefficient entries are `coeff` of every form in cmforms.FORMS and
+`ec_trace` of every curve y^2 = x^3 + Ax + B of bench/workloads.CM_CURVES
+at every prime 5 <= p <= 2^16, a skipped prime (BadPrimeError) recorded as null; they too
 call only public names.  A kernel change keeps every entry bit-identical.
 pytest does not collect this file.
 """
@@ -49,6 +50,7 @@ STREAMS = ([(f"c1c2 z={z} B=2^10", z, 2**10, False) for z in DWORK_Z]
 TABLE_PRIMES = [p for p in range(7, 2**10) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 TABLES = [(p, k) for p in TABLE_PRIMES + [5791, 8191] for k in (1, 2, 3, 4)]
 HP2_PRIMES = (1021, 2039, 4093, 5791, 5801, 8191)
+HP_VECTORS = ((1021, 2), (5791, 2), (8191, 2), (251, 4), (1021, 4))
 MOMENT_ORDERS = {"a1": range(19), "a2": range(13)}
 COEFF_BOUND = 2**16
 
@@ -59,10 +61,12 @@ def table_digest(p: int, k: int) -> str:
     return hashlib.sha256(json.dumps([list(c) for c in GammaTables(p, k).C]).encode()).hexdigest()
 
 
-def hp2_digest(p: int) -> str:
-    from stmotives.padic_hypergeom import GammaTables, hp2_poly
+def vector_digest(kernel: str, p: int, k: int) -> str:
+    """SHA-256 of the Teich(z) vector of padic_hypergeom.<kernel> at p and precision k."""
+    from stmotives import padic_hypergeom as ph
 
-    return hashlib.sha256(json.dumps(hp2_poly(p, GammaTables(p, 4))).encode()).hexdigest()
+    vec = getattr(ph, kernel)(p, ph.GammaTables(p, k))
+    return hashlib.sha256(json.dumps(vec).encode()).hexdigest()
 
 
 def moment_entries() -> dict[str, list]:
@@ -114,8 +118,11 @@ def compute() -> dict[str, list | str]:
     print(f"{len(TABLES)} gamma tables, {time.perf_counter() - t0:.1f} s", flush=True)
     t0 = time.perf_counter()
     for p in HP2_PRIMES:
-        out[f"hp2_poly({p})"] = hp2_digest(p)
-    print(f"{len(HP2_PRIMES)} hp2_poly vectors, {time.perf_counter() - t0:.1f} s", flush=True)
+        out[f"hp2_poly({p})"] = vector_digest("hp2_poly", p, 4)
+    for p, k in HP_VECTORS:
+        out[f"hp_poly({p}, {k})"] = vector_digest("hp_poly", p, k)
+    print(f"{len(HP2_PRIMES)} hp2_poly and {len(HP_VECTORS)} hp_poly vectors, "
+          f"{time.perf_counter() - t0:.1f} s", flush=True)
     t0 = time.perf_counter()
     moments = moment_entries()
     print(f"{len(moments)} moment and invariant entries, {time.perf_counter() - t0:.1f} s",
@@ -154,9 +161,11 @@ def main(argv: list[str]) -> int:
             print(f"MISMATCH {name}: {len(old)} recorded items, {len(new)} now; first differing "
                   f"item {diff}: {old[diff:diff + 1]} -> {new[diff:diff + 1]}")
     n_coeffs = sum(name.startswith(("coeff(", "ec_trace(")) for name in entries)
-    n_moments = len(entries) - len(STREAMS) - len(TABLES) - len(HP2_PRIMES) - n_coeffs
+    n_moments = (len(entries) - len(STREAMS) - len(TABLES) - len(HP2_PRIMES) - len(HP_VECTORS)
+                 - n_coeffs)
     print(f"{len(entries) - bad} of {len(entries)} entries identical ({len(STREAMS)} streams, "
           f"{len(TABLES)} gamma tables, {len(HP2_PRIMES)} hp2_poly vectors, "
+          f"{len(HP_VECTORS)} hp_poly vectors, "
           f"{n_moments} moment and invariant entries, "
           f"{n_coeffs} coefficient entries)")
     return 1 if bad else 0

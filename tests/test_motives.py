@@ -326,9 +326,11 @@ def test_parallel_fallback_warns_and_matches_serial(monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each map call's
+    items and chunksize, starts no process."""
 
     workers: list = []
+    maps: list = []
 
     def __init__(self, max_workers):
         self.workers.append(max_workers)
@@ -340,6 +342,8 @@ class _SerialPool:
         return False
 
     def map(self, fn, items, chunksize=1):
+        items = list(items)
+        self.maps.append((items, chunksize))
         return map(fn, items)
 
 
@@ -366,6 +370,34 @@ def test_pool_workers_capped_at_cpus_and_primes(monkeypatch):
     argv = ["motive", "symcube", "--e1", "0,1", "--bound-log2", "4"]
     assert cli.main(argv + ["--jobs", "1000000"]) == 0
     assert _SerialPool.workers[4:] == [5]  # the primes 3, 5, 7, 11, 13 below 2^4
+
+
+def test_pool_sends_long_streams_largest_first_in_chunks(monkeypatch, tmp_path):
+    """A stream of more than 32 primes a worker goes to the pool largest-first in
+    chunks of more than one prime; its rows come back ascending, equal to the serial
+    rows, and a jobs = 2 cache miss writes a file the next call reads as a hit."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "workers", [])
+    monkeypatch.setattr(_SerialPool, "maps", [])
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: 2)
+    spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
+    primes = mv.stream_primes(spec, 2000)
+    assert len(primes) > 32 * 2
+    serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)
+    pooled = mv.cached_lpoly_stream(spec, 2000, None, jobs=2)
+    [(items, chunksize)] = _SerialPool.maps
+    assert items == sorted(primes, reverse=True) and chunksize > 1
+    assert pooled == serial and [r[0] for r in pooled] == sorted({r[0] for r in pooled})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # descending rows: a corrupt cache
+        assert mv.cached_lpoly_stream(spec, 2000, str(tmp_path), jobs=2) == serial
+        assert mv.cached_lpoly_stream(spec, 2000, str(tmp_path), jobs=2) == serial
+    assert len(_SerialPool.maps) == 2  # the miss ran the pool, the hit did not
+    # a short stream keeps one prime a chunk
+    mv.cached_lpoly_stream(spec, 200, None, jobs=2)
+    assert _SerialPool.maps[-1][1] == 1
 
 
 def test_bad_primes_are_skipped_primes():
