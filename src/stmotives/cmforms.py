@@ -139,6 +139,10 @@ class CurveSpec:
         y^2 = x^3 + B (Q(w), t = 4B, n = 6) and y^2 = x^3 + Ax (Q(i), t = -A,
         n = 4), else None.  At a p > 3 of good reduction a_p is the trace of
         conj((t/P)) alpha, and (t^(n-1)/P) = (t/P)^(n-1) = conj((t/P))."""
+        return self._cm_family
+
+    @cached_property
+    def _cm_family(self):  # once per curve: ec_trace asks at every prime
         if (self.a1, self.a2, self.a3) == (0, 0, 0):
             if self.a4 == 0 and self.a6 != 0:
                 return ("Q(w)", 1, (4 * self.a6) ** 5, None)

@@ -9,13 +9,17 @@ the generator normalized to 1 mod M of the prime over p that a scan over its
 first coordinate finds first (the coefficient tables, traces with rational
 twists, cannot tell it from its conjugate; the scan's choice keeps generators
 and symbols), and one residue-symbol body gives the quartic resp. sextic
-symbol.  Shared state: the normalization tables and a bounded split cache.
+symbol.  Shared state: the normalization tables, and each ring's memo of the
+splits it has computed, p to packed generator, one entry per (ring, p) a
+process splits, with no cap.  Only the splitter fills a memo, and only after
+an exact is_prime(p); the residue symbol takes "N(pi) is in the memo" as the
+proof that N(pi) is prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from math import isqrt
 
 
@@ -43,17 +47,24 @@ def primes_up_to(bound: int) -> list[int]:
     return [n for n in range(2, bound + 1) if sieve[n]]
 
 
+# (bound, bases): the first k prime bases make Miller-Rabin exact below the least
+# strong pseudoprime to all of them (Pomerance-Selfridge-Wagstaff 1980, Jaeschke
+# 1993; Sorenson-Webster 2017 for the 13 bases)
+_MR_BASES = ((2047, (2,)), (1373653, (2, 3)), (25326001, (2, 3, 5)),
+             (3215031751, (2, 3, 5, 7)),
+             (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)))
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, exact with the bases 2, 3, 5, 7 below 3215031751
-    (Pomerance-Selfridge-Wagstaff 1980, Jaeschke 1993) and the first 13 primes below
-    3317044064679887385961981 (Sorenson-Webster 2017); ValueError from there on."""
+    """Deterministic Miller-Rabin test with the smallest base set of _MR_BASES
+    that is exact at n; ValueError past the last bound."""
     if n < 8:
         return n in (2, 3, 5, 7)
-    if n >= 3317044064679887385961981:
+    if n >= _MR_BASES[-1][0]:
         raise ValueError(f"{n} is past the deterministic Miller-Rabin range")
     m = n - 1
     s = (m & -m).bit_length() - 1  # n - 1 = 2^s d, d odd
-    for a in (2, 3, 5, 7) if n < 3215031751 else (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for a in next(bases for bound, bases in _MR_BASES if n < bound):
         x = pow(a, m >> s, n)
         if x == 1 or x == m:
             continue
@@ -102,13 +113,20 @@ def degree_one_primes(field: FieldSpec, bound: int) -> list[int]:
 # Z[t], t^2 + T t + 1 = 0: Z[i] (T = 0) and Z[w] (T = 1)
 
 
+# A memo entry is the int a * _PACK + b for the generator a + bt.  N(a + bt) = p
+# bounds |a| and |b| by 2 sqrt(p/3), under 2^41 for every p of is_prime's range
+# (p < 3.32 * 10^24), so b is the balanced residue of the entry mod _PACK = 2^42.
+_PACK = 1 << 42
+
+
 @dataclass(frozen=True)
 class _QuadInt:
     """Element a + b*t of Z[t], t^2 + T t + 1 = 0.
 
     A subclass sets only constants: T, the unit generator UNIT and the
     normalizing modulus M, both as (a, b).  Each subclass derives its unit
-    group UNITS, the powers of UNIT, when it is defined."""
+    group UNITS, the powers of UNIT, when it is defined, and gets its own
+    empty split memo _SPLITS."""
 
     a: int
     b: int
@@ -120,6 +138,7 @@ class _QuadInt:
         while units[-1] * gen != one:
             units.append(units[-1] * gen)
         cls.UNITS = tuple(units)
+        cls._SPLITS = {}
 
     @classmethod
     @cache
@@ -178,7 +197,6 @@ class _QuadInt:
         return u * self
 
     @classmethod
-    @lru_cache(maxsize=256)
     def _split_prime(cls, p: int):
         """Generator x + y t, normalized to 1 mod M, of a prime over the prime
         p = 1 mod |UNITS|, in O(log p): t has order k = 4 - T, so its image mod
@@ -186,32 +204,43 @@ class _QuadInt:
         Cornacchia's descent from the root s of -1 resp. 2s + 1 of -3 gives
         p = u^2 + D v^2, D = 1 resp. 3.  The conjugate returned is the scan's
         (module doc): least x > 0 with 4p - (4 - T^2) x^2 = r^2 (x in u, v resp.
-        2v, |u - v|, u + v), y = (Tx + r)/2.  Cached for a row's second factor."""
-        if p < 5 or (p - 1) % len(cls.UNITS):
-            raise NotSplitError(f"{p} is not a prime 1 mod {len(cls.UNITS)} ({cls.__name__})")
-        T, k, D = cls.T, 4 - cls.T, 1 + 2 * cls.T
-        for c in range(2, p):
-            s = pow(c, (p - 1) // k, p)
-            if (s * s + T * s + 1) % p == 0:
-                break
-            if pow(s, k, p) != 1:  # c^(p-1) != 1 mod p
-                raise NotSplitError(f"{p} is not prime")
-        a, b, bound = p, (2 * s + 1) % p if T else s, isqrt(p)
-        while b > bound:
-            a, b = b, a % b
-        u, v = b, isqrt((p - b * b) // D)
-        x = min(2 * v, abs(u - v)) if T else min(u, v)
-        r = isqrt(4 * p - (4 - T * T) * x * x)
-        return cls(x, (T * x + r) // 2).normalized()
+        2v, |u - v|, u + v), y = (Tx + r)/2.  The first call at p checks p with
+        is_prime (NotSplitError for a composite, ValueError past its range) and
+        stores the generator in the ring's memo; every call returns it from there."""
+        e = cls._SPLITS.get(p)
+        if e is None:
+            if (p - 1) % len(cls.UNITS) or not is_prime(p):
+                raise NotSplitError(f"{p} is not a prime 1 mod {len(cls.UNITS)} ({cls.__name__})")
+            T, k, D = cls.T, 4 - cls.T, 1 + 2 * cls.T
+            for c in range(2, p):
+                s = pow(c, (p - 1) // k, p)
+                if (s * s + T * s + 1) % p == 0:
+                    break
+            a, b, bound = p, (2 * s + 1) % p if T else s, isqrt(p)
+            while b > bound:
+                a, b = b, a % b
+            u, v = b, isqrt((p - b * b) // D)
+            x = min(2 * v, abs(u - v)) if T else min(u, v)
+            r = isqrt(4 * p - (4 - T * T) * x * x)
+            g = cls(x, (T * x + r) // 2).normalized()
+            e = cls._SPLITS[p] = g.a * _PACK + g.b
+        a, b = divmod(e + _PACK // 2, _PACK)
+        return cls(a, b - _PACK // 2)
 
     def residue_symbol(self, alpha):
         """(alpha/self)_n with n = |UNITS|: the unit congruent to
         alpha^((p-1)/n) mod self, or 0 when self | alpha.  self must be a
-        degree-1 prime over p = 1 mod n.  It is computed in the residue field
-        Z[t]/(self) = F_p, where t maps to r = -a/b."""
+        degree-1 prime over p = 1 mod n, that is, p = N(self) must be a prime
+        1 mod n.  p in the ring's memo is the proof; any other p is split first,
+        and NotPrimeError if it does not split.  Then p does not divide b, and
+        the symbol is computed in the residue field Z[t]/(self) = F_p, where t
+        maps to r = -a/b."""
         p, n = self.norm(), len(self.UNITS)
-        if not is_prime(p) or (p - 1) % n or self.b % p == 0:
-            raise NotPrimeError(f"{self} is not a degree-1 prime over p = 1 mod {n}")
+        if p not in self._SPLITS:
+            try:
+                self._split_prime(p)
+            except NotSplitError:
+                raise NotPrimeError(f"{self} is not a degree-1 prime over p = 1 mod {n}") from None
         r = -self.a * pow(self.b, -1, p) % p
         t = (alpha.a + alpha.b * r) % p
         if t == 0:

@@ -47,11 +47,13 @@ PH = "src/stmotives/padic_hypergeom.py"
 MV = "src/stmotives/motives.py"
 LR = "src/stmotives/laurent.py"
 SG = "src/stmotives/stgroups.py"
+NT = "src/stmotives/ntkernel.py"
 HG = "tests/test_hypergeom.py::"
 TM = "tests/test_motives.py::"
 TS = "tests/test_stgroups.py::"
 SC = "tests/test_stats_cli.py::"
 TG = "tests/test_padic_gamma.py::"
+TN = "tests/test_ntkernel.py::"
 HP2 = (HG + "test_fast_hp2_loop_equals_generic_trace",)
 CACHE = (TM + "test_corrupt_cache_is_a_miss",)
 
@@ -262,9 +264,29 @@ MUTANTS = [
     Mutant("a2-decimals-shifted", "src/stmotives/stats.py", "A2_DECIMALS = (3, 3, 3, 3, 3, 2, 1)",
            "A2_DECIMALS = (3, 3, 3, 3, 2, 1, 0)",
            (SC + "test_emit_table_formats_and_rounding",), "a2 M5..M7 printed one place short"),
-    Mutant("q-residues-one", "src/stmotives/ntkernel.py", 'FieldSpec("Q", 1, frozenset({0}))',
-           'FieldSpec("Q", 1, frozenset({1}))', ("tests/test_ntkernel.py::test_degree_one_primes",),
+    Mutant("q-residues-one", NT, 'FieldSpec("Q", 1, frozenset({0}))',
+           'FieldSpec("Q", 1, frozenset({1}))', (TN + "test_degree_one_primes",),
            "p mod 1 is never 1: Q has no degree-1 primes"),
+    # the split memo and its primality certificate
+    Mutant("memo-without-is-prime", NT, "if (p - 1) % len(cls.UNITS) or not is_prime(p):",
+           "if (p - 1) % len(cls.UNITS):",
+           (TN + "test_splitter_rejects_what_is_not_a_split_prime",
+            "tests/test_cmforms.py::test_coeff_refuses_a_composite_the_splitter_used_to_split"),
+           "the memo stores whatever the descent returns, composites included"),
+    Mutant("symbol-without-certificate", NT, "if p not in self._SPLITS:", "if False:",
+           (TN + "test_symbol_rejects_non_prime",), "the symbol takes any norm 1 mod n as prime"),
+    Mutant("memo-b-sign-lost", NT, "e = cls._SPLITS[p] = g.a * _PACK + g.b",
+           "e = cls._SPLITS[p] = g.a * _PACK + abs(g.b)",
+           (TN + "test_split_matches_the_scan_below_2_14",), "a generator's b stored without its sign"),
+    Mutant("memo-pack-too-narrow", NT, "_PACK = 1 << 42", "_PACK = 1 << 41",
+           (TN + "test_split_memo_holds_generators_to_the_end_of_is_prime_range",),
+           "|b| >= 2^40 read back as b - 2^41"),
+    Mutant("mr-base-2-at-2047", NT, "_MR_BASES = ((2047, (2,)),", "_MR_BASES = ((2048, (2,)),",
+           (TN + "test_is_prime_rejects_strong_pseudoprimes",),
+           "the strong base-2 pseudoprime 2047 tested at base 2 alone"),
+    Mutant("mr-bases-2-3-at-1373653", NT, "(1373653, (2, 3))", "(1373654, (2, 3))",
+           (TN + "test_is_prime_rejects_strong_pseudoprimes",),
+           "the strong pseudoprime 1373653 tested at bases 2 and 3 alone"),
     Mutant("form-dropped", "src/stmotives/cmforms.py",
            '    NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)),\n', "",
            ("tests/test_cmforms.py::test_forms_hold_every_documented_label_once",),

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from stmotives import cmforms as cf
-from stmotives.ntkernel import degree_one_primes, primes_up_to, split_prime_qi, split_prime_qomega, QI, QW
+from stmotives.ntkernel import (EisenInt, NotSplitError, degree_one_primes, primes_up_to,
+                                split_prime_qi, split_prime_qomega, QI, QW)
 
 from table_data import BP_576_3_QUARTIC, BP_576_4_QUARTIC, BP_576_4_SEXTIC
 
@@ -150,6 +151,14 @@ def test_long_weierstrass_trace():
         assert cf.ec_trace(e11, p) == want
 
 
+def test_coeff_refuses_a_composite_the_splitter_used_to_split():
+    # 1387 = 19 * 73 is 1 mod 3 and passes a Fermat test at the base where the
+    # descent starts; coeff(27.2a, 1387) was 65
+    with pytest.raises(NotSplitError):
+        cf.coeff(cf.FORMS["27.2a"], 1387)
+    assert 1387 not in EisenInt._SPLITS
+
+
 def test_bad_reduction_raises():
     with pytest.raises(cf.BadPrimeError):
         cf.ec_trace(cf.CurveSpec.short(0, 1), 3)
@@ -263,3 +272,11 @@ def test_discriminant_is_computed_once_per_curve():
     assert e.discriminant() == -(11**5) == e.discriminant()
     assert vars(e)["_discriminant"] == -(11**5)  # kept on the object for every later row
     assert cf.CurveSpec.short(-2, 0).discriminant() == 512 and e == cf.CurveSpec(0, -1, 1, -10, -20)
+
+
+def test_cm_family_is_computed_once_per_curve():
+    e = cf.CurveSpec.short(0, 4)
+    assert e.cm_family() == ("Q(w)", 1, 16**5, None) and e.cm_family() is e.cm_family()
+    assert vars(e)["_cm_family"] == ("Q(w)", 1, 16**5, None)
+    assert cf.CurveSpec.short(-1, 0).cm_family() == ("Q(i)", 1, 1, None)
+    assert cf.FORMS["11.2a"].curve.cm_family() is None

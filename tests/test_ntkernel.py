@@ -76,11 +76,15 @@ def test_split_prime_qi_small():
         nt.split_prime_qi(7)
 
 
-@pytest.mark.parametrize("ring,n", [(nt.GaussInt, n) for n in (-3, 1, 7, 21, 25, 65)]
-                         + [(nt.EisenInt, n) for n in (1, 5, 25, 49, 91)])
+# 3277 = 29 * 113, 29341 = 13 * 37 * 61, 49141 = 157 * 313, 1387 = 19 * 73,
+# 2821 = 7 * 13 * 31 and 4033 = 37 * 109 get through a Fermat test at the base
+# where the descent starts; only is_prime keeps them out of the memo
+@pytest.mark.parametrize("ring,n", [(nt.GaussInt, n) for n in (-3, 1, 7, 21, 25, 65, 3277, 29341, 49141)]
+                         + [(nt.EisenInt, n) for n in (1, 5, 25, 49, 91, 1387, 2821, 4033)])
 def test_splitter_rejects_what_is_not_a_split_prime(ring, n):
     with pytest.raises(nt.NotSplitError):
         _SPLITTERS[ring](n)
+    assert n not in ring._SPLITS
 
 
 def test_split_prime_qi_normalization_unique():
@@ -171,6 +175,13 @@ def test_symbol_rejects_non_prime():
         nt.residue_symbol_quartic(nt.GaussInt(2, 1), nt.GaussInt(3, 4))  # norm 25
     with pytest.raises(nt.NotPrimeError):
         nt.residue_symbol_sextic(nt.EisenInt(2, 1), nt.EisenInt(8, 3))  # norm 49
+    # norms 3277 = 29 * 113 and 1387 = 19 * 73, composites 1 mod n that pass a
+    # Fermat test: the symbol splits them first, and the splitter refuses them
+    for pi, sym in ((nt.GaussInt(51, -26), nt.residue_symbol_quartic),
+                    (nt.EisenInt(22, -21), nt.residue_symbol_sextic)):
+        with pytest.raises(nt.NotPrimeError):
+            sym(type(pi)(2, 0), pi)
+        assert pi.norm() not in type(pi)._SPLITS
 
 
 def test_is_prime_matches_the_sieve():
@@ -229,15 +240,46 @@ def test_split_and_symbols_near_2_61():
                 assert u in ring.UNITS and u**n == ring(1, 0)
 
 
-def test_second_constituent_reuses_the_split():
-    # sum(27.2a, 9.4a)/Q: both forms split each p = 1 mod 3 over Q(w)
-    split = nt.EisenInt._split_prime
-    split.cache_clear()
-    mv.cached_lpoly_stream(mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), nt.Q),
-                           2**12, None)
-    n_split = len(nt.degree_one_primes(nt.QW, 2**12))
-    info = split.cache_info()
-    assert (info.misses, info.hits) == (n_split, n_split)
+def test_split_memo_holds_generators_to_the_end_of_is_prime_range():
+    # the last primes 1 mod 12 below is_prime's bound: |b| reaches 2^40 there,
+    # and each generator comes back from its memo entry unchanged
+    top, ps = nt._MR_BASES[-1][0], []
+    p = top - top % 12 + 1
+    while len(ps) < 3:
+        p -= 12
+        if nt.is_prime(p):
+            ps.append(p)
+    widest = 0
+    for p in ps:
+        for ring in (nt.GaussInt, nt.EisenInt):
+            alpha = _SPLITTERS[ring](p)
+            assert alpha.norm() == p and ring(*ring.M).divides(alpha - ring(1, 0))
+            assert _SPLITTERS[ring](p) == alpha
+            widest = max(widest, abs(alpha.b))
+    assert widest >= 2**40
+
+
+class _CountingMemo(dict):
+    """A split memo that counts the generators stored in it."""
+
+    stores = 0
+
+    def __setitem__(self, p, entry):
+        self.stores += 1
+        super().__setitem__(p, entry)
+
+
+def test_second_constituent_reuses_the_split(monkeypatch):
+    # sum(27.2a, 9.4a)/Q: both forms split each p = 1 mod 3 over Q(w), and a
+    # second run of the stream in the same process splits none again
+    memo = _CountingMemo()
+    monkeypatch.setattr(nt.EisenInt, "_SPLITS", memo)
+    spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), nt.Q)
+    split_primes = nt.degree_one_primes(nt.QW, 2**12)
+    mv.cached_lpoly_stream(spec, 2**12, None)
+    assert (memo.stores, sorted(memo)) == (len(split_primes), split_primes)
+    mv.cached_lpoly_stream(spec, 2**12, None)
+    assert memo.stores == len(split_primes)
 
 
 _SPLIT_PRIMES = {
