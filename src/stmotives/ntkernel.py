@@ -9,11 +9,9 @@ the generator normalized to 1 mod M of the prime over p that a scan over its
 first coordinate finds first (the coefficient tables, traces with rational
 twists, cannot tell it from its conjugate; the scan's choice keeps generators
 and symbols), and one residue-symbol body gives the quartic resp. sextic
-symbol.  Shared state: the normalization tables, and each ring's memo of the
-splits it has computed, p to packed generator, one entry per (ring, p) a
-process splits, with no cap.  Only the splitter fills a memo, and only after
-an exact is_prime(p); the residue symbol takes "N(pi) is in the memo" as the
-proof that N(pi) is prime.
+symbol.  Shared state: the normalization tables, and each ring's uncapped memo
+p -> generator, filled only by the splitter after an exact is_prime(p); the
+residue symbol takes a norm found there as prime.
 """
 
 from __future__ import annotations
@@ -230,11 +228,9 @@ class _QuadInt:
     def residue_symbol(self, alpha):
         """(alpha/self)_n with n = |UNITS|: the unit congruent to
         alpha^((p-1)/n) mod self, or 0 when self | alpha.  self must be a
-        degree-1 prime over p = 1 mod n, that is, p = N(self) must be a prime
-        1 mod n.  p in the ring's memo is the proof; any other p is split first,
-        and NotPrimeError if it does not split.  Then p does not divide b, and
-        the symbol is computed in the residue field Z[t]/(self) = F_p, where t
-        maps to r = -a/b."""
+        degree-1 prime: p = N(self) is a prime 1 mod n if it is in the ring's
+        memo or splits (else NotPrimeError), and then p does not divide b.  It
+        is computed in the residue field Z[t]/(self) = F_p, where t maps to r = -a/b."""
         p, n = self.norm(), len(self.UNITS)
         if p not in self._SPLITS:
             try:

@@ -152,8 +152,8 @@ def test_long_weierstrass_trace():
 
 
 def test_coeff_refuses_a_composite_the_splitter_used_to_split():
-    # 1387 = 19 * 73 is 1 mod 3 and passes a Fermat test at the base where the
-    # descent starts; coeff(27.2a, 1387) was 65
+    # 1387 = 19 * 73 is 1 mod 3, and the root search's Fermat check let it
+    # through: coeff(27.2a, 1387) was 65
     with pytest.raises(NotSplitError):
         cf.coeff(cf.FORMS["27.2a"], 1387)
     assert 1387 not in EisenInt._SPLITS

@@ -77,8 +77,8 @@ def test_split_prime_qi_small():
 
 
 # 3277 = 29 * 113, 29341 = 13 * 37 * 61, 49141 = 157 * 313, 1387 = 19 * 73,
-# 2821 = 7 * 13 * 31 and 4033 = 37 * 109 get through a Fermat test at the base
-# where the descent starts; only is_prime keeps them out of the memo
+# 2821 = 7 * 13 * 31 and 4033 = 37 * 109 pass c^(n-1) = 1 at every base c that
+# the root search tries before its root; only is_prime keeps them out of the memo
 @pytest.mark.parametrize("ring,n", [(nt.GaussInt, n) for n in (-3, 1, 7, 21, 25, 65, 3277, 29341, 49141)]
                          + [(nt.EisenInt, n) for n in (1, 5, 25, 49, 91, 1387, 2821, 4033)])
 def test_splitter_rejects_what_is_not_a_split_prime(ring, n):
@@ -175,8 +175,8 @@ def test_symbol_rejects_non_prime():
         nt.residue_symbol_quartic(nt.GaussInt(2, 1), nt.GaussInt(3, 4))  # norm 25
     with pytest.raises(nt.NotPrimeError):
         nt.residue_symbol_sextic(nt.EisenInt(2, 1), nt.EisenInt(8, 3))  # norm 49
-    # norms 3277 = 29 * 113 and 1387 = 19 * 73, composites 1 mod n that pass a
-    # Fermat test: the symbol splits them first, and the splitter refuses them
+    # norms 3277 = 29 * 113 and 1387 = 19 * 73, composites 1 mod n that the
+    # root search's Fermat check let through: the splitter now refuses them
     for pi, sym in ((nt.GaussInt(51, -26), nt.residue_symbol_quartic),
                     (nt.EisenInt(22, -21), nt.residue_symbol_sextic)):
         with pytest.raises(nt.NotPrimeError):
