@@ -142,10 +142,8 @@ def _make_spec(args) -> motives.MotiveSpec:
                 z = Fraction(args.z)
             except (ValueError, ZeroDivisionError):
                 raise CliError(f"bad rational z={args.z!r}")
-            if z in (0, 1):
-                raise CliError(f"z={z} is a degenerate fibre of the Dwork pencil at every prime")
             cons = motives.Dwork(z)
-    except ValueError as exc:  # the constructions' weight checks
+    except ValueError as exc:  # the constructions' weight and fibre checks
         raise CliError(f"motive {args.construction}: {exc}")
     return motives.MotiveSpec(cons, field)
 

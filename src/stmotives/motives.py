@@ -118,6 +118,10 @@ class TensorMF:
 class Dwork:
     z: Fraction
 
+    def __post_init__(self):
+        if self.z in (0, 1):
+            raise ValueError(f"z={self.z} is a degenerate fibre of the Dwork pencil at every prime")
+
     def describe(self) -> str:
         return f"dwork({self.z})"
 

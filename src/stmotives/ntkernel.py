@@ -10,8 +10,8 @@ first coordinate finds first (the coefficient tables, traces with rational
 twists, cannot tell it from its conjugate; the scan's choice keeps generators
 and symbols), and one residue-symbol body gives the quartic resp. sextic
 symbol.  Shared state: the normalization tables, and each ring's uncapped memo
-p -> generator, filled only by the splitter after an exact is_prime(p); the
-residue symbol takes a norm found there as prime.
+p -> generator, which only the splitter reads and fills, after an exact
+is_prime(p); the residue symbol certifies its norm through the splitter.
 """
 
 from __future__ import annotations
@@ -111,26 +111,20 @@ def degree_one_primes(field: FieldSpec, bound: int) -> list[int]:
 # Z[t], t^2 + T t + 1 = 0: Z[i] (T = 0) and Z[w] (T = 1)
 
 
-# A memo entry is the int a * _PACK + b for the generator a + bt.  N(a + bt) = p
-# bounds |a| and |b| by 2 sqrt(p/3), under 2^41 for every p of is_prime's range
-# (p < 3.32 * 10^24), so b is the balanced residue of the entry mod _PACK = 2^42.
-_PACK = 1 << 42
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _QuadInt:
-    """Element a + b*t of Z[t], t^2 + T t + 1 = 0.
+    """Element a + b*t of Z[t], t^2 + T t + 1 = 0, immutable and slotted: the
+    split memo holds these objects themselves.
 
     A subclass sets only constants: T, the unit generator UNIT and the
-    normalizing modulus M, both as (a, b).  Each subclass derives its unit
-    group UNITS, the powers of UNIT, when it is defined, and gets its own
-    empty split memo _SPLITS."""
+    normalizing modulus M, both as (a, b), and __slots__ = ().  Each subclass
+    derives its unit group UNITS, the powers of UNIT, when it is defined, and
+    gets its own empty split memo, which only _split_prime reads and fills."""
 
     a: int
     b: int
 
     def __init_subclass__(cls):
-        super().__init_subclass__()
         one, gen = cls(1, 0), cls(*cls.UNIT)
         units = [one]
         while units[-1] * gen != one:
@@ -204,9 +198,9 @@ class _QuadInt:
         (module doc): least x > 0 with 4p - (4 - T^2) x^2 = r^2 (x in u, v resp.
         2v, |u - v|, u + v), y = (Tx + r)/2.  The first call at p checks p with
         is_prime (NotSplitError for a composite, ValueError past its range) and
-        stores the generator in the ring's memo; every call returns it from there."""
-        e = cls._SPLITS.get(p)
-        if e is None:
+        stores the generator in the ring's memo; every call returns that object."""
+        g = cls._SPLITS.get(p)
+        if g is None:
             if (p - 1) % len(cls.UNITS) or not is_prime(p):
                 raise NotSplitError(f"{p} is not a prime 1 mod {len(cls.UNITS)} ({cls.__name__})")
             T, k, D = cls.T, 4 - cls.T, 1 + 2 * cls.T
@@ -220,23 +214,20 @@ class _QuadInt:
             u, v = b, isqrt((p - b * b) // D)
             x = min(2 * v, abs(u - v)) if T else min(u, v)
             r = isqrt(4 * p - (4 - T * T) * x * x)
-            g = cls(x, (T * x + r) // 2).normalized()
-            e = cls._SPLITS[p] = g.a * _PACK + g.b
-        a, b = divmod(e + _PACK // 2, _PACK)
-        return cls(a, b - _PACK // 2)
+            g = cls._SPLITS[p] = cls(x, (T * x + r) // 2).normalized()
+        return g
 
     def residue_symbol(self, alpha):
         """(alpha/self)_n with n = |UNITS|: the unit congruent to
         alpha^((p-1)/n) mod self, or 0 when self | alpha.  self must be a
-        degree-1 prime: p = N(self) is a prime 1 mod n if it is in the ring's
-        memo or splits (else NotPrimeError), and then p does not divide b.  It
-        is computed in the residue field Z[t]/(self) = F_p, where t maps to r = -a/b."""
+        degree-1 prime: the splitter certifies that p = N(self) is a prime 1 mod n
+        (else NotPrimeError), and then p does not divide b.  It is computed in
+        the residue field Z[t]/(self) = F_p, where t maps to r = -a/b."""
         p, n = self.norm(), len(self.UNITS)
-        if p not in self._SPLITS:
-            try:
-                self._split_prime(p)
-            except NotSplitError:
-                raise NotPrimeError(f"{self} is not a degree-1 prime over p = 1 mod {n}") from None
+        try:
+            self._split_prime(p)
+        except NotSplitError:
+            raise NotPrimeError(f"{self} is not a degree-1 prime over p = 1 mod {n}") from None
         r = -self.a * pow(self.b, -1, p) % p
         t = (alpha.a + alpha.b * r) % p
         if t == 0:
@@ -252,6 +243,7 @@ class GaussInt(_QuadInt):
     """Element a + b*i of Z[i]: units i^k; M = (1+i)^3 = -2+2i, the conductor
     of the Q(i) Hecke characters in play."""
 
+    __slots__ = ()
     T, UNIT, M = 0, (0, 1), (-2, 2)
 
 
@@ -259,6 +251,7 @@ class EisenInt(_QuadInt):
     """Element a + b*w of Z[w], w^2 + w + 1 = 0 (w in the upper half plane):
     units (1+w)^k; M = 3."""
 
+    __slots__ = ()
     T, UNIT, M = 1, (1, 1), (3, 0)
 
 

@@ -23,14 +23,19 @@ class LPoly:
     p^6 T^4 + c1 p^3 T^3 + c2 p T^2 + c1 T + 1 at a good prime p, c2 None on a
     c1-only row.  The one statement of the Weil windows, for every computed,
     cached and tabulated row: the normalized factor is the characteristic
-    polynomial of a USp(4) matrix, so c1/p^(3/2) is in [-4, 4], c2/p^2 in [-2, 6]."""
+    polynomial of a USp(4) matrix, so a1 = c1/p^(3/2) is in [-4, 4], and on a full
+    row the roots x = t + 1/t of x^2 + a1 x + c2/p^2 - 2 are real and in [-2, 2]: the
+    discriminant c1^2 - 4p c2 + 8p^3, 2p^2 + c2 and (2p^2 + c2)^2 - 4p c1^2 are >= 0."""
 
     p: int
     c1: int
     c2: int | None = None
 
     def __post_init__(self):
-        if self.c1 * self.c1 > 16 * self.p**3:
-            raise ConsistencyError(f"|c1|={abs(self.c1)} breaks the Weil bound at p={self.p}")
-        if self.c2 is not None and not (-2 * self.p**2 <= self.c2 <= 6 * self.p**2):
-            raise ConsistencyError(f"c2={self.c2} out of range at p={self.p}")
+        p, c1, c2 = self.p, self.c1, self.c2
+        if c1 * c1 > 16 * p**3:
+            raise ConsistencyError(f"|c1|={abs(c1)} breaks the Weil bound at p={p}")
+        if c2 is not None and not (c1 * c1 - 4 * p * c2 + 8 * p**3 >= 0
+                                   and 2 * p * p + c2 >= 0
+                                   and (2 * p * p + c2) ** 2 >= 4 * p * c1 * c1):
+            raise ConsistencyError(f"(c1, c2)=({c1}, {c2}) is outside the USp(4) region at p={p}")

@@ -48,6 +48,7 @@ MV = "src/stmotives/motives.py"
 LR = "src/stmotives/laurent.py"
 SG = "src/stmotives/stgroups.py"
 NT = "src/stmotives/ntkernel.py"
+RC = "src/stmotives/records.py"
 HG = "tests/test_hypergeom.py::"
 TM = "tests/test_motives.py::"
 TS = "tests/test_stgroups.py::"
@@ -67,9 +68,17 @@ MUTANTS = [
     Mutant("c2-lift-window-one-short", PH, "pk, 12 * p**3)", "pk, 12 * p**3 - 1)",
            (HG + "test_c2_lift_reaches_both_edges_of_the_window",),
            "2p c2 = 12p^3 (c2 = 6p^2) wraps out of the window"),
-    Mutant("lpoly-c2-guard-dropped", "src/stmotives/records.py",
-           "if self.c2 is not None and not (", "if not (",
-           (TM + "test_lpoly_validates_weil_bounds",), "a c1-only row compares None with ints"),
+    Mutant("lpoly-c2-guard-dropped", RC, "if c2 is not None and not (", "if not (",
+           (TM + "test_lpoly_validates_weil_bounds",), "a c1-only row computes with None"),
+    Mutant("lpoly-discriminant-dropped", RC, "c1 * c1 - 4 * p * c2 + 8 * p**3 >= 0", "True",
+           (TM + "test_lpoly_validates_weil_bounds",),
+           "a full row with complex roots, any c2 above 2p^2 at c1 = 0, is accepted"),
+    Mutant("lpoly-lower-edge-dropped", RC, "and 2 * p * p + c2 >= 0", "and True",
+           (TM + "test_lpoly_validates_weil_bounds",),
+           "c2 below -2p^2 is accepted where (2p^2 + c2)^2 >= 4p c1^2"),
+    Mutant("lpoly-roots-past-2-dropped", RC, "and (2 * p * p + c2) ** 2 >= 4 * p * c1 * c1",
+           "and True", (TM + "test_lpoly_validates_weil_bounds",),
+           "a row with a root x past -2 or 2, 2p^2 + c2 < 2|c1| sqrt(p), is accepted"),
     Mutant("direct-sum-f1-first", MV,
            "        d = coeff(self.f2, p)  # first: a weight-4 file table skips p before f1's "
            "point count\n        b = coeff(self.f1, p)\n",
@@ -239,7 +248,8 @@ MUTANTS = [
            (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
            "one coefficient added to the usp4 density"),
     Mutant("slot-1-unchecked", LR, "if any(acc[1:]):", "if any(acc[2:]):",
-           (TS + "test_expectation_matches_closed_forms_and_usp4_quadrature",),
+           (TS + "test_expectation_of_each_monomial_matches_the_oracles",
+            TS + "test_expectation_matches_closed_forms_and_usp4_quadrature"),
            "a z^1 part of an expectation goes unreported"),
     Mutant("wrong-divisor", LR, "return Fraction(acc[0], ct)", "return Fraction(acc[0], 2 * ct)",
            (TS + "test_expectation_of_each_monomial_matches_the_oracles",),
@@ -273,14 +283,14 @@ MUTANTS = [
            (TN + "test_splitter_rejects_what_is_not_a_split_prime",
             "tests/test_cmforms.py::test_coeff_refuses_a_composite_the_splitter_used_to_split"),
            "the memo stores whatever the descent returns, composites included"),
-    Mutant("symbol-without-certificate", NT, "if p not in self._SPLITS:", "if False:",
-           (TN + "test_symbol_rejects_non_prime",), "the symbol takes any norm 1 mod n as prime"),
-    Mutant("memo-b-sign-lost", NT, "e = cls._SPLITS[p] = g.a * _PACK + g.b",
-           "e = cls._SPLITS[p] = g.a * _PACK + abs(g.b)",
-           (TN + "test_split_matches_the_scan_below_2_14",), "a generator's b stored without its sign"),
-    Mutant("memo-pack-too-narrow", NT, "_PACK = 1 << 42", "_PACK = 1 << 41",
-           (TN + "test_split_memo_holds_generators_to_the_end_of_is_prime_range",),
-           "|b| >= 2^40 read back as b - 2^41"),
+    Mutant("symbol-without-certificate", NT, "            self._split_prime(p)\n",
+           "            pass\n", (TN + "test_symbol_rejects_non_prime",),
+           "the symbol takes any norm 1 mod n as prime"),
+    Mutant("memo-stores-before-normalizing", NT,
+           "g = cls._SPLITS[p] = cls(x, (T * x + r) // 2).normalized()",
+           "g = cls._SPLITS[p] = cls(x, (T * x + r) // 2)\n            g = g.normalized()",
+           (TN + "test_split_memo_returns_its_own_frozen_normalized_generator",),
+           "the first call returns the normalized generator, every later call the raw one"),
     Mutant("mr-base-2-at-2047", NT, "_MR_BASES = ((2047, (2,)),", "_MR_BASES = ((2048, (2,)),",
            (TN + "test_is_prime_rejects_strong_pseudoprimes",),
            "the strong base-2 pseudoprime 2047 tested at base 2 alone"),

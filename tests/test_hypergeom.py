@@ -331,12 +331,8 @@ def test_hp2_kernel_rejects_p_below_7():
 def test_fiber_rows_past_5791_are_weil_rows_on_the_critical_circle():
     """No oracle reaches p = 5801, the first prime past the range of the retired
     int64 kernel: one vector pair gives the fibers z = 2..201 by Horner, and
-    each must be a row of a USp(4) Frobenius.  2p divides H_p^2 - H_{p^2},
-    LPoly holds, and with a1 = c1/p^(3/2), a2 = c2/p^2 and x = t + 1/t both
-    roots of x^2 + a1 x + (a2 - 2) are real and in [-2, 2]: the discriminant
-    c1^2 - 4p c2 + 8p^3 is >= 0, and the value at x = +-2 is >= 0, that is
-    2p^2 + c2 >= 0 and (2p^2 + c2)^2 >= 4p c1^2 (the vertex lies in [-2, 2]
-    by LPoly's c1 window)."""
+    each must be a row of a USp(4) Frobenius: 2p divides H_p^2 - H_{p^2}, and
+    LPoly, which checks the exact USp(4) region, holds."""
     p = 5801
     tables = ph.GammaTables(p, 4)
     pk = tables.pk
@@ -347,9 +343,7 @@ def test_fiber_rows_past_5791_are_weil_rows_on_the_critical_circle():
         h1 = ph._horner_eval(hp, tz, pk)
         c2, rem = divmod(ph._lift(h1 * h1 - ph._horner_eval(hp2, tz, pk), pk, 12 * p**3), 2 * p)
         assert rem == 0, z
-        row = rows[z] = LPoly(p, ph._lift(-h1, pk, pk // 2), c2)
-        assert row.c1**2 - 4 * p * c2 + 8 * p**3 >= 0, z
-        assert 2 * p**2 + c2 >= 0 and (2 * p**2 + c2) ** 2 >= 4 * p * row.c1**2, z
+        rows[z] = LPoly(p, ph._lift(-h1, pk, pk // 2), c2)
     for z in (2, 201):
         assert ph.dwork_lpoly(z, p) == rows[z]
 
@@ -496,14 +490,19 @@ def _patched_row(monkeypatch, p, hp, hp2):
 
 def test_c2_lift_reaches_both_edges_of_the_window(monkeypatch):
     """2p c2 = H_p^2 - H_{p^2} = -4p^3 is c2 = -2p^2, the factor (1 - p^3 T^2)^2,
-    a point of USp(4); 12p^3 is c2 = 6p^2.  One step past either edge is a
-    ConsistencyError: LPoly's below, and above, where the lift wraps by the
-    odd p^4, the divisibility check's."""
+    a point of USp(4), and at c1 = 0 the region's top is c2 = 2p^2.  The lift's
+    top, 12p^3, is c2 = 6p^2, which is in USp(4) only with c1^2 = 16p^3, so no
+    integer row reaches it: the lift keeps it, and LPoly rejects it.  One step
+    below the bottom edge is LPoly's ConsistencyError too; one step past the
+    top, where the lift wraps by the odd p^4, is the divisibility check's."""
     p = 17
     assert _patched_row(monkeypatch, p, 0, 4 * p**3) == LPoly(p, 0, -2 * p**2)
-    assert _patched_row(monkeypatch, p, 0, -12 * p**3 % p**4) == LPoly(p, 0, 6 * p**2)
-    with pytest.raises(ConsistencyError, match="out of range"):
+    assert _patched_row(monkeypatch, p, 0, -4 * p**3 % p**4) == LPoly(p, 0, 2 * p**2)
+    assert ph._lift(12 * p**3, p**4, 12 * p**3) == 12 * p**3
+    with pytest.raises(ConsistencyError, match="outside the USp\\(4\\) region"):
         _patched_row(monkeypatch, p, 0, 4 * p**3 + 2 * p)
+    with pytest.raises(ConsistencyError, match="outside the USp\\(4\\) region"):
+        _patched_row(monkeypatch, p, 0, -12 * p**3 % p**4)
     with pytest.raises(ConsistencyError, match="not divisible"):
         _patched_row(monkeypatch, p, 0, -(12 * p**3 + 2 * p) % p**4)
 

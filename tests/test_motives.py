@@ -101,14 +101,28 @@ def test_normalized_ranges_random_sweep():
 def test_lpoly_validates_weil_bounds():
     with pytest.raises(ConsistencyError):
         LPoly(7, 100, 0)
-    with pytest.raises(ConsistencyError):
-        LPoly(7, 0, -99)
+    # the USp(4) region, whose edges at c1 = 0 are c2 = +-2p^2: each row rejected
+    # below breaks one of its inequalities and keeps the other two, the c1 window
+    # and -2p^2 <= c2 <= 6p^2
+    assert LPoly(7, 0, 98).c2 == 98 and LPoly(7, 0, -98).c2 == -98
+    for c1, c2 in ((0, 99),  # complex roots: c1^2 - 4p c2 + 8p^3 < 0
+                   (0, -99),  # a root past -2: 2p^2 + c2 < 0
+                   (1, -98)):  # a root past -2: (2p^2 + c2)^2 < 4p c1^2
+        with pytest.raises(ConsistencyError, match="outside the USp\\(4\\) region"):
+            LPoly(7, c1, c2)
     # c2 None is a c1-only row: only the c1 bound applies
     assert LPoly(7, 74).c2 is None and LPoly(7, -74) == LPoly(7, -74, None)
     with pytest.raises(ConsistencyError):
         LPoly(7, 75)  # 75^2 > 16 * 7^3
     with pytest.raises(ConsistencyError):
         LPoly(7, -75)
+
+
+def test_dwork_rejects_the_fibres_degenerate_at_every_prime():
+    for z in (0, 1, Fraction(0), Fraction(2, 2)):
+        with pytest.raises(ValueError, match=f"z={z} is a degenerate fibre"):
+            mv.Dwork(z)
+    assert mv.Dwork(Fraction(-1)).z == -1
 
 
 def test_weight_validation():
@@ -173,14 +187,23 @@ def test_direct_sum_skips_past_a_file_table_before_the_weight_2_form(tmp_path, m
     assert sum(label == "5.4a-short" for label, _ in calls) == len(primes_up_to(2**9)) - 1
 
 
+def _c2_range(p, c1):
+    """The least and greatest c2 with (c1, c2) in LPoly's USp(4) region:
+    2|c1| sqrt(p) - 2p^2 <= c2 <= (c1^2 + 8p^3)/4p."""
+    r = isqrt(4 * p * c1 * c1)
+    return r + (r * r < 4 * p * c1 * c1) - 2 * p * p, (c1 * c1 + 8 * p**3) // (4 * p)
+
+
 def _weil_rows(full):
-    """Rows (p, c1[, c2]) at ascending odd primes up to 2^12 with c1, c2 inside their
-    Weil windows."""
+    """Rows (p, c1[, c2]) at ascending odd primes up to 2^12 inside LPoly's windows."""
     def row(p):
         c1 = hst.integers(-isqrt(16 * p**3), isqrt(16 * p**3))
         if not full:
             return hst.tuples(hst.just(p), c1)
-        return hst.tuples(hst.just(p), c1, hst.integers(-2 * p * p, 6 * p * p))
+        # near |c1| = 4p^(3/2) the c2 range can hold no integer
+        ranges = c1.map(lambda c: (c, *_c2_range(p, c))).filter(lambda t: t[1] <= t[2])
+        return ranges.flatmap(lambda t: hst.tuples(hst.just(p), hst.just(t[0]),
+                                                   hst.integers(t[1], t[2])))
     primes = hst.lists(hst.sampled_from(primes_up_to(2**12)[1:]), min_size=1, max_size=40,
                        unique=True)
     return primes.flatmap(lambda ps: hst.tuples(*map(row, sorted(ps)))).map(list)
@@ -213,14 +236,15 @@ def test_stream_cache_round_trip(full, data):
     (False, "7\tjunk\t1"),  # not integers
     (False, "7\t1"),  # a c1 row in a full file
     (False, "7\t0\t1000"),  # c2 past 6 p^2
+    (False, "7\t0\t99"),  # c2 in [-2p^2, 6p^2] but past 2p^2 at c1 = 0: no USp(4) row
     (False, "7\t75\t0"),  # c1 past 4 p^(3/2)
     (True, "7\t1\t2"),  # a full row in a c1 file
     (True, "7\t-75"),  # c1 past 4 p^(3/2)
     (False, "61\t0\t0"),  # the last row's prime again
     (False, "67\t0\t0"),  # a prime past the bound
     (True, "63\t0"),  # a composite p, ascending and inside the bound
-], ids=["junk", "c1-row-in-full", "c2-window", "c1-weil", "full-row-in-c1", "c1-weil-c1",
-        "repeated-prime", "prime-past-bound", "composite-p"])
+], ids=["junk", "c1-row-in-full", "c2-window", "c2-outside-region", "c1-weil", "full-row-in-c1",
+        "c1-weil-c1", "repeated-prime", "prime-past-bound", "composite-p"])
 def test_corrupt_cache_is_a_miss(tmp_path, a1_only, bad_row):
     spec = mv.MotiveSpec(mv.Dwork(Fraction(-1)), Q)
     fresh = mv.cached_lpoly_stream(spec, 64, str(tmp_path), a1_only=a1_only)

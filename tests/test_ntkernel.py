@@ -1,3 +1,4 @@
+import dataclasses
 from math import isqrt
 
 import pytest
@@ -257,6 +258,19 @@ def test_split_memo_holds_generators_to_the_end_of_is_prime_range():
             assert _SPLITTERS[ring](p) == alpha
             widest = max(widest, abs(alpha.b))
     assert widest >= 2**40
+
+
+@pytest.mark.parametrize("ring", [nt.GaussInt, nt.EisenInt])
+def test_split_memo_returns_its_own_frozen_normalized_generator(ring):
+    # the memo holds the generator object itself, normalized, and every call
+    # returns that object; slots keep each entry small and frozen keeps it shared
+    split, p = _SPLITTERS[ring], 2029  # 1 mod 12
+    alpha = split(p)
+    assert split(p) is alpha and ring._SPLITS[p] is alpha
+    assert alpha.norm() == p and ring(*ring.M).divides(alpha - ring(1, 0))
+    assert not hasattr(alpha, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alpha.a = 0
 
 
 class _CountingMemo(dict):

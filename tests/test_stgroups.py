@@ -243,6 +243,9 @@ def test_expectation_matches_closed_forms_and_usp4_quadrature(data):
 
 
 def test_expectation_of_each_monomial_matches_the_oracles():
+    # a lone zeta_24^1 part, slot 1 of the power basis, is not rational
+    with pytest.raises(ValueError, match="non-rational"):
+        lp_expectation({(1, (0,)): 1}, ("su2",))
     for j in range(-4, 5):
         for kd, rule in _KIND_RULES.items():
             assert lp_expectation({(0, (j,)): 1}, (kd,)) == rule(j)
