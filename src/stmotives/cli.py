@@ -67,25 +67,24 @@ def _curve(text: str | None, flag: str) -> CurveSpec:
     except ValueError:
         raise CliError(f"curve spec {text!r} must be comma-separated integers")
     if len(parts) == 2:
-        curve = CurveSpec.short(*parts)
-    elif len(parts) == 5:
-        curve = CurveSpec(*parts)
-    else:
-        raise CliError("curve spec needs 2 (A,B short form) or 5 (a1,..,a6) integers")
-    if curve.discriminant() == 0:
-        raise CliError(f"{flag} {text} is a singular curve (discriminant 0)")
-    return curve
+        return CurveSpec.short(*parts)
+    if len(parts) == 5:
+        return CurveSpec(*parts)
+    raise CliError("curve spec needs 2 (A,B short form) or 5 (a1,..,a6) integers")
 
 
 def _check_out(out: str | None):
-    """Refuse an --out that is a directory or lies in a missing directory,
-    before any work; the file is only opened once its text is ready."""
+    """Refuse an --out that is a directory, or whose parent is not a
+    directory, before any work, with the error open() would give; the file
+    is only opened once its text is ready."""
     if out and os.path.isdir(out):
         err = errno.EISDIR
-    elif out and not os.path.isdir(os.path.dirname(out) or "."):
-        err = errno.ENOENT
     else:
-        return
+        try:  # the trailing separator makes a parent that is a regular file ENOTDIR
+            os.stat(os.path.join(os.path.dirname(out or "") or ".", ""))
+            return
+        except OSError as exc:
+            err = exc.errno
     raise CliError(f"cannot write --out {out}: {os.strerror(err)}")
 
 
@@ -143,7 +142,7 @@ def _make_spec(args) -> motives.MotiveSpec:
             except (ValueError, ZeroDivisionError):
                 raise CliError(f"bad rational z={args.z!r}")
             cons = motives.Dwork(z)
-    except ValueError as exc:  # the constructions' weight and fibre checks
+    except ValueError as exc:  # refused by a curve, form or construction when built
         raise CliError(f"motive {args.construction}: {exc}")
     return motives.MotiveSpec(cons, field)
 

@@ -20,7 +20,6 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .ntkernel import (
@@ -79,10 +78,8 @@ def _hecke_coeff(hecke: tuple, p: int) -> int:
     field, power, twist, dirichlet = hecke
     if field == "Q(i)":
         ring, split, symbol = GaussInt, split_prime_qi, residue_symbol_quartic
-    elif field == "Q(w)":
+    else:  # "Q(w)": NewformHandle and CurveSpec.cm_family admit no other field
         ring, split, symbol = EisenInt, split_prime_qomega, residue_symbol_sextic
-    else:
-        raise ValueError(field)
     d = 4 - ring.T * ring.T  # |discriminant|: p is inert iff p = -1 mod d
     if p % d == d - 1:
         return 0
@@ -105,13 +102,34 @@ def _hecke_coeff(hecke: tuple, p: int) -> int:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Long Weierstrass model [a1, a2, a3, a4, a6] over Q."""
+    """Long Weierstrass model [a1, a2, a3, a4, a6] over Q.  A singular model
+    (discriminant 0) has no good prime and is a ValueError naming it; the
+    discriminant and the CM family are computed once, when the curve is built,
+    since each stream row asks for both."""
 
     a1: int
     a2: int
     a3: int
     a4: int
     a6: int
+
+    def __post_init__(self):
+        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        b2, b4, b6 = a1**2 + 4 * a2, 2 * a4 + a1 * a3, a3**2 + 4 * a6
+        b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+        disc = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        if disc == 0:
+            raise ValueError(f"{self} is a singular curve (discriminant 0)")
+        family = None  # y^2 = x^3 is singular: a6 != 0 resp. a4 != 0 below
+        if (a1, a2, a3, a4) == (0, 0, 0, 0):
+            family = ("Q(w)", 1, (4 * a6) ** 5, None)
+        elif (a1, a2, a3, a6) == (0, 0, 0, 0):
+            family = ("Q(i)", 1, (-a4) ** 3, None)
+        object.__setattr__(self, "_discriminant", disc)
+        object.__setattr__(self, "_cm_family", family)
+
+    def __str__(self) -> str:
+        return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
 
     @staticmethod
     def short(A: int, B: int) -> "CurveSpec":
@@ -120,35 +138,12 @@ class CurveSpec:
     def discriminant(self) -> int:
         return self._discriminant
 
-    @cached_property
-    def _discriminant(self) -> int:  # once per curve: each stream row asks four times
-        b2 = self.a1**2 + 4 * self.a2
-        b4 = 2 * self.a4 + self.a1 * self.a3
-        b6 = self.a3**2 + 4 * self.a6
-        b8 = (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
-        return -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
-
     def cm_family(self):
         """The Hecke data (field, 1, t^(n-1), None) of _hecke_coeff for
         y^2 = x^3 + B (Q(w), t = 4B, n = 6) and y^2 = x^3 + Ax (Q(i), t = -A,
         n = 4), else None.  At a p > 3 of good reduction a_p is the trace of
         conj((t/P)) alpha, and (t^(n-1)/P) = (t/P)^(n-1) = conj((t/P))."""
         return self._cm_family
-
-    @cached_property
-    def _cm_family(self):  # once per curve: ec_trace asks at every prime
-        if (self.a1, self.a2, self.a3) == (0, 0, 0):
-            if self.a4 == 0 and self.a6 != 0:
-                return ("Q(w)", 1, (4 * self.a6) ** 5, None)
-            if self.a6 == 0 and self.a4 != 0:
-                return ("Q(i)", 1, (-self.a4) ** 3, None)
-        return None
 
 
 def ec_trace_naive(curve: CurveSpec, p: int) -> int:
@@ -200,11 +195,12 @@ def ec_trace(curve: CurveSpec, p: int) -> int:
 class NewformHandle:
     """A source of rational Fourier coefficients b_p.
 
-    kind 'hecke' with hecke = (field, power, twist, dirichlet), 'curve' with
-    a CurveSpec, or 'file' with the path to a coefficient table; another kind,
-    or a kind without its field, is a ValueError naming the label.  weight
-    drives the Weil bound; nebentypus is the quadratic character chi with
-    b_p = chi(p) b_p (trivial for even weight)."""
+    kind 'hecke' with hecke = (field, power, twist, dirichlet), field "Q(i)"
+    or "Q(w)", 'curve' with a CurveSpec, or 'file' with the path to a
+    coefficient table; another kind or CM field, or a kind without its field,
+    is a ValueError naming the label.  weight drives the Weil bound;
+    nebentypus is the quadratic character chi with b_p = chi(p) b_p (trivial
+    for even weight)."""
 
     label: str
     weight: int
@@ -221,6 +217,8 @@ class NewformHandle:
             raise ValueError(f"{self.label}: unknown kind {self.kind!r}, not hecke, curve or file")
         if getattr(self, field) is None:
             raise ValueError(f"{self.label}: kind {self.kind!r} needs its {field} field")
+        if self.kind == "hecke" and self.hecke[0] not in ("Q(i)", "Q(w)"):
+            raise ValueError(f"{self.label}: unknown CM field {self.hecke[0]!r}, not Q(i) or Q(w)")
         if self.weight % 2 == 0 and self.nebentypus is not None:
             raise ValueError(f"{self.label}: even weight forces trivial nebentypus")
         if self.weight % 2 == 1 and self.nebentypus is None:

@@ -71,7 +71,7 @@ class TensorEC:
     e2: CurveSpec
 
     def describe(self) -> str:
-        return f"tensor_ec({_curve_tag(self.e1)},{_curve_tag(self.e2)})"
+        return f"tensor_ec({self.e1},{self.e2})"
 
     def lpoly(self, p: int) -> LPoly:
         t1 = ec_trace(self.e1, p)
@@ -84,7 +84,7 @@ class SymCube:
     e1: CurveSpec
 
     def describe(self) -> str:
-        return f"symcube({_curve_tag(self.e1)})"
+        return f"symcube({self.e1})"
 
     def lpoly(self, p: int) -> LPoly:
         t = ec_trace(self.e1, p)
@@ -94,13 +94,11 @@ class SymCube:
 @dataclass(frozen=True)
 class TensorMF:
     f1: NewformHandle  # weight 2
-    f2: NewformHandle  # weight 3
+    f2: NewformHandle  # weight 3, so it carries a nebentypus (NewformHandle requires one)
 
     def __post_init__(self):
         if (self.f1.weight, self.f2.weight) != (2, 3):
             raise ValueError("tensor product needs weights (2, 3)")
-        if self.f2.nebentypus is None:
-            raise ValueError("weight-3 factor must carry its nebentypus")
 
     def describe(self) -> str:
         return f"tensor_mf({self.f1.label},{self.f2.label})"
@@ -116,9 +114,14 @@ class TensorMF:
 
 @dataclass(frozen=True)
 class Dwork:
+    """The Dwork pencil's fibre at z.  z is stored as a Fraction (an int, a
+    float or a string such as "-1/3" is converted when built), so equal
+    values give one describe() and one cache key; z = 0 and z = 1 are refused."""
+
     z: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "z", Fraction(self.z))
         if self.z in (0, 1):
             raise ValueError(f"z={self.z} is a degenerate fibre of the Dwork pencil at every prime")
 
@@ -135,10 +138,6 @@ class Dwork:
 def _tensor_lpoly(p: int, t1: int, t2: int) -> LPoly:
     u = t2 * t2 - 2 * p
     return LPoly(p, -t1 * u, p * t1 * t1 + u * u - 2 * p * p)
-
-
-def _curve_tag(c: CurveSpec) -> str:
-    return f"[{c.a1},{c.a2},{c.a3},{c.a4},{c.a6}]"
 
 
 @dataclass(frozen=True)

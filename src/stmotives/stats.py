@@ -182,7 +182,9 @@ def parse_stats_tsv(text: str) -> MomentStats:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("# ")]
     headers = [ln[1:].split("\t") for ln in lines if ln.startswith("#")]
     rows = [ln.split("\t") for ln in lines if not ln.startswith("#")]
-    if not headers or not rows:
+    if not headers:  # emit_table's aligned format has no '#' header
+        raise ValueError("no '#' header line: only --format tsv tables can be read back")
+    if not rows:
         raise ValueError("no stats rows found")
     header = headers[-1]
     if header[0] != "n":

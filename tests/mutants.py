@@ -49,12 +49,14 @@ LR = "src/stmotives/laurent.py"
 SG = "src/stmotives/stgroups.py"
 NT = "src/stmotives/ntkernel.py"
 RC = "src/stmotives/records.py"
+CF = "src/stmotives/cmforms.py"
 HG = "tests/test_hypergeom.py::"
 TM = "tests/test_motives.py::"
 TS = "tests/test_stgroups.py::"
 SC = "tests/test_stats_cli.py::"
 TG = "tests/test_padic_gamma.py::"
 TN = "tests/test_ntkernel.py::"
+TC = "tests/test_cmforms.py::"
 HP2 = (HG + "test_fast_hp2_loop_equals_generic_trace",)
 CACHE = (TM + "test_corrupt_cache_is_a_miss",)
 
@@ -281,7 +283,7 @@ MUTANTS = [
     Mutant("memo-without-is-prime", NT, "if (p - 1) % len(cls.UNITS) or not is_prime(p):",
            "if (p - 1) % len(cls.UNITS):",
            (TN + "test_splitter_rejects_what_is_not_a_split_prime",
-            "tests/test_cmforms.py::test_coeff_refuses_a_composite_the_splitter_used_to_split"),
+            TC + "test_coeff_refuses_a_composite_the_splitter_used_to_split"),
            "the memo stores whatever the descent returns, composites included"),
     Mutant("symbol-without-certificate", NT, "            self._split_prime(p)\n",
            "            pass\n", (TN + "test_symbol_rejects_non_prime",),
@@ -297,10 +299,23 @@ MUTANTS = [
     Mutant("mr-bases-2-3-at-1373653", NT, "(1373653, (2, 3))", "(1373654, (2, 3))",
            (TN + "test_is_prime_rejects_strong_pseudoprimes",),
            "the strong pseudoprime 1373653 tested at bases 2 and 3 alone"),
-    Mutant("form-dropped", "src/stmotives/cmforms.py",
+    Mutant("form-dropped", CF,
            '    NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)),\n', "",
-           ("tests/test_cmforms.py::test_forms_hold_every_documented_label_once",),
+           (TC + "test_forms_hold_every_documented_label_once",),
            "a documented label left out of FORMS"),
+    # input refused when its value type is built
+    Mutant("singular-curve-built", CF,
+           '            raise ValueError(f"{self} is a singular curve (discriminant 0)")\n',
+           "            pass\n", (TC + "test_curve_spec_refuses_a_singular_model",),
+           "a singular model builds, and its stream skips every prime in silence"),
+    Mutant("cm-field-unchecked", CF,
+           'if self.kind == "hecke" and self.hecke[0] not in ("Q(i)", "Q(w)"):', "if False:",
+           (TC + "test_newform_handle_rejects_what_coeff_cannot_evaluate",),
+           "a Hecke handle over another field builds and its coeff reads it as Q(w)"),
+    Mutant("dwork-z-kept-as-given", MV,
+           '        object.__setattr__(self, "z", Fraction(self.z))\n', "",
+           (TM + "test_dwork_rejects_the_fibres_degenerate_at_every_prime",),
+           'z kept as given: Dwork("1") builds, and Dwork(0.5) describes itself as dwork(0.5)'),
     Mutant("sampler-a2-sign", SG, "((s1 * s1).real - s2.real) / 2",
            "((s1 * s1).real + s2.real) / 2", (TS + "test_sample_j_component_constant",),
            "a2 = ((sum lam)^2 + sum lam^2) / 2"),

@@ -259,12 +259,24 @@ def test_nebentypus_parity_enforced():
     ("hecke", {}, "x: kind 'hecke' needs its hecke field"),
     ("file", {"curve": cf.CurveSpec.short(0, 1)}, "x: kind 'file' needs its path field"),
     ("weird", {"curve": cf.CurveSpec.short(0, 1)}, "x: unknown kind 'weird'"),
-], ids=["curve", "hecke", "file", "unknown-kind"])
+    ("hecke", {"hecke": ("Q(x)", 1, None, None)}, "x: unknown CM field"),
+], ids=["curve", "hecke", "file", "unknown-kind", "hecke-field"])
 def test_newform_handle_rejects_what_coeff_cannot_evaluate(kind, fields, message):
     # these used to construct, and their first coeff ended in an AttributeError,
-    # a TypeError or a bare ValueError('weird')
+    # a TypeError or a bare ValueError('weird') (or 'Q(x)' at its first split prime)
     with pytest.raises(ValueError, match="^" + message):
         cf.NewformHandle("x", 2, 11, kind, **fields)
+
+
+def test_curve_spec_refuses_a_singular_model():
+    # each used to build, and a stream over it skipped every prime (Delta = 0 at
+    # each) and came back empty without a word
+    for build, args, tag in ((cf.CurveSpec.short, (0, 0), "[0,0,0,0,0]"),
+                             (cf.CurveSpec.short, (-3, 2), "[0,0,0,-3,2]"),
+                             (cf.CurveSpec, (0, 0, 0, 0, 0), "[0,0,0,0,0]")):
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        assert str(info.value) == f"{tag} is a singular curve (discriminant 0)"
 
 
 def test_discriminant_is_computed_once_per_curve():

@@ -119,10 +119,18 @@ def test_lpoly_validates_weil_bounds():
 
 
 def test_dwork_rejects_the_fibres_degenerate_at_every_prime():
-    for z in (0, 1, Fraction(0), Fraction(2, 2)):
-        with pytest.raises(ValueError, match=f"z={z} is a degenerate fibre"):
+    # z is stored as a Fraction before the check: "1" and 1.0 used to build
+    for z in (0, 1, Fraction(0), Fraction(2, 2), "0", "1", "2/2", 1.0):
+        with pytest.raises(ValueError, match=f"z={Fraction(z)} is a degenerate fibre"):
             mv.Dwork(z)
     assert mv.Dwork(Fraction(-1)).z == -1
+    # equal values are one fibre, with one describe() and one cache key; an int
+    # or a Fraction z keeps the describe() it had before z was converted
+    half = mv.Dwork(0.5)
+    assert half == mv.Dwork(Fraction(1, 2)) and type(half.z) is Fraction
+    assert half.describe() == mv.Dwork(Fraction(1, 2)).describe() == "dwork(1/2)"
+    assert mv.MotiveSpec(half).spec_hash() == mv.MotiveSpec(mv.Dwork(Fraction(1, 2))).spec_hash()
+    assert mv.Dwork(-1).describe() == mv.Dwork(Fraction(-1)).describe() == "dwork(-1)"
 
 
 def test_weight_validation():

@@ -215,6 +215,19 @@ def test_cli_classifies_the_file_motive_classify_writes(tmp_path, capsys):
     assert ranks[1] == ranks[0] and ranks[0].startswith("1\tC2\t")
 
 
+def test_cli_stats_classify_reads_back_only_a_tsv_table(tmp_path, capsys):
+    # an aligned table has no '#' header: it used to fail with "no stats rows found"
+    f = tmp_path / "stats.txt"
+    argv = ["motive", "symcube", "--e1", "0,1", "--bound-log2", "10", "--out", str(f)]
+    assert cli.main(argv + ["--format", "aligned"]) == 0
+    assert cli.main(["stats", "classify", "--in", str(f)]) == 3
+    assert capsys.readouterr().err == ("error: bad stats file: no '#' header line: only "
+                                       "--format tsv tables can be read back\n")
+    assert cli.main(argv + ["--format", "tsv"]) == 0
+    assert cli.main(["stats", "classify", "--in", str(f)]) == 0
+    assert capsys.readouterr().out.startswith("1\t")
+
+
 @pytest.mark.parametrize("name", [g.name for g in stgroups.catalog()])
 def test_cli_groups_moments_prints_the_table_rows(name, capsys):
     assert cli.main(["groups", "moments", "--group", name]) == 0
@@ -245,8 +258,11 @@ def test_cli_motive_checks_out_before_the_stream(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(motives, "cached_lpoly_stream", stream)
     argv = ["motive", "dwork", "--coeffs", "a1", "--bound-log2", "12", "--out"]
+    (tmp_path / "file").write_text("")  # a parent that is a regular file
     for out, reason in ((tmp_path / "missing" / "x.tsv", "No such file or directory"),
-                        (tmp_path, "Is a directory")):
+                        (tmp_path, "Is a directory"),
+                        (tmp_path / "file" / "x.tsv", "Not a directory"),
+                        (tmp_path / "file" / "sub" / "x.tsv", "Not a directory")):
         assert cli.main(argv + [str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write --out {out}: {reason}\n"
     # a writable path passes the check and is not created before the stream
