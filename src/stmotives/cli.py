@@ -1,7 +1,6 @@
 """Command-line surface.
 
-  stmotives groups table --coeff a1 [--group NAME]
-  stmotives groups moments --group NAME
+  stmotives groups table --coeff a1|a2 [--group NAME]
   stmotives groups invariants
   stmotives motive sum --f1 27.2a --f2 9.4a --field Q(w) --bound-log2 16
   stmotives motive tensor-ec --e1 0,4 --e2 0,1 --field Q(w) --bound-log2 16
@@ -14,10 +13,10 @@ Motive commands print the moment-statistics row (and with --classify the
 nearest-group ranking); --coeffs a1 keeps the a1 moments alone.  Exit codes:
 0 ok, 1 internal consistency failure, 2 bad arguments (an unknown group, field
 or newform, a missing label or curve, wrong form weights, a singular curve,
-z = 0 or 1, a bound below 2^1 or above 2^32 (the prime sieve takes one byte per
-integer up to the bound), --jobs below 1, an --out path that cannot be
-written), 3 data errors (a bad, missing or non-UTF-8 coefficient file, a
-stream with no good primes, a bad stats file).
+a --z that is not a finite rational, z = 0 or 1, a bound below 2^1 or above
+2^32 (the prime sieve takes one byte per integer up to the bound), --jobs
+below 1, an --out path that cannot be written), 3 data errors (a bad, missing
+or non-UTF-8 coefficient file, a stream with no good primes, a bad stats file).
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ import argparse
 import errno
 import os
 import sys
-from fractions import Fraction
 
 from . import motives, stats, stgroups
 from .cmforms import CoeffFileError, CurveSpec, FORMS
 from .ntkernel import FIELD_ALIASES
 from .records import ConsistencyError
 
-CACHE_ENV = "STMOTIVES_CACHE_DIR"
 MAX_BOUND_LOG2 = 32  # the prime sieve takes one byte per integer up to B = 2^N
 
 
@@ -105,14 +102,6 @@ def cmd_groups(args) -> int:
         raise CliError(f"unknown group {args.group!r}")
     if args.action == "table":
         _emit(stgroups.emit_group_table(args.coeff, names), args.out)
-    elif args.action == "moments":
-        if not args.group:
-            raise CliError("groups moments needs --group")
-        lines = []
-        for coeff, ns in stgroups.TABLE_ORDERS.items():
-            lines.append("#coeff\t" + "\t".join(f"M{n}" for n in ns))
-            lines.append(coeff + "\t" + "\t".join(str(stgroups.moment(args.group, coeff, n)) for n in ns))
-        _emit("\n".join(lines) + "\n", args.out)
     else:  # invariants
         lines = ["#group\td\tc\tz1\tz2\tcomponent_group"]
         for g in stgroups.catalog():
@@ -137,11 +126,7 @@ def _make_spec(args) -> motives.MotiveSpec:
         elif args.construction == "tensor-mf":
             cons = motives.TensorMF(_form(args.f1, "--f1"), _form(args.f2, "--f2"))
         else:
-            try:
-                z = Fraction(args.z)
-            except (ValueError, ZeroDivisionError):
-                raise CliError(f"bad rational z={args.z!r}")
-            cons = motives.Dwork(z)
+            cons = motives.Dwork(args.z)
     except ValueError as exc:  # refused by a curve, form or construction when built
         raise CliError(f"motive {args.construction}: {exc}")
     return motives.MotiveSpec(cons, field)
@@ -159,8 +144,7 @@ def cmd_motive(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     _check_out(args.out)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    rows = motives.cached_lpoly_stream(spec, bound, cache_dir, a1_only=a1_only, jobs=args.jobs)
+    rows = motives.cached_lpoly_stream(spec, bound, args.cache_dir, a1_only=a1_only, jobs=args.jobs)
     if not rows:
         raise CliError(f"no good primes for {spec.describe()} up to {bound}", code=3)
     st = stats.moment_statistics(rows, bound)
@@ -195,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("groups", help="exact group moment tables and invariants")
-    g.add_argument("action", choices=("table", "moments", "invariants"))
+    g.add_argument("action", choices=("table", "invariants"))
     g.add_argument("--coeff", choices=("a1", "a2"), default="a1")
     g.add_argument("--group", default=None)
     g.add_argument("--out", default=None)

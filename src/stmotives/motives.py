@@ -116,12 +116,16 @@ class TensorMF:
 class Dwork:
     """The Dwork pencil's fibre at z.  z is stored as a Fraction (an int, a
     float or a string such as "-1/3" is converted when built), so equal
-    values give one describe() and one cache key; z = 0 and z = 1 are refused."""
+    values give one describe() and one cache key.  A ValueError naming z refuses
+    a z that is not a finite rational (None, 1j, inf, nan, "1/0") and z = 0, 1."""
 
     z: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "z", Fraction(self.z))
+        try:
+            object.__setattr__(self, "z", Fraction(self.z))
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"z={self.z!r} is not a rational number") from None
         if self.z in (0, 1):
             raise ValueError(f"z={self.z} is a degenerate fibre of the Dwork pencil at every prime")
 

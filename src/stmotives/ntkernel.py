@@ -25,10 +25,6 @@ class NotSplitError(ValueError):
     pass
 
 
-class NotPrimeError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Rational primes
 
@@ -221,13 +217,10 @@ class _QuadInt:
         """(alpha/self)_n with n = |UNITS|: the unit congruent to
         alpha^((p-1)/n) mod self, or 0 when self | alpha.  self must be a
         degree-1 prime: the splitter certifies that p = N(self) is a prime 1 mod n
-        (else NotPrimeError), and then p does not divide b.  It is computed in
+        (else NotSplitError), and then p does not divide b.  It is computed in
         the residue field Z[t]/(self) = F_p, where t maps to r = -a/b."""
         p, n = self.norm(), len(self.UNITS)
-        try:
-            self._split_prime(p)
-        except NotSplitError:
-            raise NotPrimeError(f"{self} is not a degree-1 prime over p = 1 mod {n}") from None
+        self._split_prime(p)
         r = -self.a * pow(self.b, -1, p) % p
         t = (alpha.a + alpha.b * r) % p
         if t == 0:

@@ -7,11 +7,15 @@ group moments through the scale-normalized squared deviation
     d(G) = sum_n ((M_n[stat] - M_n[G]) / max(1, |M_n[G]|))^2
 
 over a1 moments M_2..M_12 and a2 moments M_1..M_9 (whichever the input
-carries).  Groups whose distances agree to within 1% relative, or, for
-an imperfect best fit, within the jitter radius of two nearly equal
-model vectors (see `classify`; it puts C2 at 0.658 with C3 at 0.556 for
-tensor-ec(0,4; 0,1)/Q(w) at B = 2^12), are reported as a tie cluster
-ordered by catalog position, whatever their distances: several catalog
+carries).  motive --classify ranks these unrounded; stats classify --in ranks
+the cells a file holds, rounded as printed (a2 M_1..M_7 alone), so one run's
+distances differ: at B = 2^16 C3 is at 0.0492 against 0.0338 read back for
+tensor-ec(0,4; 0,1)/Q(w) (same top cluster C3/C4/C6/F), and J(C1) at 0.0118
+against 0.0086 for sum(27.2a, 9.4a)/Q.  Groups whose distances agree to
+within 1% relative, or, for an imperfect best fit, within the jitter radius
+of two nearly equal model vectors (see `classify`; it puts C2 at 0.658 with
+C3 at 0.556 for tensor-ec(0,4; 0,1)/Q(w) at B = 2^12), are reported as a tie
+cluster ordered by catalog position, whatever their distances: several catalog
 groups have identical moment vectors through this range (C4, C6 and F;
 J(C4), J(C6) and F_{ab}; and C3 differs from that first cluster only in
 the 12th a1 moment, by half a part in a thousand), so finite-bound

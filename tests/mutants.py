@@ -264,10 +264,6 @@ MUTANTS = [
     Mutant("series-never-stored-back", SG, "        _SERIES[key] = (f, power, values)\n", "",
            (TS + "test_cold_a1_table_takes_at_most_16_products_per_spectrum",),
            "each order recomputed from f^0: the series stays at order 0"),
-    Mutant("groups-moments-a1-twice", "src/stmotives/cli.py",
-           "str(stgroups.moment(args.group, coeff, n))", 'str(stgroups.moment(args.group, "a1", n))',
-           (SC + "test_cli_groups_moments_prints_the_table_rows",),
-           "`groups moments` prints a1 moments on the a2 row"),
     # statistics files, fields and forms
     Mutant("comment-read-as-header", "src/stmotives/stats.py",
            ' and not ln.startswith("# ")]', "]",
@@ -285,8 +281,8 @@ MUTANTS = [
            (TN + "test_splitter_rejects_what_is_not_a_split_prime",
             TC + "test_coeff_refuses_a_composite_the_splitter_used_to_split"),
            "the memo stores whatever the descent returns, composites included"),
-    Mutant("symbol-without-certificate", NT, "            self._split_prime(p)\n",
-           "            pass\n", (TN + "test_symbol_rejects_non_prime",),
+    Mutant("symbol-without-certificate", NT, "        self._split_prime(p)\n",
+           "", (TN + "test_symbol_rejects_non_prime",),
            "the symbol takes any norm 1 mod n as prime"),
     Mutant("memo-stores-before-normalizing", NT,
            "g = cls._SPLITS[p] = cls(x, (T * x + r) // 2).normalized()",
@@ -313,9 +309,14 @@ MUTANTS = [
            (TC + "test_newform_handle_rejects_what_coeff_cannot_evaluate",),
            "a Hecke handle over another field builds and its coeff reads it as Q(w)"),
     Mutant("dwork-z-kept-as-given", MV,
-           '        object.__setattr__(self, "z", Fraction(self.z))\n', "",
+           '            object.__setattr__(self, "z", Fraction(self.z))\n', "            pass\n",
            (TM + "test_dwork_rejects_the_fibres_degenerate_at_every_prime",),
            'z kept as given: Dwork("1") builds, and Dwork(0.5) describes itself as dwork(0.5)'),
+    Mutant("dwork-z-conversion-errors-leak", MV,
+           "except (TypeError, ValueError, ArithmeticError):", "except ValueError:",
+           (TM + "test_dwork_refuses_what_is_not_a_finite_rational",),
+           'Dwork(float("inf")), Dwork("1/0") and Dwork(None) raise OverflowError, '
+           "ZeroDivisionError and TypeError"),
     Mutant("sampler-a2-sign", SG, "((s1 * s1).real - s2.real) / 2",
            "((s1 * s1).real + s2.real) / 2", (TS + "test_sample_j_component_constant",),
            "a2 = ((sum lam)^2 + sum lam^2) / 2"),

@@ -1,6 +1,7 @@
 """Construction formulas, streams, caching, and cross-construction identities."""
 
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -131,6 +132,13 @@ def test_dwork_rejects_the_fibres_degenerate_at_every_prime():
     assert half.describe() == mv.Dwork(Fraction(1, 2)).describe() == "dwork(1/2)"
     assert mv.MotiveSpec(half).spec_hash() == mv.MotiveSpec(mv.Dwork(Fraction(1, 2))).spec_hash()
     assert mv.Dwork(-1).describe() == mv.Dwork(Fraction(-1)).describe() == "dwork(-1)"
+
+
+def test_dwork_refuses_what_is_not_a_finite_rational():
+    # inf, "1/0", None and 1j used to leak OverflowError, ZeroDivisionError and TypeError
+    for z in (float("inf"), float("-inf"), float("nan"), "1/0", "abc", "", None, 1j):
+        with pytest.raises(ValueError, match=re.escape(f"z={z!r} is not a rational number")):
+            mv.Dwork(z)
 
 
 def test_weight_validation():
@@ -398,7 +406,6 @@ def test_pool_workers_capped_at_cpus_and_primes(monkeypatch):
     assert _SerialPool.workers == [3, 2, 1, 1]  # CPUs, jobs, primes (7 alone), unknown CPUs
     # the CLI's --jobs has no upper limit of its own
     monkeypatch.setattr(mv.os, "cpu_count", lambda: 64)
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)  # a cache hit would start no pool
     argv = ["motive", "symcube", "--e1", "0,1", "--bound-log2", "4"]
     assert cli.main(argv + ["--jobs", "1000000"]) == 0
     assert _SerialPool.workers[4:] == [5]  # the primes 3, 5, 7, 11, 13 below 2^4

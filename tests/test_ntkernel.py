@@ -167,20 +167,20 @@ def test_sextic_symbol_basics():
 
 
 def test_symbol_rejects_non_prime():
-    with pytest.raises(nt.NotPrimeError):
+    with pytest.raises(nt.NotSplitError):
         nt.residue_symbol_quartic(nt.GaussInt(3, 0), nt.GaussInt(3, 0))  # norm 9
-    with pytest.raises(nt.NotPrimeError):
+    with pytest.raises(nt.NotSplitError):
         nt.residue_symbol_sextic(nt.EisenInt(2, 0), nt.EisenInt(4, 0))  # norm 16
     # norms 1 mod n with b != 0 mod N: only the primality check rejects these
-    with pytest.raises(nt.NotPrimeError):
+    with pytest.raises(nt.NotSplitError):
         nt.residue_symbol_quartic(nt.GaussInt(2, 1), nt.GaussInt(3, 4))  # norm 25
-    with pytest.raises(nt.NotPrimeError):
+    with pytest.raises(nt.NotSplitError):
         nt.residue_symbol_sextic(nt.EisenInt(2, 1), nt.EisenInt(8, 3))  # norm 49
     # norms 3277 = 29 * 113 and 1387 = 19 * 73, composites 1 mod n that the
     # root search's Fermat check let through: the splitter now refuses them
     for pi, sym in ((nt.GaussInt(51, -26), nt.residue_symbol_quartic),
                     (nt.EisenInt(22, -21), nt.residue_symbol_sextic)):
-        with pytest.raises(nt.NotPrimeError):
+        with pytest.raises(nt.NotSplitError):
             sym(type(pi)(2, 0), pi)
         assert pi.norm() not in type(pi)._SPLITS
 

@@ -229,14 +229,13 @@ def test_cli_stats_classify_reads_back_only_a_tsv_table(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", [g.name for g in stgroups.catalog()])
-def test_cli_groups_moments_prints_the_table_rows(name, capsys):
-    assert cli.main(["groups", "moments", "--group", name]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "#coeff\t" + "\t".join(f"M{n}" for n in range(2, 17, 2)),
-        "a1\t" + "\t".join(map(str, A1_MOMENTS[name])),
-        "#coeff\t" + "\t".join(f"M{n}" for n in range(1, 10)),
-        "a2\t" + "\t".join(map(str, A2_MOMENTS[name])),
-    ]
+def test_cli_groups_table_prints_each_groups_rows(name, capsys):
+    for coeff, ns, table in (("a1", range(2, 17, 2), A1_MOMENTS), ("a2", range(1, 10), A2_MOMENTS)):
+        assert cli.main(["groups", "table", "--coeff", coeff, "--group", name]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "#group\t" + "\t".join(f"M{n}" for n in ns),
+            name + "\t" + "\t".join(map(str, table[name])),
+        ]
 
 
 def test_cli_error_codes(tmp_path, capsys):
@@ -250,6 +249,9 @@ def test_cli_error_codes(tmp_path, capsys):
     out = tmp_path / "nonexistent" / "x.tsv"  # was a FileNotFoundError traceback, exit 1
     assert cli.main(["groups", "invariants", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}")
+    with pytest.raises(SystemExit) as exc:  # replaced by `groups table --coeff a1|a2 --group G`
+        cli.main(["groups", "moments", "--group", "C1"])
+    assert exc.value.code == 2 and "invalid choice: 'moments'" in capsys.readouterr().err
 
 
 def test_cli_motive_checks_out_before_the_stream(tmp_path, monkeypatch, capsys):
@@ -303,9 +305,11 @@ def test_cli_construction_errors_exit_2(argv, msg, capsys):
     (["symcube", "--e1", "0,1", "--bound-log2", "70"], "--bound-log2 must be at most 32"),
     (["dwork", "--z", "0", "--bound-log2", "7"], "z=0 is a degenerate fibre"),
     (["dwork", "--z", "1", "--bound-log2", "7"], "z=1 is a degenerate fibre"),
+    (["dwork", "--z", "1/0", "--bound-log2", "7"], "motive dwork: z='1/0' is not a rational number"),
     (["symcube", "--e1", "0,0", "--bound-log2", "7"], "singular curve"),
     (["tensor-ec", "--e1", "0,1", "--e2", "0,0,0,0,0", "--bound-log2", "7"], "singular curve"),
-], ids=["bound-negative", "bound-zero", "bound-too-large", "z0", "z1", "singular-short", "singular-long"])
+], ids=["bound-negative", "bound-zero", "bound-too-large", "z0", "z1", "z-not-rational",
+        "singular-short", "singular-long"])
 def test_cli_names_degenerate_input(argv, msg, capsys):
     assert cli.main(["motive", *argv]) == 2
     assert msg in capsys.readouterr().err
@@ -316,7 +320,6 @@ def test_cli_weil_bound_break_in_coefficient_file_exits_3(tmp_path, monkeypatch,
     path.write_text("3 1\n5 1000\n7 1\n")
     handle = cmforms.NewformHandle("broken.4a", 4, 1, "file", path=str(path))
     monkeypatch.setitem(cmforms.FORMS, "broken.4a", handle)
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     rc = cli.main(["motive", "sum", "--f1", "27.2a", "--f2", "broken.4a",
                    "--bound-log2", "3"])
     err = capsys.readouterr().err
@@ -332,7 +335,6 @@ def test_cli_unreadable_coefficient_file_exits_3(tmp_path, monkeypatch, capsys, 
         path.write_bytes(content)
     handle = cmforms.NewformHandle("broken.4a", 4, 1, "file", path=str(path))
     monkeypatch.setitem(cmforms.FORMS, "broken.4a", handle)
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     rc = cli.main(["motive", "sum", "--f1", "27.2a", "--f2", "broken.4a",
                    "--bound-log2", "3"])
     err = capsys.readouterr().err
@@ -343,7 +345,6 @@ def test_cli_unreadable_coefficient_file_exits_3(tmp_path, monkeypatch, capsys, 
 
 def test_cli_weil_bound_break_in_computed_form_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cmforms, "_hecke_coeff", lambda *args: 10**6)
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     rc = cli.main(["motive", "sum", "--f1", "27.2a", "--f2", "9.4a", "--bound-log2", "3"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -367,11 +368,10 @@ def test_cli_dwork_a1_only(capsys):
     ["symcube", "--e1", "0,1"],
     ["tensor-mf", "--f1", "27.2a", "--f2", "27.3.5a"],
 ], ids=["sum", "tensor-ec", "symcube", "tensor-mf"])
-def test_cli_a1_only_for_every_construction(argv, capsys, monkeypatch):
+def test_cli_a1_only_for_every_construction(argv, capsys):
     """--coeffs a1 used to be read for dwork alone, so the other constructions
     printed their a2 cells and classified on them; now the a2 cells are empty
     and --classify ranks the a1 statistics alone."""
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     assert cli.main(["motive", *argv, "--bound-log2", "8", "--coeffs", "a1", "--classify"]) == 0
     out = capsys.readouterr().out.splitlines()
     cells = [ln for ln in out if not ln.startswith("#")][0].split("\t")
@@ -422,15 +422,6 @@ def test_cli_unusable_cache_warns_and_exits_0(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match=f"cannot write stream cache {not_a_dir}"):
         assert cli.main(argv + ["--cache-dir", str(not_a_dir)]) == 0
     assert capsys.readouterr().out == fresh
-
-
-def test_cli_env_cache_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    rc = cli.main(["motive", "symcube", "--e1", "0,1", "--field", "Q",
-                   "--bound-log2", "8"])
-    capsys.readouterr()
-    assert rc == 0
-    assert list(tmp_path.glob("*.tsv"))
 
 
 # ---------------------------------------------------------------------------
