@@ -4,8 +4,11 @@ CM forms come from Hecke characters of Q(i) or Q(w): the coefficient at a
 split prime p is the trace of psi(P)^l times an optional quartic/sextic
 residue-symbol twist, possibly flipped by a quadratic Dirichlet character;
 inert primes give 0.  A CM curve's trace is the coefficient of its
-conjugate-twisted character (CurveSpec.cm_family) on the same path.  Non-CM
-forms come from elliptic-curve point counts or from coefficient files.
+conjugate-twisted character (CurveSpec.cm_family) on the same path.  Other
+curves' traces come, past p = 229, from Shanks-Mestre baby-step giant-step on
+points of the curve and its quadratic twist, and otherwise from the O(p) point
+count ec_trace_naive, the oracle of both fast paths and the fallback of the
+second.  Non-CM weight-4 forms come from coefficient files.
 
 Conventions are pinned empirically by the printed coefficient tables the
 test suite asserts: psi(P) is the generator normalized to 1 mod (1+i)^3
@@ -18,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import operator
 import os
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .ntkernel import (
     EisenInt,
@@ -102,10 +106,11 @@ def _hecke_coeff(hecke: tuple, p: int) -> int:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Long Weierstrass model [a1, a2, a3, a4, a6] over Q.  A singular model
-    (discriminant 0) has no good prime and is a ValueError naming it; the
-    discriminant and the CM family are computed once, when the curve is built,
-    since each stream row asks for both."""
+    """Long Weierstrass model [a1, a2, a3, a4, a6] over Q.  Each coefficient is
+    stored as a plain int (operator.index, so True is 1); anything else, and a
+    singular model (discriminant 0), which has no good prime, is a ValueError
+    naming the model.  The discriminant, the CM family and the short model are
+    computed once, when the curve is built, since each stream row asks for them."""
 
     a1: int
     a2: int
@@ -114,10 +119,16 @@ class CurveSpec:
     a6: int
 
     def __post_init__(self):
+        for name in ("a1", "a2", "a3", "a4", "a6"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{self} has a non-integer coefficient {name} = {value!r}") from None
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
         b2, b4, b6 = a1**2 + 4 * a2, 2 * a4 + a1 * a3, a3**2 + 4 * a6
-        b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
-        disc = -(b2**2) * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        c4, c6 = b2**2 - 24 * b4, -(b2**3) + 36 * b2 * b4 - 216 * b6
+        disc = (c4**3 - c6**2) // 1728
         if disc == 0:
             raise ValueError(f"{self} is a singular curve (discriminant 0)")
         family = None  # y^2 = x^3 is singular: a6 != 0 resp. a4 != 0 below
@@ -127,6 +138,8 @@ class CurveSpec:
             family = ("Q(i)", 1, (-a4) ** 3, None)
         object.__setattr__(self, "_discriminant", disc)
         object.__setattr__(self, "_cm_family", family)
+        # Y^2 = X^3 - 27 c4 X - 54 c6 is this curve over F_p for every p > 3
+        object.__setattr__(self, "_short", (-27 * c4, -54 * c6))
 
     def __str__(self) -> str:
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
@@ -147,7 +160,9 @@ class CurveSpec:
 
 
 def ec_trace_naive(curve: CurveSpec, p: int) -> int:
-    """a_p by an O(p) point count (the oracle for the CM fast paths)."""
+    """a_p by an O(p) point count: the oracle of both fast paths of ec_trace
+    (the Hecke coefficient and baby-step giant-step), and the fallback of the
+    second."""
     if curve.discriminant() % p == 0:
         raise BadPrimeError(f"bad reduction at {p}")
     if p == 2:
@@ -175,15 +190,105 @@ def ec_trace_naive(curve: CurveSpec, p: int) -> int:
     return p + 1 - count
 
 
+# Mestre: past p = 229, E or its quadratic twist has a point with a single multiple
+# of its order in the Hasse interval (Cohen, "A Course in Computational Algebraic
+# Number Theory", 7.4.3)
+_BSGS_ABOVE = 229
+_BSGS_POINTS = 8  # points tried before the point count takes over
+
+
+def _ec_add(P, Q, A: int, p: int):
+    """P + Q on Y^2 = X^3 + AX + B over F_p, affine; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + A) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, P, A: int, p: int):
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(R, P, A, p)
+        P = _ec_add(P, P, A, p)
+        n >>= 1
+    return R
+
+
+def _hasse_orders(P, A: int, p: int) -> list[int] | None:
+    """Every N with (p + 1 - N)^2 <= 4p and NP = O: baby steps jP, 1 <= j <= m,
+    keyed by x, and giant steps cP, c = p + 1 - T + m + i(2m + 1), each of which
+    meets at most one of +-jP, so that (c -+ j)P = O.  None when the order of P is
+    at most 2m, the case in which the baby steps' x-coordinates are not distinct."""
+    T = isqrt(4 * p)
+    m = isqrt(T) + 1
+    baby = {}
+    Q = P
+    for j in range(1, m + 1):
+        if Q is None or Q[1] == 0 or Q[0] in baby:
+            return None
+        baby[Q[0]] = (j, Q[1])
+        Q = _ec_add(Q, P, A, p)
+    orders = []
+    c = p + 1 - T + m
+    R, G = _ec_mul(c, P, A, p), _ec_mul(2 * m + 1, P, A, p)
+    while c - m <= p + 1 + T:
+        if R is None:
+            orders.append(c)
+        elif R[0] in baby:
+            j, y = baby[R[0]]
+            orders.append(c - j if R[1] == y else c + j)
+        R = _ec_add(R, G, A, p)
+        c += 2 * m + 1
+    return [N for N in orders if (p + 1 - N) ** 2 <= 4 * p]
+
+
+def _bsgs_trace(curve: CurveSpec, p: int) -> int:
+    """a_p (p > 3, good) as the one trace that fits the orders of the points
+    (x d, d^2), x = 0, 1, 2, ..., where d = f(x) != 0 on the short model
+    Y^2 = f(X).  Such a point lies on Y^2 = X^3 + A d^2 X + B d^3, which is E when
+    d is a square mod p and its quadratic twist (p + 1 + a_p points) when not.
+    After _BSGS_POINTS points with more than one trace left, ec_trace_naive."""
+    A, B = curve._short
+    traces, points = None, 0
+    for x in range(p):
+        d = ((x * x + A) * x + B) % p
+        if d == 0:
+            continue
+        orders = _hasse_orders((x * d % p, d * d % p), A * d * d % p, p)
+        if orders is not None:
+            sign = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+            fits = {sign * (p + 1 - N) for N in orders}
+            traces = fits if traces is None else traces & fits
+            if len(traces) == 1:
+                return traces.pop()
+        points += 1
+        if points == _BSGS_POINTS:
+            break
+    return ec_trace_naive(curve, p)
+
+
 def ec_trace(curve: CurveSpec, p: int) -> int:
-    """a_p = p + 1 - #E(F_p).  At p > 3, CM curves in the two standard
-    families are the Hecke coefficient of their cm_family() (0 at inert
-    primes); everything else is counted directly."""
+    """a_p = p + 1 - #E(F_p) at a prime p.  At p > 3, CM curves in the two
+    standard families are the Hecke coefficient of their cm_family() (0 at
+    inert primes); other curves at p > _BSGS_ABOVE go by _bsgs_trace, and the
+    rest by the point count ec_trace_naive."""
     if curve.discriminant() % p == 0:
         raise BadPrimeError(f"bad reduction at {p}")
     hecke = curve.cm_family()
     if hecke is not None and p > 3:
         return _hecke_coeff(hecke, p)
+    if p > _BSGS_ABOVE:
+        return _bsgs_trace(curve, p)
     return ec_trace_naive(curve, p)
 
 

@@ -59,6 +59,8 @@ TN = "tests/test_ntkernel.py::"
 TC = "tests/test_cmforms.py::"
 HP2 = (HG + "test_fast_hp2_loop_equals_generic_trace",)
 CACHE = (TM + "test_corrupt_cache_is_a_miss",)
+BSGS = (TC + "test_bsgs_trace_vs_naive_count_random",
+        TC + "test_ec_trace_equals_the_point_count_for_11_2a_to_2_14")
 
 MUTANTS = [
     # the Weil windows live in LPoly; the Dwork row only lifts
@@ -299,11 +301,35 @@ MUTANTS = [
            '    NewformHandle("36.2a", 2, 36, "curve", curve=CurveSpec.short(0, 1)),\n', "",
            (TC + "test_forms_hold_every_documented_label_once",),
            "a documented label left out of FORMS"),
+    # non-CM traces by baby-step giant-step, the point count as oracle and fallback
+    Mutant("bsgs-twist-sign-dropped", CF, "sign = 1 if pow(d, (p - 1) // 2, p) == 1 else -1",
+           "sign = 1", BSGS, "a point on the quadratic twist read as a point on E"),
+    Mutant("bsgs-twist-sign-flipped", CF, "sign = 1 if pow(d, (p - 1) // 2, p) == 1 else -1",
+           "sign = -1 if pow(d, (p - 1) // 2, p) == 1 else 1", BSGS,
+           "the twist read as E and E as the twist"),
+    Mutant("hasse-interval-one-short", CF, "    T = isqrt(4 * p)\n", "    T = isqrt(4 * p) - 1\n",
+           (TC + "test_bsgs_trace_reaches_both_ends_of_the_hasse_interval",),
+           "the giant steps start one past p + 1 - 2 sqrt(p), so a_p = 2 sqrt(p) rounded is missed"),
+    Mutant("bsgs-first-candidate", CF, "            if len(traces) == 1:", "            if traces:",
+           (TC + "test_bsgs_trace_falls_back_to_the_point_count_after_its_points",),
+           "a trace is returned while other traces still fit every point"),
+    Mutant("baby-step-ignores-minus", CF, "orders.append(c - j if R[1] == y else c + j)",
+           "orders.append(c - j)", BSGS, "a giant step at -jP read as one at +jP"),
+    Mutant("baby-step-small-order-unchecked", CF,
+           "if Q is None or Q[1] == 0 or Q[0] in baby:", "if Q is None:",
+           (TC + "test_bsgs_trace_skips_a_point_of_order_at_most_2m",),
+           "a point of order at most 2m, whose baby steps repeat an x, is searched"),
     # input refused when its value type is built
     Mutant("singular-curve-built", CF,
            '            raise ValueError(f"{self} is a singular curve (discriminant 0)")\n',
            "            pass\n", (TC + "test_curve_spec_refuses_a_singular_model",),
            "a singular model builds, and its stream skips every prime in silence"),
+    Mutant("curve-coefficient-kept-as-given", CF,
+           "object.__setattr__(self, name, operator.index(value))",
+           "object.__setattr__(self, name, value)",
+           (TC + "test_curve_spec_refuses_a_coefficient_that_is_not_an_integer",
+            TC + "test_curve_spec_stores_a_bool_coefficient_as_an_int"),
+           "CurveSpec(0, 0, 0, 1.5, 1) builds, and [0,0,0,True,1] prints apart from [0,0,0,1,1]"),
     Mutant("cm-field-unchecked", CF,
            'if self.kind == "hecke" and self.hecke[0] not in ("Q(i)", "Q(w)"):', "if False:",
            (TC + "test_newform_handle_rejects_what_coeff_cannot_evaluate",),

@@ -1,5 +1,7 @@
 """Newform coefficients: printed tables, twist identities, curve oracles."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
@@ -151,6 +153,68 @@ def test_long_weierstrass_trace():
         assert cf.ec_trace(e11, p) == want
 
 
+_GOOD_PRIMES_11 = [p for p in primes_up_to(2**14) if p != 11]
+
+
+def test_ec_trace_equals_the_point_count_for_11_2a_to_2_14():
+    # baby-step giant-step past cf._BSGS_ABOVE, the point count below it
+    curve = cf.FORMS["11.2a"].curve
+    assert [p for p in _GOOD_PRIMES_11 if cf.ec_trace(curve, p) != cf.ec_trace_naive(curve, p)] == []
+
+
+_PRIMES_BSGS = [p for p in primes_up_to(20000) if p > cf._BSGS_ABOVE]
+
+
+@given(hst.lists(hst.integers(-50, 50), min_size=5, max_size=5), hst.sampled_from(_PRIMES_BSGS))
+@settings(max_examples=300)
+def test_bsgs_trace_vs_naive_count_random(coeffs, p):
+    try:
+        curve = cf.CurveSpec(*coeffs)
+    except ValueError:  # singular
+        assume(False)
+    assume(curve.discriminant() % p != 0 and curve.cm_family() is None)
+    assert cf.ec_trace(curve, p) == cf.ec_trace_naive(curve, p)
+
+
+def test_bsgs_trace_reaches_both_ends_of_the_hasse_interval():
+    # y^2 = x^3 - x moved to x + 1, so no CM family catches it; at p = a^2 + 4,
+    # a odd, its trace is +-2a, and 4p = (2a)^2 + 16
+    curve = cf.CurveSpec(0, 3, 0, 2, 0)
+    assert curve.cm_family() is None
+    traces = {p: cf.ec_trace(curve, p) for p in (293, 457, 641, 733, 977, 1093, 1373, 2029)}
+    assert traces == {p: cf.ec_trace_naive(curve, p) for p in traces}
+    assert all(abs(a) == isqrt(4 * p) for p, a in traces.items())
+    assert {a > 0 for a in traces.values()} == {True, False}
+
+
+def _bsgs_point(curve, p, x):
+    """The point (x d, d^2) of _bsgs_trace and the A d^2 of its curve."""
+    A, B = curve._short
+    d = ((x * x + A) * x + B) % p
+    return (x * d % p, d * d % p), A * d * d % p
+
+
+def test_bsgs_trace_falls_back_to_the_point_count_after_its_points(monkeypatch):
+    # at p = 347 the first point of 11.2a, x = 0, fits several traces
+    curve, p = cf.FORMS["11.2a"].curve, 347
+    assert len(cf._hasse_orders(*_bsgs_point(curve, p, 0), p)) > 1
+    want, naive, count = cf.ec_trace_naive(curve, p), [], cf.ec_trace_naive
+    monkeypatch.setattr(cf, "_BSGS_POINTS", 1)
+    monkeypatch.setattr(cf, "ec_trace_naive", lambda c, q: naive.append(q) or count(c, q))
+    assert cf.ec_trace(curve, p) == want and naive == [p]
+
+
+def test_bsgs_trace_skips_a_point_of_order_at_most_2m():
+    # m = 7 at both primes; baby steps jP, j <= m, meet a repeated x or y = 0
+    # exactly when the order is at most 2m, and such a point's giant steps can
+    # miss a multiple of its order: searched anyway, both traces came out wrong
+    for coeffs, p, x, order in (((-5, 10, 14, -13, 8), 389, 2, 13), ((14, -8, 7, -22, 7), 617, 0, 14)):
+        curve = cf.CurveSpec(*coeffs)
+        P, A = _bsgs_point(curve, p, x)
+        assert cf._ec_mul(order, P, A, p) is None and cf._hasse_orders(P, A, p) is None
+        assert cf.ec_trace(curve, p) == cf.ec_trace_naive(curve, p)
+
+
 def test_coeff_refuses_a_composite_the_splitter_used_to_split():
     # 1387 = 19 * 73 is 1 mod 3, and the root search's Fermat check let it
     # through: coeff(27.2a, 1387) was 65
@@ -277,6 +341,28 @@ def test_curve_spec_refuses_a_singular_model():
         with pytest.raises(ValueError) as info:
             build(*args)
         assert str(info.value) == f"{tag} is a singular curve (discriminant 0)"
+
+
+@pytest.mark.parametrize("value,shown", [(1.5, "1.5"), ("1", "'1'"), (None, "None")],
+                         ids=["float", "str", "none"])
+def test_curve_spec_refuses_a_coefficient_that_is_not_an_integer(value, shown):
+    # a float used to build and fail at its first trace with a TypeError from a
+    # bytearray index, and a str with a TypeError from the discriminant
+    with pytest.raises(ValueError) as info:
+        cf.CurveSpec(0, 0, 0, value, 2)
+    assert str(info.value).endswith(f"has a non-integer coefficient a4 = {shown}")
+    assert str(info.value).startswith("[0,0,0,")
+
+
+def test_curve_spec_stores_a_bool_coefficient_as_an_int():
+    # [0,0,0,True,1] equalled [0,0,0,1,1] but printed apart, so one symcube
+    # had two cache keys
+    from stmotives import motives as mv
+
+    e, one = cf.CurveSpec(0, 0, 0, True, 1), cf.CurveSpec(0, 0, 0, 1, 1)
+    assert type(e.a4) is int and str(e) == "[0,0,0,1,1]" == str(one)
+    specs = [mv.MotiveSpec(mv.SymCube(c), mv.Q) for c in (e, one)]
+    assert specs[0].describe() == specs[1].describe() and specs[0].spec_hash() == specs[1].spec_hash()
 
 
 def test_discriminant_is_computed_once_per_curve():

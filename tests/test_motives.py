@@ -182,7 +182,7 @@ def test_edited_file_form_is_not_served_stale(tmp_path):
 
 def test_direct_sum_skips_past_a_file_table_before_the_weight_2_form(tmp_path, monkeypatch):
     """A weight-4 file table that ends near p = 100 skips every later prime
-    before the weight-2 form's O(p) point count runs there."""
+    before the weight-2 form's trace (a point count up to p = 229) runs there."""
     table = tmp_path / "5.4a-short.txt"
     with open(FORMS["5.4a"].path) as fh:
         lines = fh.read().splitlines()
