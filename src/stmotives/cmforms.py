@@ -138,7 +138,7 @@ class CurveSpec:
             family = ("Q(i)", 1, (-a4) ** 3, None)
         object.__setattr__(self, "_discriminant", disc)
         object.__setattr__(self, "_cm_family", family)
-        # Y^2 = X^3 - 27 c4 X - 54 c6 is this curve over F_p for every p > 3
+        # Y^2 = X^3 - 27 c4 X - 54 c6 is this curve over F_p at every good p > 3
         object.__setattr__(self, "_short", (-27 * c4, -54 * c6))
 
     def __str__(self) -> str:
