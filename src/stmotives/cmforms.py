@@ -3,12 +3,12 @@
 CM forms come from Hecke characters of Q(i) or Q(w): the coefficient at a
 split prime p is the trace of psi(P)^l times an optional quartic/sextic
 residue-symbol twist, possibly flipped by a quadratic Dirichlet character;
-inert primes give 0.  A CM curve's trace is the coefficient of its
-conjugate-twisted character (CurveSpec.cm_family) on the same path.  Other
-curves' traces come, past p = 229, from Shanks-Mestre baby-step giant-step on
-points of the curve and its quadratic twist, and otherwise from the O(p) point
-count ec_trace_naive, the oracle of both fast paths and the fallback of the
-second.  Non-CM weight-4 forms come from coefficient files.
+inert primes give 0.  A curve with j = 0 or 1728, in any model, has the
+coefficient of its conjugate-twisted character (CurveSpec.cm_family) as trace;
+past p = 3 other curves' traces come from Shanks-Mestre baby-step giant-step on
+points of the curve and its quadratic twist.  The O(p) point count
+ec_trace_naive answers at p <= 3 and is the oracle of both fast paths and the
+fallback of the second.  Non-CM weight-4 forms come from coefficient files.
 
 Conventions are pinned empirically by the printed coefficient tables the
 test suite asserts: psi(P) is the generator normalized to 1 mod (1+i)^3
@@ -131,15 +131,16 @@ class CurveSpec:
         disc = (c4**3 - c6**2) // 1728
         if disc == 0:
             raise ValueError(f"{self} is a singular curve (discriminant 0)")
-        family = None  # y^2 = x^3 is singular: a6 != 0 resp. a4 != 0 below
-        if (a1, a2, a3, a4) == (0, 0, 0, 0):
-            family = ("Q(w)", 1, (4 * a6) ** 5, None)
-        elif (a1, a2, a3, a6) == (0, 0, 0, 0):
-            family = ("Q(i)", 1, (-a4) ** 3, None)
+        # Y^2 = X^3 + AX + B, scaled by 6 from a long model, is E over F_p at good p > 3
+        A, B = (a4, a6) if (a1, a2, a3) == (0, 0, 0) else (-27 * c4, -54 * c6)
+        family = None  # A = B = 0 is singular
+        if A == 0:
+            family = ("Q(w)", 1, (4 * B) ** 5, None)
+        elif B == 0:
+            family = ("Q(i)", 1, (-A) ** 3, None)
         object.__setattr__(self, "_discriminant", disc)
         object.__setattr__(self, "_cm_family", family)
-        # Y^2 = X^3 - 27 c4 X - 54 c6 is this curve over F_p at every good p > 3
-        object.__setattr__(self, "_short", (-27 * c4, -54 * c6))
+        object.__setattr__(self, "_short", (A, B))
 
     def __str__(self) -> str:
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
@@ -152,17 +153,16 @@ class CurveSpec:
         return self._discriminant
 
     def cm_family(self):
-        """The Hecke data (field, 1, t^(n-1), None) of _hecke_coeff for
-        y^2 = x^3 + B (Q(w), t = 4B, n = 6) and y^2 = x^3 + Ax (Q(i), t = -A,
-        n = 4), else None.  At a p > 3 of good reduction a_p is the trace of
-        conj((t/P)) alpha, and (t^(n-1)/P) = (t/P)^(n-1) = conj((t/P))."""
+        """The Hecke data (field, 1, t^(n-1), None) of _hecke_coeff when the short
+        model of any given model is Y^2 = X^3 + B (j = 0: Q(w), t = 4B, n = 6) or
+        Y^2 = X^3 + AX (j = 1728: Q(i), t = -A, n = 4), else None.  At a good
+        p > 3 a_p is the trace of conj((t/P)) alpha, and (t^(n-1)/P) = conj((t/P))."""
         return self._cm_family
 
 
 def ec_trace_naive(curve: CurveSpec, p: int) -> int:
-    """a_p by an O(p) point count: the oracle of both fast paths of ec_trace
-    (the Hecke coefficient and baby-step giant-step), and the fallback of the
-    second."""
+    """a_p by an O(p) point count: ec_trace at p <= 3, the oracle of its two fast
+    paths (Hecke coefficient, baby-step giant-step) and the fallback of the second."""
     if curve.discriminant() % p == 0:
         raise BadPrimeError(f"bad reduction at {p}")
     if p == 2:
@@ -190,10 +190,6 @@ def ec_trace_naive(curve: CurveSpec, p: int) -> int:
     return p + 1 - count
 
 
-# Mestre: past p = 229, E or its quadratic twist has a point with a single multiple
-# of its order in the Hasse interval (Cohen, "A Course in Computational Algebraic
-# Number Theory", 7.4.3)
-_BSGS_ABOVE = 229
 _BSGS_POINTS = 8  # points tried before the point count takes over
 
 
@@ -257,7 +253,9 @@ def _bsgs_trace(curve: CurveSpec, p: int) -> int:
     (x d, d^2), x = 0, 1, 2, ..., where d = f(x) != 0 on the short model
     Y^2 = f(X).  Such a point lies on Y^2 = X^3 + A d^2 X + B d^3, which is E when
     d is a square mod p and its quadratic twist (p + 1 + a_p points) when not.
-    After _BSGS_POINTS points with more than one trace left, ec_trace_naive."""
+    The answer is exact; past p = 229 E or its twist has a point that leaves one
+    trace (Mestre; Cohen, "A Course in Computational Algebraic Number Theory",
+    7.4.3), and after _BSGS_POINTS points with more left it is ec_trace_naive's."""
     A, B = curve._short
     traces, points = None, 0
     for x in range(p):
@@ -278,18 +276,18 @@ def _bsgs_trace(curve: CurveSpec, p: int) -> int:
 
 
 def ec_trace(curve: CurveSpec, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) at a prime p.  At p > 3, CM curves in the two
-    standard families are the Hecke coefficient of their cm_family() (0 at
-    inert primes); other curves at p > _BSGS_ABOVE go by _bsgs_trace, and the
-    rest by the point count ec_trace_naive."""
+    """a_p = p + 1 - #E(F_p) at a prime p of good reduction: the point count
+    ec_trace_naive at p <= 3, where the short model may be singular; past 3 the
+    Hecke coefficient of cm_family() (0 at inert primes) for j = 0 and 1728,
+    and _bsgs_trace for every other curve."""
     if curve.discriminant() % p == 0:
         raise BadPrimeError(f"bad reduction at {p}")
+    if p <= 3:
+        return ec_trace_naive(curve, p)
     hecke = curve.cm_family()
-    if hecke is not None and p > 3:
+    if hecke is not None:
         return _hecke_coeff(hecke, p)
-    if p > _BSGS_ABOVE:
-        return _bsgs_trace(curve, p)
-    return ec_trace_naive(curve, p)
+    return _bsgs_trace(curve, p)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ def _metric_vector(stats: MomentStats, g) -> tuple[list[float], list[int]]:
     return devs, raw
 
 
-def classify(stats: MomentStats, groups=None) -> ClassificationResult:
-    """Rank candidate groups by moment distance, with tie clusters.
+def classify(stats: MomentStats) -> ClassificationResult:
+    """Rank the catalog groups by moment distance, with tie clusters.
 
     Two candidates land in one cluster when their distance gap is below
     the classifier's resolution: within TIE_RELATIVE of each other, or
@@ -102,11 +102,9 @@ def classify(stats: MomentStats, groups=None) -> ClassificationResult:
     the jitter radius, so exact group moments classify to that group (up
     to the catalog pairs with strictly identical metric vectors).  Inside
     a cluster the catalog order picks the representative."""
-    if groups is None:
-        groups = stgroups.catalog()
     scored = []
     vectors = {}
-    for idx, g in enumerate(groups):
+    for idx, g in enumerate(stgroups.catalog()):
         devs, raw = _metric_vector(stats, g)
         vectors[g.name] = raw
         d = math.fsum(x * x for x in devs)

@@ -319,6 +319,17 @@ MUTANTS = [
            "if Q is None or Q[1] == 0 or Q[0] in baby:", "if Q is None:",
            (TC + "test_bsgs_trace_skips_a_point_of_order_at_most_2m",),
            "a point of order at most 2m, whose baby steps repeat an x, is searched"),
+    # one short model: CM read off it, the point count only at p <= 3
+    Mutant("short-model-j1728-dropped", CF, 'family = ("Q(i)", 1, (-A) ** 3, None)',
+           "family = None", (TC + "test_cm_family_is_read_off_the_short_model_of_any_model",),
+           "j = 1728 gets no CM family, so y^2 = x^3 - x in another model leaves the Hecke path"),
+    Mutant("small-p-guard-off-by-one", CF, "    if p <= 3:\n", "    if p <= 2:\n",
+           (TC + "test_long_weierstrass_trace",),
+           "a_3 of a long model is searched on the cusp Y^2 = X^3 mod 3"),
+    Mutant("short-model-always-scaled", CF,
+           "A, B = (a4, a6) if (a1, a2, a3) == (0, 0, 0) else (-27 * c4, -54 * c6)",
+           "A, B = -27 * c4, -54 * c6", (TC + "test_cm_family_is_computed_once_per_curve",),
+           "a short model is scaled by 6 too, and its CM twist with it"),
     # input refused when its value type is built
     Mutant("singular-curve-built", CF,
            '            raise ValueError(f"{self} is a singular curve (discriminant 0)")\n',

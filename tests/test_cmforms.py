@@ -2,6 +2,7 @@
 
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
@@ -145,43 +146,75 @@ def test_cm_fast_path_vs_naive_count_random(j0, c, p):
     assert cf.ec_trace(curve, p) == cf.ec_trace_naive(curve, p)
 
 
-def test_long_weierstrass_trace():
+def test_long_weierstrass_trace(monkeypatch):
     e11 = cf.FORMS["11.2a"].curve
     # 11.2a first coefficients: a2=-2, a3=-1, a5=1, a7=-2, a13=4
     known = {2: -2, 3: -1, 5: 1, 7: -2, 13: 4}
     for p, want in known.items():
         assert cf.ec_trace(e11, p) == want
+    # mod 3 the short model of a long one is the cusp Y^2 = X^3, outside what
+    # baby-step giant-step proves: a_2 and a_3 come from the point count alone
+    monkeypatch.setattr(cf, "_bsgs_trace", None)
+    assert cf.ec_trace(e11, 2) == -2 and cf.ec_trace(e11, 3) == -1
 
 
 _GOOD_PRIMES_11 = [p for p in primes_up_to(2**14) if p != 11]
 
 
+def _newform_11(n: int) -> np.ndarray:
+    """a_1, ..., a_n of eta(z)^2 eta(11z)^2 = q prod (1 - q^k)^2 (1 - q^(11k))^2,
+    the newform of 11.2a: Euler's pentagonal series for prod (1 - q^k), squared,
+    times that square at q^11."""
+    euler = np.zeros(n, dtype=np.int64)
+    for k in range(-isqrt(n) - 1, isqrt(n) + 2):
+        e = k * (3 * k - 1) // 2
+        if e < n:
+            euler[e] = -1 if k % 2 else 1
+    square = np.convolve(euler, euler)[:n]
+    at_11 = np.zeros(n, dtype=np.int64)
+    at_11[::11] = square[:(n + 10) // 11]
+    return np.convolve(square, at_11)[:n]
+
+
 def test_ec_trace_equals_the_point_count_for_11_2a_to_2_14():
-    # baby-step giant-step past cf._BSGS_ABOVE, the point count below it
-    curve = cf.FORMS["11.2a"].curve
-    assert [p for p in _GOOD_PRIMES_11 if cf.ec_trace(curve, p) != cf.ec_trace_naive(curve, p)] == []
+    # the q-expansion stands in for the point count, which it matches to 2^10
+    curve, a = cf.FORMS["11.2a"].curve, _newform_11(2**14)
+    assert [p for p in _GOOD_PRIMES_11 if cf.ec_trace(curve, p) != a[p - 1]] == []
+    assert [p for p in _GOOD_PRIMES_11 if p < 2**10 and cf.ec_trace_naive(curve, p) != a[p - 1]] == []
 
 
-_PRIMES_BSGS = [p for p in primes_up_to(20000) if p > cf._BSGS_ABOVE]
+def test_cm_family_is_read_off_the_short_model_of_any_model():
+    # y^2 = x^3 - x moved to x + 1, and 27.2a's own model y^2 + y = x^3 - 7
+    i_model, w_model = cf.CurveSpec(0, 3, 0, 2, 0), cf.CurveSpec(0, 0, 1, 0, -7)
+    assert i_model.cm_family() == ("Q(i)", 1, 1296**3, None)
+    assert w_model.cm_family() == ("Q(w)", 1, (-4 * 54 * 5832) ** 5, None)
+    for p in primes_up_to(2**12):
+        if w_model.discriminant() % p:
+            assert cf.ec_trace(w_model, p) == cf.coeff(cf.FORMS["27.2a"], p), p
+        for curve in (i_model, w_model):
+            if p > 3 and curve.discriminant() % p:
+                assert cf.ec_trace(curve, p) == cf.ec_trace_naive(curve, p), (curve, p)
 
 
-@given(hst.lists(hst.integers(-50, 50), min_size=5, max_size=5), hst.sampled_from(_PRIMES_BSGS))
+_PRIMES_5_20000 = [p for p in primes_up_to(20000) if p > 3]
+
+
+@given(hst.lists(hst.integers(-50, 50), min_size=5, max_size=5), hst.sampled_from(_PRIMES_5_20000))
 @settings(max_examples=300)
 def test_bsgs_trace_vs_naive_count_random(coeffs, p):
     try:
         curve = cf.CurveSpec(*coeffs)
     except ValueError:  # singular
         assume(False)
-    assume(curve.discriminant() % p != 0 and curve.cm_family() is None)
+    assume(curve.discriminant() % p != 0)
     assert cf.ec_trace(curve, p) == cf.ec_trace_naive(curve, p)
 
 
 def test_bsgs_trace_reaches_both_ends_of_the_hasse_interval():
-    # y^2 = x^3 - x moved to x + 1, so no CM family catches it; at p = a^2 + 4,
+    # y^2 = x^3 - x moved to x + 1, whose short model is scaled by 6; at p = a^2 + 4,
     # a odd, its trace is +-2a, and 4p = (2a)^2 + 16
     curve = cf.CurveSpec(0, 3, 0, 2, 0)
-    assert curve.cm_family() is None
-    traces = {p: cf.ec_trace(curve, p) for p in (293, 457, 641, 733, 977, 1093, 1373, 2029)}
+    traces = {p: cf._bsgs_trace(curve, p) for p in (293, 457, 641, 733, 977, 1093, 1373, 2029)}
     assert traces == {p: cf.ec_trace_naive(curve, p) for p in traces}
     assert all(abs(a) == isqrt(4 * p) for p, a in traces.items())
     assert {a > 0 for a in traces.values()} == {True, False}

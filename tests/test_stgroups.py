@@ -284,14 +284,15 @@ def test_moment_engine_matches_direct_powers(data):
         assert sg.moment(impostor, coeff, n) == _direct_moment(g.components, coeff, n)
 
 
-def test_caller_built_group_with_catalog_name_gets_its_own_moments():
+def test_caller_built_group_with_catalog_name_gets_its_own_moments(monkeypatch):
     usp4 = sg.group("USp(4)")
     assert sg.moment("C1", "a1", 2) == 4
     impostor = sg.STGroup("C1", usp4.dim, "C1", usp4.components)
     assert sg.moment(impostor, "a1", 2) == 1
     a1 = {n: float(m) for n, m in zip(stats.A1_NS, A1_MOMENTS["USp(4)"])}
     a2 = {n: float(m) for n, m in zip(stats.A2_NS, A2_MOMENTS["USp(4)"])}
-    result = stats.classify(stats.MomentStats(0, 1, a1, a2), groups=[sg.group("C2"), impostor])
+    monkeypatch.setattr(sg, "catalog", lambda: (sg.group("C2"), impostor))
+    result = stats.classify(stats.MomentStats(0, 1, a1, a2))
     assert result.ranked[0] == ("C1", 0.0)
 
 
