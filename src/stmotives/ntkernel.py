@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 from math import isqrt
 
 
@@ -38,7 +39,7 @@ def primes_up_to(bound: int) -> list[int]:
     for n in range(2, isqrt(bound) + 1):
         if sieve[n]:
             sieve[n * n :: n] = bytearray(len(sieve[n * n :: n]))
-    return [n for n in range(2, bound + 1) if sieve[n]]
+    return list(compress(range(bound + 1), sieve))
 
 
 # (bound, bases): the first k prime bases make Miller-Rabin exact below the least

@@ -24,9 +24,11 @@ constants, and b = m/(p - 1) is an arithmetic progression.  hp2_poly
 separates the two digits of m: a term is a sum of products of two factors,
 each a polynomial in one digit from one Newton table, so the sum is four
 crossing rows and 19 cyclic convolutions, each one big-integer product; O(p)
-work at every p >= 7, the packed slots sized from p.  Both kernels are pure
-Python: no Dwork path imports numpy, which would cost each process about 0.13 s
-of CPU and add about half to its peak RSS.
+work at every p >= 7, the packed slots sized from p.  The Newton tables take
+two Gamma_p values a point and one product for each further wrap count, and
+each crossing row is summed run by run of constant wrap counts.  Both kernels
+are pure Python: no Dwork path imports numpy, which would cost each process
+about 0.13 s of CPU and add about half to its peak RSS.
 dwork_c1 and dwork_lpoly share one row body: it takes Teich(z) once and
 evaluates hp_poly at k = 2 (c1, p > 64) or k = 4, and hp2_poly at k = 4 for
 c2, each by Horner, and lifts c1 and 2p c2 to integers; the LPoly it returns
@@ -105,9 +107,9 @@ class GammaTables:
         p, pk = self.p, self.pk
         C0, C1, C2, C3 = self.C
         if self.k <= 2:  # C2 = C3 = 0
-            return [(C0[x0] + (x - x0) * C1[x0]) % pk for x in xs for x0 in (x % p,)]
-        return [(C0[x0] + py * (C1[x0] + py * (C2[x0] + py * C3[x0]))) % pk
-                for x in xs for x0 in (x % p,) for py in (x - x0,)]
+            return [(C0[x0 := x % p] + (x - x0) * C1[x0]) % pk for x in xs]
+        return [(C0[x0 := x % p] + (py := x - x0) * (C1[x0] + py * (C2[x0] + py * C3[x0]))) % pk
+                for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ def _terms(tables: GammaTables, bs, w: int, f: int) -> list[int]:
     """u(b) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k, V = w + 1 - 5b, for the
     residues b mod p^k in bs, a run of terms with one wrap count w and one
     f = floor((5 x0 + w)/p), x0 the low digit of the term's index.  The term
-    builder of both kernels: two Gamma_p values a term, through gamma_list,
+    builder of hp_poly: two Gamma_p values a term, through gamma_list,
     which takes residues, so V is reduced mod p^k: w + 1 - 5b leaves [0, p^k),
     and at the top of an H_p band, when p = 1 mod 5, it is a multiple of p^k."""
     pk = tables.pk
@@ -218,8 +220,6 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
 
     and W(0) = 0, so the m = 0 term is U(0)^2 = 1.  Digit separation:
 
-    * f = floor((5 x0 + W)/p) takes at most 5 values, each on a run of x0, so
-      the Newton stage calls _terms once per run.
     * Mod p^4, b = -x(1 + p^2) and V are linear in x1 = floor(x/p) with slopes
       in p Z_p, so for each x0 and w, u(x0 + p x1; w) = sum_j D_j p^j C(x1, j)
       (Newton's form, D_j p^j the j-th forward difference in x1 at 0), and
@@ -227,10 +227,17 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
         p^(W + W' + i + j) [D_j(m0; W) C(m0, i)] [D_i(m1; W') C(m1, j)],
       W = W(m), W' = W(sigma(m)): 35 terms (W, W', i, j) with
       W + W' + i + j < k = 4, fewer at lower k.
+    * The Newton stage: b does not depend on w, so Gamma_p(b)^5 Gamma_p(V_0),
+      V_w = w + 1 - 5b, costs two gamma_list values a point x0 + p x1, and each
+      next w one product: Gamma_p(V + 1) = -V Gamma_p(V), or -Gamma_p(V) when
+      p | V.  D_j(x0; w) reads the rows x1 <= j, only where lev(x0) < k - w - j.
+      (-1)^w 5^(f-w) is a constant on each run of x0 where f = floor((5 x0 + w)/p) is.
     * W(m0 + p m1) is lev(m1) = W(p m1) except on the rows m1 where 5m passes
       j(q - 1), j = 1..4; by symmetry W(sigma(m)) is lev(m0) off those columns.
-      Crossing-row points read both factors from the Newton form at their own
-      W, W', weight 2 (the sigma image), 1 where a row meets a column.
+      On a crossing row W and W' step only at a column c or at c + 1; on each
+      run between, both factors are Newton sums over slices of the tables, and
+      their products go to the classes m0 + m1 with weight 2 (the sigma image),
+      or 1 on a meet with a column, a run of its own.
     * Every other point lies on level intervals lev(m0) = W', lev(m1) = W,
       where each (W, W', i, j) term is a cyclic convolution mod p - 1 of two
       vectors: one Kronecker product of packed integers.  (W', W, j, i) gives
@@ -244,18 +251,24 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     k, pk = tables.k, tables.pk
     lam = pow(q - 1, -1, pk)
     cross = [j * (q - 1) // (5 * p) for j in range(1, 5)]  # lev(y) = j - 1 on cross[j - 1]
-    # dn[w][j][x0] = D_j(x0; w) mod p^(k - j), from the kernel's only _terms calls
+    # gu[x1][x0] = Gamma_p(b)^5 Gamma_p(V_w), at w = 0 here, where lev(x0) < k - x1
+    bs = [[lam * x % pk for x in range(p * x1, p * x1 + cross[k - 1 - x1] + 1)] for x1 in range(k)]
+    gu = [[(g2 := g * g % pk) * g2 * g * v % pk for g, v in zip(
+        tables.gamma_list(row), tables.gamma_list([(1 - 5 * b) % pk for b in row]))] for row in bs]
+    # dn[w][j][x0] = D_j(x0; w) mod p^(k - j)
     dn = []
     for w in range(k):
         top = cross[k - 1 - w] + 1  # x0 < top: lev(x0) < k - w
         # the runs of f = floor((5 x0 + w)/p): x0 from ceil((fp - w)/5), f = 0..4
         starts = [min((f * p - w + 4) // 5, top) for f in range(5)] + [top]
+        cx = sum(([(-1) ** w * pow(5, f - w, pk) % pk] * (starts[f + 1] - starts[f])
+                  for f in range(5)), [])
         diffs = []
         for x1 in range(k - w):
-            diffs.append([])
-            for f in range(5):
-                xs = range(starts[f] + p * x1, starts[f + 1] + p * x1)
-                diffs[-1] += _terms(tables, [lam * x % pk for x in xs], w, f)
+            if w:  # Gamma_p(V_w) = -V_(w-1) Gamma_p(V_(w-1)), or -Gamma_p(V_(w-1)) when p | V_(w-1)
+                gu[x1] = [(g * d if (d := 5 * b - w) % p else -g) % pk
+                          for b, g in zip(bs[x1], gu[x1][:cross[k - 1 - w - x1] + 1])]
+            diffs.append([g * c % pk for g, c in zip(gu[x1], cx)])
         dn.append([])
         for j in range(k - w):
             dn[w].append([d % pk // p**j for d in diffs[0]])
@@ -263,14 +276,24 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     levels = [(0, cross[0])] + [(cross[j] + 1, cross[j + 1]) for j in range(3)]
     binom = [[1] * p, list(range(p)), [m * (m - 1) // 2 for m in range(p)],
              [m * (m - 1) * (m - 2) // 6 for m in range(p)]]
-    coeffs = [0] * (p - 1)
+    acc = [0] * (2 * p)  # the crossing-row terms by m0 + m1, folded with the slots
     for v, r in enumerate(cross[:k]):  # the crossing rows m1 = r, lev(r) = v; past them W >= k
-        for m0 in range(cross[k - 1 - v] + 1):  # lev(m0) <= W(sigma(m)) < k - W(m) <= k - v
-            w, ws = _wraps(m0 + p * r, q), _wraps(r + p * m0, q)
+        top = cross[k - 1 - v] + 1  # lev(m0) <= W(sigma(m)) < k - W(m) <= k - v
+        # W(r + p m0) steps at a column m0 = c in cross or at c + 1, and so does W(m0 + p r):
+        # with t = (v + 1)p mod 5 it reaches v + 1 where 5 m0 passes tp - v - 1, c = cross[t - 1]
+        cuts = sorted({0, top} | {min(c + i, top) for c in cross for i in (0, 1)})
+        for lo, hi in zip(cuts, cuts[1:]):  # a run of constant W = W(m), W' = W(sigma(m))
+            w, ws = _wraps(lo + p * r, q), _wraps(r + p * lo, q)
             if w + ws < k:  # lev(m0) <= ws < k - w and lev(r) <= w < k - ws: both in dn
-                a = sum(dn[w][j][m0] * p**j * binom[j][r] for j in range(k - w))
-                b = sum(dn[ws][i][r] * p**i * binom[i][m0] for i in range(k - ws))
-                coeffs[(m0 + r) % (p - 1)] += p ** (w + ws) * a * b * (1 if m0 in cross else 2)
+                # p^(W + W') U(m) = sum_j D_j(m0; W) p^(W + W' + j) C(r, j), and U(sigma(m)) =
+                # sum_i D_i(r; W') p^i C(m0, i) weighted 2 (the sigma image) or 1 (a meet)
+                ua = us = [0] * (hi - lo)
+                for j in range(k - w - ws):  # D_i, D_j with i or j >= k - W - W' carry p^k
+                    a = p ** (w + ws + j) * binom[j][r]
+                    b = (1 if lo in cross else 2) * dn[ws][j][r] * p**j
+                    ua = [x + a * d for x, d in zip(ua, dn[w][j][lo:hi])]
+                    us = [x + b * t for x, t in zip(us, binom[j][lo:hi])]
+                acc[lo + r:hi + r] = [x + y * z for x, y, z in zip(acc[lo + r:hi + r], ua, us)]
     nb = ((2 * k + 1) * p.bit_length() + 15) // 8  # a slot holds 38 p^(2k+1) < 2^(8 nb)
     total = 0
     for w in range(k):
@@ -289,12 +312,11 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
                     total += (_pack(a, nb) * _pack(b, nb) * weight * p ** (e + i + j)
                               << 8 * nb * (lo0 + lo1))
     slots = total.to_bytes(2 * p * nb, "little")
-    for n in range(2 * p):
-        coeffs[n % (p - 1)] += int.from_bytes(slots[n * nb:(n + 1) * nb], "little")
+    acc = [x + int.from_bytes(slots[n * nb:(n + 1) * nb], "little") for n, x in enumerate(acc)]
     r, scale = -pow(teichmuller(5, p, k), -5, pk), pow(1 - q, -1, pk)
     out = []
-    for c in coeffs:  # r^c = (-1)^c omega(5)^(-5c) in class c
-        out.append(c * scale % pk)
+    for c in range(p - 1):  # class c: slots c + n(p - 1); r^c = (-1)^c omega(5)^(-5c)
+        out.append(sum(acc[c::p - 1]) * scale % pk)
         scale = scale * r % pk
     return out
 

@@ -1,15 +1,17 @@
 """The tests' oracles for the p-adic hypergeometric kernels.
 
 trace_Hq computes H_q from the definitions, on the raw product table of
-Gamma_p at small p or high precision; teich_eval evaluates a Teich(z)
-polynomial at one z, and batch_evaluate at every z by a subproduct tree or
-by Horner.  The package never imports this module: its kernels are checked
+Gamma_p at small p or high precision; hp2_direct sums the H_{p^2} vector
+term by term, past the primes the trace reaches; teich_eval evaluates a
+Teich(z) polynomial at one z, and batch_evaluate at every z by a subproduct
+tree or by Horner.  The package never imports this module: its kernels are checked
 against it, and the Dwork rows at p <= 13 are regenerated from it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -128,6 +130,43 @@ def trace_Hq(params: HGParams, z: Fraction | int, q: int, precision: int) -> int
         term = term * pow(tz, m, pk) % pk
         total = (total - term if int(eta) & 1 else total + term) % pk
     return total * pow(1 - q, -1, pk) % pk
+
+
+# ---------------------------------------------------------------------------
+# the H_{p^2} vector by its direct sum
+
+
+def hp2_direct(p: int, k: int) -> list[int]:
+    """hp2_poly's Teich(z) vector mod p^k by the direct O(p^2) sum: the index
+    m = m0 + p m1, 0 <= m <= q - 2 (q = p^2), adds
+
+        r^(m0 + m1)/(1 - q) U(m) U(sigma(m)),  r = -omega(5)^(-5),
+
+    to the coefficient of degree m mod (p - 1), where sigma(m) = m1 + p m0 and
+    U(x) = p^W u(x/(q - 1); W), W = W(x) (0 at x = 0), u from the package's
+    term builder _terms at f = floor((5 x0 + W)/p).  No digit separation,
+    Newton tables or convolutions: one _terms call per run of x with one
+    (W, f), and one product per index."""
+    q = p * p
+    tables = ph.GammaTables(p, k)
+    pk = tables.pk
+    lam = pow(q - 1, -1, pk)
+
+    def wf(x):
+        w = max(ph._wraps(x, q), 0)
+        return w, (5 * (x % p) + w) // p
+
+    us = []
+    for (w, f), run in itertools.groupby(range(q - 1), wf):
+        us += [p**w * u % pk for u in ph._terms(tables, [lam * x % pk for x in run], w, f)]
+    r = -pow(teichmuller(5, p, k), -5, pk)
+    rpow = [pow(r, n, pk) for n in range(2 * p - 1)]
+    coeffs = [0] * (p - 1)
+    for m in range(q - 1):
+        m1, m0 = divmod(m, p)
+        coeffs[m % (p - 1)] += rpow[m0 + m1] * us[m] * us[m1 + p * m0]
+    inv = pow(1 - q, -1, pk)
+    return [c * inv % pk for c in coeffs]
 
 
 # ---------------------------------------------------------------------------

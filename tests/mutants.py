@@ -58,6 +58,7 @@ TG = "tests/test_padic_gamma.py::"
 TN = "tests/test_ntkernel.py::"
 TC = "tests/test_cmforms.py::"
 HP2 = (HG + "test_fast_hp2_loop_equals_generic_trace",)
+HPB = (HG + "test_eta_band_table_matches_definition",)
 CACHE = (TM + "test_corrupt_cache_is_a_miss",)
 BSGS = (TC + "test_bsgs_trace_vs_naive_count_random",
         TC + "test_ec_trace_equals_the_point_count_for_11_2a_to_2_14")
@@ -134,50 +135,84 @@ MUTANTS = [
            "    tz = teichmuller(rational_mod(z.numerator, z.denominator, pk), p, tables.k)",
            "    tz = rational_mod(z.numerator, z.denominator, pk)",
            (HG + "test_c1_balanced_lift_matches_p4_path",), "the row body evaluates at z"),
-    # the H_{p^2} kernel: the term builder, run only to build the Newton data
+    # the term builder of H_p and of the direct-sum oracle
     Mutant("beta-argument-complement", PH, "zip(tables.gamma_list(bs), gv)",
-           "zip(tables.gamma_list([-b % pk for b in bs]), gv)", HP2,
+           "zip(tables.gamma_list([-b % pk for b in bs]), gv)", HPB,
            "Gamma_p at 1 - beta = -b in place of b"),
-    Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HP2,
+    Mutant("gauss-v-without-wraps", PH, "(w + 1 - 5 * b) % pk", "(1 - 5 * b) % pk", HPB,
            "V = 5u + 1: the wrap count left out of {5u}"),
+    Mutant("terms-reflection-gamma-dropped", PH, "* g2 * g % pk * v * c % pk",
+           "* g2 % pk * v * c % pk", HPB,
+           "Gamma_p(b)^4 in _terms: the reflection's Gamma_p(b) left out"),
+    # the H_{p^2} kernel: the Newton stage
+    Mutant("newton-beta-argument-complement", PH, "        tables.gamma_list(row), tables",
+           "        tables.gamma_list([-b % pk for b in row]), tables", HP2,
+           "the Newton stage's Gamma_p at 1 - beta = -b in place of b"),
+    Mutant("newton-rows-one-level-short", PH, "cross[k - 1 - x1] + 1)] for x1 in range(k)]",
+           "cross[k - 2 - x1] + 1)] for x1 in range(k)]", HP2,
+           "the Newton rows x1 end one level early: D_j missing on the top level it is read at"),
     Mutant("gauss-f-without-wraps", PH, "(f * p - w + 4) // 5", "(f * p + 4) // 5", HP2,
            "f = floor(5 x0/p): the wrap count left out of the f-runs"),
     Mutant("newton-f-run-off-by-one", PH, "(f * p - w + 4) // 5", "(f * p - w + 5) // 5", HP2,
            "an f-run of the Newton stage starts one x0 late"),
-    Mutant("gauss-reflection-gamma-dropped", PH, "* g2 * g % pk", "* g2 % pk", HP2,
-           "Gamma_p(b)^4: the reflection's Gamma_p(b) left out"),
+    Mutant("gauss-reflection-gamma-dropped", PH, "(g2 := g * g % pk) * g2 * g * v % pk for g, v",
+           "(g2 := g * g % pk) * g2 * v % pk for g, v", HP2,
+           "Gamma_p(b)^4 in the Newton stage: the reflection's Gamma_p(b) left out"),
+    Mutant("functional-equation-unit-branch-only", PH,
+           "(g * d if (d := 5 * b - w) % p else -g)", "(g * (5 * b - w))", HP2,
+           "Gamma_p(V + 1) = -V Gamma_p(V) also where p | V, in place of -Gamma_p(V)"),
+    Mutant("functional-equation-one-wrap-too-far", PH, "(d := 5 * b - w) % p",
+           "(d := 5 * b - w - 1) % p", HP2,
+           "Gamma_p(V_w) stepped by -V_w in place of -V_(w-1): one wrap count too far"),
     Mutant("newton-coefficient-unscaled", PH, "[d % pk // p**j for d in diffs[0]]",
            "[d % pk for d in diffs[0]]", HP2, "D_j not divided by p^j: p^j counted twice"),
-    # the H_{p^2} kernel: the crossing rows, read from the Newton data
-    Mutant("sigma-identity", PH, "dn[ws][i][r] * p**i * binom[i][m0]",
-           "dn[ws][i][m0] * p**i * binom[i][r]", HP2,
-           "the sigma factor read at (m0, r), not (r, m0): no twist on the crossing rows"),
-    Mutant("hp2-w-without-sigma", PH, "_wraps(r + p * m0, q)", "0", HP2,
+    # the H_{p^2} kernel: the crossing rows, run by run, read from the Newton data
+    Mutant("crossing-run-cut-one-late", PH, "{min(c + i, top)", "{min(c + i + 1, top)", HP2,
+           "the run cuts one m0 late: the point where W or W' steps keeps the old value"),
+    Mutant("crossing-column-cut-dropped", PH, "for c in cross for i in (0, 1)}",
+           "for c in cross for i in (1,)}", HP2,
+           "no cut at a crossing column: the meet shares a run, W(sigma(m)) read at its start"),
+    Mutant("sigma-identity", PH,
+           "* dn[ws][j][r] * p**j\n"
+           "                    ua = [x + a * d for x, d in zip(ua, dn[w][j][lo:hi])]\n"
+           "                    us = [x + b * t for x, t in zip(us, binom[j][lo:hi])]",
+           "* binom[j][r] * p**j\n"
+           "                    ua = [x + a * d for x, d in zip(ua, dn[w][j][lo:hi])]\n"
+           "                    us = [x + b * t for x, t in zip(us, dn[ws][j][lo:hi])]",
+           HP2, "the sigma factor read at (m0, r), not (r, m0): no twist on the crossing rows"),
+    Mutant("hp2-w-without-sigma", PH, "_wraps(r + p * lo, q)", "0", HP2,
            "W(sigma(m)) = 0 on the crossing rows: the twist's wraps dropped"),
-    Mutant("hp2-keep-below-4", PH, "            if w + ws < k:", "            if w + ws < 4:",
+    Mutant("hp2-keep-below-4", PH, "for j in range(k - w - ws):", "for j in range(4 - w - ws):",
            (HG + "test_hp2_poly_at_every_precision_reduces_the_p4_vector",),
-           "crossing-row points kept for e < 4 whatever k is: dn has no wrap count past k - 1"),
-    Mutant("crossing-binom-digit-swapped", PH, "p**j * binom[j][r]", "p**j * binom[j][m0]", HP2,
+           "crossing-row Newton sums run to 4 - W - W' whatever k is: dn has no D_j past k - 1"),
+    Mutant("crossing-binom-digit-swapped", PH, "p ** (w + ws + j) * binom[j][r]",
+           "p ** (w + ws + j) * binom[j][lo]", HP2,
            "the factor U(m) read at C(m0, j) in place of C(m1, j): the high digit swapped"),
-    Mutant("crossing-newton-one-term-short", PH, "binom[j][r] for j in range(k - w))",
-           "binom[j][r] for j in range(k - 1 - w))", HP2,
+    Mutant("crossing-newton-one-term-short", PH, "a = p ** (w + ws + j) * binom[j][r]\n",
+           "a = p ** (w + ws + j) * binom[j][r] * (j < k - 1 - w - ws)\n", HP2,
            "the Newton sum for U(m) on a crossing row stopped one term early"),
-    Mutant("crossing-sigma-newton-one-term-short", PH, "binom[i][m0] for i in range(k - ws))",
-           "binom[i][m0] for i in range(k - 1 - ws))", HP2,
+    Mutant("crossing-sigma-newton-one-term-short", PH, "* dn[ws][j][r] * p**j\n",
+           "* dn[ws][j][r] * p**j * (j < k - 1 - w - ws)\n", HP2,
            "the Newton sum for U(sigma(m)) on a crossing row stopped one term early"),
+    Mutant("crossing-newton-sums-one-term-short", PH, "for j in range(k - w - ws):",
+           "for j in range(k - 1 - w - ws):", HP2,
+           "both Newton sums on a crossing run stopped one term early"),
     Mutant("crossing-row-dropped", PH, "for v, r in enumerate(cross[:k]):",
            "for v, r in list(enumerate(cross[:k]))[1:]:", HP2,
            "the first crossing row and column left out"),
-    Mutant("crossing-meets-counted-twice", PH, "(1 if m0 in cross else 2)", "2", HP2,
+    Mutant("crossing-meets-counted-twice", PH, "(1 if lo in cross else 2)", "2", HP2,
            "a point where a crossing row meets a crossing column counted twice"),
-    Mutant("crossing-columns-dropped", PH, "(1 if m0 in cross else 2)", "1", HP2,
+    Mutant("crossing-columns-dropped", PH, "(1 if lo in cross else 2)", "1", HP2,
            "the crossing columns, the rows' sigma images, left out"),
-    Mutant("crossing-meets-weight-two-at-5801", PH, "(1 if m0 in cross else 2)",
-           "(2 if m0 in cross else 2)",
+    Mutant("crossing-meets-weight-two-at-5801", PH, "(1 if lo in cross else 2)",
+           "(2 if lo in cross else 2)",
            (HG + "test_fiber_rows_past_5791_are_weil_rows_on_the_critical_circle",),
            "the meeting points counted twice, seen at p = 5801 by the fiber rows alone"),
-    Mutant("class-index-shifted", PH, "coeffs[(m0 + r) % (p - 1)]",
-           "coeffs[(m0 + r + 1) % (p - 1)]", HP2, "each crossing-row term in the next class"),
+    Mutant("class-index-shifted", PH,
+           "acc[lo + r:hi + r] = [x + y * z for x, y, z in zip(acc[lo + r:hi + r], ua, us)]",
+           "acc[lo + r + 1:hi + r + 1] = [x + y * z for x, y, z"
+           " in zip(acc[lo + r + 1:hi + r + 1], ua, us)]",
+           HP2, "each crossing-row term in the next class"),
     # the H_{p^2} kernel: the level intervals and the convolutions
     Mutant("level-zero-from-one", PH, "levels = [(0, cross[0])]", "levels = [(1, cross[0])]", HP2,
            "digit 0 left out of the first level interval: the m = 0 term among others"),
@@ -200,7 +235,7 @@ MUTANTS = [
            "weight = 2", HP2, "the self-mirrored convolutions, (W, i) = (W', j), counted twice"),
     Mutant("hp2-fixed-points-dropped", PH, "if (w, i) > (ws, j):", "if (w, i) >= (ws, j):", HP2,
            "the self-mirrored convolutions left out"),
-    Mutant("fold-shifted", PH, "coeffs[n % (p - 1)] +=", "coeffs[(n + 1) % (p - 1)] +=", HP2,
+    Mutant("fold-shifted", PH, "slots[n * nb:(n + 1) * nb]", "slots[(n - 1) * nb:n * nb]", HP2,
            "each convolution slot folded into the next class"),
     Mutant("class-sign-dropped", PH, "r, scale = -pow(teichmuller(5, p, k), -5, pk), pow(1 - q",
            "r, scale = pow(teichmuller(5, p, k), -5, pk), pow(1 - q", HP2,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as hst
 
-from hg_oracle import DWORK, batch_evaluate, gamma_backend, teich_eval, trace_Hq
+from hg_oracle import DWORK, batch_evaluate, gamma_backend, hp2_direct, teich_eval, trace_Hq
 from stmotives import padic_hypergeom as ph
 from stmotives.ntkernel import primes_up_to, teichmuller
 from stmotives.records import ConsistencyError, DegenerateFiber, LPoly
@@ -236,6 +236,24 @@ def test_hp2_kernel_equals_generic_trace_random(p, num, den):
     assert fast == trace_Hq(DWORK, z, p * p, 4)
 
 
+def test_hp2_direct_sum_is_the_trace():
+    """The direct-sum oracle, at Teich(z), is the definition-based trace at q = p^2."""
+    for p, z in ((17, 3), (19, -1), (23, Fraction(2, 9))):
+        assert teich_eval(hp2_direct(p, 4), z, p, 4) == trace_Hq(DWORK, z, p * p, 4)
+
+
+_PRIMES_17_400 = [p for p in primes_up_to(399) if p >= 17]
+
+
+@settings(max_examples=12, phases=NO_SHRINK)
+@given(p=hst.sampled_from(_PRIMES_17_400), k=hst.integers(1, 4))
+def test_hp2_kernel_equals_the_direct_sum_random(p, k):
+    """hp2_poly, every coefficient, against the O(p^2) direct sum: the check
+    of the Newton stage, the crossing runs and the convolutions at primes past
+    the trace oracle's range."""
+    assert ph.hp2_poly(p, ph.GammaTables(p, k)) == hp2_direct(p, k)
+
+
 def _lift_rows(p: int, k: int) -> dict:
     """Every non-degenerate (p, z mod p) row from the trace at q = p and
     q = p^2 mod p^k, lifted by brute force: the one integer c1 with
@@ -286,7 +304,7 @@ def test_small_prime_lookup_equals_table_row(p, num, den):
 _NOT_IN_PACKAGE = ("GammaProductTable", "_gamma_backend", "_c2_precision", "trace_Hq",
                     "_prime_power", "_frac", "HGParams", "DWORK", "DWORK_ALPHA", "DWORK_BETA",
                     "ONE_FIFTH", "batch_evaluate", "_multipoint_tree", "_poly_mul", "_poly_rem",
-                    "hp_fast", "_hp_coeffs", "_dwork_hp2")
+                    "hp_fast", "_hp_coeffs", "_dwork_hp2", "hp2_direct")
 
 
 def test_dwork_lpoly_never_calls_the_generic_trace():
