@@ -22,7 +22,7 @@ from streams.
 
 cached_lpoly_stream is the one stream: rows (p, c1, c2), or (p, c1) with
 a1_only (for the Dwork pencil c1 alone skips the H_{p^2} sum), over
-stream_primes, from one row function _row on the serial, process-pool and
+stream_primes, from one row function _row on the serial, worker-process and
 cached paths, with an optional TSV cache keyed by MotiveSpec.spec_hash.
 """
 
@@ -278,25 +278,48 @@ def cached_lpoly_stream(spec: MotiveSpec, bound: int, cache_dir: str | None,
     return rows
 
 
+def _share_rows(conn, row, share) -> None:
+    """A stream worker: one message, its share's rows or the exception that stopped it."""
+    try:
+        conn.send([r for r in map(row, share) if r is not None])
+    except Exception as exc:
+        conn.send(exc)
+
+
 def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
     spec.file_digests()  # re-reads an edited file form, once per stream
     primes = stream_primes(spec, bound)
     row = partial(_row, spec, a1_only=a1_only)
     if jobs > 1:
+        from multiprocessing import Pipe, Process
+        # one process and one reply a worker, at most the CPUs or the primes; a prime costs
+        # more the larger it is, so worker i takes every workers-th one from the largest down
+        workers = max(1, min(jobs, os.cpu_count() or 1, len(primes)))
+        procs = []
         try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # the pool starts all its workers at once: no more than the CPUs or the
-            # primes.  Per-prime cost grows with p (like p for Dwork c1), so the primes
-            # go largest-first and the cheapest work is the stream's tail; about 16
-            # chunks a worker keep the parent's messages few (1 prime a chunk below
-            # 32 primes a worker).  The rows come back descending and are reversed
-            workers = max(1, min(jobs, os.cpu_count() or 1, len(primes)))
-            chunk = max(1, len(primes) // (16 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                rows = list(ex.map(row, primes[::-1], chunksize=chunk))
-            return [r for r in reversed(rows) if r is not None]
-        except (OSError, ImportError) as exc:
-            warnings.warn(f"process pool unavailable ({exc!r}); computing {len(primes)} primes "
-                          f"serially", RuntimeWarning, stacklevel=2)
+            try:
+                for i in range(workers):
+                    conn, send = Pipe(duplex=False)
+                    proc = Process(target=_share_rows, args=(send, row, primes[::-1][i::workers]))
+                    proc.start()
+                    procs.append((proc, conn))
+                    send.close()  # the worker holds the one write end: its exit is an EOF
+            except OSError as exc:
+                warnings.warn(f"worker processes unavailable ({exc!r}); computing {len(primes)} "
+                              f"primes serially", RuntimeWarning, stacklevel=2)
+            else:  # every reply is read before any process is joined
+                rows = []
+                for _, conn in procs:
+                    try:
+                        reply = conn.recv()
+                    except EOFError:
+                        raise RuntimeError("a stream worker exited without a reply") from None
+                    if isinstance(reply, BaseException):
+                        raise reply  # the worker's own exception
+                    rows += reply
+                return sorted(rows)
+        finally:
+            for proc, _ in procs:
+                proc.terminate()
+                proc.join()
     return [r for r in map(row, primes) if r is not None]

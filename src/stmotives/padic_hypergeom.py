@@ -121,15 +121,14 @@ def _wraps(x, q: int):
     return (5 * x - 1) // (q - 1)
 
 
-def _terms(tables: GammaTables, bs, w: int, f: int) -> list[int]:
-    """u(b) = (-1)^w 5^(f - w) Gamma_p(b)^5 Gamma_p(V) mod p^k, V = w + 1 - 5b, for the
-    residues b mod p^k in bs, a run of terms with one wrap count w and one
-    f = floor((5 x0 + w)/p), x0 the low digit of the term's index.  The term
-    builder of hp_poly: two Gamma_p values a term, through gamma_list,
-    which takes residues, so V is reduced mod p^k: w + 1 - 5b leaves [0, p^k),
-    and at the top of an H_p band, when p = 1 mod 5, it is a multiple of p^k."""
+def _terms(tables: GammaTables, bs, w: int) -> list[int]:
+    """p^w u(b) mod p^k, u(b) = (-1)^w Gamma_p(b)^5 Gamma_p(V), V = w + 1 - 5b, for
+    the residues b mod p^k in bs, a run of terms with one wrap count w.  The term builder
+    of hp_poly: two Gamma_p values a term, through gamma_list, which takes residues, so V
+    is reduced mod p^k: w + 1 - 5b leaves [0, p^k), and at the top of an H_p band, when
+    p = 1 mod 5, it is a multiple of p^k."""
     pk = tables.pk
-    c = (-1) ** w * pow(5, f - w, pk) % pk
+    c = (-tables.p) ** w % pk
     gv = tables.gamma_list([(w + 1 - 5 * b) % pk for b in bs])
     return [(g2 := g * g % pk) * g2 * g % pk * v * c % pk
             for g, v in zip(tables.gamma_list(bs), gv)]
@@ -145,8 +144,7 @@ def hp_poly(p: int, tables: GammaTables) -> list[int]:
 
       coeff_m = -r^m p^W u(m; W)/(1 - p),  r = -omega(5)^(-5),
 
-    u(m; W) = (-1)^W 5^(f-W) Gamma_p(b)^5 Gamma_p(V), f = floor((5m + W)/p),
-    from _terms.
+    u(m; W) = (-1)^W 5^(f-W) Gamma_p(b)^5 Gamma_p(V), f = floor((5m + W)/p).
 
     * Gauss multiplication (Robert, A Course in p-adic Analysis, ch. VII):
       the alphas {j/5 + u}, j = 1..4, and 1 - b are the (V + i)/5, i = 0..4,
@@ -160,11 +158,11 @@ def hp_poly(p: int, tables: GammaTables) -> list[int]:
 
     The terms go one wrap band at a time: band w holds the m with
     w(p - 1) < 5m <= (w + 1)(p - 1), where W(m) = w and f = w, so the 5-power
-    is 1 and the sign and p^w are constants of the band.  1/(p - 1) = -S mod
-    p^k, S = (p^k - 1)/(p - 1), so b = m/(p - 1) is the progression p^k - mS,
-    in [0, p^k) for 1 <= m <= p - 2; m = 0 (b = 0) is a run of its own.  A
-    band can be empty (band 1 at p = 3) with terms in the next; empty bands
-    are skipped.
+    is 1 and the sign and p^w are constants of the band (_terms builds p^w u).
+    1/(p - 1) = -S mod p^k, S = (p^k - 1)/(p - 1), so b = m/(p - 1) is the
+    progression p^k - mS, in [0, p^k) for 1 <= m <= p - 2; m = 0 (b = 0) is a
+    run of its own.  A band can be empty (band 1 at p = 3) with terms in the
+    next; empty bands are skipped.
 
     `tables` is any gamma backend (gamma_list, p, pk, k) at the wanted precision.
     """
@@ -180,9 +178,8 @@ def hp_poly(p: int, tables: GammaTables) -> list[int]:
     r, scale = -pow(teichmuller(5, p, k), -5, pk), -pow(1 - p, -1, pk)
     coeffs = []
     for w, bs in runs:
-        pw = p**w
-        for u in _terms(tables, bs, w, w):
-            coeffs.append(scale * pw * u % pk)  # r^m = (-1)^m omega(5)^(-5m)
+        for u in _terms(tables, bs, w):
+            coeffs.append(scale * u % pk)  # r^m = (-1)^m omega(5)^(-5m)
             scale = scale * r % pk
     return coeffs
 
@@ -216,7 +213,7 @@ def hp2_poly(p: int, tables: GammaTables) -> list[int]:
     the (V + i)/5, V = {5u}, so no wrapped alpha needs a correction) make the
     term r^(m0 + m1)/(1 - q) U(m) U(sigma(m)), r = -omega(5)^(-5), with
 
-      U(x) = p^W u(b; W),  W = W(x),  u from _terms at b = x/(q - 1),
+      U(x) = p^W u(b; W),  W = W(x),  u as in hp_poly at b = x/(q - 1),
 
     and W(0) = 0, so the m = 0 term is U(0)^2 = 1.  Digit separation:
 

@@ -143,10 +143,10 @@ def hp2_direct(p: int, k: int) -> list[int]:
         r^(m0 + m1)/(1 - q) U(m) U(sigma(m)),  r = -omega(5)^(-5),
 
     to the coefficient of degree m mod (p - 1), where sigma(m) = m1 + p m0 and
-    U(x) = p^W u(x/(q - 1); W), W = W(x) (0 at x = 0), u from the package's
-    term builder _terms at f = floor((5 x0 + W)/p).  No digit separation,
-    Newton tables or convolutions: one _terms call per run of x with one
-    (W, f), and one product per index."""
+    U(x) = p^W u(x/(q - 1); W), W = W(x) (0 at x = 0), from the package's
+    term builder _terms times 5^(f - W), f = floor((5 x0 + W)/p).  No digit
+    separation, Newton tables or convolutions: one _terms call per run of x
+    with one (W, f), and one product per index."""
     q = p * p
     tables = ph.GammaTables(p, k)
     pk = tables.pk
@@ -158,7 +158,8 @@ def hp2_direct(p: int, k: int) -> list[int]:
 
     us = []
     for (w, f), run in itertools.groupby(range(q - 1), wf):
-        us += [p**w * u % pk for u in ph._terms(tables, [lam * x % pk for x in run], w, f)]
+        c = pow(5, f - w, pk)  # _terms builds p^w u at f = w, where the 5-power is 1
+        us += [c * u % pk for u in ph._terms(tables, [lam * x % pk for x in run], w)]
     r = -pow(teichmuller(5, p, k), -5, pk)
     rpow = [pow(r, n, pk) for n in range(2 * p - 1)]
     coeffs = [0] * (p - 1)

@@ -99,9 +99,20 @@ MUTANTS = [
            "if row[0] not in primes:", CACHE, "a repeated or descending cached prime is served"),
     Mutant("cache-stream-prime-check-dropped", MV, "if row[0] <= last or row[0] not in primes:",
            "if row[0] <= last:", CACHE, "a cached row at no stream prime is served"),
-    Mutant("pool-rows-in-dispatch-order", MV, "for r in reversed(rows) if r", "for r in rows if r",
-           (TM + "test_pool_sends_long_streams_largest_first_in_chunks",),
-           "pooled rows returned largest prime first, as dispatched"),
+    # the stream workers
+    Mutant("pool-rows-in-dispatch-order", MV, "                return sorted(rows)\n",
+           "                return rows\n", (TM + "test_workers_take_every_nth_prime_largest_first",),
+           "worker rows returned share by share, each largest prime first"),
+    Mutant("worker-share-dropped", MV, "for i in range(workers):", "for i in range(workers - 1):",
+           (TM + "test_workers_take_every_nth_prime_largest_first",),
+           "the last worker's share is never started, so its rows are missing"),
+    Mutant("worker-exception-swallowed", MV, "        conn.send(exc)\n", "        conn.send([])\n",
+           (TM + "test_worker_failures_reach_the_caller",),
+           "a worker that fails replies with no rows: its share leaves the stream unreported"),
+    Mutant("worker-eof-not-an-error", MV,
+           'raise RuntimeError("a stream worker exited without a reply") from None',
+           "continue", (TM + "test_worker_failures_reach_the_caller",),
+           "a worker that exits without a reply leaves its share out of the stream"),
     Mutant("cache-digest-check-dropped", MV,
            '        if head[len(header):].rstrip("\\n") != hashlib.sha256(body.encode()).hexdigest():',
            "        if False:", (TM + "test_cache_with_an_edited_row_set_is_a_miss",),
@@ -126,8 +137,8 @@ MUTANTS = [
            "min((w + 1) * (p - 1) // 5 + 1, cut - 1)",
            (HG + "test_eta_band_table_matches_definition",),
            "a band's top one past its last m: the next band's first term taken twice"),
-    Mutant("hp-p-power-dropped", PH, "coeffs.append(scale * pw * u % pk)",
-           "coeffs.append(scale * u % pk)", (HG + "test_eta_band_table_matches_definition",),
+    Mutant("hp-p-power-dropped", PH, "c = (-tables.p) ** w % pk", "c = (-1) ** w % pk",
+           (HG + "test_eta_band_table_matches_definition",),
            "the p^W(m) of an H_p term left out"),
     Mutant("hp-scale-sign", PH, "-pow(1 - p, -1, pk)", "pow(1 - p, -1, pk)",
            (HG + "test_eta_band_table_matches_definition",), "every H_p term negated"),

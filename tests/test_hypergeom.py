@@ -97,24 +97,28 @@ def test_c1_path_never_imports_numpy(tmp_path):
 
 def test_dwork_path_never_imports_numpy(tmp_path):
     """A full (c1, c2) row needs no numpy either: dwork_lpoly at p = 17 and
-    1021, `motive dwork --coeffs both`, and each worker of a jobs = 2
-    process pool that computes a full row, run without it."""
+    1021, `motive dwork --coeffs both`, and a jobs = 2 stream of full rows,
+    whose forked workers inherit an import hook that refuses numpy, so a
+    worker that imports it fails the stream."""
     code = ("import sys\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "from stmotives import cli, padic_hypergeom as ph\n"
+            "from fractions import Fraction\n"
+            "class NoNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ImportError(f'{name} refused')\n"
+            "sys.meta_path.insert(0, NoNumpy())\n"
+            "from stmotives import cli, motives as mv, padic_hypergeom as ph\n"
             "ph.dwork_lpoly(-1, 17), ph.dwork_lpoly(2, 1021)\n"
             "assert 'numpy' not in sys.modules, 'dwork_lpoly'\n"
             "assert cli.main(['motive', 'dwork', '--z', '-1', '--bound-log2', '8',\n"
             "                 '--coeffs', 'both', '--cache-dir', sys.argv[1]]) == 0\n"
             "assert 'numpy' not in sys.modules, 'motive dwork --coeffs both'\n"
-            "def row(p):\n"
-            "    return ph.dwork_lpoly(-1, p).c2 is not None, 'numpy' in sys.modules\n"
-            "with ProcessPoolExecutor(max_workers=2) as ex:\n"
-            "    assert list(ex.map(row, [17, 1021])) == [(True, False)] * 2, 'pool worker'\n")
+            "rows = mv.cached_lpoly_stream(mv.MotiveSpec(mv.Dwork(Fraction(-1))), 2**8, None, jobs=2)\n"
+            "assert len(rows) == 52 and all(len(r) == 3 for r in rows), 'jobs = 2 stream'\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                         capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 

@@ -1,10 +1,12 @@
 """Construction formulas, streams, caching, and cross-construction identities."""
 
+import multiprocessing
 import os
 import re
 import shutil
 import tempfile
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -351,92 +353,135 @@ def test_parallel_stream_matches_serial():
 
 
 def test_parallel_fallback_warns_and_matches_serial(monkeypatch):
-    import concurrent.futures
+    """A worker process that cannot be started (OSError) is a RuntimeWarning and a
+    serial stream, and the worker started before it does not outlive the call."""
 
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise OSError("no semaphores here")
+    class SecondFails(multiprocessing.Process):
+        started = 0
+
+        def start(self):
+            if SecondFails.started:
+                raise OSError("no processes here")
+            SecondFails.started += 1
+            super().start()
 
     spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
     serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-    with pytest.warns(RuntimeWarning, match="no semaphores here"):
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Process", SecondFails)
+    with pytest.warns(RuntimeWarning, match="no processes here"):
         fallback = mv.cached_lpoly_stream(spec, 2000, None, jobs=2)
-    assert fallback == serial
+    assert fallback == serial and SecondFails.started == 1
+    assert multiprocessing.active_children() == []
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each map call's
-    items and chunksize, starts no process."""
+def _record_shares(monkeypatch) -> list:
+    """The primes of each worker process a stream starts, in start order."""
+    shares = []
 
-    workers: list = []
-    maps: list = []
+    class Recorded(multiprocessing.Process):
+        def __init__(self, target, args):
+            shares.append(list(args[-1]))
+            super().__init__(target=target, args=args)
 
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        items = list(items)
-        self.maps.append((items, chunksize))
-        return map(fn, items)
+    monkeypatch.setattr(multiprocessing, "Process", Recorded)
+    return shares
 
 
-def test_pool_workers_capped_at_cpus_and_primes(monkeypatch):
-    import concurrent.futures
-
+def test_workers_capped_at_cpus_and_primes(monkeypatch):
     from stmotives import cli
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "workers", [])
+    shares = _record_shares(monkeypatch)
+    workers = []
+
+    def stream(bound, jobs):
+        shares.clear()
+        rows = mv.cached_lpoly_stream(spec, bound, None, jobs=jobs)
+        workers.append(len(shares))
+        return rows
+
     monkeypatch.setattr(mv.os, "cpu_count", lambda: 3)
     spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
-    serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)
-    assert _SerialPool.workers == []
-    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=10**6) == serial
-    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=2) == serial
-    assert mv.cached_lpoly_stream(spec, 8, None, jobs=10**6) == [(7, *serial[0][1:])]
+    serial = stream(2000, 1)
+    assert stream(2000, 10**6) == serial
+    assert stream(2000, 2) == serial
+    assert stream(8, 10**6) == [(7, *serial[0][1:])]
     monkeypatch.setattr(mv.os, "cpu_count", lambda: None)
-    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=10**6) == serial
-    assert _SerialPool.workers == [3, 2, 1, 1]  # CPUs, jobs, primes (7 alone), unknown CPUs
+    assert stream(2000, 10**6) == serial
+    # jobs = 1 starts none; then CPUs, jobs, primes (7 alone, still in a worker), unknown CPUs
+    assert workers == [0, 3, 2, 1, 1]
+    assert multiprocessing.active_children() == []
     # the CLI's --jobs has no upper limit of its own
     monkeypatch.setattr(mv.os, "cpu_count", lambda: 64)
+    shares.clear()
     argv = ["motive", "symcube", "--e1", "0,1", "--bound-log2", "4"]
     assert cli.main(argv + ["--jobs", "1000000"]) == 0
-    assert _SerialPool.workers[4:] == [5]  # the primes 3, 5, 7, 11, 13 below 2^4
+    assert shares == [[13], [11], [7], [5], [3]]  # 5 workers: the primes 3, 5, 7, 11, 13 below 2^4
+    assert multiprocessing.active_children() == []
 
 
-def test_pool_sends_long_streams_largest_first_in_chunks(monkeypatch, tmp_path):
-    """A stream of more than 32 primes a worker goes to the pool largest-first in
-    chunks of more than one prime; its rows come back ascending, equal to the serial
-    rows, and a jobs = 2 cache miss writes a file the next call reads as a hit."""
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "workers", [])
-    monkeypatch.setattr(_SerialPool, "maps", [])
+def test_workers_take_every_nth_prime_largest_first(monkeypatch, tmp_path):
+    """Worker i of n gets every n-th prime from the largest down, so the shares cost
+    about the same and each ends on its cheapest primes; the rows come back
+    ascending, equal to the serial rows, and a jobs = 2 cache miss writes a file the
+    next call reads as a hit."""
+    shares = _record_shares(monkeypatch)
     monkeypatch.setattr(mv.os, "cpu_count", lambda: 2)
     spec = mv.MotiveSpec(mv.DirectSum(FORMS["27.2a"], FORMS["9.4a"]), QW)
-    primes = mv.stream_primes(spec, 2000)
-    assert len(primes) > 32 * 2
+    down = sorted(mv.stream_primes(spec, 2000), reverse=True)
     serial = mv.cached_lpoly_stream(spec, 2000, None, jobs=1)
     pooled = mv.cached_lpoly_stream(spec, 2000, None, jobs=2)
-    [(items, chunksize)] = _SerialPool.maps
-    assert items == sorted(primes, reverse=True) and chunksize > 1
+    assert shares == [down[0::2], down[1::2]]
     assert pooled == serial and [r[0] for r in pooled] == sorted({r[0] for r in pooled})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # descending rows: a corrupt cache
         assert mv.cached_lpoly_stream(spec, 2000, str(tmp_path), jobs=2) == serial
         assert mv.cached_lpoly_stream(spec, 2000, str(tmp_path), jobs=2) == serial
-    assert len(_SerialPool.maps) == 2  # the miss ran the pool, the hit did not
-    # a short stream keeps one prime a chunk
-    mv.cached_lpoly_stream(spec, 200, None, jobs=2)
-    assert _SerialPool.maps[-1][1] == 1
+    assert len(shares) == 4  # the miss started two workers, the hit none
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: 3)
+    shares.clear()
+    assert mv.cached_lpoly_stream(spec, 2000, None, jobs=3) == serial
+    assert shares == [down[0::3], down[1::3], down[2::3]]
+    assert multiprocessing.active_children() == []
+
+
+@dataclass(frozen=True)
+class _FailsAt:
+    """A construction whose row at p is (p, 0, 0), except at `at`, where it raises
+    ConsistencyError or SkippedPrime (`how`), or ends its process without a word."""
+
+    how: str
+    at: int
+
+    def describe(self) -> str:
+        return f"fails_at({self.how},{self.at})"
+
+    def lpoly(self, p: int) -> LPoly:
+        if p == self.at:
+            if self.how == "exit":
+                os._exit(3)
+            raise {"inconsistent": ConsistencyError, "skip": SkippedPrime}[self.how](f"at p={p}")
+        return LPoly(p, 0, 0)
+
+
+def test_worker_failures_reach_the_caller(monkeypatch):
+    """A ConsistencyError at one prime in a worker reaches the caller as itself, a
+    worker that exits without a reply is a RuntimeError, not a hang, and a
+    SkippedPrime in a worker is a skipped row; no worker outlives a stream."""
+    monkeypatch.setattr(mv.os, "cpu_count", lambda: 2)
+    primes = mv.stream_primes(mv.MotiveSpec(_FailsAt("skip", 101), Q), 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a serial fallback would exit here
+        rows = mv.cached_lpoly_stream(mv.MotiveSpec(_FailsAt("skip", 101), Q), 400, None, jobs=2)
+        assert rows == [(p, 0, 0) for p in primes if p != 101]
+        assert multiprocessing.active_children() == []
+        for how, error, match in (("inconsistent", ConsistencyError, "at p=101"),
+                                  ("exit", RuntimeError, "without a reply")):
+            for at in (primes[-1], 101, 3):  # first, middle and last prime of a share
+                spec = mv.MotiveSpec(_FailsAt(how, at), Q)
+                with pytest.raises(error, match=match.replace("101", str(at))):
+                    mv.cached_lpoly_stream(spec, 400, None, jobs=2)
+                assert multiprocessing.active_children() == []
 
 
 def test_bad_primes_are_skipped_primes():
