@@ -315,7 +315,7 @@ def _stream_rows(spec: MotiveSpec, bound: int, a1_only: bool, jobs: int):
                     except EOFError:
                         raise RuntimeError("a stream worker exited without a reply") from None
                     if isinstance(reply, BaseException):
-                        raise reply  # the worker's own exception
+                        raise reply
                     rows += reply
                 return sorted(rows)
         finally:

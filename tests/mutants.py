@@ -109,6 +109,10 @@ MUTANTS = [
     Mutant("worker-exception-swallowed", MV, "        conn.send(exc)\n", "        conn.send([])\n",
            (TM + "test_worker_failures_reach_the_caller",),
            "a worker that fails replies with no rows: its share leaves the stream unreported"),
+    Mutant("parent-keeps-write-end", MV,
+           "                    send.close()  # the worker holds the one write end: its exit is an EOF\n",
+           "", (TM + "test_worker_failures_reach_the_caller",),
+           "the parent's copy of a write end keeps a dead worker's pipe open: no EOF, a hang"),
     Mutant("worker-eof-not-an-error", MV,
            'raise RuntimeError("a stream worker exited without a reply") from None',
            "continue", (TM + "test_worker_failures_reach_the_caller",),

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -453,9 +454,6 @@ class _FailsAt:
     how: str
     at: int
 
-    def describe(self) -> str:
-        return f"fails_at({self.how},{self.at})"
-
     def lpoly(self, p: int) -> LPoly:
         if p == self.at:
             if self.how == "exit":
@@ -466,22 +464,36 @@ class _FailsAt:
 
 def test_worker_failures_reach_the_caller(monkeypatch):
     """A ConsistencyError at one prime in a worker reaches the caller as itself, a
-    worker that exits without a reply is a RuntimeError, not a hang, and a
-    SkippedPrime in a worker is a skipped row; no worker outlives a stream."""
+    worker that exits without a reply is a RuntimeError, not a hang (an alarm
+    bounds the wait), and a SkippedPrime in a worker is a skipped row; no worker
+    outlives a stream."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the stream still waits on its workers after 20 s")
+
     monkeypatch.setattr(mv.os, "cpu_count", lambda: 2)
     primes = mv.stream_primes(mv.MotiveSpec(_FailsAt("skip", 101), Q), 400)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # a serial fallback would exit here
-        rows = mv.cached_lpoly_stream(mv.MotiveSpec(_FailsAt("skip", 101), Q), 400, None, jobs=2)
-        assert rows == [(p, 0, 0) for p in primes if p != 101]
-        assert multiprocessing.active_children() == []
-        for how, error, match in (("inconsistent", ConsistencyError, "at p=101"),
-                                  ("exit", RuntimeError, "without a reply")):
-            for at in (primes[-1], 101, 3):  # first, middle and last prime of a share
-                spec = mv.MotiveSpec(_FailsAt(how, at), Q)
-                with pytest.raises(error, match=match.replace("101", str(at))):
-                    mv.cached_lpoly_stream(spec, 400, None, jobs=2)
-                assert multiprocessing.active_children() == []
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a serial fallback would exit here
+            spec = mv.MotiveSpec(_FailsAt("skip", 101), Q)
+            assert mv.cached_lpoly_stream(spec, 400, None, jobs=2) == [
+                (p, 0, 0) for p in primes if p != 101]
+            assert multiprocessing.active_children() == []
+            # the first prime of each of the two shares, a middle one and the last one (the
+            # second share's write end is the one the parent's loop variable still holds)
+            for at in (primes[-1], primes[-2], 101, 3):
+                for how, error, match in (("inconsistent", ConsistencyError, f"^at p={at}$"),
+                                          ("exit", RuntimeError, "without a reply")):
+                    spec = mv.MotiveSpec(_FailsAt(how, at), Q)
+                    with pytest.raises(error, match=match):
+                        mv.cached_lpoly_stream(spec, 400, None, jobs=2)
+                    assert multiprocessing.active_children() == []
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_bad_primes_are_skipped_primes():
